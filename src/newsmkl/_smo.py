@@ -1,16 +1,9 @@
 """SMO inner loop: maximal-violating-pair coordinate ascent on the SVM dual.
 
 This is the hot kernel of the whole package (one SVM solve per MKL
-iteration, hundreds of solves per backtest window sweep), so it ships in
-two equivalent implementations:
-
-  * a numba ``@njit`` loop (default when numba imports), and
-  * a pure-numpy fallback with vectorized pair selection.
-
-Set ``NEWSMKL_DISABLE_NUMBA=1`` in the environment to force the numpy
-path. ``benchmarks/bench_smo_engines.py`` times the two against each
-other. Both mutate ``alpha`` and ``grad`` in place and return
-``(n_iter, final_violation, converged)``.
+iteration, hundreds of solves per backtest window sweep). Pair selection
+is vectorized with numpy; ``solve`` mutates ``alpha`` and ``grad`` in
+place and returns ``(n_iter, final_violation, converged)``.
 
 Convention: we minimize f(a) = 1/2 a'Qa - e'a with Q = diag(y) K diag(y),
 subject to y'a = 0 and 0 <= a <= C; grad = Qa - e.
@@ -18,17 +11,14 @@ subject to y'a = 0 and 0 <= a <= C; grad = Qa - e.
 
 from __future__ import annotations
 
-import os
-
 import numpy as np
 
 _TAU = 1e-12
 _INF = np.inf
 
 
-def _smo_numpy(Q, y, alpha, grad, C, tol, max_iter):
-    """Pure-numpy engine: vectorized maximal-violating-pair selection."""
-    n = alpha.shape[0]
+def solve(Q, y, alpha, grad, C, tol, max_iter):
+    """Run SMO in place to KKT violation `tol` or `max_iter` iterations."""
     pos = y > 0
     violation = _INF
     for it in range(max_iter):
@@ -99,116 +89,9 @@ def _smo_numpy(Q, y, alpha, grad, C, tol, max_iter):
     return max_iter, violation, False
 
 
-def _smo_loop(Q, y, alpha, grad, C, tol, max_iter):
-    """Loop engine (numba target): identical math, explicit scans."""
-    n = alpha.shape[0]
-    violation = _INF
-    for it in range(max_iter):
-        m = -_INF
-        M = _INF
-        i = -1
-        j = -1
-        for k in range(n):
-            u = -y[k] * grad[k]
-            if (y[k] > 0 and alpha[k] < C) or (y[k] < 0 and alpha[k] > 0):
-                if u > m:
-                    m = u
-                    i = k
-            if (y[k] > 0 and alpha[k] > 0) or (y[k] < 0 and alpha[k] < C):
-                if u < M:
-                    M = u
-                    j = k
-        violation = m - M
-        if violation <= tol:
-            return it, violation, True
-
-        ai = alpha[i]
-        aj = alpha[j]
-        if y[i] != y[j]:
-            quad = Q[i, i] + Q[j, j] + 2.0 * Q[i, j]
-            if quad <= 0.0:
-                quad = _TAU
-            delta = (-grad[i] - grad[j]) / quad
-            diff = ai - aj
-            ai += delta
-            aj += delta
-            if diff > 0.0:
-                if aj < 0.0:
-                    aj = 0.0
-                    ai = diff
-                if ai > C:
-                    ai = C
-                    aj = C - diff
-            else:
-                if ai < 0.0:
-                    ai = 0.0
-                    aj = -diff
-                if aj > C:
-                    aj = C
-                    ai = C + diff
-        else:
-            quad = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
-            if quad <= 0.0:
-                quad = _TAU
-            delta = (grad[i] - grad[j]) / quad
-            s = ai + aj
-            ai -= delta
-            aj += delta
-            if s > C:
-                if ai > C:
-                    ai = C
-                    aj = s - C
-                if aj > C:
-                    aj = C
-                    ai = s - C
-            else:
-                if aj < 0.0:
-                    aj = 0.0
-                    ai = s
-                if ai < 0.0:
-                    ai = 0.0
-                    aj = s
-
-        di = ai - alpha[i]
-        dj = aj - alpha[j]
-        alpha[i] = ai
-        alpha[j] = aj
-        for k in range(n):
-            grad[k] += Q[k, i] * di + Q[k, j] * dj
-    return max_iter, violation, False
-
-
-def _numba_disabled() -> bool:
-    return os.environ.get("NEWSMKL_DISABLE_NUMBA", "").strip().lower() in {"1", "true", "yes"}
-
-
-_smo_numba = None
-if not _numba_disabled():
-    try:
-        from numba import njit
-
-        _smo_numba = njit(cache=True, nogil=True)(_smo_loop)
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        _smo_numba = None
-
-
 def active_engine() -> str:
-    """Name of the engine solve() dispatches to: 'numba' or 'numpy'."""
-    return "numba" if _smo_numba is not None else "numpy"
+    """Name of the SMO implementation; always "numpy".
 
-
-def get_engine(name: str):
-    """Return a raw engine by name (for equivalence tests and benchmarks)."""
-    if name == "numpy":
-        return _smo_numpy
-    if name == "numba":
-        if _smo_numba is None:
-            raise RuntimeError("numba engine unavailable (disabled or not importable)")
-        return _smo_numba
-    raise ValueError(f"unknown SMO engine {name!r}")
-
-
-def solve(Q, y, alpha, grad, C, tol, max_iter, engine: str | None = None):
-    """Run the active (or named) SMO engine in place."""
-    fn = get_engine(engine or active_engine())
-    return fn(Q, y, alpha, grad, C, tol, max_iter)
+    Kept because the benchmark harness records it in each run's environment.
+    """
+    return "numpy"

@@ -16,17 +16,16 @@ import json
 import logging
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from datetime import datetime, time, timedelta
+from datetime import datetime, time
 
 import numpy as np
 
 from .kernels import KernelSpec, cross_gram, gram_matrix, median_sqdist
-from .market import (EventDropped, LabelingConfig, PriceSeries,
-                     abnormal_threshold, calendar_features, future_return,
-                     return_features)
+from .market import (FeatureRecord, LabelingConfig, PriceSeries, label_records, label_threshold,
+                     prepare_feature_records)
 from .mkl import MklProblem, MklSolution, solve_accpm, solve_reduced_gradient
-from .svm import TrainingSet, predict_many
-from .text import Dictionary, Document, bag_of_words, fit_tfidf, token_count, transform_tfidf_many
+from .svm import predict_many
+from .text import Dictionary, Document, fit_tfidf, transform_tfidf_many
 
 log = logging.getLogger(__name__)
 
@@ -160,83 +159,6 @@ def sharpe(daily_returns, periods_per_year: int = ANNUALIZATION_DAILY) -> float 
     if sd == 0.0:
         return None
     return float(np.sqrt(periods_per_year) * np.mean(r) / sd)
-
-
-# ---------------------------------------------------------------------------
-# Feature records (per horizon, labels assigned per window)
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class FeatureRecord:
-    doc_id: str
-    ticker: str
-    timestamp: datetime
-    text_counts: np.ndarray
-    token_count: int
-    return_features: np.ndarray
-    time_of_day: np.ndarray
-    day_of_week: np.ndarray
-    signed_return: float
-
-    @property
-    def abs_return(self) -> float:
-        return abs(self.signed_return)
-
-
-def prepare_feature_records(
-    docs: list[Document],
-    prices: dict[str, PriceSeries],
-    dictionary: Dictionary,
-    config: LabelingConfig,
-) -> tuple[list[FeatureRecord], dict[str, int]]:
-    """Extract features and horizon returns for every usable document.
-
-    Returns the kept records plus a tally of dropped documents by reason;
-    kept + dropped always sums to the input count.
-    """
-    records: list[FeatureRecord] = []
-    dropped = {r: 0 for r in ("weekend", "outside_trading_day", "before_min_event_time",
-                              "horizon_overflow", "insufficient_history", "missing_price",
-                              "unknown_ticker")}
-    for doc in docs:
-        try:
-            series = prices.get(doc.ticker)
-            if series is None:
-                raise EventDropped("unknown_ticker", doc.ticker)
-            t = doc.timestamp
-            if t.weekday() >= 5:
-                raise EventDropped("weekend", doc.id)
-            clock = t.timetz().replace(tzinfo=None)
-            if clock < config.day_start or clock > config.day_end:
-                raise EventDropped("outside_trading_day", doc.id)
-            if clock < config.min_event_time:
-                raise EventDropped("before_min_event_time", doc.id)
-            t_end = t + timedelta(minutes=config.horizon_minutes)
-            if t_end.timetz().replace(tzinfo=None) > config.day_end or t_end.date() != t.date():
-                raise EventDropped("horizon_overflow", doc.id)
-            rets = return_features(series, t, absolute=(config.label_kind == "abnormal"))
-            try:
-                r = future_return(series, t, config.horizon_minutes)
-            except Exception as exc:
-                raise EventDropped("missing_price", f"{doc.id}: {exc}") from exc
-            tod, dow = calendar_features(t)
-            counts = bag_of_words(doc, dictionary)
-            records.append(FeatureRecord(
-                doc_id=doc.id, ticker=doc.ticker, timestamp=t,
-                text_counts=counts, token_count=token_count(doc.text),
-                return_features=rets, time_of_day=tod, day_of_week=dow,
-                signed_return=float(r)))
-        except EventDropped as exc:
-            dropped[exc.reason] += 1
-    return records, dropped
-
-
-def label_records(records: list[FeatureRecord], config: LabelingConfig, threshold: float) -> np.ndarray:
-    """Labels for records under a fixed threshold (strict > for abnormal)."""
-    if config.label_kind == "abnormal":
-        return np.array([1 if r.abs_return > threshold else -1 for r in records], dtype=np.int64)
-    return np.array([1 if r.signed_return > 0 else -1 for r in records], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -428,13 +350,7 @@ def mixed_kernel_rows(fit: FittedPlan, test_records: list[FeatureRecord]) -> np.
 
 
 def predict_records(fit: FittedPlan, test_records: list[FeatureRecord]) -> tuple[np.ndarray, np.ndarray]:
-    from .mkl import mix_kernels
-
-    rows = mixed_kernel_rows(fit, test_records)
-    gram = fit.grams[0] if len(fit.grams) == 1 else mix_kernels(
-        MklProblem(kernels=fit.grams, labels=fit.y_train, C=fit.solution.model.C), fit.solution.d)
-    ts = TrainingSet(labels=fit.y_train, gram=gram)
-    return predict_many(fit.solution.model, ts, rows)
+    return predict_many(fit.solution.model, fit.y_train, mixed_kernel_rows(fit, test_records))
 
 
 def _train_and_predict(
@@ -539,10 +455,7 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int,
     if not test_records:
         raise WindowSkipped(f"{window}: no test events")
 
-    if cfg.label_kind == "abnormal":
-        threshold = abnormal_threshold([r.abs_return for r in train_records], cfg.percentile)
-    else:
-        threshold = 0.0
+    threshold = label_threshold(train_records, labeling)
     y_train = label_records(train_records, labeling, threshold)
     y_test = label_records(test_records, labeling, threshold)
     if np.all(y_train == y_train[0]):

@@ -122,44 +122,31 @@ def cmd_featurize(args) -> int:
     return 0
 
 
-def cmd_label(args) -> int:
+def _label_all(args):
+    """Feature records for every usable event, labeled against a threshold
+    taken from all of them; returns (records, labels, threshold, dropped)."""
     docs, prices, dictionary = _load_inputs(args)
     labeling = market.LabelingConfig(horizon_minutes=args.horizon, percentile=args.percentile,
                                      label_kind=args.kind)
-    records, dropped = bt.prepare_feature_records(docs, prices, dictionary, labeling)
+    records, dropped = market.prepare_feature_records(docs, prices, dictionary, labeling)
     if not records:
         raise CliError("no events survived feature extraction")
-    if args.kind == "abnormal":
-        threshold = market.abnormal_threshold([r.abs_return for r in records], args.percentile)
-    else:
-        threshold = 0.0
-    labels = bt.label_records(records, labeling, threshold)
-    events = []
-    for r, y in zip(records, labels):
-        events.append(market.LabeledEvent(
-            doc_id=r.doc_id, ticker=r.ticker, timestamp=r.timestamp,
-            horizon_minutes=args.horizon, text_counts=r.text_counts, token_count=r.token_count,
-            return_features=r.return_features, time_of_day=r.time_of_day,
-            day_of_week=r.day_of_week, abs_future_return=r.abs_return,
-            label=int(y), label_kind=args.kind))
-    market.write_events_csv(args.out, events)
+    threshold = market.label_threshold(records, labeling)
+    return records, market.label_records(records, labeling, threshold), threshold, dropped
+
+
+def cmd_label(args) -> int:
+    records, labels, threshold, dropped = _label_all(args)
+    market.write_events_csv(args.out, records, labels, args.horizon)
     log.info("label: kept %d, dropped %s (threshold %.6g) -> %s",
-             len(events), {k: v for k, v in dropped.items() if v}, threshold, args.out)
+             len(records), {k: v for k, v in dropped.items() if v}, threshold, args.out)
     return 0
 
 
 def _train_common(args, plan) -> int:
-    docs, prices, dictionary = _load_inputs(args)
-    labeling = market.LabelingConfig(horizon_minutes=args.horizon, percentile=args.percentile,
-                                     label_kind=args.kind)
-    records, dropped = bt.prepare_feature_records(docs, prices, dictionary, labeling)
+    records, y, _, dropped = _label_all(args)
     if len(records) < 2:
         raise CliError("not enough events to train on")
-    if args.kind == "abnormal":
-        threshold = market.abnormal_threshold([r.abs_return for r in records], args.percentile)
-    else:
-        threshold = 0.0
-    y = bt.label_records(records, labeling, threshold)
     fit = bt.fit_plan(plan, records, y, C=args.C, solver=args.solver, gap_tol=args.gap_tol)
     out = _out_dir(args)
     save_model(out / "model.json", fit.solution.model, kernels=fit.kernel_descriptions(),

@@ -36,17 +36,6 @@ def parse_overrides(pairs: list[str]) -> dict[str, str]:
     return out
 
 
-def coerce(value: str, target_type):
-    if target_type is bool:
-        v = value.strip().lower()
-        if v in ("1", "true", "yes", "on"):
-            return True
-        if v in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"cannot parse boolean from {value!r}")
-    return target_type(value)
-
-
 def config_hash(config: dict) -> str:
     canonical = json.dumps(config, sort_keys=True, separators=(",", ":"), default=str)
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
@@ -58,15 +47,9 @@ def write_manifest(path, command: str, config: dict, seed: int | None) -> None:
     Deliberately excludes wall-clock timestamps so re-running an identical
     command yields an identical manifest.
     """
-    from . import __version__
-
-    try:
-        import numba
-
-        numba_version = numba.__version__
-    except ImportError:  # pragma: no cover
-        numba_version = None
     import numpy
+
+    from . import __version__
 
     manifest = {
         "command": command,
@@ -76,7 +59,6 @@ def write_manifest(path, command: str, config: dict, seed: int | None) -> None:
         "versions": {
             "newsmkl": __version__,
             "numpy": numpy.__version__,
-            "numba": numba_version,
             "python": ".".join(str(v) for v in sys.version_info[:3]),
         },
     }

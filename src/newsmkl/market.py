@@ -17,7 +17,7 @@ from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
 
-from .text import Document
+from .text import Dictionary, Document, bag_of_words, token_count
 
 TRADING_DAY_START = time(9, 30)
 TRADING_DAY_END = time(16, 0)
@@ -73,6 +73,8 @@ class PriceSeries:
             raise MarketError("times and prices must be equal-length nonempty 1-d arrays")
         if np.any(np.diff(t) <= 0):
             raise MarketError(f"{self.ticker}: timestamps must be strictly increasing")
+        if not np.all(np.isfinite(p)):
+            raise MarketError(f"{self.ticker}: prices must be finite")
         if np.any(p <= 0):
             raise MarketError(f"{self.ticker}: prices must be positive")
         self.times, self.prices = t, p
@@ -139,30 +141,6 @@ class LabelingConfig:
             raise MarketError(f"unknown label kind {self.label_kind!r}")
 
 
-@dataclass
-class LabeledEvent:
-    """A document joined to prices: features, horizon, and binary label."""
-
-    doc_id: str
-    ticker: str
-    timestamp: datetime
-    horizon_minutes: int
-    text_counts: np.ndarray
-    token_count: int
-    return_features: np.ndarray
-    time_of_day: np.ndarray
-    day_of_week: np.ndarray
-    abs_future_return: float
-    label: int
-    label_kind: str
-
-    def __post_init__(self):
-        if self.label not in (-1, 1):
-            raise MarketError("label must be -1 or +1")
-        if not np.all(np.isfinite(self.return_features)):
-            raise MarketError("return features must be finite")
-
-
 def calendar_features(t: datetime) -> tuple[np.ndarray, np.ndarray]:
     """One-hot time-of-day bins [before 10:30, between, after 15:00] and Mon..Fri."""
     if t.weekday() >= 5:
@@ -186,20 +164,33 @@ def future_return(series: PriceSeries, t: datetime, horizon_minutes: int) -> flo
     return (p1 - p0) / p0
 
 
-def label_event(
-    series: PriceSeries,
-    doc: Document,
-    config: LabelingConfig,
-    threshold: float,
-    text_counts: np.ndarray | None = None,
-    token_count: int = 0,
-) -> LabeledEvent:
-    """Build a LabeledEvent, or raise EventDropped with the exclusion reason.
+@dataclass
+class FeatureRecord:
+    """A document joined to prices: text counts, return and calendar
+    features, and the signed return over the horizon (labels are assigned
+    later, against a threshold from the training events)."""
 
-    Abnormal task: label +1 iff |return over horizon| > threshold
-    (strict; a return exactly at the threshold is -1). Direction task:
-    +1 iff return > 0, zero return -> -1.
-    """
+    doc_id: str
+    ticker: str
+    timestamp: datetime
+    text_counts: np.ndarray
+    token_count: int
+    return_features: np.ndarray
+    time_of_day: np.ndarray
+    day_of_week: np.ndarray
+    signed_return: float
+
+    @property
+    def abs_return(self) -> float:
+        return abs(self.signed_return)
+
+
+def _feature_record(doc: Document, prices: dict[str, PriceSeries], dictionary: Dictionary,
+                    config: LabelingConfig) -> FeatureRecord:
+    """Join one document to its prices, or raise EventDropped with the exclusion reason."""
+    series = prices.get(doc.ticker)
+    if series is None:
+        raise EventDropped("unknown_ticker", doc.ticker)
     t = doc.timestamp
     if t.weekday() >= 5:
         raise EventDropped("weekend", doc.id)
@@ -208,36 +199,60 @@ def label_event(
         raise EventDropped("outside_trading_day", doc.id)
     if clock < config.min_event_time:
         raise EventDropped("before_min_event_time", doc.id)
-    end_clock = (t + timedelta(minutes=config.horizon_minutes)).timetz().replace(tzinfo=None)
-    if end_clock > config.day_end or (t + timedelta(minutes=config.horizon_minutes)).date() != t.date():
+    t_end = t + timedelta(minutes=config.horizon_minutes)
+    if t_end.timetz().replace(tzinfo=None) > config.day_end or t_end.date() != t.date():
         raise EventDropped("horizon_overflow", doc.id)
-
     try:
         rets = return_features(series, t, absolute=(config.label_kind == "abnormal"))
         r = future_return(series, t, config.horizon_minutes)
     except MarketError as exc:
         raise EventDropped("missing_price", f"{doc.id}: {exc}") from exc
-
-    if config.label_kind == "abnormal":
-        label = 1 if abs(r) > threshold else -1
-    else:
-        label = 1 if r > 0 else -1
     tod, dow = calendar_features(t)
-    counts = np.zeros(0, dtype=np.int64) if text_counts is None else np.asarray(text_counts)
-    return LabeledEvent(
-        doc_id=doc.id,
-        ticker=doc.ticker,
-        timestamp=t,
-        horizon_minutes=config.horizon_minutes,
-        text_counts=counts,
-        token_count=token_count,
-        return_features=rets,
-        time_of_day=tod,
-        day_of_week=dow,
-        abs_future_return=abs(r),
-        label=label,
-        label_kind=config.label_kind,
-    )
+    return FeatureRecord(doc_id=doc.id, ticker=doc.ticker, timestamp=t,
+                         text_counts=bag_of_words(doc, dictionary), token_count=token_count(doc.text),
+                         return_features=rets, time_of_day=tod, day_of_week=dow,
+                         signed_return=float(r))
+
+
+def prepare_feature_records(
+    docs: list[Document],
+    prices: dict[str, PriceSeries],
+    dictionary: Dictionary,
+    config: LabelingConfig,
+) -> tuple[list[FeatureRecord], dict[str, int]]:
+    """Extract features and horizon returns for every usable document.
+
+    Returns the kept records plus a tally of dropped documents by reason;
+    kept + dropped always sums to the input count.
+    """
+    records: list[FeatureRecord] = []
+    dropped = dict.fromkeys(DROP_REASONS, 0)
+    for doc in docs:
+        try:
+            records.append(_feature_record(doc, prices, dictionary, config))
+        except EventDropped as exc:
+            dropped[exc.reason] += 1
+    return records, dropped
+
+
+def label_threshold(train_records: list[FeatureRecord], config: LabelingConfig) -> float:
+    """The abnormal threshold from the training records' absolute returns
+    (0.0 for the direction task, which ignores it)."""
+    if config.label_kind == "abnormal":
+        return abnormal_threshold([r.abs_return for r in train_records], config.percentile)
+    return 0.0
+
+
+def label_records(records: list[FeatureRecord], config: LabelingConfig, threshold: float) -> np.ndarray:
+    """Labels under a fixed threshold.
+
+    Abnormal task: +1 iff |return over horizon| > threshold (strict; a
+    return exactly at the threshold is -1). Direction task: +1 iff
+    return > 0, zero return -> -1.
+    """
+    if config.label_kind == "abnormal":
+        return np.array([1 if r.abs_return > threshold else -1 for r in records], dtype=np.int64)
+    return np.array([1 if r.signed_return > 0 else -1 for r in records], dtype=np.int64)
 
 
 # ---------------------------------------------------------------------------
@@ -259,8 +274,11 @@ def read_prices(path) -> dict[str, PriceSeries]:
             try:
                 ticker, ts, price = line.split(",")
                 et = _epoch(datetime.fromisoformat(ts.replace("Z", "+00:00")))
+                p = float(price)
+                if not 0.0 < p < math.inf:  # also false for nan
+                    raise ValueError(f"price {price!r} is not a positive finite number")
                 by_ticker.setdefault(ticker, ([], []))[0].append(et)
-                by_ticker[ticker][1].append(float(price))
+                by_ticker[ticker][1].append(p)
             except ValueError as exc:
                 raise MarketError(f"{path}:{ln}: bad price row: {exc}") from exc
     return {tk: PriceSeries(ticker=tk, times=np.array(ts), prices=np.array(ps))
@@ -287,15 +305,15 @@ EVENT_CSV_HEADER = (
 )
 
 
-def write_events_csv(path, events: list[LabeledEvent]) -> None:
+def write_events_csv(path, records: list[FeatureRecord], labels, horizon_minutes: int) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(EVENT_CSV_HEADER + "\n")
-        for e in events:
-            rets = ",".join(repr(float(v)) for v in e.return_features)
-            tod = ",".join(str(int(v)) for v in e.time_of_day)
-            dow = ",".join(str(int(v)) for v in e.day_of_week)
-            fh.write(f"{e.doc_id},{e.ticker},{e.timestamp.strftime('%Y-%m-%dT%H:%M:%SZ')},"
-                     f"{e.horizon_minutes},{rets},{tod},{dow},{repr(e.abs_future_return)},{e.label}\n")
+        for r, label in zip(records, labels):
+            rets = ",".join(repr(float(v)) for v in r.return_features)
+            tod = ",".join(str(int(v)) for v in r.time_of_day)
+            dow = ",".join(str(int(v)) for v in r.day_of_week)
+            fh.write(f"{r.doc_id},{r.ticker},{r.timestamp.strftime('%Y-%m-%dT%H:%M:%SZ')},"
+                     f"{horizon_minutes},{rets},{tod},{dow},{repr(r.abs_return)},{int(label)}\n")
 
 
 # ---------------------------------------------------------------------------

@@ -97,7 +97,6 @@ def solve_dual(
     tol: float = DEFAULT_TOL,
     warm_start: np.ndarray | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
-    engine: str | None = None,
 ) -> SvmModel:
     """Solve the dual QP to KKT tolerance `tol` by SMO.
 
@@ -122,7 +121,7 @@ def solve_dual(
         alpha = np.zeros(ts.size)
         grad = -np.ones(ts.size)
 
-    n_iter, violation, converged = _smo.solve(Q, y, alpha, grad, C, tol, max_iter, engine=engine)
+    n_iter, violation, converged = _smo.solve(Q, y, alpha, grad, C, tol, max_iter)
     if not converged:
         log.warning("SMO hit max_iter=%d with KKT violation %.3e > tol %.3e", max_iter, violation, tol)
 
@@ -165,30 +164,29 @@ def recover_bias(alpha: np.ndarray, ts: TrainingSet, C: float) -> float:
     return 0.0
 
 
-def decision_value(model: SvmModel, ts: TrainingSet, kernel_row) -> float:
+def decision_value(model: SvmModel, labels: np.ndarray, kernel_row) -> float:
     row = np.asarray(kernel_row, dtype=np.float64).ravel()
-    if row.shape[0] != ts.size:
-        raise SvmError(f"kernel row length {row.shape[0]} != training size {ts.size}")
-    return float((ts.labels * model.alpha) @ row + model.bias)
+    if row.shape[0] != labels.shape[0]:
+        raise SvmError(f"kernel row length {row.shape[0]} != training size {labels.shape[0]}")
+    return float((labels * model.alpha) @ row + model.bias)
 
 
-def predict(model: SvmModel, ts: TrainingSet, kernel_row) -> tuple[int, float]:
+def predict(model: SvmModel, labels: np.ndarray, kernel_row) -> tuple[int, float]:
     """Label and decision value at a point given its kernel row k(x_i, x).
 
     A decision value of exactly 0 maps to +1.
     """
-    d = decision_value(model, ts, kernel_row)
+    d = decision_value(model, labels, kernel_row)
     return (1 if d >= 0.0 else -1), d
 
 
-def predict_many(model: SvmModel, ts: TrainingSet, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def predict_many(model: SvmModel, labels: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized predict over a (n_points, l) matrix of kernel rows."""
     rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != ts.size:
+    if rows.ndim != 2 or rows.shape[1] != labels.shape[0]:
         raise SvmError("rows must be (n_points, training size)")
-    d = rows @ (ts.labels * model.alpha) + model.bias
-    labels = np.where(d >= 0.0, 1, -1)
-    return labels, d
+    d = rows @ (labels * model.alpha) + model.bias
+    return np.where(d >= 0.0, 1, -1), d
 
 
 # ---------------------------------------------------------------------------
@@ -208,6 +206,7 @@ def model_to_dict(model: SvmModel, kernels: list[dict] | None = None, mkl_weight
         "objective": model.objective,
         "n_iter": model.n_iter,
         "kkt_violation": model.kkt_violation,
+        "converged": model.converged,
         "label_convention": "label = sign(decision); decision of exactly 0 -> +1",
     }
     if kernels is not None:
@@ -228,6 +227,7 @@ def model_from_dict(d: dict) -> SvmModel:
         objective=float(d["objective"]),
         n_iter=int(d.get("n_iter", 0)),
         kkt_violation=float(d.get("kkt_violation", 0.0)),
+        converged=bool(d.get("converged", True)),
     )
 
 

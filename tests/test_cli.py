@@ -156,3 +156,18 @@ class TestErrors:
         assert out.returncode == 1
         parsed = json.loads(out.stderr.strip().splitlines()[-1])
         assert parsed["error"] in ("FileNotFoundError", "OSError")
+
+    def test_non_finite_price_single_line_json_error(self, synth_dir, tmp_path):
+        prices = tmp_path / "prices.csv"
+        rows = (synth_dir / "prices.csv").read_text().splitlines()
+        ticker, ts, _ = rows[5].split(",")
+        rows[5] = f"{ticker},{ts},nan"
+        prices.write_text("\n".join(rows) + "\n")
+        out = run_cli("label", "--docs", str(synth_dir / "docs.jsonl"), "--prices", str(prices),
+                      "--out", str(tmp_path / "events.csv"), check=False)
+        assert out.returncode == 1
+        lines = [ln for ln in out.stderr.splitlines() if ln.strip()]
+        assert len(lines) == 1
+        parsed = json.loads(lines[0])
+        assert parsed["error"] == "MarketError"
+        assert f"{prices}:6:" in parsed["message"]

@@ -1,16 +1,18 @@
-from datetime import datetime, time, timezone
+from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import nearest_rank
 
-from newsmkl.market import (EventDropped, LabelingConfig, MarketError,
+from newsmkl.market import (DROP_REASONS, EventDropped, LabelingConfig, MarketError,
                             PriceSeries, SynthSpec, abnormal_threshold,
-                            calendar_features, future_return, label_event,
-                            price_at, return_features, synth_generate,
-                            trading_days)
-from newsmkl.text import Document
+                            calendar_features, future_return, label_records,
+                            prepare_feature_records, price_at, return_features,
+                            synth_generate, trading_days)
+from newsmkl.text import Document, parse_dictionary
 
 UTC = timezone.utc
 
@@ -46,6 +48,9 @@ class TestPriceAt:
             PriceSeries(ticker="T", times=[2, 1], prices=[1.0, 1.0])
         with pytest.raises(MarketError):
             PriceSeries(ticker="T", times=[1, 2], prices=[1.0, -1.0])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(MarketError):
+                PriceSeries(ticker="T", times=[1, 2], prices=[1.0, bad])
 
 
 class TestReturnFeatures:
@@ -141,6 +146,20 @@ class TestCalendarFeatures:
             calendar_features(dt(12, 0, day=3))  # 2004-01-03 is a Saturday
 
 
+DICTIONARY = parse_dictionary("hello\n")
+
+
+def extract(series, doc, cfg):
+    """The single extraction path on one document: (records, drop tally)."""
+    return prepare_feature_records([doc], {series.ticker: series}, DICTIONARY, cfg)
+
+
+def label_one(series, doc, cfg, threshold):
+    records, _ = extract(series, doc, cfg)
+    assert len(records) == 1
+    return records[0], int(label_records(records, cfg, threshold)[0])
+
+
 class TestLabelEvent:
     def _series_with_jump(self, jump_at_minute=45, jump=0.05):
         prices = [100.0] * 391
@@ -151,46 +170,50 @@ class TestLabelEvent:
     def _doc(self, h, m):
         return Document(id="e1", timestamp=dt(h, m), ticker="T", text="hello")
 
+    def _dropped_reason(self, series, doc, cfg):
+        records, dropped = extract(series, doc, cfg)
+        assert records == []
+        return [r for r, n in dropped.items() if n]
+
     def test_planted_jump_labeled_abnormal(self):
         s = self._series_with_jump()
         cfg = LabelingConfig(horizon_minutes=10)
-        ev = label_event(s, self._doc(10, 11), cfg, threshold=0.01)
-        assert ev.label == 1
-        assert ev.abs_future_return == pytest.approx(0.05)
+        rec, label = label_one(s, self._doc(10, 11), cfg, threshold=0.01)
+        assert label == 1
+        assert rec.abs_return == pytest.approx(0.05)
 
     def test_return_exactly_at_threshold_is_negative(self):
         s = self._series_with_jump(jump=0.05)
         cfg = LabelingConfig(horizon_minutes=10)
-        ev = label_event(s, self._doc(10, 11), cfg, threshold=0.05)
-        assert ev.label == -1  # strict inequality
+        _, label = label_one(s, self._doc(10, 11), cfg, threshold=0.05)
+        assert label == -1  # strict inequality
 
     def test_horizon_overflow_dropped(self):
         s = self._series_with_jump()
         cfg = LabelingConfig(horizon_minutes=70)
-        with pytest.raises(EventDropped) as exc:
-            label_event(s, self._doc(15, 0), cfg, threshold=0.01)
-        assert exc.value.reason == "horizon_overflow"
+        assert self._dropped_reason(s, self._doc(15, 0), cfg) == ["horizon_overflow"]
 
     def test_before_min_event_time_dropped(self):
         s = self._series_with_jump()
         cfg = LabelingConfig(horizon_minutes=10)
-        with pytest.raises(EventDropped) as exc:
-            label_event(s, self._doc(10, 5), cfg, threshold=0.01)
-        assert exc.value.reason == "before_min_event_time"
+        assert self._dropped_reason(s, self._doc(10, 5), cfg) == ["before_min_event_time"]
 
     def test_direction_tie_rule_and_negation(self):
         rng = np.random.default_rng(4)
         prices = 100.0 * np.exp(np.cumsum(0.002 * rng.standard_normal(391)))
         s = minute_series(dt(9, 30), prices)
         cfg = LabelingConfig(horizon_minutes=20, label_kind="direction")
-        ev = label_event(s, self._doc(11, 0), cfg, threshold=0.0)
+        _, label = label_one(s, self._doc(11, 0), cfg, threshold=0.0)
         r = future_return(s, dt(11, 0), 20)
-        assert ev.label == (1 if r > 0 else -1)
+        assert label == (1 if r > 0 else -1)
         # negated prices negate every non-tie label
         s_neg = minute_series(dt(9, 30), 1.0 / np.asarray(prices))
-        ev_neg = label_event(s_neg, self._doc(11, 0), cfg, threshold=0.0)
+        _, label_neg = label_one(s_neg, self._doc(11, 0), cfg, threshold=0.0)
         if r != 0:
-            assert ev_neg.label == -ev.label
+            assert label_neg == -label
+        # a zero return labels -1
+        flat = minute_series(dt(9, 30), [100.0] * 391)
+        assert label_one(flat, self._doc(11, 0), cfg, threshold=0.0)[1] == -1
 
     def test_config_validation(self):
         with pytest.raises(MarketError):
@@ -199,6 +222,42 @@ class TestLabelEvent:
             LabelingConfig(horizon_minutes=10, percentile=99.0)
         with pytest.raises(MarketError):
             LabelingConfig(horizon_minutes=10, label_kind="both")
+
+
+WEEK_START = dt(0, 0)  # Monday 2004-01-05; days 5 and 6 are the weekend
+
+
+def _week_of_minute_prices():
+    days = [WEEK_START + timedelta(days=d, hours=9, minutes=30) for d in range(5)]
+    times = np.concatenate([int(d.timestamp()) + 60 * np.arange(391) for d in days])
+    rng = np.random.default_rng(0)
+    return PriceSeries(ticker="T", times=times,
+                       prices=100.0 * np.exp(np.cumsum(0.001 * rng.standard_normal(times.size))))
+
+
+WEEK_PRICES = {"T": _week_of_minute_prices()}
+
+documents = st.lists(st.builds(
+    lambda day, minute, ticker: Document(id="d", ticker=ticker, text="hello",
+                                         timestamp=WEEK_START + timedelta(days=day, minutes=minute)),
+    st.integers(0, 6), st.integers(0, 24 * 60 - 1), st.sampled_from(["T", "UNKNOWN"])), max_size=25)
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=documents, horizon=st.sampled_from([10, 60, 250]),
+       label_kind=st.sampled_from(["abnormal", "direction"]),
+       min_event_time=st.sampled_from([time(9, 30), time(10, 10), time(12, 0)]))
+def test_extraction_accounts_for_every_document(docs, horizon, label_kind, min_event_time):
+    cfg = LabelingConfig(horizon_minutes=horizon, label_kind=label_kind, min_event_time=min_event_time)
+    records, dropped = prepare_feature_records(docs, WEEK_PRICES, DICTIONARY, cfg)
+    assert len(records) + sum(dropped.values()) == len(docs)
+    assert set(dropped) <= set(DROP_REASONS)
+    for r in records:
+        clock = r.timestamp.timetz().replace(tzinfo=None)
+        end = r.timestamp + timedelta(minutes=horizon)
+        assert r.timestamp.weekday() < 5
+        assert clock >= min_event_time
+        assert end.date() == r.timestamp.date() and end.timetz().replace(tzinfo=None) <= time(16, 0)
 
 
 class TestSynth:

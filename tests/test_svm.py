@@ -67,8 +67,8 @@ class TestSolveDual:
         m_perm = solve_tight(ts_perm, C)
         # the same test point: its kernel row permutes along with training order
         row = ts.gram.values[:, 3]
-        _, d1 = predict(m, ts, row)
-        _, d2 = predict(m_perm, ts_perm, row[perm])
+        _, d1 = predict(m, ts.labels, row)
+        _, d2 = predict(m_perm, ts_perm.labels, row[perm])
         assert d2 == pytest.approx(d1, rel=1e-8, abs=1e-10)
 
     def test_objective_dominates_any_feasible_point(self):
@@ -111,35 +111,35 @@ class TestPredict:
     def test_decision_value_and_label(self):
         ts, C = two_point_problem()
         m = solve_dual(ts, C, tol=1e-10)
-        label, value = predict(m, ts, [-2.0, 2.0])
+        label, value = predict(m, ts.labels, [-2.0, 2.0])
         assert (label, value) == (1, pytest.approx(2.0))
 
     def test_zero_decision_maps_to_plus_one(self):
         ts, C = two_point_problem()
         m = solve_dual(ts, C, tol=1e-10)
-        label, value = predict(m, ts, [0.0, 0.0])
+        label, value = predict(m, ts.labels, [0.0, 0.0])
         assert value == 0.0 and label == 1
 
     def test_training_points_classified_correctly_when_separable(self):
         ts, C = two_point_problem()
         m = solve_dual(ts, C, tol=1e-10)
         for i in range(2):
-            label, _ = predict(m, ts, ts.gram.values[:, i])
+            label, _ = predict(m, ts.labels, ts.gram.values[:, i])
             assert label == ts.labels[i]
 
     def test_row_length_mismatch(self):
         ts, C = two_point_problem()
         m = solve_dual(ts, C)
         with pytest.raises(SvmError):
-            predict(m, ts, [1.0, 2.0, 3.0])
+            predict(m, ts.labels, [1.0, 2.0, 3.0])
 
     def test_predict_many_matches_predict(self):
         ts, C = make_svm_problem(2)
         m = solve_tight(ts, C)
         rows = ts.gram.values[:, :4].T
-        labels, values = predict_many(m, ts, rows)
+        labels, values = predict_many(m, ts.labels, rows)
         for i in range(4):
-            l1, v1 = predict(m, ts, rows[i])
+            l1, v1 = predict(m, ts.labels, rows[i])
             assert (labels[i], values[i]) == (l1, pytest.approx(v1))
 
 
@@ -152,6 +152,9 @@ class TestSerialization:
         np.testing.assert_array_equal(m2.alpha, m.alpha)
         assert m2.bias == m.bias and m2.C == m.C
         assert rec["mkl_weights"] == [1.0]
+        assert rec["converged"] is True and m2.converged
+        stalled = solve_dual(ts, C, max_iter=1)
+        assert model_from_dict(model_to_dict(stalled)).converged is False
 
     def test_unknown_format_rejected(self):
         with pytest.raises(SvmError):
