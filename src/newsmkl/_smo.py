@@ -7,6 +7,11 @@ place and returns ``(n_iter, final_violation, converged)``.
 
 Convention: we minimize f(a) = 1/2 a'Qa - e'a with Q = diag(y) K diag(y),
 subject to y'a = 0 and 0 <= a <= C; grad = Qa - e.
+
+Q is never built: the caller passes a row function, `row(i)` -> K[i, :],
+and K's diagonal. Each iteration reads the two rows of its working pair,
+so a caller can compute rows on demand (MKL mixes only the rows of
+sum_k d_k K_k that SMO asks for).
 """
 
 from __future__ import annotations
@@ -17,14 +22,20 @@ _TAU = 1e-12
 _INF = np.inf
 
 
-def solve(Q, y, alpha, grad, C, tol, max_iter):
-    """Run SMO in place to KKT violation `tol` or `max_iter` iterations."""
+def solve(row, diag, y, alpha, grad, C, tol, max_iter):
+    """Run SMO in place to KKT violation `tol` or `max_iter` iterations.
+
+    `row(i)` returns row i of the symmetric kernel matrix K and `diag` is
+    its diagonal; Q[i, j] = y_i y_j K[i, j] is formed on the fly.
+    """
     pos = y > 0
+    neg_y = -y
+    # index sets of the pair selection; an iteration changes only entries i, j
+    up = np.where(pos, alpha < C, alpha > 0)
+    low = np.where(pos, alpha > 0, alpha < C)
     violation = _INF
     for it in range(max_iter):
-        u = -y * grad
-        up = np.where(pos, alpha < C, alpha > 0)
-        low = np.where(pos, alpha > 0, alpha < C)
+        u = neg_y * grad
         ui = np.where(up, u, -_INF)
         uj = np.where(low, u, _INF)
         i = int(np.argmax(ui))
@@ -35,9 +46,12 @@ def solve(Q, y, alpha, grad, C, tol, max_iter):
         if violation <= tol:
             return it, violation, True
 
+        Ki, Kj = row(i), row(j)
+        yi, yj = y[i], y[j]
+        Qij = yi * yj * Ki[j]
         ai, aj = alpha[i], alpha[j]
-        if y[i] != y[j]:
-            quad = Q[i, i] + Q[j, j] + 2.0 * Q[i, j]
+        if yi != yj:
+            quad = diag[i] + diag[j] + 2.0 * Qij
             if quad <= 0.0:
                 quad = _TAU
             delta = (-grad[i] - grad[j]) / quad
@@ -59,7 +73,7 @@ def solve(Q, y, alpha, grad, C, tol, max_iter):
                     aj = C
                     ai = C + diff
         else:
-            quad = Q[i, i] + Q[j, j] - 2.0 * Q[i, j]
+            quad = diag[i] + diag[j] - 2.0 * Qij
             if quad <= 0.0:
                 quad = _TAU
             delta = (grad[i] - grad[j]) / quad
@@ -85,7 +99,10 @@ def solve(Q, y, alpha, grad, C, tol, max_iter):
         dj = aj - alpha[j]
         alpha[i] = ai
         alpha[j] = aj
-        grad += Q[:, i] * di + Q[:, j] * dj
+        up[i], low[i] = (ai < C, ai > 0) if pos[i] else (ai > 0, ai < C)
+        up[j], low[j] = (aj < C, aj > 0) if pos[j] else (aj > 0, aj < C)
+        # Q[:, i] = y * y_i * K[i] since K is symmetric
+        grad += y * (Ki * (yi * di) + Kj * (yj * dj))
     return max_iter, violation, False
 
 

@@ -28,8 +28,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _smo
 from .kernels import GramMatrix, validate_psd
-from .svm import SvmModel, TrainingSet, solve_dual
+from .svm import DEFAULT_MAX_ITER, SvmModel, build_model, check_dual, project_feasible
 
 log = logging.getLogger(__name__)
 
@@ -95,10 +96,17 @@ class MklProblem:
 
 @dataclass
 class MklState:
-    """Warm-start carrier and SVM-call counter for one MKL solve."""
+    """Warm-start carrier and SVM/SMO counters for one MKL solve.
+
+    `products` holds U = [K_k (y * warm_alpha)] for every kernel k, so the
+    next solve's warm-start gradient is y * (d' U) - 1 with no n x n pass.
+    """
 
     svm_solves: int = 0
+    smo_iterations: int = 0
+    smo_not_converged: int = 0
     warm_alpha: np.ndarray | None = None
+    products: np.ndarray | None = None
 
 
 @dataclass
@@ -109,6 +117,8 @@ class MklSolution:
     gap: float
     iterations: int
     svm_solves: int
+    smo_iterations: int  # total over the SVM solves
+    smo_not_converged: int  # SVM solves that stopped at SMO's max_iter
     status: str  # converged | flat_gradient | stalled | max_iters | degenerate_localization
     gap_history: list[float] = field(default_factory=list)
 
@@ -141,20 +151,72 @@ def _check_simplex(d, n: int) -> np.ndarray:
     return np.maximum(d, 0.0)
 
 
-def _objective_model(problem: MklProblem, d, state: MklState | None = None) -> tuple[float, SvmModel]:
+def _kernel_products(problem: MklProblem, v: np.ndarray) -> np.ndarray:
+    """U = [K_k v] for every kernel: one matvec pass over the kernels."""
+    return np.array([k.values @ v for k in problem.kernels])
+
+
+def _quad_forms(U: np.ndarray, v: np.ndarray) -> np.ndarray:
+    # one dot per kernel, not U @ v: keeps q bit-identical to v @ (K_k @ v)
+    return np.array([float(v @ u) for u in U])
+
+
+def _objective_model(problem: MklProblem, d, state: MklState | None = None
+                     ) -> tuple[float, SvmModel, np.ndarray]:
+    """J(d), its SVM model and the kernel quad forms q from one SVM solve.
+
+    The mixture sum_k d_k K_k is never built: SMO reads its rows through
+    a row function that mixes (and caches, for this solve) only the rows
+    it asks for. After SMO one pass U = [K_k (y * alpha)] gives the quad
+    forms U (y * alpha), the bias from d' U and, through `state`, the
+    next solve's warm-start gradient.
+    """
     d = _check_simplex(d, problem.n_kernels)
-    ts = TrainingSet(labels=problem.labels, gram=mix_kernels(problem, d))
-    warm = state.warm_alpha if state is not None else None
-    model = solve_dual(ts, problem.C, tol=problem.inner_tol, warm_start=warm)
+    y, C, tol = problem.labels, problem.C, problem.inner_tol
+    check_dual(y, C, tol)
+    n = y.shape[0]
+    used = np.flatnonzero(d)
+    w = d[used]
+    grams = [problem.kernels[k].values for k in used]
+    if len(grams) == 1 and w[0] == 1.0:
+        # a lone kernel at full weight is the mixture: SMO reads views of its rows
+        row, diag = grams[0].__getitem__, np.diagonal(grams[0])
+    else:
+        rows: dict[int, np.ndarray] = {}
+
+        def row(i: int) -> np.ndarray:
+            r = rows.get(i)
+            if r is None:
+                r = rows[i] = w @ np.array([K[i] for K in grams])
+            return r
+
+        diag = w @ np.array([np.diagonal(K) for K in grams])
+    if state is not None and state.warm_alpha is not None:
+        alpha = project_feasible(state.warm_alpha, y, C)
+        U = state.products
+        if U is None or not np.array_equal(alpha, state.warm_alpha):
+            U = _kernel_products(problem, y * alpha)
+        grad = y * (d @ U) - 1.0
+    else:
+        alpha = np.zeros(n)
+        grad = -np.ones(n)
+
+    result = _smo.solve(row, diag, y, alpha, grad, C, tol, DEFAULT_MAX_ITER)
+    v = y * alpha
+    U = _kernel_products(problem, v)
+    model = build_model(alpha, grad, y, d @ U, C, result)
     if state is not None:
         state.svm_solves += 1
+        state.smo_iterations += result[0]
+        state.smo_not_converged += 0 if result[2] else 1
         state.warm_alpha = np.array(model.alpha)
-    return model.objective, model
+        state.products = U
+    return model.objective, model, _quad_forms(U, v)
 
 
 def mkl_objective(problem: MklProblem, d, state: MklState | None = None) -> tuple[float, np.ndarray]:
     """J(d) and the maximizing alpha from one SVM solve on the mixture."""
-    J, model = _objective_model(problem, d, state)
+    J, model, _ = _objective_model(problem, d, state)
     return J, np.array(model.alpha)
 
 
@@ -163,7 +225,7 @@ def kernel_quad_forms(problem: MklProblem, alpha_star) -> np.ndarray:
     v = problem.labels * np.asarray(alpha_star, dtype=np.float64).ravel()
     if v.shape[0] != problem.kernels[0].size:
         raise MklError("alpha length does not match kernel size")
-    return np.array([float(v @ (k.values @ v)) for k in problem.kernels])
+    return _quad_forms(_kernel_products(problem, v), v)
 
 
 def mkl_gradient(alpha_star, problem: MklProblem) -> np.ndarray:
@@ -324,12 +386,20 @@ def add_cut(loc: LocalizationSet, center_z: np.ndarray, full_gradient: np.ndarra
 
 
 def cut_relevance(loc: LocalizationSet, center_z: np.ndarray, hessian: np.ndarray) -> np.ndarray:
-    """Relevance of each row: a' H^{-1} a / (a'z - b)^2, +inf at zero slack."""
+    """Relevance of each row: a' H^{-1} a / (a'z - b)^2, +inf at slack <= 0.
+
+    A freshly added cut has slack 0 up to rounding (either sign); a
+    numerically singular H falls back to least squares, as in
+    analytic_center.
+    """
     s = loc.slacks(center_z)
-    X = np.linalg.solve(hessian, loc.A.T)
+    try:
+        X = np.linalg.solve(hessian, loc.A.T)
+    except np.linalg.LinAlgError:
+        X = np.linalg.lstsq(hessian, loc.A.T, rcond=None)[0]
     num = np.einsum("ij,ji->i", loc.A, X)
-    with np.errstate(divide="ignore"):
-        rel = np.where(s == 0.0, np.inf, num / np.square(s))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        rel = np.where(s <= 0.0, np.inf, num / np.square(s))
     return rel
 
 
@@ -378,11 +448,18 @@ def _push_inside(loc: LocalizationSet, z: np.ndarray, new_row: int, cap: float =
 # ---------------------------------------------------------------------------
 
 
+def _solution(state: MklState, d: np.ndarray, model: SvmModel, J: float, gap: float,
+              iterations: int, status: str, gap_history: list[float]) -> MklSolution:
+    return MklSolution(d=d, model=model, objective=J, gap=gap, iterations=iterations,
+                       svm_solves=state.svm_solves, smo_iterations=state.smo_iterations,
+                       smo_not_converged=state.smo_not_converged, status=status,
+                       gap_history=gap_history)
+
+
 def _single_kernel_solution(problem: MklProblem, state: MklState) -> MklSolution:
     d = np.array([1.0])
-    J, model = _objective_model(problem, d, state)
-    return MklSolution(d=d, model=model, objective=J, gap=0.0, iterations=1,
-                       svm_solves=state.svm_solves, status="converged", gap_history=[0.0])
+    J, model, _ = _objective_model(problem, d, state)
+    return _solution(state, d, model, J, 0.0, 1, "converged", [0.0])
 
 
 def _threshold_and_finalize(problem: MklProblem, d: np.ndarray, J: float, model: SvmModel,
@@ -393,8 +470,7 @@ def _threshold_and_finalize(problem: MklProblem, d: np.ndarray, J: float, model:
     if np.any(small & (d > 0.0)):
         d = np.where(small, 0.0, d)
         d = d / d.sum()
-        J, model = _objective_model(problem, d, state)
-        q = kernel_quad_forms(problem, model.alpha)
+        J, model, q = _objective_model(problem, d, state)
         gap = _gap_from_quads(d, q)
     d = d / d.sum()
     return d, J, model, gap
@@ -423,8 +499,7 @@ def solve_accpm(problem: MklProblem) -> MklSolution:
             break
         d = np.maximum(reduced_to_full(z_c), 0.0)
         d = d / d.sum()
-        J, model = _objective_model(problem, d, state)
-        q = kernel_quad_forms(problem, model.alpha)
+        J, model, q = _objective_model(problem, d, state)
         gap = _gap_from_quads(d, q)
         gap_history.append(gap)
         if best is None or J < best[0]:
@@ -453,8 +528,7 @@ def solve_accpm(problem: MklProblem) -> MklSolution:
         log.warning("ACCPM stopped at max_iters=%d with gap %.3e > %.3e",
                     problem.max_iters, gap, problem.gap_tol)
     d, J, model, gap = _threshold_and_finalize(problem, d, J, model, gap, state)
-    return MklSolution(d=d, model=model, objective=J, gap=gap, iterations=iterations,
-                       svm_solves=state.svm_solves, status=status, gap_history=gap_history)
+    return _solution(state, d, model, J, gap, iterations, status, gap_history)
 
 
 def _simplex_step(d: np.ndarray, D: np.ndarray, t: float) -> np.ndarray:
@@ -486,10 +560,9 @@ def solve_reduced_gradient(problem: MklProblem, line_tol: float = 0.05,
     best: tuple[float, np.ndarray, SvmModel, float] | None = None
     status = "max_iters"
     iterations = 0
-    J, model = _objective_model(problem, d, state)
+    J, model, q = _objective_model(problem, d, state)
 
     for iterations in range(1, problem.max_iters + 1):
-        q = kernel_quad_forms(problem, model.alpha)
         gap = _gap_from_quads(d, q)
         gap_history.append(gap)
         if best is None or J < best[0]:
@@ -514,13 +587,12 @@ def solve_reduced_gradient(problem: MklProblem, line_tol: float = 0.05,
         neg = D < 0.0
         t_max = float(np.min(d[neg] / -D[neg]))  # some D_i < 0 since sum(D) = 0
 
-        trials: dict[float, tuple[float, SvmModel, np.ndarray]] = {}
+        trials: dict[float, tuple[float, SvmModel, np.ndarray, np.ndarray]] = {}
 
         def evaluate(t: float):
             if t not in trials:
                 cand = _simplex_step(d, D, t)
-                J_t, model_t = _objective_model(problem, cand, state)
-                trials[t] = (J_t, model_t, cand)
+                trials[t] = (*_objective_model(problem, cand, state), cand)
             return trials[t][0]
 
         # probe the full admissible step (a weight hits zero there), then
@@ -543,8 +615,7 @@ def solve_reduced_gradient(problem: MklProblem, line_tol: float = 0.05,
         t_best = min(trials, key=lambda t: trials[t][0])
         J_best = trials[t_best][0]
         if J_best <= J + armijo_c * t_best * descent:
-            J, model = J_best, trials[t_best][1]
-            d = trials[t_best][2]
+            J, model, q, d = trials[t_best]
         else:
             status = "stalled"
             break
@@ -555,5 +626,4 @@ def solve_reduced_gradient(problem: MklProblem, line_tol: float = 0.05,
     if status in ("stalled", "max_iters"):
         log.info("reduced gradient stopped (%s) at gap %.3e", status, gap)
     d, J, model, gap = _threshold_and_finalize(problem, d, J, model, gap, state)
-    return MklSolution(d=d, model=model, objective=J, gap=gap, iterations=iterations,
-                       svm_solves=state.svm_solves, status=status, gap_history=gap_history)
+    return _solution(state, d, model, J, gap, iterations, status, gap_history)

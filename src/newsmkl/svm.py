@@ -91,6 +91,16 @@ def project_feasible(alpha0, y: np.ndarray, C: float, tol: float = 1e-12) -> np.
     return a
 
 
+def check_dual(y: np.ndarray, C: float, tol: float) -> None:
+    """Raise SvmError for C <= 0, tol <= 0 or single-class labels."""
+    if C <= 0.0:
+        raise SvmError("C must be positive (C = 0 collapses the box to alpha = 0)")
+    if tol <= 0.0:
+        raise SvmError("tol must be positive")
+    if np.all(y > 0) or np.all(y < 0):
+        raise SvmError("training set has a single class; no separating problem to solve")
+
+
 def solve_dual(
     ts: TrainingSet,
     C: float,
@@ -103,52 +113,51 @@ def solve_dual(
     `warm_start` (a previous alpha) is projected onto the feasible set
     before the solve. Raises SvmError for single-class input or C <= 0.
     """
-    if C <= 0.0:
-        raise SvmError("C must be positive (C = 0 collapses the box to alpha = 0)")
-    if tol <= 0.0:
-        raise SvmError("tol must be positive")
     y = ts.labels
-    if np.all(y > 0) or np.all(y < 0):
-        raise SvmError("training set has a single class; no separating problem to solve")
-
+    check_dual(y, C, tol)
     K = ts.gram.values
-    Q = np.ascontiguousarray((y[:, None] * y[None, :]) * K)
 
     if warm_start is not None:
         alpha = project_feasible(warm_start, y, C)
-        grad = Q @ alpha - 1.0
+        grad = y * (K @ (y * alpha)) - 1.0
     else:
         alpha = np.zeros(ts.size)
         grad = -np.ones(ts.size)
 
-    n_iter, violation, converged = _smo.solve(Q, y, alpha, grad, C, tol, max_iter)
-    if not converged:
-        log.warning("SMO hit max_iter=%d with KKT violation %.3e > tol %.3e", max_iter, violation, tol)
+    result = _smo.solve(K.__getitem__, np.diagonal(K), y, alpha, grad, C, tol, max_iter)
+    return build_model(alpha, grad, y, K @ (y * alpha), C, result)
 
-    objective = 0.5 * (float(alpha.sum()) - float(alpha @ grad))
-    bias = recover_bias(alpha, ts, C)
-    support = np.flatnonzero(alpha > 0.0)
+
+def build_model(alpha: np.ndarray, grad: np.ndarray, y: np.ndarray, k_alpha: np.ndarray,
+                C: float, smo_result: tuple[int, float, bool]) -> SvmModel:
+    """SvmModel from a finished SMO run.
+
+    `grad` is SMO's in-place gradient Q alpha - e and `k_alpha` the vector
+    K (y * alpha), from which the bias is recovered.
+    """
+    n_iter, violation, converged = smo_result
+    if not converged:
+        log.warning("SMO hit max_iter=%d with KKT violation %.3e", n_iter, violation)
     return SvmModel(
         alpha=alpha,
-        bias=bias,
+        bias=recover_bias(alpha, y, k_alpha, C),
         C=C,
-        support_indices=support,
-        objective=objective,
+        support_indices=np.flatnonzero(alpha > 0.0),
+        objective=0.5 * (float(alpha.sum()) - float(alpha @ grad)),
         n_iter=n_iter,
         kkt_violation=float(violation),
         converged=converged,
     )
 
 
-def recover_bias(alpha: np.ndarray, ts: TrainingSet, C: float) -> float:
-    """Bias from the KKT conditions.
+def recover_bias(alpha: np.ndarray, y: np.ndarray, k_alpha: np.ndarray, C: float) -> float:
+    """Bias from the KKT conditions, given k_alpha = K (y * alpha).
 
     Average of y_i - sum_j y_j a_j K_ij over free support vectors
     (0 < a_i < C); with every vector at a bound, the midpoint of the
     interval the bound constraints leave for b.
     """
-    y = ts.labels
-    u = y - ts.gram.values @ (y * alpha)
+    u = y - k_alpha
     free = (alpha > 0.0) & (alpha < C)
     if np.any(free):
         return float(u[free].mean())

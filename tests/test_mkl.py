@@ -6,12 +6,14 @@ from oracles import (barrier_grid_center, central_difference_directional,
 
 from newsmkl.bench import make_bench_problem
 from newsmkl.kernels import GramMatrix, KernelSpec, gram_matrix
+from newsmkl import _smo
 from newsmkl.mkl import (LocalizationSet, MklError, MklProblem, MklState,
-                         add_cut, analytic_center, barrier_hessian,
-                         cut_relevance, duality_gap, mkl_gradient,
+                         _objective_model, add_cut, analytic_center,
+                         barrier_hessian, cut_relevance, duality_gap,
+                         kernel_quad_forms, mix_kernels, mkl_gradient,
                          mkl_objective, prune_cuts, reduced_to_full,
                          solve_accpm, solve_reduced_gradient, uniform_reduced)
-from newsmkl.svm import TrainingSet, solve_dual
+from newsmkl.svm import TrainingSet, project_feasible, solve_dual
 
 
 def small_problem(seed: int = 0, n_kernels: int = 2, l: int = 20, C: float = 10.0,
@@ -49,6 +51,118 @@ class TestObjective:
         mkl_objective(p, [0.5, 0.5], state)
         assert state.svm_solves == 2
         assert state.warm_alpha is not None
+
+
+class TestMixtureFree:
+    """The row-function objective against SVM solves on the explicit mix_kernels Gram."""
+
+    TOL = 1e-12
+
+    def _problem(self, seed: int = 0) -> MklProblem:
+        p = small_problem(seed=seed, n_kernels=3, l=40, C=10.0)
+        p.svm_tol = self.TOL
+        return p
+
+    def _explicit(self, p: MklProblem, d, warm_start=None):
+        ts = TrainingSet(labels=p.labels, gram=mix_kernels(p, d))
+        return solve_dual(ts, p.C, tol=self.TOL, warm_start=warm_start)
+
+    def _assert_same(self, model, ref):
+        np.testing.assert_allclose(model.alpha, ref.alpha, rtol=0.0, atol=1e-8)
+        assert model.bias == pytest.approx(ref.bias, rel=0.0, abs=1e-8)
+        assert model.objective == pytest.approx(ref.objective, rel=0.0, abs=1e-8)
+
+    def test_cold_solve_matches_explicit_mixture(self):
+        for seed in range(3):
+            p = self._problem(seed)
+            d = np.array([0.2, 0.5, 0.3])
+            J, model, q = _objective_model(p, d)
+            self._assert_same(model, self._explicit(p, d))
+            assert J == model.objective
+            np.testing.assert_array_equal(q, kernel_quad_forms(p, model.alpha))
+
+    def test_zero_weight_kernel_is_skipped(self):
+        p = self._problem(1)
+        d = np.array([0.0, 0.6, 0.4])
+        _, model, _ = _objective_model(p, d)
+        self._assert_same(model, self._explicit(p, d))
+
+    def test_vertex_weight_solves_on_the_kernel_itself(self):
+        p = self._problem(4)
+        d = np.array([0.0, 1.0, 0.0])
+        _, model, _ = _objective_model(p, d)
+        ref = solve_dual(TrainingSet(labels=p.labels, gram=p.kernels[1]), p.C, tol=self.TOL)
+        np.testing.assert_array_equal(model.alpha, ref.alpha)
+        self._assert_same(model, ref)
+
+    def test_warm_start_reuses_stored_products(self):
+        p = self._problem(2)
+        state = MklState()
+        _objective_model(p, [0.2, 0.5, 0.3], state)
+        warm = state.warm_alpha.copy()
+        v = p.labels * warm
+        np.testing.assert_allclose(state.products, [k.values @ v for k in p.kernels], rtol=0, atol=1e-12)
+        assert np.array_equal(project_feasible(warm, p.labels, p.C), warm)  # products reused as stored
+        d2 = np.array([0.5, 0.1, 0.4])
+        _, model, _ = _objective_model(p, d2, state)
+        self._assert_same(model, self._explicit(p, d2, warm_start=warm))
+        assert state.svm_solves == 2
+
+    def test_warm_start_recomputes_products_after_projection(self):
+        p = self._problem(3)
+        state = MklState()
+        _objective_model(p, [0.2, 0.5, 0.3], state)
+        moved = state.warm_alpha.copy()
+        i = int(np.flatnonzero(moved < p.C - 1.0)[0])
+        moved[i] += 0.5  # breaks y'a = 0: project_feasible moves alpha
+        projected = project_feasible(moved, p.labels, p.C)
+        assert not np.array_equal(projected, moved)
+        assert np.abs(projected - state.warm_alpha).max() > 1e-3
+        state.warm_alpha = moved  # state.products still holds U for the old alpha
+        d2 = np.array([0.5, 0.1, 0.4])
+        _, model, _ = _objective_model(p, d2, state)
+        self._assert_same(model, self._explicit(p, d2, warm_start=moved))
+
+    def test_reduced_gradient_path(self):
+        p = self._problem(4)
+        sol = solve_reduced_gradient(p)
+        assert sol.svm_solves > 2  # line-search trials warm-start from each other
+        ref = self._explicit(p, sol.d)
+        assert sol.objective == pytest.approx(ref.objective, rel=0.0, abs=1e-8)
+        assert sol.gap == pytest.approx(duality_gap(p, sol.d, sol.model.alpha), rel=0.0, abs=1e-8)
+
+    def test_kernel_quad_forms_explicit(self):
+        p = self._problem(5)
+        alpha = np.random.default_rng(5).uniform(0.0, p.C, p.labels.shape[0])
+        v = p.labels * alpha
+        expected = [float(v @ k.values @ v) for k in p.kernels]
+        np.testing.assert_allclose(kernel_quad_forms(p, alpha), expected, rtol=1e-12)
+
+    def test_smo_counters(self, monkeypatch):
+        runs = []
+        real = _smo.solve
+
+        def recording(*args):
+            out = real(*args)
+            runs.append(out)
+            return out
+
+        monkeypatch.setattr(_smo, "solve", recording)
+        p = small_problem(seed=1, n_kernels=3, l=30, C=10.0)
+        for solver in (solve_accpm, solve_reduced_gradient):
+            runs.clear()
+            sol = solver(p)
+            assert len(runs) == sol.svm_solves
+            assert sol.smo_iterations == sum(r[0] for r in runs) > 0
+            assert sol.smo_not_converged == sum(1 for r in runs if not r[2]) == 0
+
+    def test_smo_counters_count_max_iter_stops(self, monkeypatch):
+        monkeypatch.setattr("newsmkl.mkl.DEFAULT_MAX_ITER", 1)
+        p = small_problem(seed=1, n_kernels=3, l=30, C=10.0)
+        p.max_iters = 3
+        sol = solve_accpm(p)
+        assert sol.smo_not_converged >= 1
+        assert sol.smo_iterations <= sol.svm_solves
 
 
 class TestGradient:
@@ -217,6 +331,33 @@ class TestPrune:
         # 2 faces + first 2 duplicates survive (stable tie ordering)
         assert pruned.n_rows == 4
         assert pruned.origins == ["face", "face", "cut", "cut"]
+
+    def test_relevance_survives_singular_hessian(self):
+        # a cut 1e-10 from the center makes H = sum a a'/s^2 singular in floats
+        center = np.array([1 / 3, 1 / 3])
+        simplex = LocalizationSet.initial_simplex(3)
+        a = np.array([1.0, 1.0]) / np.sqrt(2.0)
+        loc = LocalizationSet(A=np.vstack([simplex.A, a, [[1.0, 0.0]]]),
+                              b=np.concatenate([simplex.b, [a @ center + 1e-10, 0.9]]),
+                              origins=simplex.origins + ["cut", "cut"])
+        H = barrier_hessian(loc, center)
+        with pytest.raises(np.linalg.LinAlgError):
+            np.linalg.solve(H, loc.A.T)
+        rel = cut_relevance(loc, center, H)
+        assert np.all(np.isfinite(rel)) and np.all(rel >= 0.0)
+        assert int(np.argmax(rel)) == 3  # the near-zero-slack cut
+        pruned = prune_cuts(loc, center, H, budget=4)
+        assert pruned.origins == ["face"] * 3 + ["cut"]
+        np.testing.assert_array_equal(pruned.A[-1], a)
+
+    def test_relevance_infinite_on_negative_slack(self):
+        loc = LocalizationSet.initial_simplex(2)
+        center = np.array([0.5])
+        H = barrier_hessian(loc, center)
+        loc2 = LocalizationSet(A=np.vstack([loc.A, [[1.0]]]), b=np.concatenate([loc.b, [np.nextafter(0.5, 0.0)]]),
+                               origins=loc.origins + ["cut"])
+        assert loc2.slacks(center)[-1] < 0.0
+        assert np.isinf(cut_relevance(loc2, center, H)[-1])
 
     def test_relevance_infinite_on_zero_slack(self):
         loc = LocalizationSet.initial_simplex(2)

@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import make_svm_problem, qp_projected_gradient, solve_tight
 
+from newsmkl import _smo
 from newsmkl.kernels import GramMatrix, KernelSpec, gram_matrix
 from newsmkl.svm import (SvmError, TrainingSet, model_from_dict, model_to_dict,
                          predict, predict_many, project_feasible, solve_dual)
@@ -80,6 +83,28 @@ class TestSolveDual:
             Q = (ts.labels[:, None] * ts.labels[None, :]) * ts.gram.values
             feas_obj = float(a.sum()) - 0.5 * float(a @ (Q @ a))
             assert m.objective >= feas_obj - 1e-6 * max(1.0, abs(feas_obj))
+
+
+class TestSmoKkt:
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), rank=st.integers(1, 8),
+           ridge=st.sampled_from([0.0, 1e-3, 1.0]), C=st.floats(0.05, 20.0),
+           tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
+    @settings(max_examples=80, deadline=None)
+    def test_kkt_on_random_psd_problems(self, seed, n, rank, ridge, C, tol):
+        rng = np.random.default_rng(seed)
+        X = rng.standard_normal((n, rank))
+        K = X @ X.T + ridge * np.eye(n)
+        K = 0.5 * (K + K.T)  # PSD, exactly symmetric, singular when ridge = 0 and rank < n
+        y = rng.choice([-1.0, 1.0], n)
+        y[:2] = (1.0, -1.0)
+        alpha, grad = np.zeros(n), -np.ones(n)
+        n_iter, violation, converged = _smo.solve(K.__getitem__, np.diagonal(K), y, alpha, grad,
+                                                  C, tol, 1_000_000)
+        assert converged and violation <= tol
+        assert np.all(alpha >= 0.0) and np.all(alpha <= C)
+        assert abs(float(y @ alpha)) <= 1e-9
+        Q = (y[:, None] * y[None, :]) * K
+        np.testing.assert_allclose(grad, Q @ alpha - 1.0, rtol=0.0, atol=1e-8)
 
 
 class TestBias:
