@@ -20,12 +20,12 @@ from datetime import datetime, time
 
 import numpy as np
 
-from .kernels import KernelSpec, cross_gram, gram_matrix, median_sqdist
+from .kernels import GramMatrix, KernelSpec, cross_gram, gram_matrix, median_sqdist
 from .market import (FeatureRecord, LabelingConfig, PriceSeries, label_records, label_threshold,
                      prepare_feature_records)
 from .mkl import MklProblem, MklSolution, solve_accpm, solve_reduced_gradient
 from .svm import predict_many
-from .text import Dictionary, Document, fit_tfidf, transform_tfidf_many
+from .text import Dictionary, Document, TfidfModel, fit_tfidf, transform_tfidf_many
 
 log = logging.getLogger(__name__)
 
@@ -245,9 +245,22 @@ def _feature_matrix(plan_kernel: PlanKernel, records: list[FeatureRecord],
     return np.zeros((len(records), 1))  # identity: features unused
 
 
-def _resolve_spec(pk: PlanKernel, X_train: np.ndarray) -> KernelSpec:
+def _plan_features(plan: list[PlanKernel], records: list[FeatureRecord],
+                   text_matrix: np.ndarray) -> list[np.ndarray]:
+    """One feature matrix per plan kernel; kernels on the same feature share it."""
+    built: dict[tuple[str, int], np.ndarray] = {}
+    for pk in plan:
+        key = (pk.feature, pk.noise_dim)
+        if key not in built:
+            built[key] = _feature_matrix(pk, records, text_matrix)
+    return [built[(pk.feature, pk.noise_dim)] for pk in plan]
+
+
+def _resolve_spec(pk: PlanKernel, median: float | None) -> KernelSpec:
+    """`median` is the training features' median squared distance (gaussian
+    kernels scaled by `sigma_scale` only)."""
     if pk.kind == "gaussian":
-        sigma = pk.sigma if pk.sigma is not None else pk.sigma_scale * median_sqdist(X_train)
+        sigma = pk.sigma if pk.sigma is not None else pk.sigma_scale * median
         return KernelSpec(kind="gaussian", sigma=sigma, trace_normalize=True)
     if pk.kind == "polynomial":
         return KernelSpec(kind="polynomial", degree=pk.degree or 2, trace_normalize=True)
@@ -281,21 +294,30 @@ class BacktestConfig:
 
 
 @dataclass
+class PlanKernels:
+    """A plan's kernels on one training set: the tf-idf fit, the resolved
+    specs, one trace-normalized Gram per plan kernel, and the training
+    feature matrix of each kernel (shared by kernels on the same feature)."""
+
+    plan: list[PlanKernel]
+    records: list[FeatureRecord]
+    tfidf: TfidfModel
+    specs: list[KernelSpec]
+    grams: list[GramMatrix]
+    features: list[np.ndarray]
+
+
+@dataclass
 class FittedPlan:
     """Everything needed to score new events against a trained window."""
 
-    plan: list[PlanKernel]
+    kernels: PlanKernels
     solution: MklSolution
-    tfidf: object
-    specs: list[KernelSpec]
-    grams: list
-    train_records: list[FeatureRecord]
     y_train: np.ndarray
-    _train_X: list = field(default_factory=list)
 
     def kernel_descriptions(self) -> list[dict]:
         out = []
-        for pk, spec, g in zip(self.plan, self.specs, self.grams):
+        for pk, spec, g in zip(self.kernels.plan, self.kernels.specs, self.kernels.grams):
             d = spec.describe()
             d["name"] = pk.name
             d["feature"] = pk.feature
@@ -311,58 +333,82 @@ def _text_matrix(tf, records: list[FeatureRecord]) -> np.ndarray:
                                 np.array([r.token_count for r in records]))
 
 
-def fit_plan(plan: list[PlanKernel], train_records: list[FeatureRecord], y_train: np.ndarray,
-             C: float, solver: str = "accpm", gap_tol: float = 0.01) -> FittedPlan:
-    """Train the kernel plan: tf-idf fit on the training corpus only, one
-    trace-normalized Gram per plan kernel, then an MKL solve (which for a
-    single kernel reduces to one plain SVM solve)."""
+def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord]) -> PlanKernels:
+    """tf-idf fit on the training corpus only, then one trace-normalized
+    Gram per plan kernel; gaussian bandwidths come from one median squared
+    distance per training feature matrix."""
     tf = fit_tfidf(np.vstack([r.text_counts for r in train_records]))
-    text_train = _text_matrix(tf, train_records)
-    specs, grams, train_X = [], [], []
-    for pk in plan:
-        X = _feature_matrix(pk, train_records, text_train)
-        spec = _resolve_spec(pk, X)
+    features = _plan_features(plan, train_records, _text_matrix(tf, train_records))
+    medians: dict[int, float] = {}
+    specs, grams = [], []
+    for pk, X in zip(plan, features):
+        if pk.kind == "gaussian" and pk.sigma is None and id(X) not in medians:
+            medians[id(X)] = median_sqdist(X)
+        spec = _resolve_spec(pk, medians.get(id(X)))
         specs.append(spec)
         grams.append(gram_matrix(spec, X))
-        train_X.append(X)
-    problem = MklProblem(kernels=grams, labels=y_train.astype(np.float64), C=C, gap_tol=gap_tol)
+    return PlanKernels(plan=plan, records=train_records, tfidf=tf, specs=specs, grams=grams,
+                       features=features)
+
+
+def fit_plan(plan: list[PlanKernel], train_records: list[FeatureRecord], y_train: np.ndarray,
+             C: float, solver: str = "accpm", gap_tol: float = 0.01,
+             kernels: PlanKernels | None = None) -> FittedPlan:
+    """Train the kernel plan: the plan's kernels on the training records
+    (`kernels`, when that build is already at hand, else `build_kernels`),
+    then an MKL solve (which for a single kernel reduces to one plain SVM
+    solve)."""
+    if kernels is None:
+        kernels = build_kernels(plan, train_records)
+    problem = MklProblem(kernels=kernels.grams, labels=y_train.astype(np.float64), C=C,
+                         gap_tol=gap_tol)
     if solver == "accpm":
         sol = solve_accpm(problem)
     elif solver == "redgrad":
         sol = solve_reduced_gradient(problem)
     else:
         raise BacktestError(f"unknown solver {solver!r}")
-    return FittedPlan(plan=plan, solution=sol, tfidf=tf, specs=specs, grams=grams,
-                      train_records=train_records, y_train=y_train.astype(np.float64),
-                      _train_X=train_X)
+    return FittedPlan(kernels=kernels, solution=sol, y_train=y_train.astype(np.float64))
 
 
-def mixed_kernel_rows(fit: FittedPlan, test_records: list[FeatureRecord]) -> np.ndarray:
-    """(n_test, n_train) rows of the learned mixture sum_k d_k K_k(x_i, x)."""
-    text_test = _text_matrix(fit.tfidf, test_records)
-    rows = np.zeros((len(test_records), len(fit.train_records)))
-    for pk, spec, g, X_train, w in zip(fit.plan, fit.specs, fit.grams, fit._train_X, fit.solution.d):
-        if w == 0.0:
-            continue
-        X_test = _feature_matrix(pk, test_records, text_test)
-        rows += w * cross_gram(spec, X_train, X_test, scale=g.scale)
-    return rows
+class CrossGrams:
+    """Per-kernel (n_test, n_train) cross-Gram blocks of test records
+    against a plan's training kernels, each built on first use and kept,
+    so every mixture scored on the same test records (the C candidates of
+    chronological CV) reuses them."""
+
+    def __init__(self, kernels: PlanKernels, test_records: list[FeatureRecord]):
+        self.kernels = kernels
+        self.test_records = test_records
+        self._blocks: dict[int, np.ndarray] = {}
+        self._features: list[np.ndarray] | None = None
+
+    def block(self, k: int) -> np.ndarray:
+        if k not in self._blocks:
+            kn = self.kernels
+            if self._features is None:
+                self._features = _plan_features(kn.plan, self.test_records,
+                                                _text_matrix(kn.tfidf, self.test_records))
+            self._blocks[k] = cross_gram(kn.specs[k], kn.features[k], self._features[k],
+                                         scale=kn.grams[k].scale)
+        return self._blocks[k]
+
+    def mix(self, d) -> np.ndarray:
+        """(n_test, n_train) rows of the mixture sum_k d_k K_k(x_i, x)."""
+        rows = np.zeros((len(self.test_records), len(self.kernels.records)))
+        for k, w in enumerate(d):
+            if w != 0.0:
+                rows += w * self.block(k)
+        return rows
 
 
-def predict_records(fit: FittedPlan, test_records: list[FeatureRecord]) -> tuple[np.ndarray, np.ndarray]:
-    return predict_many(fit.solution.model, fit.y_train, mixed_kernel_rows(fit, test_records))
-
-
-def _train_and_predict(
-    cfg: BacktestConfig,
-    train_records: list[FeatureRecord],
-    test_records: list[FeatureRecord],
-    y_train: np.ndarray,
-    C: float,
-) -> tuple[np.ndarray, np.ndarray, MklSolution]:
-    fit = fit_plan(cfg.plan, train_records, y_train, C, solver=cfg.solver, gap_tol=cfg.gap_tol)
-    preds, decisions = predict_records(fit, test_records)
-    return preds, decisions, fit.solution
+def predict_records(fit: FittedPlan, test_records: list[FeatureRecord],
+                    cross: CrossGrams | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """Predictions and decision values; `cross` holds blocks of the same
+    test records against `fit.kernels` already built for another fit."""
+    if cross is None:
+        cross = CrossGrams(fit.kernels, test_records)
+    return predict_many(fit.solution.model, fit.y_train, cross.mix(fit.solution.d))
 
 
 def chrono_cv(
@@ -438,18 +484,26 @@ class WindowResult:
     confusion: Confusion
 
 
-def run_window(cfg: BacktestConfig, window: Window, horizon: int,
-               records: list[FeatureRecord]) -> WindowResult:
-    """Calibrate on the train months and predict the test month of one window."""
+def window_records(cfg: BacktestConfig, window: Window,
+                   records: list[FeatureRecord]) -> tuple[list[FeatureRecord], list[FeatureRecord]]:
+    """(training, test) records of a window: the training months' events
+    (minus those before `cfg.train_min_event_time`, when set) and the test
+    month's events, each in input order."""
     train_keys = range(_month_key(window.train_start), _month_key(window.train_end) + 1)
     train_months = {_key_month(k) for k in train_keys}
-    labeling = cfg.labeling(horizon)
-
     train_records = [r for r in records if month_of(r.timestamp) in train_months]
     if cfg.train_min_event_time is not None:
         train_records = [r for r in train_records
                          if r.timestamp.timetz().replace(tzinfo=None) >= cfg.train_min_event_time]
     test_records = [r for r in records if month_of(r.timestamp) == window.test_month]
+    return train_records, test_records
+
+
+def run_window(cfg: BacktestConfig, window: Window, horizon: int,
+               records: list[FeatureRecord]) -> WindowResult:
+    """Calibrate on the train months and predict the test month of one window."""
+    labeling = cfg.labeling(horizon)
+    train_records, test_records = window_records(cfg, window, records)
     if len(train_records) < cfg.min_train_events:
         raise WindowSkipped(f"{window}: only {len(train_records)} training events")
     if not test_records:
@@ -461,17 +515,25 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int,
     if np.all(y_train == y_train[0]):
         raise WindowSkipped(f"{window}: single-class training labels")
 
+    # the early fold's kernels and cross-Gram blocks, built once for every C candidate
+    cv_cross: list[CrossGrams] = []
+
     def evaluate(early, y_early, fold, cand):
-        if np.all(y_early == y_early[0]):
-            raise WindowSkipped("single-class early fold")
-        preds, _, _ = _train_and_predict(cfg, early, fold, y_early, C=cand["C"])
-        return preds
+        if not cv_cross:
+            cv_cross.append(CrossGrams(build_kernels(cfg.plan, early), fold))
+        fit = fit_plan(cfg.plan, early, y_early, cand["C"], solver=cfg.solver, gap_tol=cfg.gap_tol,
+                       kernels=cv_cross[0].kernels)
+        return predict_records(fit, fold, cv_cross[0])[0]
 
     candidates = [{"C": c} for c in cfg.c_grid]
     best, _ = chrono_cv(train_records, y_train, candidates, evaluate,
                         measure=cfg.cv_measure, split=cfg.cv_split)
+    cv_cross.clear()  # free the early fold's Grams before the full-window fit
 
-    preds, decisions, sol = _train_and_predict(cfg, train_records, test_records, y_train, C=best["C"])
+    fit = fit_plan(cfg.plan, train_records, y_train, best["C"], solver=cfg.solver,
+                   gap_tol=cfg.gap_tol)
+    preds, decisions = predict_records(fit, test_records)
+    sol = fit.solution
 
     # out-of-sample guarantee: no test event at or before the training span
     train_end_key = _month_key(window.train_end)
@@ -502,9 +564,11 @@ def _run_window_job(args):
 
 
 def run_horizon(cfg: BacktestConfig, horizon: int, docs: list[Document],
-                prices: dict[str, PriceSeries], dictionary: Dictionary) -> MetricsReport:
-    """Full sliding-window evaluation at one prediction horizon."""
-    records, dropped = prepare_feature_records(docs, prices, dictionary, cfg.labeling(horizon))
+                prices: dict[str, PriceSeries], dictionary: Dictionary,
+                bags: dict | None = None) -> MetricsReport:
+    """Full sliding-window evaluation at one prediction horizon (`bags`:
+    see `prepare_feature_records`)."""
+    records, dropped = prepare_feature_records(docs, prices, dictionary, cfg.labeling(horizon), bags)
     return run_horizon_on_records(cfg, horizon, records, dropped)
 
 
@@ -565,7 +629,8 @@ def run_backtest(cfg: BacktestConfig, docs: list[Document], prices: dict[str, Pr
     """Run every configured horizon; horizon -> aggregated MetricsReport."""
     if not cfg.horizons:
         raise BacktestError("no horizons configured")
-    return {h: run_horizon(cfg, h, docs, prices, dictionary) for h in cfg.horizons}
+    bags: dict = {}  # every horizon shares one tokenization of each document
+    return {h: run_horizon(cfg, h, docs, prices, dictionary, bags) for h in cfg.horizons}
 
 
 # ---------------------------------------------------------------------------

@@ -13,11 +13,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from array import array
 from datetime import datetime, time, timedelta, timezone
+from itertools import islice
 
 import numpy as np
 
-from .text import Dictionary, Document, bag_of_words, token_count
+from .text import Dictionary, Document, bag_of_words, tokenize
 
 TRADING_DAY_START = time(9, 30)
 TRADING_DAY_END = time(16, 0)
@@ -185,8 +187,16 @@ class FeatureRecord:
         return abs(self.signed_return)
 
 
+def _bag(text: str, dictionary: Dictionary, bags: dict) -> tuple[np.ndarray, int]:
+    """Stem counts and token count of a text, tokenized once and kept in `bags`."""
+    if text not in bags:
+        tokens = tokenize(text)
+        bags[text] = (bag_of_words(tokens, dictionary), len(tokens))
+    return bags[text]
+
+
 def _feature_record(doc: Document, prices: dict[str, PriceSeries], dictionary: Dictionary,
-                    config: LabelingConfig) -> FeatureRecord:
+                    config: LabelingConfig, bags: dict) -> FeatureRecord:
     """Join one document to its prices, or raise EventDropped with the exclusion reason."""
     series = prices.get(doc.ticker)
     if series is None:
@@ -208,10 +218,10 @@ def _feature_record(doc: Document, prices: dict[str, PriceSeries], dictionary: D
     except MarketError as exc:
         raise EventDropped("missing_price", f"{doc.id}: {exc}") from exc
     tod, dow = calendar_features(t)
-    return FeatureRecord(doc_id=doc.id, ticker=doc.ticker, timestamp=t,
-                         text_counts=bag_of_words(doc, dictionary), token_count=token_count(doc.text),
-                         return_features=rets, time_of_day=tod, day_of_week=dow,
-                         signed_return=float(r))
+    counts, n_tokens = _bag(doc.text, dictionary, bags)
+    return FeatureRecord(doc_id=doc.id, ticker=doc.ticker, timestamp=t, text_counts=counts,
+                         token_count=n_tokens, return_features=rets, time_of_day=tod,
+                         day_of_week=dow, signed_return=float(r))
 
 
 def prepare_feature_records(
@@ -219,17 +229,22 @@ def prepare_feature_records(
     prices: dict[str, PriceSeries],
     dictionary: Dictionary,
     config: LabelingConfig,
+    bags: dict | None = None,
 ) -> tuple[list[FeatureRecord], dict[str, int]]:
     """Extract features and horizon returns for every usable document.
 
     Returns the kept records plus a tally of dropped documents by reason;
-    kept + dropped always sums to the input count.
+    kept + dropped always sums to the input count. `bags` keeps each
+    text's stem counts across calls with the same dictionary, so a kept
+    document is tokenized once however many horizons share the dict; a
+    text's counts array is shared by every record of that text.
     """
+    bags = {} if bags is None else bags
     records: list[FeatureRecord] = []
     dropped = dict.fromkeys(DROP_REASONS, 0)
     for doc in docs:
         try:
-            records.append(_feature_record(doc, prices, dictionary, config))
+            records.append(_feature_record(doc, prices, dictionary, config, bags))
         except EventDropped as exc:
             dropped[exc.reason] += 1
     return records, dropped
@@ -260,13 +275,42 @@ def label_records(records: list[FeatureRecord], config: LabelingConfig, threshol
 # ---------------------------------------------------------------------------
 
 
-def read_prices(path) -> dict[str, PriceSeries]:
-    """Read a `ticker,timestamp,price` CSV into per-ticker series."""
-    by_ticker: dict[str, tuple[list[int], list[float]]] = {}
+# byte layout of a `write_prices` timestamp, YYYY-MM-DDTHH:MM:SSZ
+_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
+_STAMP_MARKS = [4, 7, 10, 13, 16, 19]
+_YEAR_ONE = int(np.datetime64("0001-01-01T00:00:00", "s").astype(np.int64))  # datetime's minimum
+_PRICE_BLOCK_ROWS = 2048  # small blocks keep each temporary of the column parse small
+
+
+def _price_columns(rows: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Parse non-empty rows by column; ValueError unless every row has three
+    fields, a `write_prices` timestamp and a positive finite price."""
+    joined = ",".join(rows)
+    flat = joined.split(",")
+    if len(flat) != 3 * len(rows) or "\0" in joined:
+        raise ValueError("a row is not three NUL-free fields")
+    # one spare byte per stamp, so a longer stamp shows as a nonzero last byte
+    raw = np.array(flat[1::3], dtype="S21").view(np.uint8).reshape(len(rows), 21)
+    digits = raw[:, _STAMP_DIGITS]
+    if not (np.all((digits >= ord("0")) & (digits <= ord("9")))
+            and np.all(raw[:, _STAMP_MARKS] == np.frombuffer(b"--T::Z", np.uint8))
+            and not np.any(raw[:, 20])):
+        raise ValueError("a timestamp is not in YYYY-MM-DDTHH:MM:SSZ form")
+    stamps = np.ascontiguousarray(raw[:, :19]).view("S19").ravel()
+    times = stamps.astype("datetime64[s]").astype(np.int64)
+    if np.min(times) < _YEAR_ONE:
+        raise ValueError("a timestamp is before year 1")
+    prices = np.array(list(map(float, flat[2::3])))
+    if not np.all((prices > 0.0) & (prices < math.inf)):
+        raise ValueError("a price is not a positive finite number")
+    return flat[0::3], times, prices
+
+
+def _price_rows(path) -> tuple[list[str], np.ndarray, np.ndarray]:
+    """Parse row by row (any ISO timestamp); a bad row raises MarketError naming `path:line`."""
+    tickers, times, prices = [], [], []
     with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "ticker,timestamp,price":
-            raise MarketError(f"bad price CSV header: {header!r}")
+        fh.readline()  # the header
         for ln, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
@@ -277,12 +321,49 @@ def read_prices(path) -> dict[str, PriceSeries]:
                 p = float(price)
                 if not 0.0 < p < math.inf:  # also false for nan
                     raise ValueError(f"price {price!r} is not a positive finite number")
-                by_ticker.setdefault(ticker, ([], []))[0].append(et)
-                by_ticker[ticker][1].append(p)
             except ValueError as exc:
                 raise MarketError(f"{path}:{ln}: bad price row: {exc}") from exc
-    return {tk: PriceSeries(ticker=tk, times=np.array(ts), prices=np.array(ps))
-            for tk, (ts, ps) in by_ticker.items()}
+            tickers.append(ticker)
+            times.append(et)
+            prices.append(p)
+    return tickers, np.array(times, dtype=np.int64), np.array(prices, dtype=np.float64)
+
+
+def _append_rows(series: dict[str, tuple[array, array]], tickers: list[str], times: np.ndarray,
+                 prices: np.ndarray) -> None:
+    """Append parsed rows to per-ticker growing buffers, in row order."""
+    codes: dict[str, int] = {}
+    code = np.array([codes.setdefault(tk, len(codes)) for tk in tickers], dtype=np.int64)
+    for tk, j in codes.items():
+        t_buf, p_buf = series.setdefault(tk, (array("q"), array("d")))
+        t_buf.frombytes(times[code == j].tobytes())
+        p_buf.frombytes(prices[code == j].tobytes())
+
+
+def read_prices(path) -> dict[str, PriceSeries]:
+    """Read a `ticker,timestamp,price` CSV into per-ticker series.
+
+    A file written by `write_prices` is parsed by column, a small block of
+    rows at a time into growing buffers, which keeps the parse's temporary
+    memory small; any other file falls back to the row-by-row parser,
+    which names the first bad row.
+    """
+    series: dict[str, tuple[array, array]] = {}
+    with open(path, encoding="utf-8") as fh:
+        header = fh.readline().strip()
+        if header != "ticker,timestamp,price":
+            raise MarketError(f"bad price CSV header: {header!r}")
+        try:
+            while lines := list(islice(fh, _PRICE_BLOCK_ROWS)):
+                rows = [r for r in map(str.strip, lines) if r]
+                if rows:
+                    _append_rows(series, *_price_columns(rows))
+        except ValueError:
+            series.clear()
+            _append_rows(series, *_price_rows(path))
+    return {tk: PriceSeries(ticker=tk, times=np.array(t_buf, dtype=np.int64),
+                            prices=np.array(p_buf, dtype=np.float64))
+            for tk, (t_buf, p_buf) in series.items()}
 
 
 def _iso(et: int) -> str:

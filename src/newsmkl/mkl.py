@@ -353,7 +353,10 @@ def analytic_center(loc: LocalizationSet, z0: np.ndarray | None = None, newton_t
             t *= BACKTRACK_BETA
         else:
             return z  # no further progress possible at float precision
-        z = z + t * p
+        z_next = z + t * p
+        if np.array_equal(z_next, z):
+            return z  # float fixed point: every later iteration would repeat this step
+        z = z_next
         fz = barrier_value(loc, z)
     return z
 

@@ -87,12 +87,16 @@ def token_count(text: str) -> int:
     return len(tokenize(text))
 
 
-def bag_of_words(doc: Document | str, dictionary: Dictionary) -> np.ndarray:
-    """Count tokens whose cleaned form starts with each stem."""
-    text = doc.text if isinstance(doc, Document) else doc
+def bag_of_words(doc: Document | str | list[str], dictionary: Dictionary) -> np.ndarray:
+    """Count tokens whose cleaned form starts with each stem; `doc` may also
+    be a list of tokens that `tokenize` already produced."""
+    if isinstance(doc, list):
+        tokens = doc
+    else:
+        tokens = tokenize(doc.text if isinstance(doc, Document) else doc)
     counts = np.zeros(dictionary.size, dtype=np.int64)
     buckets = dictionary._buckets()
-    for tok in tokenize(text):
+    for tok in tokens:
         for stem, idx in buckets.get(tok[0], ()):
             if tok.startswith(stem):
                 counts[idx] += 1

@@ -13,7 +13,8 @@ import math
 import numpy as np
 
 from newsmkl.kernels import KernelSpec, gram_matrix
-from newsmkl.mkl import MklProblem, MklState, mkl_objective
+from newsmkl.mkl import (BACKTRACK_ALPHA, BACKTRACK_BETA, NEWTON_TOL, LocalizationSet, MklProblem,
+                         MklState, barrier_value, mkl_objective)
 from newsmkl.svm import TrainingSet, solve_dual
 
 # ---------------------------------------------------------------------------
@@ -125,6 +126,37 @@ def barrier_grid_center(A: np.ndarray, b: np.ndarray, lo, hi, n_grid: int = 400)
                 if f < best:
                     best, best_z = f, z
     return best_z
+
+
+def newton_center_full_loop(loc: LocalizationSet, z0: np.ndarray, newton_tol: float = NEWTON_TOL,
+                            max_newton: int = 200) -> np.ndarray:
+    """analytic_center's damped Newton loop without its fixed-point exit:
+    every one of the max_newton iterations runs unless the decrement
+    criterion or a failed line search stops it."""
+    z = np.asarray(z0, dtype=np.float64).copy()
+    fz = barrier_value(loc, z)
+    for _ in range(max_newton):
+        inv_s = 1.0 / loc.slacks(z)
+        g = loc.A.T @ inv_s
+        W = loc.A * inv_s[:, None]
+        H = W.T @ W
+        try:
+            p = np.linalg.solve(H, -g)
+        except np.linalg.LinAlgError:
+            p = np.linalg.lstsq(H, -g, rcond=None)[0]
+        if np.sqrt(abs(float(-g @ p))) <= newton_tol:
+            return z
+        t = 1.0
+        gTp = float(g @ p)
+        while t > 1e-16:
+            if barrier_value(loc, z + t * p) <= fz + BACKTRACK_ALPHA * t * gTp:
+                break
+            t *= BACKTRACK_BETA
+        else:
+            return z
+        z = z + t * p
+        fz = barrier_value(loc, z)
+    return z
 
 
 # ---------------------------------------------------------------------------

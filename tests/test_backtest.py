@@ -3,10 +3,13 @@ from datetime import date, datetime, timezone
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import naive_accuracy_recall, naive_sharpe
 
 from newsmkl import backtest as bt
+from newsmkl import market
 from newsmkl.market import SynthSpec, synth_generate
 from newsmkl.text import default_dictionary
 
@@ -174,6 +177,32 @@ class TestChronoCv:
         assert all(d["measure"] == "accuracy" for d in diag)
 
 
+def _record_at(i: int, t: datetime) -> bt.FeatureRecord:
+    return bt.FeatureRecord(doc_id=f"d{i}", ticker="T", timestamp=t,
+                            text_counts=np.zeros(2, dtype=np.int64), token_count=5,
+                            return_features=np.zeros(5), time_of_day=np.array([0, 1, 0.0]),
+                            day_of_week=np.array([1, 0, 0, 0, 0.0]), signed_return=0.0)
+
+
+@settings(max_examples=60, deadline=None)
+@given(stamps=st.lists(st.datetimes(min_value=datetime(2003, 11, 1), max_value=datetime(2005, 4, 30),
+                                    timezones=st.just(UTC)), min_size=1, max_size=60),
+       min_time=st.sampled_from([None, datetime(2004, 1, 1, 10, 10).time(),
+                                 datetime(2004, 1, 1, 14, 0).time()]))
+def test_no_test_event_inside_training_months(stamps, min_time):
+    records = [_record_at(i, t) for i, t in enumerate(stamps)]
+    cfg = bt.BacktestConfig(plan=[], train_min_event_time=min_time)
+    for window in bt.build_windows("2003-11", "2005-04"):
+        train, test = bt.window_records(cfg, window, records)
+        lo, hi = bt._month_key(window.train_start), bt._month_key(window.train_end)
+        assert all(lo <= bt._month_key(bt.month_of(r.timestamp)) <= hi for r in train)
+        assert all(bt.month_of(r.timestamp) == window.test_month for r in test)
+        assert all(bt._month_key(bt.month_of(r.timestamp)) > hi for r in test)
+        assert {r.doc_id for r in train}.isdisjoint(r.doc_id for r in test)
+        n_test_month = sum(bt.month_of(t) == window.test_month for t in stamps)
+        assert len(test) == n_test_month
+
+
 def synth_fixture(seed=7, n_events=500, n_months=14, signal=1.0):
     spec = SynthSpec(n_events=n_events, n_months=n_months, signal_strength=signal)
     return synth_generate(seed, spec)
@@ -281,3 +310,92 @@ class TestArtifacts:
         payload = json.loads(json_path.read_text())
         assert "10" in payload["horizons"]
         assert payload["horizons"]["10"]["n_predictions"] == reports[10].n_predictions
+
+
+class TestKernelReuse:
+    """Each window builds its kernels once per training set: the early
+    fold once for every C candidate, the full window once for the final fit."""
+
+    PLAN = [bt.PlanKernel(name="lin_text", feature="text", kind="linear"),
+            bt.PlanKernel(name="gauss_text", feature="text", kind="gaussian", sigma_scale=1.0),
+            bt.PlanKernel(name="gauss_text_wide", feature="text", kind="gaussian", sigma_scale=4.0),
+            bt.PlanKernel(name="lin_absret", feature="absret", kind="linear"),
+            bt.PlanKernel(name="gauss_absret", feature="absret", kind="gaussian", sigma_scale=1.0)]
+
+    @pytest.fixture(scope="class")
+    def traced(self):
+        docs, prices, _ = synth_fixture(seed=4, n_events=260, n_months=14)
+        dic = default_dictionary()
+        cfg = bt.BacktestConfig(plan=self.PLAN, horizons=(10, 30), c_grid=(0.1, 10.0, 1000.0))
+        kept = set()
+        for h in cfg.horizons:
+            records, _ = bt.prepare_feature_records(docs, prices, dic, cfg.labeling(h))
+            kept |= {r.doc_id for r in records}
+        calls = {"gram_matrix": 0, "median_sqdist": 0, "bag_of_words": 0}
+        cv_runs = []
+        mp = pytest.MonkeyPatch()
+
+        def counted(module, name):
+            real = getattr(module, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            mp.setattr(module, name, wrapper)
+
+        counted(bt, "gram_matrix")
+        counted(bt, "median_sqdist")
+        counted(market, "bag_of_words")
+        real_cv = bt.chrono_cv
+
+        def recording_cv(train_records, y_train, candidates, evaluate, **kwargs):
+            preds = []
+
+            def recorded(early, y_early, fold, cand):
+                out = evaluate(early, y_early, fold, cand)
+                preds.append(out)
+                return out
+            best, diag = real_cv(train_records, y_train, candidates, recorded, **kwargs)
+            cv_runs.append((train_records, y_train, candidates, kwargs, preds, diag))
+            return best, diag
+
+        mp.setattr(bt, "chrono_cv", recording_cv)
+        try:
+            reports = bt.run_backtest(cfg, docs, prices, dic)
+        finally:
+            mp.undo()
+        return cfg, reports, calls, cv_runs, len(kept)
+
+    def test_kernels_built_once_per_training_set(self, traced):
+        cfg, reports, calls, cv_runs, _ = traced
+        windows = sum(len(r.per_window) for r in reports.values())
+        assert windows == 4 and all(r.n_skipped_windows == 0 for r in reports.values())
+        assert len(cv_runs) == windows
+        # two training sets per window (early fold, full window); per set one
+        # Gram per plan kernel and one bandwidth per gaussian feature (text, absret)
+        assert calls["gram_matrix"] == windows * 2 * len(self.PLAN)
+        assert calls["median_sqdist"] == windows * 2 * 2
+
+    def test_documents_tokenized_once_per_run(self, traced):
+        _, _, calls, _, n_kept = traced
+        assert calls["bag_of_words"] == n_kept
+
+    def test_cv_matches_fresh_fits(self, traced):
+        cfg, _, _, cv_runs, _ = traced
+
+        def fresh_fit(early, y_early, fold, cand):
+            fit = bt.fit_plan(cfg.plan, early, y_early, cand["C"], solver=cfg.solver,
+                              gap_tol=cfg.gap_tol)
+            return bt.predict_records(fit, fold)[0]
+
+        for train_records, y_train, candidates, kwargs, preds, diag in cv_runs:
+            fresh_preds = []
+
+            def recorded(early, y_early, fold, cand):
+                fresh_preds.append(fresh_fit(early, y_early, fold, cand))
+                return fresh_preds[-1]
+            _, fresh_diag = bt.chrono_cv(train_records, y_train, candidates, recorded, **kwargs)
+            assert fresh_diag == diag
+            assert len(preds) == len(candidates)
+            for a, b in zip(preds, fresh_preds):
+                np.testing.assert_array_equal(a, b)

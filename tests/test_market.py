@@ -1,3 +1,4 @@
+import re
 from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
@@ -8,10 +9,10 @@ from hypothesis import strategies as st
 from oracles import nearest_rank
 
 from newsmkl.market import (DROP_REASONS, EventDropped, LabelingConfig, MarketError,
-                            PriceSeries, SynthSpec, abnormal_threshold,
+                            PriceSeries, SynthSpec, _price_rows, abnormal_threshold,
                             calendar_features, future_return, label_records,
-                            prepare_feature_records, price_at, return_features,
-                            synth_generate, trading_days)
+                            prepare_feature_records, price_at, read_prices, return_features,
+                            synth_generate, trading_days, write_prices)
 from newsmkl.text import Document, parse_dictionary
 
 UTC = timezone.utc
@@ -308,3 +309,51 @@ class TestSynth:
         for d in docs:
             clock = d.timestamp.timetz().replace(tzinfo=None)
             assert time(10, 10) <= clock <= time(15, 30)
+
+
+class TestReadPrices:
+    @pytest.fixture(scope="class")
+    def series(self):
+        _, prices, _ = synth_generate(3, SynthSpec(n_events=10, n_months=1, tickers=("BBB", "AAA")))
+        return prices
+
+    @staticmethod
+    def _same(a: dict, b: dict):
+        assert list(a) == list(b)
+        for tk in a:
+            assert a[tk].times.tobytes() == b[tk].times.tobytes()
+            assert a[tk].prices.tobytes() == b[tk].prices.tobytes()
+
+    def test_column_parse_matches_row_parse(self, series, tmp_path):
+        path = tmp_path / "prices.csv"
+        write_prices(path, series)
+        tickers, times, prices = _price_rows(path)
+        by_row = {tk: PriceSeries(ticker=tk, times=times[[t == tk for t in tickers]],
+                                  prices=prices[[t == tk for t in tickers]])
+                  for tk in dict.fromkeys(tickers)}
+        self._same(read_prices(path), by_row)
+
+    def test_other_timestamp_forms_fall_back_to_rows(self, series, tmp_path):
+        canonical = tmp_path / "prices.csv"
+        write_prices(canonical, series)
+        offset = tmp_path / "offset.csv"
+        offset.write_text(canonical.read_text().replace("Z,", "+00:00,") + "\n\n")
+        self._same(read_prices(offset), read_prices(canonical))
+
+    @pytest.mark.parametrize("row", [
+        "AAA,2004-01-05T09:31:00Z",  # two fields
+        "AAA,2004-01-05T09:31:00Z,1.0,2",  # four fields
+        "AAA,2004-02-30T09:31:00Z,1.0",  # canonical form, no such day
+        "AAA,0000-01-05T09:31:00Z,1.0",  # year 0
+        "AAA,yesterday,1.0",
+        "AAA,2004-01-05T09:31:00Z,abc",
+        "AAA,2004-01-05T09:31:00Z,-1.0",
+        "AAA,2004-01-05T09:31:00Z,inf",
+        "AAA,2004-01-05T09:31:00Z,nan",
+    ])
+    def test_bad_row_names_its_line(self, tmp_path, row):
+        path = tmp_path / "prices.csv"
+        path.write_text(f"ticker,timestamp,price\nAAA,2004-01-05T09:30:00Z,1.0\n\n{row}\n"
+                        "AAA,2004-01-05T09:32:00Z,1.0\n")
+        with pytest.raises(MarketError, match="^" + re.escape(f"{path}:4: bad price row")):
+            read_prices(path)

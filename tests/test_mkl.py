@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import (barrier_grid_center, central_difference_directional,
-                     grid_mkl_oracle, simplex_grid)
+                     grid_mkl_oracle, newton_center_full_loop, simplex_grid)
 
 from newsmkl.bench import make_bench_problem
 from newsmkl.kernels import GramMatrix, KernelSpec, gram_matrix
-from newsmkl import _smo
+from newsmkl import _smo, mkl
 from newsmkl.mkl import (LocalizationSet, MklError, MklProblem, MklState,
                          _objective_model, add_cut, analytic_center,
                          barrier_hessian, cut_relevance, duality_gap,
@@ -242,6 +244,36 @@ class TestAnalyticCenter:
         z_grid = barrier_grid_center(A, b, 0.001, 0.999, n_grid=600)
         np.testing.assert_allclose(z, z_grid, atol=1e-3)
 
+    # an ACCPM localization set (make_bench_problem(0, 3, 60, C=1000)) on
+    # which Newton stalls: the decrement stays above NEWTON_TOL while the
+    # accepted step no longer moves z
+    STALL_A = [["-0x1.0p+0", "-0x0.0p+0"], ["-0x0.0p+0", "-0x1.0p+0"],
+               ["0x1.6a09e667f3bccp-1", "0x1.6a09e667f3bccp-1"],
+               ["0x1.1b0b433c1d0aep-1", "0x1.aaa65cc472f40p-1"],
+               ["-0x1.6058c7acced8bp-1", "-0x1.737a4f3d29556p-1"],
+               ["0x1.ff820dfae5e10p-1", "-0x1.6708f489ce3ebp-5"],
+               ["-0x1.fe378a4f75f9dp-1", "0x1.558a7b6798e8bp-4"],
+               ["-0x1.ffa6874f1988fp-1", "0x1.2ea25eb7ec662p-5"],
+               ["0x1.fe9e8473afd42p-1", "0x1.2c9d80d1d2131p-4"]]
+    STALL_B = ["0x0.0p+0", "0x0.0p+0", "0x1.6a09e667f3bccp-1", "0x1.e238b15c62d65p-3",
+               "-0x1.1ecc2eb47bf10p-2", "0x1.8057d54773717p-2", "-0x1.7c56ad6e3be63p-2",
+               "-0x1.7fe2efc1c1a2bp-2", "0x1.830c198bdca0cp-2"]
+    STALL_Z0 = ["0x1.818bbdfd96d65p-2", "0x1.f5f236dfb7eebp-6"]
+
+    def test_stops_at_float_fixed_point(self, monkeypatch):
+        A = np.array([[float.fromhex(v) for v in row] for row in self.STALL_A])
+        b = np.array([float.fromhex(v) for v in self.STALL_B])
+        z0 = np.array([float.fromhex(v) for v in self.STALL_Z0])
+        loc = LocalizationSet(A=A, b=b, origins=["face"] * 3 + ["cut"] * 6)
+        evaluations = []
+        real = mkl.barrier_value
+        monkeypatch.setattr(mkl, "barrier_value", lambda l, z: evaluations.append(1) or real(l, z))
+        z = analytic_center(loc, z0=z0)
+        # the full 200-iteration loop evaluates the barrier about 5,000 times
+        assert len(evaluations) <= 500
+        monkeypatch.undo()
+        assert z.tobytes() == newton_center_full_loop(loc, z0).tobytes()
+
     def test_empty_interior_detected(self):
         A = np.array([[1.0], [-1.0]])
         b = np.array([0.2, -0.3])  # z <= 0.2 and z >= 0.3: empty
@@ -431,6 +463,20 @@ class TestSolvers:
                 assert np.all(sol.d >= 0.0)
                 assert sol.gap >= -1e-10
                 assert all(g >= -1e-10 for g in sol.gap_history)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_kernels=st.integers(1, 4), l=st.integers(6, 30),
+           C=st.sampled_from([0.1, 1.0, 10.0, 1000.0]), gap_tol=st.sampled_from([1e-3, 1e-2, 0.5]),
+           solver=st.sampled_from([solve_accpm, solve_reduced_gradient]))
+    @settings(max_examples=100, deadline=None)
+    def test_duality_gap_nonnegative_at_returned_solutions(self, seed, n_kernels, l, C, gap_tol,
+                                                            solver):
+        p = small_problem(seed=seed, n_kernels=n_kernels, l=l, C=C, gap_tol=gap_tol)
+        sol = solver(p)
+        q = kernel_quad_forms(p, sol.model.alpha)
+        rounding = 1e-14 * max(1.0, float(np.max(np.abs(q))))
+        # the explicit gap at the returned weights and alpha, and the gap reported
+        assert duality_gap(p, sol.d, sol.model.alpha) >= -rounding
+        assert sol.gap >= -rounding
 
     def test_constraint_budget_and_threshold(self):
         p = small_problem(seed=2, n_kernels=3, l=30, C=10.0, gap_tol=1e-4)
