@@ -20,7 +20,7 @@ from datetime import datetime, time
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelSpec, cross_gram, gram_matrix, median_sqdist
+from .kernels import GramMatrix, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist
 from .market import (FeatureRecord, LabelingConfig, PriceSeries, label_records, label_threshold,
                      prepare_feature_records)
 from .mkl import MklProblem, MklSolution, solve_accpm, solve_reduced_gradient
@@ -30,6 +30,7 @@ from .text import Dictionary, Document, TfidfModel, fit_tfidf, transform_tfidf_m
 log = logging.getLogger(__name__)
 
 ANNUALIZATION_DAILY = 252
+MIN_TRAIN_EVENTS = 20  # fewer training events skip the window
 
 
 class BacktestError(ValueError):
@@ -37,7 +38,8 @@ class BacktestError(ValueError):
 
 
 class WindowSkipped(Exception):
-    """Window excluded from evaluation (e.g. single-class training data)."""
+    """Window excluded from evaluation (e.g. single-class training data or
+    a zero-trace kernel)."""
 
 
 # ---------------------------------------------------------------------------
@@ -183,7 +185,6 @@ class PlanKernel:
     sigma: float | None = None
     sigma_scale: float | None = None
     degree: int | None = None
-    noise_dim: int = 8
 
     def __post_init__(self):
         if self.feature not in FEATURE_KINDS:
@@ -193,9 +194,10 @@ class PlanKernel:
 
 
 DEFAULT_GAUSSIAN_SCALES = (0.25, 1.0, 4.0, 16.0)
+NOISE_DIM = 8  # pseudo-random features per document for "noise" kernels
 
 
-def default_mkl_plan(gaussian_scales=DEFAULT_GAUSSIAN_SCALES) -> list[PlanKernel]:
+def default_mkl_plan() -> list[PlanKernel]:
     """The 13-kernel mixing plan: 1 linear text, 1 linear absolute-returns,
     4 gaussian text, 4 gaussian absolute-returns, 1 linear time-of-day,
     1 linear day-of-week, 1 identity."""
@@ -203,9 +205,9 @@ def default_mkl_plan(gaussian_scales=DEFAULT_GAUSSIAN_SCALES) -> list[PlanKernel
         PlanKernel(name="lin_text", feature="text", kind="linear"),
         PlanKernel(name="lin_absret", feature="absret", kind="linear"),
     ]
-    for i, s in enumerate(gaussian_scales, start=1):
+    for i, s in enumerate(DEFAULT_GAUSSIAN_SCALES, start=1):
         plan.append(PlanKernel(name=f"gauss_text_{i}", feature="text", kind="gaussian", sigma_scale=s))
-    for i, s in enumerate(gaussian_scales, start=1):
+    for i, s in enumerate(DEFAULT_GAUSSIAN_SCALES, start=1):
         plan.append(PlanKernel(name=f"gauss_absret_{i}", feature="absret", kind="gaussian", sigma_scale=s))
     plan.append(PlanKernel(name="lin_timeofday", feature="timeofday", kind="linear"))
     plan.append(PlanKernel(name="lin_dayofweek", feature="dayofweek", kind="linear"))
@@ -213,25 +215,22 @@ def default_mkl_plan(gaussian_scales=DEFAULT_GAUSSIAN_SCALES) -> list[PlanKernel
     return plan
 
 
-def random_noise_plan(n: int, noise_dim: int = 8) -> list[PlanKernel]:
+def random_noise_plan(n: int) -> list[PlanKernel]:
     """Uninformative kernels built on per-document pseudo-random features."""
-    return [PlanKernel(name=f"noise_{i + 1}", feature="noise", kind="linear", noise_dim=noise_dim)
-            for i in range(n)]
+    return [PlanKernel(name=f"noise_{i + 1}", feature="noise", kind="linear") for i in range(n)]
 
 
-def _noise_features(doc_ids: list[str], dim: int) -> np.ndarray:
+def _noise_features(doc_ids: list[str]) -> np.ndarray:
     """Deterministic pseudo-random features keyed by document id."""
-    out = np.empty((len(doc_ids), dim))
+    out = np.empty((len(doc_ids), NOISE_DIM))
     for i, doc_id in enumerate(doc_ids):
         digest = hashlib.sha256(doc_id.encode("utf-8")).digest()
         rng = np.random.default_rng(int.from_bytes(digest[:8], "little"))
-        out[i] = rng.standard_normal(dim)
+        out[i] = rng.standard_normal(NOISE_DIM)
     return out
 
 
-def _feature_matrix(plan_kernel: PlanKernel, records: list[FeatureRecord],
-                    text_matrix: np.ndarray | None) -> np.ndarray:
-    f = plan_kernel.feature
+def _feature_matrix(f: str, records: list[FeatureRecord], text_matrix: np.ndarray) -> np.ndarray:
     if f == "text":
         return text_matrix
     if f == "absret":
@@ -241,19 +240,18 @@ def _feature_matrix(plan_kernel: PlanKernel, records: list[FeatureRecord],
     if f == "dayofweek":
         return np.vstack([r.day_of_week for r in records])
     if f == "noise":
-        return _noise_features([r.doc_id for r in records], plan_kernel.noise_dim)
+        return _noise_features([r.doc_id for r in records])
     return np.zeros((len(records), 1))  # identity: features unused
 
 
 def _plan_features(plan: list[PlanKernel], records: list[FeatureRecord],
                    text_matrix: np.ndarray) -> list[np.ndarray]:
     """One feature matrix per plan kernel; kernels on the same feature share it."""
-    built: dict[tuple[str, int], np.ndarray] = {}
+    built: dict[str, np.ndarray] = {}
     for pk in plan:
-        key = (pk.feature, pk.noise_dim)
-        if key not in built:
-            built[key] = _feature_matrix(pk, records, text_matrix)
-    return [built[(pk.feature, pk.noise_dim)] for pk in plan]
+        if pk.feature not in built:
+            built[pk.feature] = _feature_matrix(pk.feature, records, text_matrix)
+    return [built[pk.feature] for pk in plan]
 
 
 def _resolve_spec(pk: PlanKernel, median: float | None) -> KernelSpec:
@@ -281,16 +279,12 @@ class BacktestConfig:
     c_grid: tuple[float, ...] = (1000.0,)
     solver: str = "accpm"  # or "redgrad"
     gap_tol: float = 0.01
-    cv_split: float = 0.75
-    cv_measure: str = "sharpe"  # or "accuracy"
-    min_event_time: time = time(10, 10)
     train_min_event_time: time | None = None  # the stricter training-only filter variant
-    min_train_events: int = 20
     jobs: int = 1
 
     def labeling(self, horizon: int) -> LabelingConfig:
         return LabelingConfig(horizon_minutes=horizon, percentile=self.percentile,
-                              label_kind=self.label_kind, min_event_time=self.min_event_time)
+                              label_kind=self.label_kind)
 
 
 @dataclass
@@ -326,19 +320,19 @@ class FittedPlan:
         return out
 
 
-def _text_matrix(tf, records: list[FeatureRecord]) -> np.ndarray:
-    if not records:
-        return np.zeros((0, tf.n_stems))
-    return transform_tfidf_many(tf, np.vstack([r.text_counts for r in records]),
-                                np.array([r.token_count for r in records]))
+def _text_counts(records: list[FeatureRecord]) -> tuple[np.ndarray, np.ndarray]:
+    """The records' stacked stem counts and their token counts."""
+    return np.vstack([r.text_counts for r in records]), np.array([r.token_count for r in records])
 
 
 def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord]) -> PlanKernels:
     """tf-idf fit on the training corpus only, then one trace-normalized
     Gram per plan kernel; gaussian bandwidths come from one median squared
-    distance per training feature matrix."""
-    tf = fit_tfidf(np.vstack([r.text_counts for r in train_records]))
-    features = _plan_features(plan, train_records, _text_matrix(tf, train_records))
+    distance per training feature matrix. A Gram that cannot be built
+    (a zero-trace kernel) raises KernelError naming the plan kernel."""
+    counts, lengths = _text_counts(train_records)
+    tf = fit_tfidf(counts)
+    features = _plan_features(plan, train_records, transform_tfidf_many(tf, counts, lengths))
     medians: dict[int, float] = {}
     specs, grams = [], []
     for pk, X in zip(plan, features):
@@ -346,7 +340,10 @@ def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord]) ->
             medians[id(X)] = median_sqdist(X)
         spec = _resolve_spec(pk, medians.get(id(X)))
         specs.append(spec)
-        grams.append(gram_matrix(spec, X))
+        try:
+            grams.append(gram_matrix(spec, X))
+        except KernelError as exc:
+            raise KernelError(f"kernel {pk.name!r}: {exc}") from exc
     return PlanKernels(plan=plan, records=train_records, tfidf=tf, specs=specs, grams=grams,
                        features=features)
 
@@ -387,8 +384,8 @@ class CrossGrams:
         if k not in self._blocks:
             kn = self.kernels
             if self._features is None:
-                self._features = _plan_features(kn.plan, self.test_records,
-                                                _text_matrix(kn.tfidf, self.test_records))
+                text = transform_tfidf_many(kn.tfidf, *_text_counts(self.test_records))
+                self._features = _plan_features(kn.plan, self.test_records, text)
             self._blocks[k] = cross_gram(kn.specs[k], kn.features[k], self._features[k],
                                          scale=kn.grams[k].scale)
         return self._blocks[k]
@@ -504,7 +501,7 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int,
     """Calibrate on the train months and predict the test month of one window."""
     labeling = cfg.labeling(horizon)
     train_records, test_records = window_records(cfg, window, records)
-    if len(train_records) < cfg.min_train_events:
+    if len(train_records) < MIN_TRAIN_EVENTS:
         raise WindowSkipped(f"{window}: only {len(train_records)} training events")
     if not test_records:
         raise WindowSkipped(f"{window}: no test events")
@@ -515,23 +512,28 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int,
     if np.all(y_train == y_train[0]):
         raise WindowSkipped(f"{window}: single-class training labels")
 
+    def kernels(train: list[FeatureRecord]) -> PlanKernels:
+        try:
+            return build_kernels(cfg.plan, train)
+        except KernelError as exc:  # e.g. no training document hits a dictionary stem
+            raise WindowSkipped(f"{window}: {exc}") from exc
+
     # the early fold's kernels and cross-Gram blocks, built once for every C candidate
     cv_cross: list[CrossGrams] = []
 
     def evaluate(early, y_early, fold, cand):
         if not cv_cross:
-            cv_cross.append(CrossGrams(build_kernels(cfg.plan, early), fold))
+            cv_cross.append(CrossGrams(kernels(early), fold))
         fit = fit_plan(cfg.plan, early, y_early, cand["C"], solver=cfg.solver, gap_tol=cfg.gap_tol,
                        kernels=cv_cross[0].kernels)
         return predict_records(fit, fold, cv_cross[0])[0]
 
     candidates = [{"C": c} for c in cfg.c_grid]
-    best, _ = chrono_cv(train_records, y_train, candidates, evaluate,
-                        measure=cfg.cv_measure, split=cfg.cv_split)
+    best, _ = chrono_cv(train_records, y_train, candidates, evaluate)
     cv_cross.clear()  # free the early fold's Grams before the full-window fit
 
     fit = fit_plan(cfg.plan, train_records, y_train, best["C"], solver=cfg.solver,
-                   gap_tol=cfg.gap_tol)
+                   gap_tol=cfg.gap_tol, kernels=kernels(train_records))
     preds, decisions = predict_records(fit, test_records)
     sol = fit.solution
 

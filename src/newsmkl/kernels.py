@@ -143,20 +143,26 @@ def _pairwise_sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
     return np.maximum(d2, 0.0)
 
 
-def _raw_gram(spec: KernelSpec, X: np.ndarray) -> np.ndarray:
-    if spec.kind == "linear":
-        return X @ X.T
+def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(len(A), len(B)) matrix of k(a_i, b_j) for a vector kernel kind.
+
+    Pass the same array object as A and B for a Gram: A @ A.T on one
+    object takes BLAS's symmetric (syrk) path.
+    """
+    if A.shape[1] != B.shape[1]:
+        raise KernelError(f"dimension mismatch: {B.shape[1]} vs {A.shape[1]}")
     if spec.kind == "gaussian":
-        return np.exp(-_pairwise_sqdist(X, X) / spec.sigma)
+        return np.exp(-_pairwise_sqdist(A, B) / spec.sigma)
+    K = A @ B.T
     if spec.kind == "polynomial":
-        return (X @ X.T + 1.0) ** int(spec.degree)
+        return (K + 1.0) ** int(spec.degree)
     if spec.kind == "bagofwords":
-        norms = np.linalg.norm(X, axis=1)
-        if np.any(norms == 0.0):
+        na = np.linalg.norm(A, axis=1)
+        nb = np.linalg.norm(B, axis=1)
+        if np.any(na == 0.0) or np.any(nb == 0.0):
             raise KernelError("bagofwords kernel undefined for zero-norm vector")
-        Xn = X / norms[:, None]
-        return Xn @ Xn.T
-    return np.eye(X.shape[0])
+        return K / (na[:, None] * nb[None, :])
+    return K
 
 
 def gram_matrix(spec: KernelSpec, samples) -> GramMatrix:
@@ -166,7 +172,7 @@ def gram_matrix(spec: KernelSpec, samples) -> GramMatrix:
     spec.trace_normalize is set.
     """
     X = _as_matrix(samples)
-    G = _raw_gram(spec, X)
+    G = np.eye(X.shape[0]) if spec.kind == "identity" else _kernel_block(spec, X, X)
     G = 0.5 * (G + G.T)  # kill float asymmetry from BLAS
     scale = 1.0
     if spec.trace_normalize:
@@ -178,62 +184,20 @@ def gram_matrix(spec: KernelSpec, samples) -> GramMatrix:
     return GramMatrix(values=G, scale=scale)
 
 
-def kernel_row(spec: KernelSpec, train_samples, x, scale: float = 1.0) -> np.ndarray:
-    """Vector of k(x_i, x) against the training samples, times `scale`.
-
-    `scale` should be the GramMatrix.scale of the matching training Gram
-    so that mixture weights trained on normalized kernels stay valid at
-    prediction time. Identity-kind rows are all zeros: an unseen point has
-    no identity overlap with any training sample.
-    """
-    X = _as_matrix(train_samples)
-    if spec.kind == "identity":
-        return np.zeros(X.shape[0])
-    x = np.asarray(x, dtype=np.float64).ravel()
-    if x.shape[0] != X.shape[1]:
-        raise KernelError(f"dimension mismatch: {X.shape[1]} vs {x.shape[0]}")
-    if spec.kind == "linear":
-        row = X @ x
-    elif spec.kind == "gaussian":
-        row = np.exp(-_pairwise_sqdist(X, x[None, :])[:, 0] / spec.sigma)
-    elif spec.kind == "polynomial":
-        row = (X @ x + 1.0) ** int(spec.degree)
-    else:
-        nx = np.linalg.norm(x)
-        norms = np.linalg.norm(X, axis=1)
-        if nx == 0.0 or np.any(norms == 0.0):
-            raise KernelError("bagofwords kernel undefined for zero-norm vector")
-        row = (X @ x) / (norms * nx)
-    return row * scale
-
-
 def cross_gram(spec: KernelSpec, train_samples, test_samples, scale: float = 1.0) -> np.ndarray:
     """(n_test, n_train) matrix of k(x_i, x) rows for a batch of test points.
 
-    Identity-kind blocks are all zeros (unseen points share no index with
-    training samples).
+    `scale` should be the GramMatrix.scale of the matching training Gram
+    so that mixture weights trained on normalized kernels stay valid at
+    prediction time. Identity-kind blocks are all zeros (unseen points
+    share no index with training samples).
     """
     X = _as_matrix(train_samples)
     if spec.kind == "identity":
         T = np.asarray(test_samples)
         n_test = T.shape[0] if T.ndim >= 1 else 0
         return np.zeros((n_test, X.shape[0]))
-    T = _as_matrix(test_samples)
-    if T.shape[1] != X.shape[1]:
-        raise KernelError(f"dimension mismatch: {X.shape[1]} vs {T.shape[1]}")
-    if spec.kind == "linear":
-        R = T @ X.T
-    elif spec.kind == "gaussian":
-        R = np.exp(-_pairwise_sqdist(T, X) / spec.sigma)
-    elif spec.kind == "polynomial":
-        R = (T @ X.T + 1.0) ** int(spec.degree)
-    else:
-        tn = np.linalg.norm(T, axis=1)
-        xn = np.linalg.norm(X, axis=1)
-        if np.any(tn == 0.0) or np.any(xn == 0.0):
-            raise KernelError("bagofwords kernel undefined for zero-norm vector")
-        R = (T @ X.T) / (tn[:, None] * xn[None, :])
-    return R * scale
+    return _kernel_block(spec, _as_matrix(test_samples), X) * scale
 
 
 def median_sqdist(samples) -> float:

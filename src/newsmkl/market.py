@@ -129,8 +129,6 @@ class LabelingConfig:
     horizon_minutes: int
     percentile: float = 75.0
     label_kind: str = "abnormal"  # or "direction"
-    day_start: time = TRADING_DAY_START
-    day_end: time = TRADING_DAY_END
     min_event_time: time = DEFAULT_MIN_EVENT_TIME
 
     def __post_init__(self):
@@ -205,12 +203,12 @@ def _feature_record(doc: Document, prices: dict[str, PriceSeries], dictionary: D
     if t.weekday() >= 5:
         raise EventDropped("weekend", doc.id)
     clock = t.timetz().replace(tzinfo=None)
-    if clock < config.day_start or clock > config.day_end:
+    if clock < TRADING_DAY_START or clock > TRADING_DAY_END:
         raise EventDropped("outside_trading_day", doc.id)
     if clock < config.min_event_time:
         raise EventDropped("before_min_event_time", doc.id)
     t_end = t + timedelta(minutes=config.horizon_minutes)
-    if t_end.timetz().replace(tzinfo=None) > config.day_end or t_end.date() != t.date():
+    if t_end.timetz().replace(tzinfo=None) > TRADING_DAY_END or t_end.date() != t.date():
         raise EventDropped("horizon_overflow", doc.id)
     try:
         rets = return_features(series, t, absolute=(config.label_kind == "abnormal"))

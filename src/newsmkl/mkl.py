@@ -29,15 +29,18 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _smo
-from .kernels import GramMatrix, validate_psd
-from .svm import DEFAULT_MAX_ITER, SvmModel, build_model, check_dual, project_feasible
+from .kernels import GramMatrix
+from .svm import DEFAULT_MAX_ITER, SvmModel, as_labels, build_model, check_dual, project_feasible
 
 log = logging.getLogger(__name__)
 
 NEWTON_TOL = 1e-8
+MAX_NEWTON = 200
 BACKTRACK_ALPHA = 0.25
 BACKTRACK_BETA = 0.5
 WEIGHT_THRESHOLD = 1e-4
+LINE_TOL = 0.05  # reduced gradient: golden-section stop, as a fraction of the step interval
+ARMIJO_C = 1e-4  # reduced gradient: sufficient-decrease constant
 DEFAULT_GAP_TOL = 0.01
 DEFAULT_C = 1000.0
 
@@ -56,7 +59,6 @@ class MklProblem:
     gap_tol: float = DEFAULT_GAP_TOL
     max_iters: int = 200
     svm_tol: float | None = None  # inner SMO KKT tolerance; derived from gap_tol if None
-    validate_psd: bool = False
 
     def __post_init__(self):
         if len(self.kernels) < 1:
@@ -64,17 +66,9 @@ class MklProblem:
         size = self.kernels[0].size
         if any(k.size != size for k in self.kernels):
             raise MklError("all kernels must have the same size")
-        y = np.asarray(self.labels, dtype=np.float64).ravel()
-        if y.shape[0] != size:
-            raise MklError("label count does not match kernel size")
-        self.labels = y
+        self.labels = as_labels(self.labels, size, MklError)
         if self.gap_tol <= 0 or self.C <= 0:
             raise MklError("C and gap_tol must be positive")
-        if self.validate_psd:
-            for i, k in enumerate(self.kernels):
-                rep = validate_psd(k)
-                if not rep.passed:
-                    raise MklError(f"kernel {i} fails the PSD check (min eig {rep.min_eigenvalue:.3e})")
 
     @property
     def n_kernels(self) -> int:
@@ -314,8 +308,7 @@ def barrier_hessian(loc: LocalizationSet, z: np.ndarray) -> np.ndarray:
     return W.T @ W
 
 
-def analytic_center(loc: LocalizationSet, z0: np.ndarray | None = None, newton_tol: float = NEWTON_TOL,
-                    max_newton: int = 200) -> np.ndarray:
+def analytic_center(loc: LocalizationSet, z0: np.ndarray | None = None) -> np.ndarray:
     """Minimize -sum log(b_i - a_i'z) by damped Newton with backtracking.
 
     Needs a strictly interior starting point; defaults to the uniform
@@ -328,7 +321,7 @@ def analytic_center(loc: LocalizationSet, z0: np.ndarray | None = None, newton_t
     if not loc.is_interior(z):
         raise MklError("analytic centering needs a strictly interior start (empty interior?)")
     fz = barrier_value(loc, z)
-    for _ in range(max_newton):
+    for _ in range(MAX_NEWTON):
         s = loc.slacks(z)
         inv_s = 1.0 / s
         g = loc.A.T @ inv_s
@@ -341,7 +334,7 @@ def analytic_center(loc: LocalizationSet, z0: np.ndarray | None = None, newton_t
         decrement2 = float(-g @ p)
         if decrement2 < 0.0:  # numerical: H not PD at float precision
             decrement2 = abs(decrement2)
-        if np.sqrt(decrement2) <= newton_tol:
+        if np.sqrt(decrement2) <= NEWTON_TOL:
             return z
         t = 1.0
         gTp = float(g @ p)
@@ -543,8 +536,7 @@ def _simplex_step(d: np.ndarray, D: np.ndarray, t: float) -> np.ndarray:
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def solve_reduced_gradient(problem: MklProblem, line_tol: float = 0.05,
-                           armijo_c: float = 1e-4) -> MklSolution:
+def solve_reduced_gradient(problem: MklProblem) -> MklSolution:
     """Reduced-gradient descent on the simplex (the baseline MKL method).
 
     Each outer iteration backtracks along the reduced descent direction
@@ -599,13 +591,13 @@ def solve_reduced_gradient(problem: MklProblem, line_tol: float = 0.05,
             return trials[t][0]
 
         # probe the full admissible step (a weight hits zero there), then
-        # golden-section the interval down to line_tol of its width
+        # golden-section the interval down to LINE_TOL of its width
         evaluate(t_max)
         lo, hi = 0.0, t_max
         x1 = hi - _GOLDEN * (hi - lo)
         x2 = lo + _GOLDEN * (hi - lo)
         f1, f2 = evaluate(x1), evaluate(x2)
-        while (hi - lo) > line_tol * t_max:
+        while (hi - lo) > LINE_TOL * t_max:
             if f1 <= f2:
                 hi, x2, f2 = x2, x1, f1
                 x1 = hi - _GOLDEN * (hi - lo)
@@ -617,7 +609,7 @@ def solve_reduced_gradient(problem: MklProblem, line_tol: float = 0.05,
 
         t_best = min(trials, key=lambda t: trials[t][0])
         J_best = trials[t_best][0]
-        if J_best <= J + armijo_c * t_best * descent:
+        if J_best <= J + ARMIJO_C * t_best * descent:
             J, model, q, d = trials[t_best]
         else:
             status = "stalled"

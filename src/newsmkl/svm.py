@@ -28,6 +28,16 @@ class SvmError(ValueError):
     """Unsolvable or malformed SVM problem."""
 
 
+def as_labels(labels, size: int, error: type[ValueError] = SvmError) -> np.ndarray:
+    """`size` labels as a float vector; raises `error` unless each is -1 or +1."""
+    y = np.asarray(labels, dtype=np.float64).ravel()
+    if not np.all(np.isin(y, (-1.0, 1.0))):
+        raise error("labels must be -1 or +1")
+    if y.shape[0] != size:
+        raise error(f"label count {y.shape[0]} does not match kernel size {size}")
+    return y
+
+
 @dataclass
 class TrainingSet:
     """Labels (+/-1) paired with the Gram matrix over the same samples."""
@@ -36,12 +46,7 @@ class TrainingSet:
     gram: GramMatrix
 
     def __post_init__(self):
-        y = np.asarray(self.labels, dtype=np.float64).ravel()
-        if not np.all(np.isin(y, (-1.0, 1.0))):
-            raise SvmError("labels must be -1 or +1")
-        if y.shape[0] != self.gram.size:
-            raise SvmError("label count does not match Gram size")
-        self.labels = y
+        self.labels = as_labels(self.labels, self.gram.size)
 
     @property
     def size(self) -> int:
@@ -173,24 +178,9 @@ def recover_bias(alpha: np.ndarray, y: np.ndarray, k_alpha: np.ndarray, C: float
     return 0.0
 
 
-def decision_value(model: SvmModel, labels: np.ndarray, kernel_row) -> float:
-    row = np.asarray(kernel_row, dtype=np.float64).ravel()
-    if row.shape[0] != labels.shape[0]:
-        raise SvmError(f"kernel row length {row.shape[0]} != training size {labels.shape[0]}")
-    return float((labels * model.alpha) @ row + model.bias)
-
-
-def predict(model: SvmModel, labels: np.ndarray, kernel_row) -> tuple[int, float]:
-    """Label and decision value at a point given its kernel row k(x_i, x).
-
-    A decision value of exactly 0 maps to +1.
-    """
-    d = decision_value(model, labels, kernel_row)
-    return (1 if d >= 0.0 else -1), d
-
-
 def predict_many(model: SvmModel, labels: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized predict over a (n_points, l) matrix of kernel rows."""
+    """Labels and decision values over a (n_points, l) matrix of kernel rows
+    k(x_i, x): d = rows (y * alpha) + b, and d >= 0 (exactly 0 too) gives +1."""
     rows = np.asarray(rows, dtype=np.float64)
     if rows.ndim != 2 or rows.shape[1] != labels.shape[0]:
         raise SvmError("rows must be (n_points, training size)")

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from importlib import resources
 
@@ -30,9 +30,11 @@ class TextError(ValueError):
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Ordered, unique, lowercase stems."""
+    """Ordered, unique, lowercase stems, indexed by first letter as
+    (stem, position) pairs for `bag_of_words`."""
 
     stems: tuple[str, ...]
+    _by_first: dict[str, list[tuple[str, int]]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         stems = tuple(self.stems)
@@ -46,16 +48,14 @@ class Dictionary:
                 raise TextError(f"duplicate stem {s!r}")
             seen.add(s)
         object.__setattr__(self, "stems", stems)
+        by_first: dict[str, list[tuple[str, int]]] = {}
+        for idx, s in enumerate(stems):
+            by_first.setdefault(s[0], []).append((s, idx))
+        object.__setattr__(self, "_by_first", by_first)
 
     @property
     def size(self) -> int:
         return len(self.stems)
-
-    def _buckets(self) -> dict[str, list[tuple[str, int]]]:
-        by_first: dict[str, list[tuple[str, int]]] = {}
-        for idx, s in enumerate(self.stems):
-            by_first.setdefault(s[0], []).append((s, idx))
-        return by_first
 
 
 @dataclass(frozen=True)
@@ -82,11 +82,6 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def token_count(text: str) -> int:
-    """Document length used as the TF denominator (all tokens, not just dictionary hits)."""
-    return len(tokenize(text))
-
-
 def bag_of_words(doc: Document | str | list[str], dictionary: Dictionary) -> np.ndarray:
     """Count tokens whose cleaned form starts with each stem; `doc` may also
     be a list of tokens that `tokenize` already produced."""
@@ -95,7 +90,7 @@ def bag_of_words(doc: Document | str | list[str], dictionary: Dictionary) -> np.
     else:
         tokens = tokenize(doc.text if isinstance(doc, Document) else doc)
     counts = np.zeros(dictionary.size, dtype=np.int64)
-    buckets = dictionary._buckets()
+    buckets = dictionary._by_first
     for tok in tokens:
         for stem, idx in buckets.get(tok[0], ()):
             if tok.startswith(stem):
@@ -137,22 +132,16 @@ def fit_tfidf(corpus) -> TfidfModel:
     return TfidfModel(doc_frequency=df, n_docs=X.shape[0], n_stems=X.shape[1])
 
 
-def transform_tfidf(model: TfidfModel, counts, doc_length: int) -> np.ndarray:
-    """TF-IDF vector for one document's counts and total token count."""
-    c = np.asarray(counts, dtype=np.float64).ravel()
-    if c.shape[0] != model.n_stems:
-        raise TextError(f"count vector length {c.shape[0]} != {model.n_stems} stems")
-    if doc_length <= 0:
-        if np.any(c > 0):
-            raise TextError("zero doc_length with nonzero counts")
-        return np.zeros(model.n_stems)
-    return (c / float(doc_length)) * model.idf
-
-
 def transform_tfidf_many(model: TfidfModel, counts: np.ndarray, doc_lengths: np.ndarray) -> np.ndarray:
-    """Row-wise transform_tfidf over a count matrix."""
+    """TF-IDF rows for a (n_docs, n_stems) count matrix and each document's
+    total token count (the TF denominator: all tokens, not just dictionary
+    hits). A zero-length document must have zero counts."""
     C = np.asarray(counts, dtype=np.float64)
     L = np.asarray(doc_lengths, dtype=np.float64).ravel()
+    if C.ndim != 2 or C.shape[1] != model.n_stems:
+        raise TextError(f"count matrix of shape {C.shape} does not have {model.n_stems} stem columns")
+    if L.shape[0] != C.shape[0]:
+        raise TextError(f"{L.shape[0]} document lengths for {C.shape[0]} count rows")
     if np.any((L <= 0) & (C.sum(axis=1) > 0)):
         raise TextError("zero doc_length with nonzero counts")
     safe = np.maximum(L, 1.0)

@@ -11,7 +11,8 @@ from oracles import naive_accuracy_recall, naive_sharpe
 from newsmkl import backtest as bt
 from newsmkl import market
 from newsmkl.market import SynthSpec, synth_generate
-from newsmkl.text import default_dictionary
+from newsmkl.kernels import KernelError
+from newsmkl.text import Dictionary, default_dictionary
 
 UTC = timezone.utc
 
@@ -289,6 +290,34 @@ class TestRunBacktest:
     def test_empty_horizons_rejected(self):
         with pytest.raises(bt.BacktestError):
             bt.run_backtest(bt.BacktestConfig(plan=[], horizons=()), [], {}, None)
+
+
+class TestDegenerateWindows:
+    def test_zero_trace_kernel_skips_the_window(self):
+        # a dictionary stem that no document contains: every tf-idf row is 0,
+        # so the linear text Gram has zero trace and cannot be normalized
+        docs, prices, _ = synth_generate(3, SynthSpec(n_events=200, n_months=13, tickers=("AAA",)))
+        dic = Dictionary(stems=("zzqx",))
+        plan = [bt.PlanKernel(name="lin_absret", feature="absret", kind="linear"),
+                bt.PlanKernel(name="lin_text", feature="text", kind="linear")]
+        cfg = bt.BacktestConfig(plan=plan, horizons=(10,), c_grid=(10.0, 100.0))
+        records, dropped = bt.prepare_feature_records(docs, prices, dic, cfg.labeling(10))
+        months = sorted({bt.month_of(r.timestamp) for r in records})
+        window = bt.build_windows(months[0], months[-1])[0]
+        with pytest.raises(bt.WindowSkipped, match="'lin_text'.*trace"):
+            bt.run_window(cfg, window, 10, records)
+        cfg.c_grid = (10.0,)  # no cross validation: the full-window build is the one that fails
+        with pytest.raises(bt.WindowSkipped, match="'lin_text'.*trace"):
+            bt.run_window(cfg, window, 10, records)
+        with pytest.raises(bt.BacktestError, match="every window was skipped"):
+            bt.run_horizon_on_records(cfg, 10, records, dropped)
+
+    def test_zero_trace_kernel_names_the_kernel_outside_backtests(self):
+        docs, prices, _ = synth_generate(3, SynthSpec(n_events=120, n_months=13, tickers=("AAA",)))
+        labeling = market.LabelingConfig(horizon_minutes=10)
+        records, _ = bt.prepare_feature_records(docs, prices, Dictionary(stems=("zzqx",)), labeling)
+        with pytest.raises(KernelError, match="'lin_text'"):
+            bt.build_kernels([bt.PlanKernel(name="lin_text", feature="text", kind="linear")], records)
 
 
 class TestArtifacts:

@@ -117,6 +117,19 @@ class TestBacktestCommand:
         assert len(windows) == 1 + len(report["horizons"]["10"]["windows"])
 
 
+    def test_parallel_windows_match_serial(self, synth_dir, tmp_path):
+        outs = {}
+        for jobs in ("1", "2"):
+            outs[jobs] = tmp_path / f"jobs{jobs}"
+            run_cli("backtest", "--docs", str(synth_dir / "docs.jsonl"),
+                    "--prices", str(synth_dir / "prices.csv"), "--plan", "linear4",
+                    "--c-grid", "10,100", "--jobs", jobs, "--out", str(outs[jobs]))
+        report = json.loads((outs["1"] / "report.json").read_text())
+        assert len(report["horizons"]["10"]["windows"]) >= 2
+        for name in ("report.json", "windows.csv"):
+            assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
+
+
 class TestBenchCommand:
     def test_bench_csv_columns_and_trend(self, tmp_path):
         out_csv = tmp_path / "bench.csv"

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from newsmkl.kernels import (GramMatrix, KernelError, KernelSpec, cross_gram,
-                             eval_kernel, gram_matrix, kernel_row, validate_psd)
+                             eval_kernel, gram_matrix, validate_psd)
 
 ALL_VECTOR_KINDS = ("linear", "gaussian", "polynomial", "bagofwords")
 
@@ -135,14 +135,15 @@ class TestKernelProperties:
         g = gram_matrix(KernelSpec(kind="bagofwords"), X)
         assert np.all(g.values >= 0.0) and np.all(g.values <= 1.0 + 1e-12)
 
-    def test_kernel_row_matches_gram_column(self):
+    def test_cross_gram_row_matches_gram_column(self):
         rng = np.random.default_rng(11)
         X = np.abs(rng.standard_normal((8, 3))) + 0.1
         for kind in ALL_VECTOR_KINDS:
             spec = spec_for(kind, trace_normalize=True)
             g = gram_matrix(spec, X)
-            row = kernel_row(spec, X, X[2], scale=g.scale)
-            np.testing.assert_allclose(row, g.values[:, 2], rtol=1e-12, atol=1e-15)
+            row = cross_gram(spec, X, X[2:3], scale=g.scale)
+            assert row.shape == (1, 8)
+            np.testing.assert_allclose(row[0], g.values[:, 2], rtol=1e-12, atol=1e-15)
 
     def test_cross_gram_identity_is_zero(self):
         R = cross_gram(KernelSpec(kind="identity"), np.ones((4, 2)), np.ones((3, 2)))
@@ -152,9 +153,20 @@ class TestKernelProperties:
         rng = np.random.default_rng(19)
         X = rng.standard_normal((6, 3))
         T = rng.standard_normal((2, 3))
-        for kind in ("linear", "gaussian", "polynomial"):
+        for kind in ALL_VECTOR_KINDS:
             spec = spec_for(kind)
             R = cross_gram(spec, X, T)
             for i in range(2):
                 for j in range(6):
                     assert R[i, j] == pytest.approx(eval_kernel(spec, X[j], T[i]), rel=1e-12)
+
+    def test_cross_gram_dimension_mismatch(self):
+        with pytest.raises(KernelError):
+            cross_gram(KernelSpec(kind="linear"), np.ones((4, 2)), np.ones((3, 3)))
+
+    def test_bagofwords_zero_row_rejected_in_blocks(self):
+        X = np.array([[1.0, 0.0], [0.0, 0.0]])
+        with pytest.raises(KernelError):
+            gram_matrix(KernelSpec(kind="bagofwords"), X)
+        with pytest.raises(KernelError):
+            cross_gram(KernelSpec(kind="bagofwords"), np.ones((2, 2)), X)

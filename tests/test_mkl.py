@@ -505,9 +505,10 @@ class TestSolvers:
             MklProblem(kernels=p.kernels, labels=p.labels[:-1], C=1.0)
         with pytest.raises(MklError):
             MklProblem(kernels=p.kernels, labels=p.labels, C=-1.0)
-        bad = GramMatrix(values=np.array([[1.0, 2.0], [2.0, 1.0]]))
+        labels = p.labels.copy()
+        labels[0] = 3.0
         with pytest.raises(MklError):
-            MklProblem(kernels=[bad], labels=np.array([1.0, -1.0]), C=1.0, validate_psd=True)
+            MklProblem(kernels=p.kernels, labels=labels, C=1.0)
 
 
 class TestSimplexGridHelper:

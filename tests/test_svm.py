@@ -8,7 +8,7 @@ from oracles import make_svm_problem, qp_projected_gradient, solve_tight
 from newsmkl import _smo
 from newsmkl.kernels import GramMatrix, KernelSpec, gram_matrix
 from newsmkl.svm import (SvmError, TrainingSet, model_from_dict, model_to_dict,
-                         predict, predict_many, project_feasible, solve_dual)
+                         predict_many, project_feasible, solve_dual)
 
 
 def two_point_problem(shift: float = 0.0, C: float = 10.0):
@@ -35,6 +35,13 @@ class TestSolveDual:
         ts = TrainingSet(labels=[1.0, 1.0], gram=g)
         with pytest.raises(SvmError):
             solve_dual(ts, C=1.0)
+
+    def test_labels_must_be_plus_minus_one(self):
+        g = gram_matrix(KernelSpec(kind="linear"), [[1.0], [2.0]])
+        with pytest.raises(SvmError):
+            TrainingSet(labels=[1.0, 0.0], gram=g)
+        with pytest.raises(SvmError):
+            TrainingSet(labels=[1.0, -1.0, 1.0], gram=g)
 
     def test_matches_projected_gradient_oracle(self):
         for seed in range(10):
@@ -69,10 +76,10 @@ class TestSolveDual:
         ts_perm = TrainingSet(labels=ts.labels[perm], gram=GramMatrix(values=K_perm))
         m_perm = solve_tight(ts_perm, C)
         # the same test point: its kernel row permutes along with training order
-        row = ts.gram.values[:, 3]
-        _, d1 = predict(m, ts.labels, row)
-        _, d2 = predict(m_perm, ts_perm.labels, row[perm])
-        assert d2 == pytest.approx(d1, rel=1e-8, abs=1e-10)
+        row = ts.gram.values[3:4]
+        _, d1 = predict_many(m, ts.labels, row)
+        _, d2 = predict_many(m_perm, ts_perm.labels, row[:, perm])
+        assert d2[0] == pytest.approx(d1[0], rel=1e-8, abs=1e-10)
 
     def test_objective_dominates_any_feasible_point(self):
         for seed in range(5):
@@ -136,36 +143,38 @@ class TestPredict:
     def test_decision_value_and_label(self):
         ts, C = two_point_problem()
         m = solve_dual(ts, C, tol=1e-10)
-        label, value = predict(m, ts.labels, [-2.0, 2.0])
-        assert (label, value) == (1, pytest.approx(2.0))
+        labels, values = predict_many(m, ts.labels, [[-2.0, 2.0]])
+        assert (labels[0], values[0]) == (1, pytest.approx(2.0))
 
     def test_zero_decision_maps_to_plus_one(self):
         ts, C = two_point_problem()
         m = solve_dual(ts, C, tol=1e-10)
-        label, value = predict(m, ts.labels, [0.0, 0.0])
-        assert value == 0.0 and label == 1
+        labels, values = predict_many(m, ts.labels, [[0.0, 0.0]])
+        assert values[0] == 0.0 and labels[0] == 1
 
     def test_training_points_classified_correctly_when_separable(self):
         ts, C = two_point_problem()
         m = solve_dual(ts, C, tol=1e-10)
-        for i in range(2):
-            label, _ = predict(m, ts.labels, ts.gram.values[:, i])
-            assert label == ts.labels[i]
+        labels, _ = predict_many(m, ts.labels, ts.gram.values)
+        np.testing.assert_array_equal(labels, ts.labels)
 
     def test_row_length_mismatch(self):
         ts, C = two_point_problem()
         m = solve_dual(ts, C)
         with pytest.raises(SvmError):
-            predict(m, ts.labels, [1.0, 2.0, 3.0])
+            predict_many(m, ts.labels, [[1.0, 2.0, 3.0]])
+        with pytest.raises(SvmError):
+            predict_many(m, ts.labels, [1.0, 2.0])  # a bare row, not a (1, l) matrix
 
-    def test_predict_many_matches_predict(self):
+    def test_predict_many_rows_match_one_row_calls(self):
         ts, C = make_svm_problem(2)
         m = solve_tight(ts, C)
         rows = ts.gram.values[:, :4].T
         labels, values = predict_many(m, ts.labels, rows)
         for i in range(4):
-            l1, v1 = predict(m, ts.labels, rows[i])
-            assert (labels[i], values[i]) == (l1, pytest.approx(v1))
+            l1, v1 = predict_many(m, ts.labels, rows[i:i + 1])
+            assert (labels[i], values[i]) == (l1[0], pytest.approx(v1[0]))
+            assert v1[0] == pytest.approx(float(rows[i] @ (ts.labels * m.alpha)) + m.bias)
 
 
 class TestSerialization:

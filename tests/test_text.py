@@ -5,8 +5,7 @@ from oracles import naive_tfidf
 
 from newsmkl.text import (Dictionary, Document, TextError, TfidfModel,
                           bag_of_words, default_dictionary, fit_tfidf,
-                          parse_dictionary, token_count, transform_tfidf,
-                          transform_tfidf_many)
+                          parse_dictionary, tokenize, transform_tfidf_many)
 
 # the worked example: a press release about an acquisition, scored against
 # the ten stems shown with it
@@ -38,6 +37,15 @@ class TestDictionary:
     def test_parse_skips_comments_and_blanks(self):
         d = parse_dictionary("# comment\nacqui\n\nlead\n# more\nup\n")
         assert d.stems == ("acqui", "lead", "up")
+
+    def test_stem_index_is_not_part_of_identity(self):
+        import pickle
+
+        d = Dictionary(stems=("up", "acqui", "upgrad"))
+        assert d == Dictionary(stems=("up", "acqui", "upgrad")) and hash(d) == hash(Dictionary(stems=d.stems))
+        assert "_by_first" not in repr(d)
+        copy = pickle.loads(pickle.dumps(d))
+        np.testing.assert_array_equal(bag_of_words("upgrade acquired", copy), [1, 1, 1])
 
     def test_default_dictionary_loads(self):
         d = default_dictionary()
@@ -92,17 +100,29 @@ class TestTfidf:
 
     def test_transform_formula(self):
         model = TfidfModel(doc_frequency=np.array([1]), n_docs=4, n_stems=1)
-        v = transform_tfidf(model, [2], doc_length=72)
-        assert v[0] == pytest.approx((2 / 72) * np.log(4.0), rel=1e-15)
+        v = transform_tfidf_many(model, [[2]], [72])
+        assert v.shape == (1, 1)
+        assert v[0, 0] == pytest.approx((2 / 72) * np.log(4.0), rel=1e-15)
 
     def test_zero_idf_kills_component(self):
         model = TfidfModel(doc_frequency=np.array([5]), n_docs=5, n_stems=1)
-        assert transform_tfidf(model, [17], doc_length=10)[0] == 0.0
+        assert transform_tfidf_many(model, [[17]], [10])[0, 0] == 0.0
 
     def test_zero_length_with_counts_rejected(self):
         model = TfidfModel(doc_frequency=np.array([1]), n_docs=2, n_stems=1)
         with pytest.raises(TextError):
-            transform_tfidf(model, [3], doc_length=0)
+            transform_tfidf_many(model, [[3]], [0])
+        # a zero-length document without counts is a zero row
+        np.testing.assert_array_equal(transform_tfidf_many(model, [[0]], [0]), [[0.0]])
+
+    def test_count_matrix_shape_checked(self):
+        model = TfidfModel(doc_frequency=np.array([1, 2, 0]), n_docs=4, n_stems=3)
+        with pytest.raises(TextError):
+            transform_tfidf_many(model, np.ones((2, 1)), [5, 5])  # would broadcast against idf
+        with pytest.raises(TextError):
+            transform_tfidf_many(model, [1, 0, 2], [5])  # one row, not a (1, n_stems) matrix
+        with pytest.raises(TextError):
+            transform_tfidf_many(model, np.ones((2, 3)), [5])
 
     def test_matches_naive_recompute_to_1e12(self):
         rng = np.random.default_rng(0)
@@ -125,21 +145,21 @@ class TestTfidf:
         train = np.array([[1, 0], [0, 2], [1, 1]])
         model = fit_tfidf(train)
         df_before = model.doc_frequency.copy()
-        transform_tfidf(model, [5, 5], doc_length=9)
+        transform_tfidf_many(model, [[5, 5]], [9])
         np.testing.assert_array_equal(model.doc_frequency, df_before)
 
     def test_duplicating_text_leaves_tf_unchanged(self):
         d = Dictionary(stems=("acqui", "lead"))
         text = "acquired the leading maker of things"
-        once = bag_of_words(text, d) / token_count(text)
+        once = bag_of_words(text, d) / len(tokenize(text))
         twice_text = text + " " + text
-        twice = bag_of_words(twice_text, d) / token_count(twice_text)
+        twice = bag_of_words(twice_text, d) / len(tokenize(twice_text))
         np.testing.assert_allclose(once, twice, rtol=1e-15)
 
 
 class TestTokenCount:
     def test_counts_all_words_not_just_dictionary_hits(self):
-        assert token_count("alpha beta gamma") == 3
+        assert len(tokenize("alpha beta gamma")) == 3
 
     def test_pure_punctuation_tokens_ignored(self):
-        assert token_count("alpha — beta --- gamma") == 3
+        assert len(tokenize("alpha — beta --- gamma")) == 3
