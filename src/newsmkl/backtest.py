@@ -54,6 +54,11 @@ class Window:
     test_month: str
 
 
+def window_id(w: Window) -> str:
+    """The window's name in the artifacts: "TRAIN_START..TRAIN_END->TEST_MONTH"."""
+    return f"{w.train_start}..{w.train_end}->{w.test_month}"
+
+
 def _month_key(ym: str) -> int:
     y, m = ym.split("-")
     return int(y) * 12 + (int(m) - 1)
@@ -115,7 +120,11 @@ class MetricsReport:
     per_window: list[dict] = field(default_factory=list)
     mean_kernel_weights: dict[str, float] = field(default_factory=dict)
     n_dropped: dict[str, int] = field(default_factory=dict)
-    n_skipped_windows: int = 0
+    skipped_windows: list[dict] = field(default_factory=list)  # {window_id, reason} each
+
+    @property
+    def n_skipped_windows(self) -> int:
+        return len(self.skipped_windows)
 
 
 def classification_metrics(predictions, labels) -> tuple[Confusion, float | None, float | None]:
@@ -502,21 +511,21 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int,
     labeling = cfg.labeling(horizon)
     train_records, test_records = window_records(cfg, window, records)
     if len(train_records) < MIN_TRAIN_EVENTS:
-        raise WindowSkipped(f"{window}: only {len(train_records)} training events")
+        raise WindowSkipped(f"only {len(train_records)} training events")
     if not test_records:
-        raise WindowSkipped(f"{window}: no test events")
+        raise WindowSkipped("no test events")
 
     threshold = label_threshold(train_records, labeling)
     y_train = label_records(train_records, labeling, threshold)
     y_test = label_records(test_records, labeling, threshold)
     if np.all(y_train == y_train[0]):
-        raise WindowSkipped(f"{window}: single-class training labels")
+        raise WindowSkipped("single-class training labels")
 
     def kernels(train: list[FeatureRecord]) -> PlanKernels:
         try:
             return build_kernels(cfg.plan, train)
         except KernelError as exc:  # e.g. no training document hits a dictionary stem
-            raise WindowSkipped(f"{window}: {exc}") from exc
+            raise WindowSkipped(str(exc)) from exc
 
     # the early fold's kernels and cross-Gram blocks, built once for every C candidate
     cv_cross: list[CrossGrams] = []
@@ -591,11 +600,11 @@ def run_horizon_on_records(cfg: BacktestConfig, horizon: int, records: list[Feat
         outcomes = [_run_window_job(j) for j in jobs]
 
     results: list[WindowResult] = []
-    skipped = 0
-    for out in outcomes:
+    skipped = []
+    for w, out in zip(windows, outcomes):
         if isinstance(out, WindowSkipped):
-            skipped += 1
-            log.info("window skipped: %s", out)
+            skipped.append({"window_id": window_id(w), "reason": str(out)})
+            log.info("window %s skipped: %s", window_id(w), out)
         else:
             results.append(out)
     if not results:
@@ -613,7 +622,7 @@ def run_horizon_on_records(cfg: BacktestConfig, horizon: int, records: list[Feat
 
     weights = np.mean(np.vstack([r.kernel_weights for r in results]), axis=0)
     per_window = [{
-        "window_id": f"{r.window.train_start}..{r.window.train_end}->{r.window.test_month}",
+        "window_id": window_id(r.window),
         "horizon": r.horizon, "n_train": r.n_train, "n_test": r.n_test,
         "accuracy": r.accuracy, "recall": r.recall, "sharpe": r.sharpe,
         "threshold": r.threshold, "chosen_C": r.chosen_C, "svm_solves": r.svm_solves,
@@ -623,7 +632,7 @@ def run_horizon_on_records(cfg: BacktestConfig, horizon: int, records: list[Feat
     return MetricsReport(accuracy=acc, recall=rec, sharpe=sr, n_predictions=int(preds.size),
                          n_days=len(set(dates)), confusion=conf, per_window=per_window,
                          mean_kernel_weights={pk.name: float(w) for pk, w in zip(cfg.plan, weights)},
-                         n_dropped=dropped, n_skipped_windows=skipped)
+                         n_dropped=dropped, skipped_windows=skipped)
 
 
 def run_backtest(cfg: BacktestConfig, docs: list[Document], prices: dict[str, PriceSeries],
@@ -673,6 +682,7 @@ def report_to_dict(report: MetricsReport) -> dict:
         "mean_kernel_weights": report.mean_kernel_weights,
         "n_dropped": report.n_dropped,
         "n_skipped_windows": report.n_skipped_windows,
+        "skipped_windows": report.skipped_windows,
         "windows": report.per_window,
     }
 

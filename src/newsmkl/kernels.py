@@ -133,7 +133,9 @@ def _as_matrix(samples) -> np.ndarray:
         X = X[:, None]
     if X.ndim != 2 or X.shape[0] == 0:
         raise KernelError("need a nonempty list of equal-length feature vectors")
-    return X
+    # a strided view would take the general matmul path, whose X @ X.T is
+    # not exactly symmetric; a contiguous X keeps every Gram exactly symmetric
+    return np.ascontiguousarray(X)
 
 
 def _pairwise_sqdist(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -168,19 +170,21 @@ def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
 def gram_matrix(spec: KernelSpec, samples) -> GramMatrix:
     """Assemble the symmetric matrix of pairwise kernel values.
 
-    Applies trace normalization (divide by the trace so trace = 1) when
+    The matrix is exactly symmetric with no symmetrization pass: syrk
+    fills one triangle and mirrors it, and every kind maps that product
+    (and the row norms) elementwise and symmetrically. Applies trace
+    normalization (divide by the trace so trace = 1) when
     spec.trace_normalize is set.
     """
     X = _as_matrix(samples)
     G = np.eye(X.shape[0]) if spec.kind == "identity" else _kernel_block(spec, X, X)
-    G = 0.5 * (G + G.T)  # kill float asymmetry from BLAS
     scale = 1.0
     if spec.trace_normalize:
         tr = float(np.trace(G))
         if tr <= 0.0:
             raise KernelError("cannot trace-normalize a matrix with nonpositive trace")
         scale = 1.0 / tr
-        G = G * scale
+        G *= scale
     return GramMatrix(values=G, scale=scale)
 
 
@@ -197,7 +201,9 @@ def cross_gram(spec: KernelSpec, train_samples, test_samples, scale: float = 1.0
         T = np.asarray(test_samples)
         n_test = T.shape[0] if T.ndim >= 1 else 0
         return np.zeros((n_test, X.shape[0]))
-    return _kernel_block(spec, _as_matrix(test_samples), X) * scale
+    K = _kernel_block(spec, _as_matrix(test_samples), X)
+    K *= scale
+    return K
 
 
 def median_sqdist(samples) -> float:

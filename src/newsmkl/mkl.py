@@ -24,13 +24,14 @@ Two solvers:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import _smo
 from .kernels import GramMatrix
-from .svm import DEFAULT_MAX_ITER, SvmModel, as_labels, build_model, check_dual, project_feasible
+from .svm import (DEFAULT_MAX_ITER, SvmModel, as_labels, build_model, check_dual, project_feasible,
+                  recover_bias)
 
 log = logging.getLogger(__name__)
 
@@ -43,6 +44,11 @@ LINE_TOL = 0.05  # reduced gradient: golden-section stop, as a fraction of the s
 ARMIJO_C = 1e-4  # reduced gradient: sufficient-decrease constant
 DEFAULT_GAP_TOL = 0.01
 DEFAULT_C = 1000.0
+# kernel products: a delta update over more than this share of alpha's entries
+# falls back to a full pass. Break-even on 13 kernels at n = 955 (one BLAS
+# thread) is about 0.38 n; the margin keeps the row gather's temporary small
+# and lets the full passes reset the rounding the delta updates accumulate.
+DELTA_MAX_FRACTION = 0.25
 
 
 class MklError(ValueError):
@@ -92,8 +98,16 @@ class MklProblem:
 class MklState:
     """Warm-start carrier and SVM/SMO counters for one MKL solve.
 
-    `products` holds U = [K_k (y * warm_alpha)] for every kernel k, so the
-    next solve's warm-start gradient is y * (d' U) - 1 with no n x n pass.
+    `products` holds U = [K_k (y * products_alpha)] for every kernel k, and
+    `warm_alpha` is the next solve's warm start (after a solve, the same
+    array as `products_alpha`). The next solve brings U to its projected
+    warm start and then to SMO's result by delta updates over the entries
+    S that moved, U_k += K_k[S, :]' (y * delta alpha)_S, so its warm-start
+    gradient y * (d' U) - 1 and its quad forms cost O(|S| n) per kernel.
+    A cold solve, or one where |S| exceeds DELTA_MAX_FRACTION of the
+    entries, takes a full pass instead; so does every gap that ends a
+    solve and the returned model's bias (`_exact`), since the delta updates
+    round differently from a full pass.
     """
 
     svm_solves: int = 0
@@ -101,6 +115,7 @@ class MklState:
     smo_not_converged: int = 0
     warm_alpha: np.ndarray | None = None
     products: np.ndarray | None = None
+    products_alpha: np.ndarray | None = None
 
 
 @dataclass
@@ -150,6 +165,27 @@ def _kernel_products(problem: MklProblem, v: np.ndarray) -> np.ndarray:
     return np.array([k.values @ v for k in problem.kernels])
 
 
+def _sync_products(problem: MklProblem, U: np.ndarray | None, alpha_from: np.ndarray,
+                   alpha_to: np.ndarray) -> np.ndarray:
+    """U = [K_k (y * alpha_to)], updated in place from U = [K_k (y * alpha_from)].
+
+    Only the entries S where the two alphas differ are paid for: K is
+    symmetric, so U_k += (y * delta alpha)_S K_k[S, :] gathers |S|
+    contiguous rows. Without a U, or when |S| exceeds DELTA_MAX_FRACTION of
+    the entries, one full pass recomputes it.
+    """
+    y = problem.labels
+    if U is not None:
+        S = np.flatnonzero(alpha_to != alpha_from)
+        if S.size <= DELTA_MAX_FRACTION * y.shape[0]:
+            if S.size:
+                dv = y[S] * (alpha_to[S] - alpha_from[S])
+                for u, k in zip(U, problem.kernels):
+                    u += dv @ k.values[S]
+            return U
+    return _kernel_products(problem, y * alpha_to)
+
+
 def _quad_forms(U: np.ndarray, v: np.ndarray) -> np.ndarray:
     # one dot per kernel, not U @ v: keeps q bit-identical to v @ (K_k @ v)
     return np.array([float(v @ u) for u in U])
@@ -161,9 +197,11 @@ def _objective_model(problem: MklProblem, d, state: MklState | None = None
 
     The mixture sum_k d_k K_k is never built: SMO reads its rows through
     a row function that mixes (and caches, for this solve) only the rows
-    it asks for. After SMO one pass U = [K_k (y * alpha)] gives the quad
-    forms U (y * alpha), the bias from d' U and, through `state`, the
-    next solve's warm-start gradient.
+    it asks for. The products U = [K_k (y * alpha)] follow alpha through
+    `state` by delta updates (see MklState); they give the warm-start
+    gradient, the quad forms U (y * alpha) and the bias from d' U. Delta
+    updates round differently from a full pass, so a gap that ends a solve
+    and the returned bias are recomputed by `_exact`.
     """
     d = _check_simplex(d, problem.n_kernels)
     y, C, tol = problem.labels, problem.C, problem.inner_tol
@@ -186,26 +224,44 @@ def _objective_model(problem: MklProblem, d, state: MklState | None = None
 
         diag = w @ np.array([np.diagonal(K) for K in grams])
     if state is not None and state.warm_alpha is not None:
-        alpha = project_feasible(state.warm_alpha, y, C)
-        U = state.products
-        if U is None or not np.array_equal(alpha, state.warm_alpha):
-            U = _kernel_products(problem, y * alpha)
+        start = project_feasible(state.warm_alpha, y, C)
+        U = _sync_products(problem, state.products, state.products_alpha, start)
         grad = y * (d @ U) - 1.0
     else:
-        alpha = np.zeros(n)
+        start, U = np.zeros(n), None
         grad = -np.ones(n)
 
+    alpha = start.copy()
     result = _smo.solve(row, diag, y, alpha, grad, C, tol, DEFAULT_MAX_ITER)
-    v = y * alpha
-    U = _kernel_products(problem, v)
+    U = _sync_products(problem, U, start, alpha)
     model = build_model(alpha, grad, y, d @ U, C, result)
     if state is not None:
         state.svm_solves += 1
         state.smo_iterations += result[0]
         state.smo_not_converged += 0 if result[2] else 1
-        state.warm_alpha = np.array(model.alpha)
+        state.warm_alpha = state.products_alpha = model.alpha
         state.products = U
-    return model.objective, model, _quad_forms(U, v)
+    return model.objective, model, _quad_forms(U, y * alpha)
+
+
+def _exact(problem: MklProblem, d: np.ndarray, model: SvmModel) -> tuple[SvmModel, np.ndarray, float]:
+    """`model` with its bias, its quad forms and the duality gap at d, from a
+    full product pass over its alpha: the same numbers `duality_gap` gives."""
+    v = problem.labels * model.alpha
+    U = _kernel_products(problem, v)
+    q = _quad_forms(U, v)
+    bias = recover_bias(model.alpha, problem.labels, d @ U, model.C)
+    return replace(model, bias=bias), q, _gap_from_quads(d, q)
+
+
+def _checked_gap(problem: MklProblem, d: np.ndarray, model: SvmModel,
+                 q: np.ndarray) -> tuple[SvmModel, np.ndarray, float]:
+    """The duality gap at d from a solve's quad forms; a gap that would end
+    the solve is first recomputed, with q and the bias, by `_exact`."""
+    gap = _gap_from_quads(d, q)
+    if gap > problem.gap_tol:
+        return model, q, gap
+    return _exact(problem, d, model)
 
 
 def mkl_objective(problem: MklProblem, d, state: MklState | None = None) -> tuple[float, np.ndarray]:
@@ -231,7 +287,7 @@ def duality_gap(problem: MklProblem, d, alpha_star) -> float:
     """Explicit MKL duality gap: max_i q_i - sum_i d_i q_i (>= 0 at a valid a)."""
     d = _check_simplex(d, problem.n_kernels)
     q = kernel_quad_forms(problem, alpha_star)
-    gap = float(np.max(q) - d @ q)
+    gap = _gap_from_quads(d, q)
     scale = max(1.0, float(np.max(np.abs(q))))
     if gap < -max(1e-10, 1e-14 * scale):
         raise MklError(f"negative duality gap {gap:.3e}: alpha is stale for this mixture")
@@ -459,16 +515,17 @@ def _single_kernel_solution(problem: MklProblem, state: MklState) -> MklSolution
 
 
 def _threshold_and_finalize(problem: MklProblem, d: np.ndarray, J: float, model: SvmModel,
-                            gap: float, state: MklState) -> tuple[np.ndarray, float, SvmModel, float]:
-    """Zero out weights below WEIGHT_THRESHOLD, renormalize, re-solve if changed."""
+                            state: MklState) -> tuple[np.ndarray, float, SvmModel, float]:
+    """Zero out weights below WEIGHT_THRESHOLD, renormalize, re-solve if
+    changed; the returned bias and gap come from a full product pass."""
     d = np.maximum(np.asarray(d, dtype=np.float64), 0.0)
     small = d < WEIGHT_THRESHOLD
     if np.any(small & (d > 0.0)):
         d = np.where(small, 0.0, d)
         d = d / d.sum()
-        J, model, q = _objective_model(problem, d, state)
-        gap = _gap_from_quads(d, q)
+        J, model, _ = _objective_model(problem, d, state)
     d = d / d.sum()
+    model, _, gap = _exact(problem, d, model)
     return d, J, model, gap
 
 
@@ -496,7 +553,7 @@ def solve_accpm(problem: MklProblem) -> MklSolution:
         d = np.maximum(reduced_to_full(z_c), 0.0)
         d = d / d.sum()
         J, model, q = _objective_model(problem, d, state)
-        gap = _gap_from_quads(d, q)
+        model, q, gap = _checked_gap(problem, d, model, q)
         gap_history.append(gap)
         if best is None or J < best[0]:
             best = (J, d, model, gap)
@@ -523,7 +580,7 @@ def solve_accpm(problem: MklProblem) -> MklSolution:
     if status == "max_iters":
         log.warning("ACCPM stopped at max_iters=%d with gap %.3e > %.3e",
                     problem.max_iters, gap, problem.gap_tol)
-    d, J, model, gap = _threshold_and_finalize(problem, d, J, model, gap, state)
+    d, J, model, gap = _threshold_and_finalize(problem, d, J, model, state)
     return _solution(state, d, model, J, gap, iterations, status, gap_history)
 
 
@@ -558,7 +615,7 @@ def solve_reduced_gradient(problem: MklProblem) -> MklSolution:
     J, model, q = _objective_model(problem, d, state)
 
     for iterations in range(1, problem.max_iters + 1):
-        gap = _gap_from_quads(d, q)
+        model, q, gap = _checked_gap(problem, d, model, q)
         gap_history.append(gap)
         if best is None or J < best[0]:
             best = (J, np.array(d), model, gap)
@@ -620,5 +677,5 @@ def solve_reduced_gradient(problem: MklProblem) -> MklSolution:
     J, d, model, gap = best
     if status in ("stalled", "max_iters"):
         log.info("reduced gradient stopped (%s) at gap %.3e", status, gap)
-    d, J, model, gap = _threshold_and_finalize(problem, d, J, model, gap, state)
+    d, J, model, gap = _threshold_and_finalize(problem, d, J, model, state)
     return _solution(state, d, model, J, gap, iterations, status, gap_history)

@@ -1,4 +1,6 @@
 import copy
+import dataclasses
+import json
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -312,6 +314,26 @@ class TestDegenerateWindows:
         with pytest.raises(bt.BacktestError, match="every window was skipped"):
             bt.run_horizon_on_records(cfg, 10, records, dropped)
 
+    def test_report_lists_each_skipped_window_with_its_reason(self, tmp_path):
+        # the zero-trace repro over 14 months, where only the last training
+        # month's documents contain the stem: the first window's text Gram has
+        # zero trace, the second window's does not
+        docs, prices, _ = synth_generate(3, SynthSpec(n_events=200, n_months=14, tickers=("AAA",)))
+        months = sorted({bt.month_of(d.timestamp) for d in docs})
+        docs = [dataclasses.replace(d, text=d.text + " zzqx") if bt.month_of(d.timestamp) == months[12]
+                else d for d in docs]
+        plan = [bt.PlanKernel(name="lin_absret", feature="absret", kind="linear"),
+                bt.PlanKernel(name="lin_text", feature="text", kind="linear")]
+        cfg = bt.BacktestConfig(plan=plan, horizons=(10,), c_grid=(10.0,))
+        reports = bt.run_backtest(cfg, docs, prices, Dictionary(stems=("zzqx",)))
+        bt.write_report_json(tmp_path / "report.json", reports)
+        horizon = json.loads((tmp_path / "report.json").read_text())["horizons"]["10"]
+        assert [w["window_id"] for w in horizon["windows"]] == [f"{months[1]}..{months[12]}->{months[13]}"]
+        assert horizon["n_skipped_windows"] == 1
+        [skip] = horizon["skipped_windows"]
+        assert skip["window_id"] == f"{months[0]}..{months[11]}->{months[12]}"
+        assert "'lin_text'" in skip["reason"] and "trace" in skip["reason"]
+
     def test_zero_trace_kernel_names_the_kernel_outside_backtests(self):
         docs, prices, _ = synth_generate(3, SynthSpec(n_events=120, n_months=13, tickers=("AAA",)))
         labeling = market.LabelingConfig(horizon_minutes=10)
@@ -334,11 +356,10 @@ class TestArtifacts:
         header = csv_path.read_text().splitlines()[0]
         assert header == ("window_id,horizon,n_train,n_test,accuracy,recall,sharpe,"
                           "n_kernels_active,lin_text")
-        import json
-
         payload = json.loads(json_path.read_text())
         assert "10" in payload["horizons"]
         assert payload["horizons"]["10"]["n_predictions"] == reports[10].n_predictions
+        assert payload["horizons"]["10"]["skipped_windows"] == []
 
 
 class TestKernelReuse:

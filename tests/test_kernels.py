@@ -79,6 +79,18 @@ class TestGramMatrix:
             g = gram_matrix(spec_for(kind, trace_normalize=True), np.abs(X) + 0.1)
             assert abs(g.trace - 1.0) <= 1e-10
 
+    def test_every_kind_is_exactly_symmetric(self):
+        # gram_matrix has no symmetrization pass; strided and Fortran-ordered
+        # inputs must come out exactly symmetric too
+        base = np.abs(np.random.default_rng(3).standard_normal((300, 60))) + 0.05
+        inputs = {"contiguous": base[:, :30].copy(), "column-strided": base[:, ::2],
+                  "row-strided": base[::2, :30], "fortran": np.asfortranarray(base[:, :30])}
+        for name, X in inputs.items():
+            for kind in (*ALL_VECTOR_KINDS, "identity"):
+                for trace_normalize in (False, True):
+                    G = gram_matrix(spec_for(kind, trace_normalize), X).values
+                    assert np.array_equal(G, G.T), (name, kind, trace_normalize)
+
     def test_values_immutable(self):
         g = gram_matrix(KernelSpec(kind="linear"), [[1.0], [2.0]])
         with pytest.raises(ValueError):

@@ -15,7 +15,7 @@ from newsmkl.mkl import (LocalizationSet, MklError, MklProblem, MklState,
                          kernel_quad_forms, mix_kernels, mkl_gradient,
                          mkl_objective, prune_cuts, reduced_to_full,
                          solve_accpm, solve_reduced_gradient, uniform_reduced)
-from newsmkl.svm import TrainingSet, project_feasible, solve_dual
+from newsmkl.svm import TrainingSet, project_feasible, recover_bias, solve_dual
 
 
 def small_problem(seed: int = 0, n_kernels: int = 2, l: int = 20, C: float = 10.0,
@@ -124,6 +124,103 @@ class TestMixtureFree:
         d2 = np.array([0.5, 0.1, 0.4])
         _, model, _ = _objective_model(p, d2, state)
         self._assert_same(model, self._explicit(p, d2, warm_start=moved))
+
+    def _count_full_passes(self, monkeypatch) -> list:
+        calls = []
+        real = mkl._kernel_products
+
+        def counting(problem, v):
+            calls.append(v)
+            return real(problem, v)
+
+        monkeypatch.setattr(mkl, "_kernel_products", counting)
+        return calls
+
+    def test_delta_products_track_alpha_over_a_chain_of_warm_solves(self, monkeypatch):
+        calls = self._count_full_passes(monkeypatch)
+        p = self._problem(6)
+        state = MklState()
+        for d in np.random.default_rng(6).dirichlet(np.ones(3), size=12):
+            _objective_model(p, d, state)
+        assert len(calls) < state.svm_solves  # most solves updated U by deltas
+        full = [k.values @ (p.labels * state.products_alpha) for k in p.kernels]
+        scale = np.abs(full).max()
+        np.testing.assert_allclose(state.products, full, rtol=0.0, atol=1e-12 * scale)
+
+    def test_projected_warm_start_gradient_matches_a_full_pass(self, monkeypatch):
+        monkeypatch.setattr(mkl, "DELTA_MAX_FRACTION", 1.0)  # the projection's moves go by deltas
+        p = self._problem(3)
+        state = MklState()
+        _objective_model(p, [0.2, 0.5, 0.3], state)
+        moved = state.warm_alpha.copy()
+        i = int(np.flatnonzero(moved < p.C - 1.0)[0])
+        moved[i] += 0.5  # breaks y'a = 0: project_feasible moves alpha
+        state.warm_alpha = moved  # state.products describes state.products_alpha
+        starts = []
+        real = _smo.solve
+
+        def recording(row, diag, y, alpha, grad, *rest):
+            starts.append((alpha.copy(), grad.copy()))
+            return real(row, diag, y, alpha, grad, *rest)
+
+        monkeypatch.setattr(_smo, "solve", recording)
+        calls = self._count_full_passes(monkeypatch)
+        d2 = np.array([0.5, 0.1, 0.4])
+        _objective_model(p, d2, state)
+        assert calls == []
+        [(start, grad)] = starts
+        np.testing.assert_array_equal(start, project_feasible(moved, p.labels, p.C))
+        full = p.labels * (mix_kernels(p, d2).values @ (p.labels * start)) - 1.0
+        np.testing.assert_allclose(grad, full, rtol=0.0, atol=1e-12 * np.abs(full).max())
+
+    def test_cold_solves_and_large_moves_take_a_full_pass(self, monkeypatch):
+        calls = self._count_full_passes(monkeypatch)
+        p = self._problem(2)
+        _objective_model(p, [0.2, 0.5, 0.3])
+        assert len(calls) == 1
+        for fraction, passes in ((0.0, 1), (1.0, 0)):
+            monkeypatch.setattr(mkl, "DELTA_MAX_FRACTION", fraction)
+            state = MklState()
+            _objective_model(p, [0.2, 0.5, 0.3], state)  # cold
+            calls.clear()
+            before = np.array(state.products_alpha)
+            _, model, _ = _objective_model(p, [0.6, 0.1, 0.3], state)
+            assert not np.array_equal(model.alpha, before)  # SMO moved alpha
+            assert len(calls) == passes
+
+    def test_converged_gap_and_bias_come_from_a_full_pass(self):
+        for solver in (solve_accpm, solve_reduced_gradient):
+            p = small_problem(seed=3, n_kernels=3, l=40, C=10.0)
+            sol = solver(p)
+            assert sol.status == "converged", solver.__name__
+            assert sol.gap == duality_gap(p, sol.d, sol.model.alpha)
+            U = mkl._kernel_products(p, p.labels * sol.model.alpha)
+            assert sol.model.bias == recover_bias(sol.model.alpha, p.labels, sol.d @ U, p.C)
+
+    def test_gap_that_ends_the_solve_comes_from_a_full_pass(self, monkeypatch):
+        # drift the delta-updated products far above rounding: the gap that
+        # ends the solve must still be the full-pass one
+        monkeypatch.setattr(mkl, "DELTA_MAX_FRACTION", 1.0)
+        real_sync, real_model = mkl._sync_products, mkl._objective_model
+
+        def drifting(problem, U, alpha_from, alpha_to):
+            out = real_sync(problem, U, alpha_from, alpha_to)
+            return out * (1.0 + 1e-9) if out is U else out
+
+        solves = []
+
+        def recording(problem, d, state=None):
+            out = real_model(problem, d, state)
+            solves.append((np.array(d), out[1].alpha))
+            return out
+
+        monkeypatch.setattr(mkl, "_sync_products", drifting)
+        monkeypatch.setattr(mkl, "_objective_model", recording)
+        p = small_problem(seed=3, n_kernels=3, l=40, C=10.0)
+        sol = solve_accpm(p)
+        assert sol.status == "converged"
+        d, alpha = solves[len(sol.gap_history) - 1]  # one solve per ACCPM iteration
+        assert sol.gap_history[-1] == duality_gap(p, d, alpha)
 
     def test_reduced_gradient_path(self):
         p = self._problem(4)
