@@ -30,6 +30,7 @@ from .text import Dictionary, Document, TfidfModel, fit_tfidf, transform_tfidf_m
 log = logging.getLogger(__name__)
 
 ANNUALIZATION_DAILY = 252
+TRAIN_MONTHS = 12
 MIN_TRAIN_EVENTS = 20  # fewer training events skip the window
 
 
@@ -72,17 +73,17 @@ def month_of(t: datetime) -> str:
     return f"{t.year:04d}-{t.month:02d}"
 
 
-def build_windows(first_month: str, last_month: str, train_months: int = 12) -> list[Window]:
-    """12-month training window, following month for testing, sliding by 1."""
+def build_windows(first_month: str, last_month: str) -> list[Window]:
+    """TRAIN_MONTHS-month training window, following month for testing, sliding by 1."""
     lo, hi = _month_key(first_month), _month_key(last_month)
     span = hi - lo + 1
-    if span < train_months + 1:
-        raise BacktestError(f"span of {span} months is too short; need at least {train_months + 1}")
+    if span < TRAIN_MONTHS + 1:
+        raise BacktestError(f"span of {span} months is too short; need at least {TRAIN_MONTHS + 1}")
     out = []
-    for start in range(lo, hi - train_months + 1):
+    for start in range(lo, hi - TRAIN_MONTHS + 1):
         out.append(Window(train_start=_key_month(start),
-                          train_end=_key_month(start + train_months - 1),
-                          test_month=_key_month(start + train_months)))
+                          train_end=_key_month(start + TRAIN_MONTHS - 1),
+                          test_month=_key_month(start + TRAIN_MONTHS)))
     return out
 
 
@@ -97,12 +98,6 @@ class Confusion:
     tn: int = 0
     fp: int = 0
     fn: int = 0
-
-    def add(self, other: "Confusion") -> None:
-        self.tp += other.tp
-        self.tn += other.tn
-        self.fp += other.fp
-        self.fn += other.fn
 
     @property
     def total(self) -> int:
@@ -161,7 +156,7 @@ def strategy_returns(predictions, labels, dates) -> tuple[list, np.ndarray]:
     return days, rets
 
 
-def sharpe(daily_returns, periods_per_year: int = ANNUALIZATION_DAILY) -> float | None:
+def sharpe(daily_returns) -> float | None:
     """Annualized sqrt(T) * mean / std (sample std); zero variance -> None."""
     r = np.asarray(daily_returns, dtype=np.float64).ravel()
     if r.size < 2:
@@ -169,7 +164,7 @@ def sharpe(daily_returns, periods_per_year: int = ANNUALIZATION_DAILY) -> float 
     sd = float(np.std(r, ddof=1))
     if sd == 0.0:
         return None
-    return float(np.sqrt(periods_per_year) * np.mean(r) / sd)
+    return float(np.sqrt(ANNUALIZATION_DAILY) * np.mean(r) / sd)
 
 
 # ---------------------------------------------------------------------------
@@ -357,15 +352,10 @@ def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord]) ->
                        features=features)
 
 
-def fit_plan(plan: list[PlanKernel], train_records: list[FeatureRecord], y_train: np.ndarray,
-             C: float, solver: str = "accpm", gap_tol: float = 0.01,
-             kernels: PlanKernels | None = None) -> FittedPlan:
-    """Train the kernel plan: the plan's kernels on the training records
-    (`kernels`, when that build is already at hand, else `build_kernels`),
-    then an MKL solve (which for a single kernel reduces to one plain SVM
-    solve)."""
-    if kernels is None:
-        kernels = build_kernels(plan, train_records)
+def fit_plan(kernels: PlanKernels, y_train: np.ndarray, C: float, solver: str,
+             gap_tol: float) -> FittedPlan:
+    """An MKL solve over a plan's kernels on its training records (for a
+    single kernel, one plain SVM solve)."""
     problem = MklProblem(kernels=kernels.grams, labels=y_train.astype(np.float64), C=C,
                          gap_tol=gap_tol)
     if solver == "accpm":
@@ -408,13 +398,10 @@ class CrossGrams:
         return rows
 
 
-def predict_records(fit: FittedPlan, test_records: list[FeatureRecord],
-                    cross: CrossGrams | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Predictions and decision values; `cross` holds blocks of the same
-    test records against `fit.kernels` already built for another fit."""
-    if cross is None:
-        cross = CrossGrams(fit.kernels, test_records)
-    return predict_many(fit.solution.model, fit.y_train, cross.mix(fit.solution.d))
+def predict_records(fit: FittedPlan, cross: CrossGrams) -> np.ndarray:
+    """Predictions for `cross.test_records`; `cross` holds their blocks
+    against `fit.kernels` and may be shared with other fits on them."""
+    return predict_many(fit.solution.model, fit.y_train, cross.mix(fit.solution.d))[0]
 
 
 def chrono_cv(
@@ -480,14 +467,12 @@ class WindowResult:
     chosen_C: float
     predictions: np.ndarray
     labels: np.ndarray
-    decision_values: np.ndarray
     dates: list
     kernel_weights: np.ndarray
     accuracy: float | None
     recall: float | None
     sharpe: float | None
     svm_solves: int
-    confusion: Confusion
 
 
 def window_records(cfg: BacktestConfig, window: Window,
@@ -533,17 +518,15 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int,
     def evaluate(early, y_early, fold, cand):
         if not cv_cross:
             cv_cross.append(CrossGrams(kernels(early), fold))
-        fit = fit_plan(cfg.plan, early, y_early, cand["C"], solver=cfg.solver, gap_tol=cfg.gap_tol,
-                       kernels=cv_cross[0].kernels)
-        return predict_records(fit, fold, cv_cross[0])[0]
+        fit = fit_plan(cv_cross[0].kernels, y_early, cand["C"], cfg.solver, cfg.gap_tol)
+        return predict_records(fit, cv_cross[0])
 
     candidates = [{"C": c} for c in cfg.c_grid]
     best, _ = chrono_cv(train_records, y_train, candidates, evaluate)
     cv_cross.clear()  # free the early fold's Grams before the full-window fit
 
-    fit = fit_plan(cfg.plan, train_records, y_train, best["C"], solver=cfg.solver,
-                   gap_tol=cfg.gap_tol, kernels=kernels(train_records))
-    preds, decisions = predict_records(fit, test_records)
+    fit = fit_plan(kernels(train_records), y_train, best["C"], cfg.solver, cfg.gap_tol)
+    preds = predict_records(fit, CrossGrams(fit.kernels, test_records))
     sol = fit.solution
 
     # out-of-sample guarantee: no test event at or before the training span
@@ -552,7 +535,7 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int,
         if _month_key(month_of(r.timestamp)) <= train_end_key:
             raise BacktestError(f"out-of-sample violation: {r.doc_id} inside training months")
 
-    conf, acc, rec = classification_metrics(preds, y_test)
+    _, acc, rec = classification_metrics(preds, y_test)
     dates = [r.timestamp.date() for r in test_records]
     _, rets = strategy_returns(preds, y_test, dates)
     try:
@@ -561,9 +544,8 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int,
         sr = None
     return WindowResult(window=window, horizon=horizon, n_train=len(train_records),
                         n_test=len(test_records), threshold=threshold, chosen_C=best["C"],
-                        predictions=preds, labels=y_test, decision_values=decisions, dates=dates,
-                        kernel_weights=sol.d, accuracy=acc, recall=rec, sharpe=sr,
-                        svm_solves=sol.svm_solves, confusion=conf)
+                        predictions=preds, labels=y_test, dates=dates, kernel_weights=sol.d,
+                        accuracy=acc, recall=rec, sharpe=sr, svm_solves=sol.svm_solves)
 
 
 def _run_window_job(args):

@@ -18,11 +18,13 @@ from .mkl import MklProblem, MklSolution, solve_accpm, solve_reduced_gradient
 BENCH_CSV_HEADER = "method,n_kernels,kernel_dim,iterations,svm_solves,wall_time,final_gap,final_J"
 
 METHODS = {"accpm": solve_accpm, "redgrad": solve_reduced_gradient}
+BLOCK = 4  # features in each of the linear and quadratic signal blocks
+N_NOISE = 4  # shared noise features padding both blocks
 
 
 def make_bench_problem(seed: int, n_kernels: int, dim: int, C: float = 1000.0,
-                       gap_tol: float = 0.01, block: int = 4, n_noise: int = 4,
-                       label_noise: float = 0.1, quad_weight: float = 1.0) -> MklProblem:
+                       gap_tol: float = 0.01, label_noise: float = 0.1,
+                       quad_weight: float = 1.0) -> MklProblem:
     """Random classification instance with a predefined kernel family.
 
     Labels mix a linear rule on one feature block with a quadratic rule on
@@ -32,11 +34,11 @@ def make_bench_problem(seed: int, n_kernels: int, dim: int, C: float = 1000.0,
     optimal mixture typically weights at least two kernels.
     """
     rng = np.random.default_rng(seed)
-    L = rng.standard_normal((dim, block))
-    Q = rng.standard_normal((dim, block))
-    N = rng.standard_normal((dim, n_noise))
-    w_lin = rng.standard_normal(block)
-    w_quad = rng.standard_normal(block)
+    L = rng.standard_normal((dim, BLOCK))
+    Q = rng.standard_normal((dim, BLOCK))
+    N = rng.standard_normal((dim, N_NOISE))
+    w_lin = rng.standard_normal(BLOCK)
+    w_quad = rng.standard_normal(BLOCK)
     lin_part = L @ w_lin
     quad_part = (Q * Q - 1.0) @ w_quad
     score = lin_part / max(float(np.std(lin_part)), 1e-12) \

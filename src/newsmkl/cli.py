@@ -9,6 +9,7 @@ and library versions. Logs go to stderr only, never into data outputs.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -64,13 +65,7 @@ def _parse_clock(raw: str) -> time:
 
 def _synth_spec_from_config(cfg: dict) -> market.SynthSpec:
     kwargs = {}
-    fields = {
-        "n_events": int, "n_months": int, "start_month": str, "keyword_fraction": float,
-        "signal_strength": float, "surprise_rate": float, "jump_size": float,
-        "jump_jitter": float, "jump_delay_minutes": int, "base_vol_per_min": float,
-        "u_shape_amplitude": float, "signal_word": str, "words_per_doc": int,
-        "base_price": float, "min_event_gap_minutes": int,
-    }
+    fields = {f.name: type(f.default) for f in dataclasses.fields(market.SynthSpec)}
     for key, value in cfg.items():
         if key == "tickers":
             kwargs["tickers"] = tuple(t.strip() for t in value.split(",") if t.strip())
@@ -147,7 +142,7 @@ def _train_common(args, plan) -> int:
     records, y, _, dropped = _label_all(args)
     if len(records) < 2:
         raise CliError("not enough events to train on")
-    fit = bt.fit_plan(plan, records, y, C=args.C, solver=args.solver, gap_tol=args.gap_tol)
+    fit = bt.fit_plan(bt.build_kernels(plan, records), y, args.C, args.solver, args.gap_tol)
     out = _out_dir(args)
     save_model(out / "model.json", fit.solution.model, kernels=fit.kernel_descriptions(),
                mkl_weights=fit.solution.d)

@@ -70,7 +70,7 @@ class GramMatrix:
     """
 
     values: np.ndarray
-    size: int = field(default=0)
+    size: int = field(init=False)
     scale: float = 1.0
 
     def __post_init__(self):

@@ -24,14 +24,14 @@ Two solvers:
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _smo
 from .kernels import GramMatrix
-from .svm import (DEFAULT_MAX_ITER, SvmModel, as_labels, build_model, check_dual, project_feasible,
-                  recover_bias)
+from .svm import (DEFAULT_MAX_ITER, SvmModel, as_labels, build_model, check_dual, dual_objective,
+                  project_feasible, recover_bias)
 
 log = logging.getLogger(__name__)
 
@@ -98,24 +98,35 @@ class MklProblem:
 class MklState:
     """Warm-start carrier and SVM/SMO counters for one MKL solve.
 
-    `products` holds U = [K_k (y * products_alpha)] for every kernel k, and
-    `warm_alpha` is the next solve's warm start (after a solve, the same
-    array as `products_alpha`). The next solve brings U to its projected
-    warm start and then to SMO's result by delta updates over the entries
-    S that moved, U_k += K_k[S, :]' (y * delta alpha)_S, so its warm-start
-    gradient y * (d' U) - 1 and its quad forms cost O(|S| n) per kernel.
-    A cold solve, or one where |S| exceeds DELTA_MAX_FRACTION of the
-    entries, takes a full pass instead; so does every gap that ends a
-    solve and the returned model's bias (`_exact`), since the delta updates
-    round differently from a full pass.
+    `alpha` is the last solve's alpha, the next solve's warm start, and
+    `products` holds U = [K_k (y * alpha)] for every kernel k. The next
+    solve brings U to its projected warm start and then to SMO's result by
+    delta updates over the entries S that moved,
+    U_k += K_k[S, :]' (y * delta alpha)_S, so its warm-start gradient
+    y * (d' U) - 1 and its quad forms cost O(|S| n) per kernel. A cold
+    solve, or one where |S| exceeds DELTA_MAX_FRACTION of the entries,
+    takes a full pass instead. Delta updates round differently from a
+    full pass, so a gap that could end a solve (`_checked`) and the
+    returned gap and bias (`_finish`) come from full passes.
     """
 
     svm_solves: int = 0
     smo_iterations: int = 0
     smo_not_converged: int = 0
-    warm_alpha: np.ndarray | None = None
+    alpha: np.ndarray | None = None
     products: np.ndarray | None = None
-    products_alpha: np.ndarray | None = None
+
+
+@dataclass
+class SolvePoint:
+    """One SVM solve at weights d: J(d), the maximizing alpha, SMO's
+    (n_iter, violation, converged) and the kernel quad forms q."""
+
+    d: np.ndarray
+    J: float
+    alpha: np.ndarray
+    smo: tuple[int, float, bool]
+    q: np.ndarray
 
 
 @dataclass
@@ -191,17 +202,14 @@ def _quad_forms(U: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.array([float(v @ u) for u in U])
 
 
-def _objective_model(problem: MklProblem, d, state: MklState | None = None
-                     ) -> tuple[float, SvmModel, np.ndarray]:
-    """J(d), its SVM model and the kernel quad forms q from one SVM solve.
+def _evaluate(problem: MklProblem, d, state: MklState | None = None) -> SolvePoint:
+    """J(d), its alpha and the kernel quad forms q from one SVM solve.
 
     The mixture sum_k d_k K_k is never built: SMO reads its rows through
     a row function that mixes (and caches, for this solve) only the rows
     it asks for. The products U = [K_k (y * alpha)] follow alpha through
     `state` by delta updates (see MklState); they give the warm-start
-    gradient, the quad forms U (y * alpha) and the bias from d' U. Delta
-    updates round differently from a full pass, so a gap that ends a solve
-    and the returned bias are recomputed by `_exact`.
+    gradient and the quad forms U (y * alpha).
     """
     d = _check_simplex(d, problem.n_kernels)
     y, C, tol = problem.labels, problem.C, problem.inner_tol
@@ -223,9 +231,9 @@ def _objective_model(problem: MklProblem, d, state: MklState | None = None
             return r
 
         diag = w @ np.array([np.diagonal(K) for K in grams])
-    if state is not None and state.warm_alpha is not None:
-        start = project_feasible(state.warm_alpha, y, C)
-        U = _sync_products(problem, state.products, state.products_alpha, start)
+    if state is not None and state.alpha is not None:
+        start = project_feasible(state.alpha, y, C)
+        U = _sync_products(problem, state.products, state.alpha, start)
         grad = y * (d @ U) - 1.0
     else:
         start, U = np.zeros(n), None
@@ -234,40 +242,31 @@ def _objective_model(problem: MklProblem, d, state: MklState | None = None
     alpha = start.copy()
     result = _smo.solve(row, diag, y, alpha, grad, C, tol, DEFAULT_MAX_ITER)
     U = _sync_products(problem, U, start, alpha)
-    model = build_model(alpha, grad, y, d @ U, C, result)
     if state is not None:
         state.svm_solves += 1
         state.smo_iterations += result[0]
         state.smo_not_converged += 0 if result[2] else 1
-        state.warm_alpha = state.products_alpha = model.alpha
-        state.products = U
-    return model.objective, model, _quad_forms(U, y * alpha)
+        state.alpha, state.products = alpha, U
+    return SolvePoint(d=d, J=dual_objective(alpha, grad), alpha=alpha, smo=result,
+                      q=_quad_forms(U, y * alpha))
 
 
-def _exact(problem: MklProblem, d: np.ndarray, model: SvmModel) -> tuple[SvmModel, np.ndarray, float]:
-    """`model` with its bias, its quad forms and the duality gap at d, from a
-    full product pass over its alpha: the same numbers `duality_gap` gives."""
-    v = problem.labels * model.alpha
-    U = _kernel_products(problem, v)
-    q = _quad_forms(U, v)
-    bias = recover_bias(model.alpha, problem.labels, d @ U, model.C)
-    return replace(model, bias=bias), q, _gap_from_quads(d, q)
-
-
-def _checked_gap(problem: MklProblem, d: np.ndarray, model: SvmModel,
-                 q: np.ndarray) -> tuple[SvmModel, np.ndarray, float]:
-    """The duality gap at d from a solve's quad forms; a gap that would end
-    the solve is first recomputed, with q and the bias, by `_exact`."""
-    gap = _gap_from_quads(d, q)
-    if gap > problem.gap_tol:
-        return model, q, gap
-    return _exact(problem, d, model)
+def _checked(problem: MklProblem, point: SolvePoint) -> float:
+    """The duality gap at a solve point. A gap that would end the solve is
+    recomputed, with the point's q, from a full product pass: the same
+    numbers `duality_gap` gives."""
+    gap = _gap_from_quads(point.d, point.q)
+    if gap <= problem.gap_tol:
+        v = problem.labels * point.alpha
+        point.q = _quad_forms(_kernel_products(problem, v), v)
+        gap = _gap_from_quads(point.d, point.q)
+    return gap
 
 
 def mkl_objective(problem: MklProblem, d, state: MklState | None = None) -> tuple[float, np.ndarray]:
     """J(d) and the maximizing alpha from one SVM solve on the mixture."""
-    J, model, _ = _objective_model(problem, d, state)
-    return J, np.array(model.alpha)
+    point = _evaluate(problem, d, state)
+    return point.J, np.array(point.alpha)
 
 
 def kernel_quad_forms(problem: MklProblem, alpha_star) -> np.ndarray:
@@ -500,33 +499,25 @@ def _push_inside(loc: LocalizationSet, z: np.ndarray, new_row: int, cap: float =
 # ---------------------------------------------------------------------------
 
 
-def _solution(state: MklState, d: np.ndarray, model: SvmModel, J: float, gap: float,
-              iterations: int, status: str, gap_history: list[float]) -> MklSolution:
-    return MklSolution(d=d, model=model, objective=J, gap=gap, iterations=iterations,
-                       svm_solves=state.svm_solves, smo_iterations=state.smo_iterations,
+def _finish(problem: MklProblem, state: MklState, point: SolvePoint, iterations: int,
+            status: str, gap_history: list[float]) -> MklSolution:
+    """The solution at a solve point. Weights below WEIGHT_THRESHOLD are
+    zeroed and the rest renormalized, with a re-solve if that moved d; one
+    full product pass then gives the returned gap and the model's bias."""
+    kept = np.where(point.d < WEIGHT_THRESHOLD, 0.0, point.d)
+    if not np.array_equal(kept, point.d):
+        point = _evaluate(problem, kept / kept.sum(), state)
+    d = point.d / point.d.sum()
+    y, C = problem.labels, problem.C
+    v = y * point.alpha
+    U = _kernel_products(problem, v)
+    q = _quad_forms(U, v)
+    model = build_model(point.alpha, point.J, recover_bias(point.alpha, y, d @ U, C), C, point.smo)
+    return MklSolution(d=d, model=model, objective=point.J, gap=_gap_from_quads(d, q),
+                       iterations=iterations, svm_solves=state.svm_solves,
+                       smo_iterations=state.smo_iterations,
                        smo_not_converged=state.smo_not_converged, status=status,
                        gap_history=gap_history)
-
-
-def _single_kernel_solution(problem: MklProblem, state: MklState) -> MklSolution:
-    d = np.array([1.0])
-    J, model, _ = _objective_model(problem, d, state)
-    return _solution(state, d, model, J, 0.0, 1, "converged", [0.0])
-
-
-def _threshold_and_finalize(problem: MklProblem, d: np.ndarray, J: float, model: SvmModel,
-                            state: MklState) -> tuple[np.ndarray, float, SvmModel, float]:
-    """Zero out weights below WEIGHT_THRESHOLD, renormalize, re-solve if
-    changed; the returned bias and gap come from a full product pass."""
-    d = np.maximum(np.asarray(d, dtype=np.float64), 0.0)
-    small = d < WEIGHT_THRESHOLD
-    if np.any(small & (d > 0.0)):
-        d = np.where(small, 0.0, d)
-        d = d / d.sum()
-        J, model, _ = _objective_model(problem, d, state)
-    d = d / d.sum()
-    model, _, gap = _exact(problem, d, model)
-    return d, J, model, gap
 
 
 def solve_accpm(problem: MklProblem) -> MklSolution:
@@ -534,12 +525,12 @@ def solve_accpm(problem: MklProblem) -> MklSolution:
     state = MklState()
     n = problem.n_kernels
     if n == 1:
-        return _single_kernel_solution(problem, state)
+        return _finish(problem, state, _evaluate(problem, [1.0], state), 1, "converged", [0.0])
 
     loc = LocalizationSet.initial_simplex(n)
     z_start: np.ndarray | None = uniform_reduced(n)
     gap_history: list[float] = []
-    best: tuple[float, np.ndarray, SvmModel, float] | None = None
+    best: SolvePoint | None = None
     status = "max_iters"
     iterations = 0
 
@@ -551,21 +542,19 @@ def solve_accpm(problem: MklProblem) -> MklSolution:
             iterations -= 1
             break
         d = np.maximum(reduced_to_full(z_c), 0.0)
-        d = d / d.sum()
-        J, model, q = _objective_model(problem, d, state)
-        model, q, gap = _checked_gap(problem, d, model, q)
+        point = _evaluate(problem, d / d.sum(), state)
+        gap = _checked(problem, point)
         gap_history.append(gap)
-        if best is None or J < best[0]:
-            best = (J, d, model, gap)
+        if best is None or point.J < best.J:
+            best = point
         if gap <= problem.gap_tol:
-            best = (J, d, model, gap)
+            best = point
             status = "converged"
             break
-        grad = -0.5 * q
         hess = barrier_hessian(loc, z_c)
-        loc, added = add_cut(loc, z_c, grad)
+        loc, added = add_cut(loc, z_c, -0.5 * point.q)
         if not added:
-            best = (J, d, model, gap)
+            best = point
             status = "flat_gradient"
             break
         loc = prune_cuts(loc, z_c, hess)
@@ -576,12 +565,11 @@ def solve_accpm(problem: MklProblem) -> MklSolution:
 
     if best is None:
         raise MklError("ACCPM made no iterations; increase max_iters")
-    J, d, model, gap = best
+    sol = _finish(problem, state, best, iterations, status, gap_history)
     if status == "max_iters":
         log.warning("ACCPM stopped at max_iters=%d with gap %.3e > %.3e",
-                    problem.max_iters, gap, problem.gap_tol)
-    d, J, model, gap = _threshold_and_finalize(problem, d, J, model, state)
-    return _solution(state, d, model, J, gap, iterations, status, gap_history)
+                    problem.max_iters, sol.gap, problem.gap_tol)
+    return sol
 
 
 def _simplex_step(d: np.ndarray, D: np.ndarray, t: float) -> np.ndarray:
@@ -605,26 +593,25 @@ def solve_reduced_gradient(problem: MklProblem) -> MklSolution:
     state = MklState()
     n = problem.n_kernels
     if n == 1:
-        return _single_kernel_solution(problem, state)
+        return _finish(problem, state, _evaluate(problem, [1.0], state), 1, "converged", [0.0])
 
-    d = np.full(n, 1.0 / n)
     gap_history: list[float] = []
-    best: tuple[float, np.ndarray, SvmModel, float] | None = None
+    best: SolvePoint | None = None
     status = "max_iters"
     iterations = 0
-    J, model, q = _objective_model(problem, d, state)
+    point = _evaluate(problem, np.full(n, 1.0 / n), state)
 
     for iterations in range(1, problem.max_iters + 1):
-        model, q, gap = _checked_gap(problem, d, model, q)
+        gap = _checked(problem, point)
         gap_history.append(gap)
-        if best is None or J < best[0]:
-            best = (J, np.array(d), model, gap)
+        if best is None or point.J < best.J:
+            best = point
         if gap <= problem.gap_tol:
-            best = (J, np.array(d), model, gap)
+            best = point
             status = "converged"
             break
 
-        grad = -0.5 * q
+        d, grad = point.d, -0.5 * point.q
         mu = int(np.argmax(d))
         red = grad - grad[mu]
         D = -red
@@ -639,13 +626,12 @@ def solve_reduced_gradient(problem: MklProblem) -> MklSolution:
         neg = D < 0.0
         t_max = float(np.min(d[neg] / -D[neg]))  # some D_i < 0 since sum(D) = 0
 
-        trials: dict[float, tuple[float, SvmModel, np.ndarray, np.ndarray]] = {}
+        trials: dict[float, SolvePoint] = {}
 
-        def evaluate(t: float):
+        def evaluate(t: float) -> float:
             if t not in trials:
-                cand = _simplex_step(d, D, t)
-                trials[t] = (*_objective_model(problem, cand, state), cand)
-            return trials[t][0]
+                trials[t] = _evaluate(problem, _simplex_step(d, D, t), state)
+            return trials[t].J
 
         # probe the full admissible step (a weight hits zero there), then
         # golden-section the interval down to LINE_TOL of its width
@@ -664,18 +650,16 @@ def solve_reduced_gradient(problem: MklProblem) -> MklSolution:
                 x2 = lo + _GOLDEN * (hi - lo)
                 f2 = evaluate(x2)
 
-        t_best = min(trials, key=lambda t: trials[t][0])
-        J_best = trials[t_best][0]
-        if J_best <= J + ARMIJO_C * t_best * descent:
-            J, model, q, d = trials[t_best]
+        t_best = min(trials, key=lambda t: trials[t].J)
+        if trials[t_best].J <= point.J + ARMIJO_C * t_best * descent:
+            point = trials[t_best]
         else:
             status = "stalled"
             break
 
     if best is None:
         raise MklError("reduced gradient made no iterations")
-    J, d, model, gap = best
+    sol = _finish(problem, state, best, iterations, status, gap_history)
     if status in ("stalled", "max_iters"):
-        log.info("reduced gradient stopped (%s) at gap %.3e", status, gap)
-    d, J, model, gap = _threshold_and_finalize(problem, d, J, model, state)
-    return _solution(state, d, model, J, gap, iterations, status, gap_history)
+        log.info("reduced gradient stopped (%s) at gap %.3e", status, sol.gap)
+    return sol

@@ -130,25 +130,27 @@ def solve_dual(
         grad = -np.ones(ts.size)
 
     result = _smo.solve(K.__getitem__, np.diagonal(K), y, alpha, grad, C, tol, max_iter)
-    return build_model(alpha, grad, y, K @ (y * alpha), C, result)
+    bias = recover_bias(alpha, y, K @ (y * alpha), C)
+    return build_model(alpha, dual_objective(alpha, grad), bias, C, result)
 
 
-def build_model(alpha: np.ndarray, grad: np.ndarray, y: np.ndarray, k_alpha: np.ndarray,
-                C: float, smo_result: tuple[int, float, bool]) -> SvmModel:
-    """SvmModel from a finished SMO run.
+def dual_objective(alpha: np.ndarray, grad: np.ndarray) -> float:
+    """e'a - 1/2 a'Qa from SMO's gradient grad = Q a - e."""
+    return 0.5 * (float(alpha.sum()) - float(alpha @ grad))
 
-    `grad` is SMO's in-place gradient Q alpha - e and `k_alpha` the vector
-    K (y * alpha), from which the bias is recovered.
-    """
+
+def build_model(alpha: np.ndarray, objective: float, bias: float, C: float,
+                smo_result: tuple[int, float, bool]) -> SvmModel:
+    """SvmModel from a finished SMO run, its dual objective and its bias."""
     n_iter, violation, converged = smo_result
     if not converged:
         log.warning("SMO hit max_iter=%d with KKT violation %.3e", n_iter, violation)
     return SvmModel(
         alpha=alpha,
-        bias=recover_bias(alpha, y, k_alpha, C),
+        bias=bias,
         C=C,
         support_indices=np.flatnonzero(alpha > 0.0),
-        objective=0.5 * (float(alpha.sum()) - float(alpha @ grad)),
+        objective=objective,
         n_iter=n_iter,
         kkt_violation=float(violation),
         converged=converged,

@@ -434,9 +434,9 @@ class TestKernelReuse:
         cfg, _, _, cv_runs, _ = traced
 
         def fresh_fit(early, y_early, fold, cand):
-            fit = bt.fit_plan(cfg.plan, early, y_early, cand["C"], solver=cfg.solver,
-                              gap_tol=cfg.gap_tol)
-            return bt.predict_records(fit, fold)[0]
+            fit = bt.fit_plan(bt.build_kernels(cfg.plan, early), y_early, cand["C"], cfg.solver,
+                              cfg.gap_tol)
+            return bt.predict_records(fit, bt.CrossGrams(fit.kernels, fold))
 
         for train_records, y_train, candidates, kwargs, preds, diag in cv_runs:
             fresh_preds = []

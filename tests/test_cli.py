@@ -1,9 +1,13 @@
+import dataclasses
 import json
 import subprocess
 import sys
+from datetime import time
 from pathlib import Path
 
 import pytest
+
+from newsmkl import cli, market
 
 RUN = [sys.executable, "-m", "newsmkl.cli"]
 
@@ -51,6 +55,22 @@ class TestSynth:
         lines = [ln for ln in out.stderr.splitlines() if ln.strip()]
         parsed = json.loads(lines[-1])
         assert "bogus_key" in parsed["message"]
+
+    def test_every_spec_field_parses_its_default_from_set(self):
+        spec = market.SynthSpec()
+        sets = []
+        for f in dataclasses.fields(spec):
+            value = getattr(spec, f.name)
+            if isinstance(value, tuple):
+                text = ",".join(value)
+            elif isinstance(value, time):
+                text = value.strftime("%H:%M")
+            else:
+                text = str(value)
+            sets += ["--set", f"{f.name}={text}"]
+        args = cli.build_parser().parse_args(["synth", "--seed", "0", "--out", "unused", *sets])
+        assert len(args.set) == len(dataclasses.fields(spec))
+        assert cli._synth_spec_from_config(cli._merged_config(args)) == spec
 
 
 class TestFeaturize:

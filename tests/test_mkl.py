@@ -8,9 +8,9 @@ from oracles import (barrier_grid_center, central_difference_directional,
 
 from newsmkl.bench import make_bench_problem
 from newsmkl.kernels import GramMatrix, KernelSpec, gram_matrix
-from newsmkl import _smo, mkl
+from newsmkl import _smo, mkl, svm
 from newsmkl.mkl import (LocalizationSet, MklError, MklProblem, MklState,
-                         _objective_model, add_cut, analytic_center,
+                         _evaluate, add_cut, analytic_center,
                          barrier_hessian, cut_relevance, duality_gap,
                          kernel_quad_forms, mix_kernels, mkl_gradient,
                          mkl_objective, prune_cuts, reduced_to_full,
@@ -52,7 +52,7 @@ class TestObjective:
         mkl_objective(p, [0.5, 0.5], state)
         mkl_objective(p, [0.5, 0.5], state)
         assert state.svm_solves == 2
-        assert state.warm_alpha is not None
+        assert state.alpha is not None
 
 
 class TestMixtureFree:
@@ -69,61 +69,66 @@ class TestMixtureFree:
         ts = TrainingSet(labels=p.labels, gram=mix_kernels(p, d))
         return solve_dual(ts, p.C, tol=self.TOL, warm_start=warm_start)
 
-    def _assert_same(self, model, ref):
-        np.testing.assert_allclose(model.alpha, ref.alpha, rtol=0.0, atol=1e-8)
-        assert model.bias == pytest.approx(ref.bias, rel=0.0, abs=1e-8)
-        assert model.objective == pytest.approx(ref.objective, rel=0.0, abs=1e-8)
+    def _assert_same(self, point, ref):
+        np.testing.assert_allclose(point.alpha, ref.alpha, rtol=0.0, atol=1e-8)
+        assert point.J == pytest.approx(ref.objective, rel=0.0, abs=1e-8)
+
+    def _move_off_feasible(self, p: MklProblem, state: MklState) -> np.ndarray:
+        """Shift the stored alpha off y'a = 0, with the products following it,
+        so the next warm start's projection moves alpha."""
+        moved = state.alpha.copy()
+        i = int(np.flatnonzero(moved < p.C - 1.0)[0])
+        moved[i] += 0.5
+        state.alpha = moved
+        state.products = mkl._kernel_products(p, p.labels * moved)
+        return moved
 
     def test_cold_solve_matches_explicit_mixture(self):
         for seed in range(3):
             p = self._problem(seed)
             d = np.array([0.2, 0.5, 0.3])
-            J, model, q = _objective_model(p, d)
-            self._assert_same(model, self._explicit(p, d))
-            assert J == model.objective
-            np.testing.assert_array_equal(q, kernel_quad_forms(p, model.alpha))
+            point = _evaluate(p, d)
+            self._assert_same(point, self._explicit(p, d))
+            np.testing.assert_array_equal(point.d, d)
+            np.testing.assert_array_equal(point.q, kernel_quad_forms(p, point.alpha))
 
     def test_zero_weight_kernel_is_skipped(self):
         p = self._problem(1)
         d = np.array([0.0, 0.6, 0.4])
-        _, model, _ = _objective_model(p, d)
-        self._assert_same(model, self._explicit(p, d))
+        self._assert_same(_evaluate(p, d), self._explicit(p, d))
 
     def test_vertex_weight_solves_on_the_kernel_itself(self):
         p = self._problem(4)
         d = np.array([0.0, 1.0, 0.0])
-        _, model, _ = _objective_model(p, d)
+        point = _evaluate(p, d)
         ref = solve_dual(TrainingSet(labels=p.labels, gram=p.kernels[1]), p.C, tol=self.TOL)
-        np.testing.assert_array_equal(model.alpha, ref.alpha)
-        self._assert_same(model, ref)
+        np.testing.assert_array_equal(point.alpha, ref.alpha)
+        self._assert_same(point, ref)
+        assert point.smo == (ref.n_iter, ref.kkt_violation, ref.converged)
 
     def test_warm_start_reuses_stored_products(self):
         p = self._problem(2)
         state = MklState()
-        _objective_model(p, [0.2, 0.5, 0.3], state)
-        warm = state.warm_alpha.copy()
+        _evaluate(p, [0.2, 0.5, 0.3], state)
+        warm = state.alpha.copy()
         v = p.labels * warm
         np.testing.assert_allclose(state.products, [k.values @ v for k in p.kernels], rtol=0, atol=1e-12)
         assert np.array_equal(project_feasible(warm, p.labels, p.C), warm)  # products reused as stored
         d2 = np.array([0.5, 0.1, 0.4])
-        _, model, _ = _objective_model(p, d2, state)
-        self._assert_same(model, self._explicit(p, d2, warm_start=warm))
+        self._assert_same(_evaluate(p, d2, state), self._explicit(p, d2, warm_start=warm))
         assert state.svm_solves == 2
 
     def test_warm_start_recomputes_products_after_projection(self):
         p = self._problem(3)
         state = MklState()
-        _objective_model(p, [0.2, 0.5, 0.3], state)
-        moved = state.warm_alpha.copy()
-        i = int(np.flatnonzero(moved < p.C - 1.0)[0])
-        moved[i] += 0.5  # breaks y'a = 0: project_feasible moves alpha
+        _evaluate(p, [0.2, 0.5, 0.3], state)
+        solved = state.alpha.copy()
+        moved = self._move_off_feasible(p, state)
         projected = project_feasible(moved, p.labels, p.C)
         assert not np.array_equal(projected, moved)
-        assert np.abs(projected - state.warm_alpha).max() > 1e-3
-        state.warm_alpha = moved  # state.products still holds U for the old alpha
+        assert np.abs(projected - solved).max() > 1e-3
         d2 = np.array([0.5, 0.1, 0.4])
-        _, model, _ = _objective_model(p, d2, state)
-        self._assert_same(model, self._explicit(p, d2, warm_start=moved))
+        self._assert_same(_evaluate(p, d2, state), self._explicit(p, d2, warm_start=moved))
 
     def _count_full_passes(self, monkeypatch) -> list:
         calls = []
@@ -141,9 +146,9 @@ class TestMixtureFree:
         p = self._problem(6)
         state = MklState()
         for d in np.random.default_rng(6).dirichlet(np.ones(3), size=12):
-            _objective_model(p, d, state)
+            _evaluate(p, d, state)
         assert len(calls) < state.svm_solves  # most solves updated U by deltas
-        full = [k.values @ (p.labels * state.products_alpha) for k in p.kernels]
+        full = [k.values @ (p.labels * state.alpha) for k in p.kernels]
         scale = np.abs(full).max()
         np.testing.assert_allclose(state.products, full, rtol=0.0, atol=1e-12 * scale)
 
@@ -151,11 +156,8 @@ class TestMixtureFree:
         monkeypatch.setattr(mkl, "DELTA_MAX_FRACTION", 1.0)  # the projection's moves go by deltas
         p = self._problem(3)
         state = MklState()
-        _objective_model(p, [0.2, 0.5, 0.3], state)
-        moved = state.warm_alpha.copy()
-        i = int(np.flatnonzero(moved < p.C - 1.0)[0])
-        moved[i] += 0.5  # breaks y'a = 0: project_feasible moves alpha
-        state.warm_alpha = moved  # state.products describes state.products_alpha
+        _evaluate(p, [0.2, 0.5, 0.3], state)
+        moved = self._move_off_feasible(p, state)
         starts = []
         real = _smo.solve
 
@@ -166,7 +168,7 @@ class TestMixtureFree:
         monkeypatch.setattr(_smo, "solve", recording)
         calls = self._count_full_passes(monkeypatch)
         d2 = np.array([0.5, 0.1, 0.4])
-        _objective_model(p, d2, state)
+        _evaluate(p, d2, state)
         assert calls == []
         [(start, grad)] = starts
         np.testing.assert_array_equal(start, project_feasible(moved, p.labels, p.C))
@@ -176,16 +178,16 @@ class TestMixtureFree:
     def test_cold_solves_and_large_moves_take_a_full_pass(self, monkeypatch):
         calls = self._count_full_passes(monkeypatch)
         p = self._problem(2)
-        _objective_model(p, [0.2, 0.5, 0.3])
+        _evaluate(p, [0.2, 0.5, 0.3])
         assert len(calls) == 1
         for fraction, passes in ((0.0, 1), (1.0, 0)):
             monkeypatch.setattr(mkl, "DELTA_MAX_FRACTION", fraction)
             state = MklState()
-            _objective_model(p, [0.2, 0.5, 0.3], state)  # cold
+            _evaluate(p, [0.2, 0.5, 0.3], state)  # cold
             calls.clear()
-            before = np.array(state.products_alpha)
-            _, model, _ = _objective_model(p, [0.6, 0.1, 0.3], state)
-            assert not np.array_equal(model.alpha, before)  # SMO moved alpha
+            before = np.array(state.alpha)
+            point = _evaluate(p, [0.6, 0.1, 0.3], state)
+            assert not np.array_equal(point.alpha, before)  # SMO moved alpha
             assert len(calls) == passes
 
     def test_converged_gap_and_bias_come_from_a_full_pass(self):
@@ -201,7 +203,7 @@ class TestMixtureFree:
         # drift the delta-updated products far above rounding: the gap that
         # ends the solve must still be the full-pass one
         monkeypatch.setattr(mkl, "DELTA_MAX_FRACTION", 1.0)
-        real_sync, real_model = mkl._sync_products, mkl._objective_model
+        real_sync, real_evaluate = mkl._sync_products, mkl._evaluate
 
         def drifting(problem, U, alpha_from, alpha_to):
             out = real_sync(problem, U, alpha_from, alpha_to)
@@ -210,17 +212,45 @@ class TestMixtureFree:
         solves = []
 
         def recording(problem, d, state=None):
-            out = real_model(problem, d, state)
-            solves.append((np.array(d), out[1].alpha))
-            return out
+            point = real_evaluate(problem, d, state)
+            solves.append((np.array(d), point.alpha))
+            return point
 
         monkeypatch.setattr(mkl, "_sync_products", drifting)
-        monkeypatch.setattr(mkl, "_objective_model", recording)
+        monkeypatch.setattr(mkl, "_evaluate", recording)
         p = small_problem(seed=3, n_kernels=3, l=40, C=10.0)
         sol = solve_accpm(p)
         assert sol.status == "converged"
         d, alpha = solves[len(sol.gap_history) - 1]  # one solve per ACCPM iteration
         assert sol.gap_history[-1] == duality_gap(p, d, alpha)
+
+    def test_solution_bias_matches_explicit_mixture(self):
+        # instances whose optimum has free support vectors, which fix the bias;
+        # with none, any b in an interval meets the KKT conditions
+        for seed in range(3):
+            p = self._problem(seed)
+            for solver in (solve_accpm, solve_reduced_gradient):
+                sol = solver(p)
+                ref = self._explicit(p, sol.d)
+                assert np.any((ref.alpha > 0.0) & (ref.alpha < p.C))
+                assert sol.model.bias == pytest.approx(ref.bias, rel=0.0, abs=1e-8), solver.__name__
+
+    def test_bias_recovered_once_per_solution(self, monkeypatch):
+        calls = []
+        real = svm.recover_bias
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(svm, "recover_bias", counting)
+        monkeypatch.setattr(mkl, "recover_bias", counting)
+        p = small_problem(seed=3, n_kernels=3, l=40, C=10.0)
+        for solver in (solve_accpm, solve_reduced_gradient):
+            calls.clear()
+            sol = solver(p)
+            assert sol.svm_solves > 1
+            assert len(calls) == 1, solver.__name__
 
     def test_reduced_gradient_path(self):
         p = self._problem(4)
