@@ -472,7 +472,7 @@ class WindowResult:
     accuracy: float | None
     recall: float | None
     sharpe: float | None
-    svm_solves: int
+    solver: dict  # how the full-window MKL fit ended, as report.json lists it
 
 
 def window_records(cfg: BacktestConfig, window: Window,
@@ -545,7 +545,11 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int,
     return WindowResult(window=window, horizon=horizon, n_train=len(train_records),
                         n_test=len(test_records), threshold=threshold, chosen_C=best["C"],
                         predictions=preds, labels=y_test, dates=dates, kernel_weights=sol.d,
-                        accuracy=acc, recall=rec, sharpe=sr, svm_solves=sol.svm_solves)
+                        accuracy=acc, recall=rec, sharpe=sr,
+                        solver={"svm_solves": sol.svm_solves, "mkl_status": sol.status,
+                                "gap": sol.gap, "mkl_iterations": sol.iterations,
+                                "smo_iterations": sol.smo_iterations,
+                                "smo_not_converged": sol.smo_not_converged})
 
 
 def _run_window_job(args):
@@ -607,7 +611,7 @@ def run_horizon_on_records(cfg: BacktestConfig, horizon: int, records: list[Feat
         "window_id": window_id(r.window),
         "horizon": r.horizon, "n_train": r.n_train, "n_test": r.n_test,
         "accuracy": r.accuracy, "recall": r.recall, "sharpe": r.sharpe,
-        "threshold": r.threshold, "chosen_C": r.chosen_C, "svm_solves": r.svm_solves,
+        "threshold": r.threshold, "chosen_C": r.chosen_C, **r.solver,
         "n_kernels_active": int(np.sum(r.kernel_weights > 0)),
         "kernel_weights": {pk.name: float(w) for pk, w in zip(cfg.plan, r.kernel_weights)},
     } for r in results]

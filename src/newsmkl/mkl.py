@@ -11,10 +11,13 @@ Two solvers:
     d = (z_1, ..., z_{n-1}, 1 - sum z), so the localization polyhedron
     {z : A z <= b} lives in n-1 dimensions. Each iteration computes the
     analytic center (damped Newton on the log barrier), evaluates J and
-    its gradient there (one SVM), adds the halfspace that keeps every
-    point at least as good as the center, prunes to at most 3n
-    constraints by a barrier-Hessian relevance score, and stops when the
-    explicit duality gap falls below gap_tol.
+    its gradient there (one SVM), prunes to at most 3n constraints by a
+    barrier-Hessian relevance score, adds the halfspace that keeps every
+    point at least as good as the center, and stops when the explicit
+    duality gap falls below gap_tol. The SVM oracle is inexact: SMO
+    starts loose and tightens only while the point needs it (see
+    `_evaluate`), and a loosely solved point's cut is shallow by the
+    SVM's own duality gap.
 
   * solve_reduced_gradient: projected reduced-gradient descent on the
     simplex with a backtracking line search; every trial step is one SVM
@@ -31,7 +34,7 @@ import numpy as np
 from . import _smo
 from .kernels import GramMatrix
 from .svm import (DEFAULT_MAX_ITER, SvmModel, as_labels, build_model, check_dual, dual_objective,
-                  project_feasible, recover_bias)
+                  primal_dual_gap, project_feasible, recover_bias)
 
 log = logging.getLogger(__name__)
 
@@ -49,6 +52,8 @@ DEFAULT_C = 1000.0
 # thread) is about 0.38 n; the margin keeps the row gather's temporary small
 # and lets the full passes reset the rounding the delta updates accumulate.
 DELTA_MAX_FRACTION = 0.25
+# ACCPM's first SMO tolerance; later solves tighten from it toward inner_tol
+LOOSE_TOL = 1e-2
 
 
 class MklError(ValueError):
@@ -108,6 +113,11 @@ class MklState:
     takes a full pass instead. Delta updates round differently from a
     full pass, so a gap that could end a solve (`_checked`) and the
     returned gap and bias (`_finish`) come from full passes.
+
+    `tol` is the SMO tolerance the next solve starts at: None solves at
+    `inner_tol`; a float turns on the inexact oracle of `_evaluate`, which
+    only ever lowers it and compares each point's J with `best_J`, the
+    lowest J so far.
     """
 
     svm_solves: int = 0
@@ -115,18 +125,26 @@ class MklState:
     smo_not_converged: int = 0
     alpha: np.ndarray | None = None
     products: np.ndarray | None = None
+    tol: float | None = None
+    best_J: float = np.inf
 
 
 @dataclass
 class SolvePoint:
     """One SVM solve at weights d: J(d), the maximizing alpha, SMO's
-    (n_iter, violation, converged) and the kernel quad forms q."""
+    (n_iter, violation, converged) and the kernel quad forms q.
+
+    A point SMO left above `inner_tol` has J = D(alpha) <= J(d) and
+    `eps`, the SVM's duality gap, with J(d) <= J + eps: its cut is
+    shallow by eps. A point solved at `inner_tol` has eps = 0.
+    """
 
     d: np.ndarray
     J: float
     alpha: np.ndarray
     smo: tuple[int, float, bool]
     q: np.ndarray
+    eps: float = 0.0
 
 
 @dataclass
@@ -210,10 +228,19 @@ def _evaluate(problem: MklProblem, d, state: MklState | None = None) -> SolvePoi
     it asks for. The products U = [K_k (y * alpha)] follow alpha through
     `state` by delta updates (see MklState); they give the warm-start
     gradient and the quad forms U (y * alpha).
+
+    With `state.tol` set (ACCPM), SMO stops at that tolerance and, while
+    the point stopped above `inner_tol`, the same run (alpha, gradient and
+    row cache) continues at a tenth of it, never below `inner_tol`, as
+    long as (a) its SVM duality gap eps exceeds a tenth of its MKL gap,
+    (b) its MKL gap is at most gap_tol (only a point at `inner_tol`
+    certifies convergence) or (c) J >= best_J - eps (it does not beat the
+    best point by more than its own error). The tolerance reached is the
+    next solve's start.
     """
     d = _check_simplex(d, problem.n_kernels)
-    y, C, tol = problem.labels, problem.C, problem.inner_tol
-    check_dual(y, C, tol)
+    y, C, inner = problem.labels, problem.C, problem.inner_tol
+    check_dual(y, C, inner)
     n = y.shape[0]
     used = np.flatnonzero(d)
     w = d[used]
@@ -239,16 +266,34 @@ def _evaluate(problem: MklProblem, d, state: MklState | None = None) -> SolvePoi
         start, U = np.zeros(n), None
         grad = -np.ones(n)
 
-    alpha = start.copy()
-    result = _smo.solve(row, diag, y, alpha, grad, C, tol, DEFAULT_MAX_ITER)
-    U = _sync_products(problem, U, start, alpha)
+    inexact = state is not None and state.tol is not None
+    tol = state.tol if inexact else inner
+    alpha, before, n_iter = start.copy(), start, 0
+    while True:
+        more, violation, converged = _smo.solve(row, diag, y, alpha, grad, C, tol,
+                                                DEFAULT_MAX_ITER - n_iter)
+        n_iter += more
+        U = _sync_products(problem, U, before, alpha)
+        point = SolvePoint(d=d, J=dual_objective(alpha, grad), alpha=alpha,
+                           smo=(n_iter, violation, converged), q=_quad_forms(U, y * alpha))
+        if not inexact or violation <= inner:
+            break
+        point.eps = primal_dual_gap(alpha, y, grad, C)
+        if not converged:  # SMO's iteration budget is spent
+            break
+        gap = _checked(problem, point)
+        if not (point.eps > 0.1 * gap or gap <= problem.gap_tol
+                or point.J >= state.best_J - point.eps):
+            break
+        tol, before = max(inner, 0.1 * tol), alpha.copy()
     if state is not None:
         state.svm_solves += 1
-        state.smo_iterations += result[0]
-        state.smo_not_converged += 0 if result[2] else 1
+        state.smo_iterations += n_iter
+        state.smo_not_converged += 0 if converged else 1
         state.alpha, state.products = alpha, U
-    return SolvePoint(d=d, J=dual_objective(alpha, grad), alpha=alpha, smo=result,
-                      q=_quad_forms(U, y * alpha))
+        if inexact:
+            state.tol, state.best_J = tol, min(state.best_J, point.J)
+    return point
 
 
 def _checked(problem: MklProblem, point: SolvePoint) -> float:
@@ -415,14 +460,18 @@ def reduce_gradient(full_gradient: np.ndarray) -> np.ndarray:
     return g[:-1] - g[-1]
 
 
-def add_cut(loc: LocalizationSet, center_z: np.ndarray, full_gradient: np.ndarray) -> tuple[LocalizationSet, bool]:
-    """Append the objective cut through the center.
+def add_cut(loc: LocalizationSet, center_z: np.ndarray, full_gradient: np.ndarray,
+            slack: float = 0.0) -> tuple[LocalizationSet, bool]:
+    """Append the objective cut at the center.
 
-    Keeps the halfspace {z : g_r'(z - center) <= 0}: by convexity of J
-    every point with J <= J(center) satisfies it, so the minimizer stays
-    inside the localization set. A zero reduced gradient means J is flat
-    along the simplex and the center is already optimal: no cut is added
-    and the flag comes back False.
+    Keeps the halfspace {z : g_r'(z - center) <= slack}: by convexity of J
+    every point with J <= J(center) satisfies it with slack 0, so the
+    minimizer stays inside the localization set. A gradient from an alpha
+    that is eps short of optimal at the center still keeps it with
+    slack = eps, since J(d*) <= J(center) <= f(alpha, center) + eps and
+    f(alpha, .) is linear in d with gradient g. A zero reduced gradient
+    means J is flat along the simplex and the center is already optimal:
+    no cut is added and the flag comes back False.
     """
     g_r = reduce_gradient(full_gradient)
     norm = float(np.linalg.norm(g_r))
@@ -430,7 +479,7 @@ def add_cut(loc: LocalizationSet, center_z: np.ndarray, full_gradient: np.ndarra
     if norm <= 1e-14 * max(1.0, gscale):
         return loc, False
     a = g_r / norm
-    b_new = float(a @ center_z)
+    b_new = float(a @ center_z) + slack / norm
     A = np.vstack([loc.A, a[None, :]])
     b = np.concatenate([loc.b, [b_new]])
     return LocalizationSet(A=A, b=b, origins=loc.origins + ["cut"]), True
@@ -502,11 +551,15 @@ def _push_inside(loc: LocalizationSet, z: np.ndarray, new_row: int, cap: float =
 def _finish(problem: MklProblem, state: MklState, point: SolvePoint, iterations: int,
             status: str, gap_history: list[float]) -> MklSolution:
     """The solution at a solve point. Weights below WEIGHT_THRESHOLD are
-    zeroed and the rest renormalized, with a re-solve if that moved d; one
-    full product pass then gives the returned gap and the model's bias."""
+    zeroed and the rest renormalized, with a re-solve at `inner_tol` if
+    that moved d or SMO left the point above `inner_tol`; one full product
+    pass then gives the returned gap and the model's bias."""
     kept = np.where(point.d < WEIGHT_THRESHOLD, 0.0, point.d)
-    if not np.array_equal(kept, point.d):
-        point = _evaluate(problem, kept / kept.sum(), state)
+    thresholded = not np.array_equal(kept, point.d)
+    if thresholded or point.smo[1] > problem.inner_tol:
+        if state.tol is not None:
+            state.tol = problem.inner_tol
+        point = _evaluate(problem, kept / kept.sum() if thresholded else point.d, state)
     d = point.d / point.d.sum()
     y, C = problem.labels, problem.C
     v = y * point.alpha
@@ -521,11 +574,13 @@ def _finish(problem: MklProblem, state: MklState, point: SolvePoint, iterations:
 
 
 def solve_accpm(problem: MklProblem) -> MklSolution:
-    """Analytic center cutting plane method (one SVM solve per iteration)."""
+    """Analytic center cutting plane method (one SVM solve per iteration,
+    started at LOOSE_TOL and tightened on demand: see `_evaluate`)."""
     state = MklState()
     n = problem.n_kernels
     if n == 1:
         return _finish(problem, state, _evaluate(problem, [1.0], state), 1, "converged", [0.0])
+    state.tol = max(problem.inner_tol, LOOSE_TOL)
 
     loc = LocalizationSet.initial_simplex(n)
     z_start: np.ndarray | None = uniform_reduced(n)
@@ -551,13 +606,13 @@ def solve_accpm(problem: MklProblem) -> MklSolution:
             best = point
             status = "converged"
             break
-        hess = barrier_hessian(loc, z_c)
-        loc, added = add_cut(loc, z_c, -0.5 * point.q)
+        # prune first, so a shallow new cut cannot be the one pruned away
+        pruned = prune_cuts(loc, z_c, barrier_hessian(loc, z_c), budget=3 * n - 1)
+        loc, added = add_cut(pruned, z_c, -0.5 * point.q, point.eps)
         if not added:
             best = point
             status = "flat_gradient"
             break
-        loc = prune_cuts(loc, z_c, hess)
         z_start = _push_inside(loc, z_c, new_row=loc.n_rows - 1)
         if not loc.is_interior(z_start):
             status = "degenerate_localization"

@@ -22,6 +22,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 10_000_000
+BOUND_RTOL = 1e-12  # recover_bias: |alpha_i - bound| <= BOUND_RTOL * C is at the bound
 
 
 class SvmError(ValueError):
@@ -162,14 +163,17 @@ def recover_bias(alpha: np.ndarray, y: np.ndarray, k_alpha: np.ndarray, C: float
 
     Average of y_i - sum_j y_j a_j K_ij over free support vectors
     (0 < a_i < C); with every vector at a bound, the midpoint of the
-    interval the bound constraints leave for b.
+    interval the bound constraints leave for b. An entry within
+    BOUND_RTOL * C of 0 or C counts as at that bound.
     """
     u = y - k_alpha
-    free = (alpha > 0.0) & (alpha < C)
+    at_lo = alpha <= BOUND_RTOL * C
+    at_up = alpha >= C - BOUND_RTOL * C
+    free = ~(at_lo | at_up)
     if np.any(free):
         return float(u[free].mean())
-    lower = ((alpha == 0.0) & (y > 0)) | ((alpha >= C) & (y < 0))
-    upper = ((alpha == 0.0) & (y < 0)) | ((alpha >= C) & (y > 0))
+    lower = (at_lo & (y > 0)) | (at_up & (y < 0))
+    upper = (at_lo & (y < 0)) | (at_up & (y > 0))
     has_lo, has_up = np.any(lower), np.any(upper)
     if has_lo and has_up:
         return float(0.5 * (u[lower].max() + u[upper].min()))
@@ -178,6 +182,24 @@ def recover_bias(alpha: np.ndarray, y: np.ndarray, k_alpha: np.ndarray, C: float
     if has_up:
         return float(u[upper].min())
     return 0.0
+
+
+def primal_dual_gap(alpha: np.ndarray, y: np.ndarray, grad: np.ndarray, C: float) -> float:
+    """The SVM's duality gap min_b P(w, b) - D(alpha) from SMO's gradient grad = Q a - e.
+
+    With w = sum_i a_i y_i x_i and margins u = -y * grad (u_i = y_i - w'x_i),
+    y_i f(x_i) = 1 + y_i (b - u_i), so P(w, b) - D(alpha) =
+    a'grad + C sum_i max(0, y_i (u_i - b)). By weak duality that bounds
+    max_a D - D(alpha) for every b; the sum is convex and piecewise linear
+    in b, so its minimum lies at the u_j where its slope,
+    #{y_j < 0, u_j <= b} - #{y_j > 0, u_j > b}, first turns >= 0. One sort.
+    """
+    u = -y * grad
+    order = np.argsort(u, kind="stable")
+    pos = y[order] > 0
+    slope = np.cumsum(~pos) - (np.count_nonzero(pos) - np.cumsum(pos))
+    b = u[order[int(np.argmax(slope >= 0))]]
+    return float(alpha @ grad) + C * float(np.maximum(0.0, y * (u - b)).sum())
 
 
 def predict_many(model: SvmModel, labels: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -360,6 +360,30 @@ class TestArtifacts:
         assert "10" in payload["horizons"]
         assert payload["horizons"]["10"]["n_predictions"] == reports[10].n_predictions
         assert payload["horizons"]["10"]["skipped_windows"] == []
+        windows = payload["horizons"]["10"]["windows"]
+        assert windows
+        for w in windows:  # a single-kernel plan: one SVM solve at d = [1]
+            assert w["svm_solves"] == 1 and w["mkl_status"] == "converged" and w["gap"] == 0.0
+            assert w["mkl_iterations"] == 1 and w["smo_not_converged"] == 0
+            assert w["smo_iterations"] > 0
+            assert list(w)[list(w).index("svm_solves"):list(w).index("n_kernels_active")] == [
+                "svm_solves", "mkl_status", "gap", "mkl_iterations", "smo_iterations",
+                "smo_not_converged"]
+
+    def test_window_that_stops_at_max_iters_says_so(self, monkeypatch):
+        real = bt.solve_accpm
+        monkeypatch.setattr(bt, "solve_accpm",
+                            lambda problem: real(dataclasses.replace(problem, max_iters=2)))
+        docs, prices, _ = synth_fixture(seed=2, n_events=400)
+        cfg = bt.BacktestConfig(plan=[bt.PlanKernel(name="lin_text", feature="text", kind="linear"),
+                                      bt.PlanKernel(name="gauss_absret", feature="absret",
+                                                    kind="gaussian", sigma_scale=1.0)],
+                                horizons=(10,), c_grid=(10.0,), gap_tol=1e-6)
+        report = bt.run_backtest(cfg, docs, prices, default_dictionary())[10]
+        assert report.per_window
+        for w in report.per_window:
+            assert w["mkl_status"] == "max_iters" and w["mkl_iterations"] == 2
+            assert w["gap"] > cfg.gap_tol and w["svm_solves"] >= 2
 
 
 class TestKernelReuse:

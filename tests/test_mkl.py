@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from oracles import (barrier_grid_center, central_difference_directional,
@@ -268,22 +268,30 @@ class TestMixtureFree:
         np.testing.assert_allclose(kernel_quad_forms(p, alpha), expected, rtol=1e-12)
 
     def test_smo_counters(self, monkeypatch):
-        runs = []
-        real = _smo.solve
+        runs, solves = [], []
+        real_smo, real_evaluate = _smo.solve, mkl._evaluate
 
         def recording(*args):
-            out = real(*args)
+            out = real_smo(*args)
             runs.append(out)
             return out
 
+        def evaluating(*args):
+            solves.append(args)
+            return real_evaluate(*args)
+
         monkeypatch.setattr(_smo, "solve", recording)
+        monkeypatch.setattr(mkl, "_evaluate", evaluating)
         p = small_problem(seed=1, n_kernels=3, l=30, C=10.0)
         for solver in (solve_accpm, solve_reduced_gradient):
             runs.clear()
+            solves.clear()
             sol = solver(p)
-            assert len(runs) == sol.svm_solves
-            assert sol.smo_iterations == sum(r[0] for r in runs) > 0
+            assert len(solves) == sol.svm_solves  # one solve per weight vector
+            assert sol.smo_iterations == sum(r[0] for r in runs) > 0  # tightening runs too
             assert sol.smo_not_converged == sum(1 for r in runs if not r[2]) == 0
+            # ACCPM continues some SMO runs at a tighter tolerance; the baseline does not
+            assert (len(runs) > len(solves)) == (solver is solve_accpm), solver.__name__
 
     def test_smo_counters_count_max_iter_stops(self, monkeypatch):
         monkeypatch.setattr("newsmkl.mkl.DEFAULT_MAX_ITER", 1)
@@ -292,6 +300,148 @@ class TestMixtureFree:
         sol = solve_accpm(p)
         assert sol.smo_not_converged >= 1
         assert sol.smo_iterations <= sol.svm_solves
+
+
+class TestInexactOracle:
+    """ACCPM's SVM solves start at LOOSE_TOL, tighten on demand within one
+    SMO run, and cut with slack eps while they stop above inner_tol."""
+
+    def _record(self, mp, p: MklProblem) -> list:
+        """Each _evaluate call as [point, runs], runs as (tol, alpha, grad, result)."""
+        solves = []
+        real_smo, real_evaluate = _smo.solve, mkl._evaluate
+
+        def recording(row, diag, y, alpha, grad, C, tol, max_iter):
+            out = real_smo(row, diag, y, alpha, grad, C, tol, max_iter)
+            solves[-1][1].append((tol, alpha, grad, out))
+            return out
+
+        def evaluating(*args):
+            solves.append([None, []])
+            solves[-1][0] = real_evaluate(*args)
+            return solves[-1][0]
+
+        mp.setattr(_smo, "solve", recording)
+        mp.setattr(mkl, "_evaluate", evaluating)
+        return solves
+
+    def test_tolerance_schedule(self, monkeypatch):
+        p = small_problem(seed=1, n_kernels=3, l=30, C=10.0)
+        solves = self._record(monkeypatch, p)
+        sol = solve_accpm(p)
+        assert sol.status == "converged"
+        tols = [run[0] for _, runs in solves for run in runs]
+        assert tols[0] == mkl.LOOSE_TOL > p.inner_tol
+        assert all(b <= a for a, b in zip(tols, tols[1:]))  # never loosens
+        assert min(tols) == tols[-1] == p.inner_tol  # never below inner_tol
+        for point, runs in solves:
+            # one SMO run, continued: the same alpha and gradient, each step a tenth tighter
+            assert all(r[1] is runs[0][1] and r[2] is runs[0][2] for r in runs)
+            assert all(b[0] == max(p.inner_tol, 0.1 * a[0]) for a, b in zip(runs, runs[1:]))
+            assert point.smo[0] == sum(r[3][0] for r in runs)
+            assert point.smo[1:] == runs[-1][3][1:]
+        assert any(len(runs) > 1 for _, runs in solves)
+
+    def test_loose_points_meet_no_tightening_rule(self, monkeypatch):
+        for seed in range(3):
+            p = small_problem(seed=seed, n_kernels=3, l=40, C=10.0)
+            solves = self._record(monkeypatch, p)
+            solve_accpm(p)
+            best_J, loose = np.inf, 0
+            for point, _ in solves:
+                if point.smo[1] > p.inner_tol:
+                    loose += 1
+                    gap = mkl._gap_from_quads(point.d, point.q)
+                    assert point.eps <= 0.1 * gap  # (a)
+                    assert gap > p.gap_tol  # (b)
+                    assert point.J < best_J - point.eps  # (c)
+                best_J = min(best_J, point.J)
+            assert loose > 0
+
+    def test_cut_slack_is_eps_above_inner_tol(self, monkeypatch):
+        p = small_problem(seed=1, n_kernels=3, l=30, C=10.0)
+        solves = self._record(monkeypatch, p)
+        slacks = []
+        real_cut = mkl.add_cut
+
+        def cutting(loc, center_z, full_gradient, slack=0.0):
+            slacks.append((solves[-1][0], slack))
+            return real_cut(loc, center_z, full_gradient, slack)
+
+        monkeypatch.setattr(mkl, "add_cut", cutting)
+        solve_accpm(p)
+        loose = [point for point, slack in slacks if point.smo[1] > p.inner_tol]
+        assert loose and len(loose) < len(slacks)
+        for point, slack in slacks:
+            if point.smo[1] > p.inner_tol:
+                assert slack == point.eps > 0.0
+            else:
+                assert slack == point.eps == 0.0
+
+    def test_shallow_cut_offset(self):
+        # n=2, center z=0.5, reduced gradient +2: slack 0.2 moves the cut to z <= 0.6
+        loc, added = add_cut(LocalizationSet.initial_simplex(2), np.array([0.5]),
+                             np.array([-1.0, -3.0]), slack=0.2)
+        assert added and loc.b[-1] == pytest.approx(0.6, abs=1e-15)
+        assert loc.is_interior(np.array([0.59])) and not loc.is_interior(np.array([0.61]))
+
+    def test_loose_best_point_is_resolved_at_inner_tol(self, monkeypatch):
+        p = small_problem(seed=0, n_kernels=3, l=40, C=10.0, gap_tol=1e-12)
+        p.max_iters = 2
+        solves = self._record(monkeypatch, p)
+        sol = solve_accpm(p)
+        assert sol.status == "max_iters"
+        assert sol.svm_solves == len(solves) == 3  # two iterations and the finishing re-solve
+        best = min((point for point, _ in solves[:2]), key=lambda point: point.J)
+        assert best.smo[1] > p.inner_tol  # left loose
+        resolved = solves[2][0]
+        np.testing.assert_array_equal(resolved.d, best.d)  # at its own d
+        assert resolved.smo[1] <= p.inner_tol
+        np.testing.assert_array_equal(sol.model.alpha, resolved.alpha)
+        assert sol.model.converged and sol.model.kkt_violation <= p.inner_tol
+        assert sol.gap == duality_gap(p, sol.d, sol.model.alpha)
+
+    def test_stall_rule_lets_a_high_C_instance_converge(self):
+        # without rule (c) the loose centers stop moving and this instance
+        # ends at max_iters far above gap_tol
+        p = make_bench_problem(0, n_kernels=3, dim=500)
+        assert p.C == 1000.0
+        sol = solve_accpm(p)
+        assert sol.status == "converged"
+        assert sol.model.kkt_violation <= p.inner_tol
+        assert sol.gap == duality_gap(p, sol.d, sol.model.alpha)
+
+    @given(seed=st.integers(0, 2**32 - 1), n_kernels=st.integers(2, 3), l=st.integers(10, 30),
+           C=st.sampled_from([1.0, 10.0, 100.0]))
+    @settings(max_examples=25, deadline=None)
+    def test_shallow_cuts_keep_the_optimum(self, seed, n_kernels, l, C):
+        p = small_problem(seed=seed, n_kernels=n_kernels, l=l, C=C)
+        p.svm_tol = 1e-10
+        ref = small_problem(seed=seed, n_kernels=n_kernels, l=l, C=C, gap_tol=1e-8)
+        ref.svm_tol = 1e-12
+        ref.max_iters = 1000
+        ref_sol = solve_accpm(ref)
+        assume(ref_sol.converged)  # a tight run can end on a numerically empty localization set
+        z_star = ref_sol.d[:-1]
+        cuts = []
+        with pytest.MonkeyPatch.context() as mp:
+            solves = self._record(mp, p)
+            real_cut = mkl.add_cut
+
+            def cutting(loc, center_z, full_gradient, slack=0.0):
+                out, added = real_cut(loc, center_z, full_gradient, slack)
+                if added:
+                    cuts.append((solves[-1][0], out.A[-1], out.b[-1]))
+                return out, added
+
+            mp.setattr(mkl, "add_cut", cutting)
+            solve_accpm(p)
+        for point, a, b in cuts:
+            assert float(a @ z_star) <= b + 1e-9
+            if point.smo[1] > p.inner_tol:
+                exact = solve_dual(TrainingSet(labels=p.labels, gram=mix_kernels(p, point.d)),
+                                   p.C, tol=1e-12)
+                assert point.eps >= exact.objective - point.J - 1e-12 * max(1.0, abs(point.J))
 
 
 class TestGradient:

@@ -7,8 +7,9 @@ from oracles import make_svm_problem, qp_projected_gradient, solve_tight
 
 from newsmkl import _smo
 from newsmkl.kernels import GramMatrix, KernelSpec, gram_matrix
-from newsmkl.svm import (SvmError, TrainingSet, model_from_dict, model_to_dict,
-                         predict_many, project_feasible, solve_dual)
+from newsmkl.svm import (SvmError, TrainingSet, dual_objective, model_from_dict, model_to_dict,
+                         predict_many, primal_dual_gap, project_feasible, recover_bias,
+                         solve_dual)
 
 
 def two_point_problem(shift: float = 0.0, C: float = 10.0):
@@ -137,6 +138,46 @@ class TestBias:
         u = ts.labels - S
         # y=+1 at bound C gives an upper limit, y=-1 at bound C a lower limit
         assert m.bias == pytest.approx(0.5 * (u[0] + u[1]), abs=1e-12)
+
+    def test_entries_within_rounding_of_a_bound_count_as_at_the_bound(self):
+        C = 10.0
+        y = np.array([1.0, 1.0, -1.0, -1.0, 1.0, -1.0])
+        alpha = np.array([C, 0.0, C, 0.0, C, C])  # every entry at a bound, y'alpha = 0
+        k_alpha = np.random.default_rng(0).standard_normal(6)
+        bias = recover_bias(alpha, y, k_alpha, C)
+        near_C, near_0 = alpha.copy(), alpha.copy()
+        near_C[0] = C - 3.6e-15
+        near_0[1] = 3.6e-15
+        assert near_C[0] < C and near_0[1] > 0.0
+        assert recover_bias(near_C, y, k_alpha, C) == bias
+        assert recover_bias(near_0, y, k_alpha, C) == bias
+        free = alpha.copy()
+        free[0] = C - 1e-6  # well inside the box: a free vector fixes the bias
+        assert recover_bias(free, y, k_alpha, C) == y[0] - k_alpha[0]
+
+
+class TestPrimalDualGap:
+    def test_bias_minimizes_the_primal_bound_and_bounds_the_dual_error(self):
+        for seed in range(12):
+            ts, C = make_svm_problem(seed)
+            y, K = ts.labels, ts.gram.values
+            alpha, grad = np.zeros(ts.size), -np.ones(ts.size)
+            _smo.solve(K.__getitem__, np.diagonal(K), y, alpha, grad, C, 0.3, 10**6)  # loose
+            eps = primal_dual_gap(alpha, y, grad, C)
+            u = -y * grad  # the bound is piecewise linear in b with breakpoints at u
+            brute = min(float(alpha @ grad) + C * float(np.maximum(0.0, y * (u - b)).sum())
+                        for b in u)
+            assert eps == pytest.approx(brute, rel=1e-12, abs=1e-12)
+            gap = solve_tight(ts, C).objective - dual_objective(alpha, grad)
+            assert gap > 1e-6  # the loose solve left something to bound
+            assert eps >= gap - 1e-9
+
+    def test_zero_at_the_optimum(self):
+        ts, C = two_point_problem()
+        y, K = ts.labels, ts.gram.values
+        alpha, grad = np.zeros(2), -np.ones(2)
+        _smo.solve(K.__getitem__, np.diagonal(K), y, alpha, grad, C, 1e-12, 100)
+        assert primal_dual_gap(alpha, y, grad, C) == pytest.approx(0.0, abs=1e-12)
 
 
 class TestPredict:
