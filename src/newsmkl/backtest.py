@@ -14,6 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 import logging
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from datetime import datetime, time
@@ -22,7 +23,7 @@ import numpy as np
 
 from .kernels import GramMatrix, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist
 from .market import (FeatureRecord, LabelingConfig, PriceSeries, label_records, label_threshold,
-                     prepare_feature_records)
+                     prepare_feature_records, prepare_records_by_horizon)
 from .mkl import MklProblem, MklSolution, solve_accpm, solve_reduced_gradient
 from .svm import predict_many
 from .text import Dictionary, Document, TfidfModel, fit_tfidf, transform_tfidf_many
@@ -120,6 +121,11 @@ class MetricsReport:
     @property
     def n_skipped_windows(self) -> int:
         return len(self.skipped_windows)
+
+    @property
+    def windows_by_status(self) -> dict[str, int]:
+        """Evaluated windows counted by how their full-window MKL fit ended."""
+        return dict(sorted(Counter(w["mkl_status"] for w in self.per_window).items()))
 
 
 def classification_metrics(predictions, labels) -> tuple[Confusion, float | None, float | None]:
@@ -490,9 +496,19 @@ def window_records(cfg: BacktestConfig, window: Window,
     return train_records, test_records
 
 
-def run_window(cfg: BacktestConfig, window: Window, horizon: int,
-               records: list[FeatureRecord]) -> WindowResult:
-    """Calibrate on the train months and predict the test month of one window."""
+def run_window(cfg: BacktestConfig, window: Window, horizon: int, records: list[FeatureRecord],
+               shared: dict | None = None) -> WindowResult:
+    """Calibrate on the train months and predict the test month of one window.
+
+    `shared` maps (training events, test events), by their positions in
+    the input document list, to the `CrossGrams` built on them. Kernels
+    do not depend on labels, so the horizons of one window pass the same
+    dict and build each training set's kernels once; a horizon whose
+    events differ misses and builds its own. Without `shared` the early
+    fold's Grams are freed before the full-window fit.
+    """
+    own = shared is None
+    shared = {} if own else shared
     labeling = cfg.labeling(horizon)
     train_records, test_records = window_records(cfg, window, records)
     if len(train_records) < MIN_TRAIN_EVENTS:
@@ -506,27 +522,28 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int,
     if np.all(y_train == y_train[0]):
         raise WindowSkipped("single-class training labels")
 
-    def kernels(train: list[FeatureRecord]) -> PlanKernels:
-        try:
-            return build_kernels(cfg.plan, train)
-        except KernelError as exc:  # e.g. no training document hits a dictionary stem
-            raise WindowSkipped(str(exc)) from exc
-
-    # the early fold's kernels and cross-Gram blocks, built once for every C candidate
-    cv_cross: list[CrossGrams] = []
+    def cross(train: list[FeatureRecord], test: list[FeatureRecord]) -> CrossGrams:
+        key = (tuple(r.position for r in train), tuple(r.position for r in test))
+        if key not in shared:
+            try:
+                shared[key] = CrossGrams(build_kernels(cfg.plan, train), test)
+            except KernelError as exc:  # e.g. no training document hits a dictionary stem
+                raise WindowSkipped(str(exc)) from exc
+        return shared[key]
 
     def evaluate(early, y_early, fold, cand):
-        if not cv_cross:
-            cv_cross.append(CrossGrams(kernels(early), fold))
-        fit = fit_plan(cv_cross[0].kernels, y_early, cand["C"], cfg.solver, cfg.gap_tol)
-        return predict_records(fit, cv_cross[0])
+        cv = cross(early, fold)  # built once for every C candidate
+        fit = fit_plan(cv.kernels, y_early, cand["C"], cfg.solver, cfg.gap_tol)
+        return predict_records(fit, cv)
 
     candidates = [{"C": c} for c in cfg.c_grid]
     best, _ = chrono_cv(train_records, y_train, candidates, evaluate)
-    cv_cross.clear()  # free the early fold's Grams before the full-window fit
+    if own:
+        shared.clear()
 
-    fit = fit_plan(kernels(train_records), y_train, best["C"], cfg.solver, cfg.gap_tol)
-    preds = predict_records(fit, CrossGrams(fit.kernels, test_records))
+    full = cross(train_records, test_records)
+    fit = fit_plan(full.kernels, y_train, best["C"], cfg.solver, cfg.gap_tol)
+    preds = predict_records(fit, full)
     sol = fit.solution
 
     # out-of-sample guarantee: no test event at or before the training span
@@ -552,42 +569,63 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int,
                                 "smo_not_converged": sol.smo_not_converged})
 
 
-def _run_window_job(args):
-    cfg, window, horizon, records = args
-    try:
-        return run_window(cfg, window, horizon, records)
-    except WindowSkipped as exc:
-        return exc
+def _run_window_job(args) -> list:
+    """One window at each of its horizons, sharing the window's kernels;
+    a WindowResult or the WindowSkipped per horizon."""
+    cfg, window, horizon_records = args
+    # dies with the window; a lone horizon shares nothing and frees as it goes
+    shared = {} if len(horizon_records) > 1 else None
+    outcomes = []
+    for horizon, records in horizon_records:
+        try:
+            outcomes.append(run_window(cfg, window, horizon, records, shared))
+        except WindowSkipped as exc:
+            outcomes.append(exc)
+    return outcomes
 
 
-def run_horizon(cfg: BacktestConfig, horizon: int, docs: list[Document],
-                prices: dict[str, PriceSeries], dictionary: Dictionary,
-                bags: dict | None = None) -> MetricsReport:
-    """Full sliding-window evaluation at one prediction horizon (`bags`:
-    see `prepare_feature_records`)."""
-    records, dropped = prepare_feature_records(docs, prices, dictionary, cfg.labeling(horizon), bags)
-    return run_horizon_on_records(cfg, horizon, records, dropped)
+def extract_horizons(cfg: BacktestConfig, docs: list[Document], prices: dict[str, PriceSeries],
+                     dictionary: Dictionary) -> dict[int, tuple[list[FeatureRecord], dict[str, int]]]:
+    """Every configured horizon's (feature records, drop tally), from one
+    pass over the documents."""
+    if not cfg.horizons:
+        raise BacktestError("no horizons configured")
+    extracted = prepare_records_by_horizon(docs, prices, dictionary,
+                                           [cfg.labeling(h) for h in cfg.horizons])
+    return dict(zip(cfg.horizons, extracted))
 
 
-def run_horizon_on_records(cfg: BacktestConfig, horizon: int, records: list[FeatureRecord],
-                           dropped: dict[str, int] | None = None) -> MetricsReport:
-    """Window sweep over already-extracted feature records."""
-    dropped = dropped if dropped is not None else {}
-    if not records:
-        raise BacktestError("no usable events after feature extraction")
-    months = sorted({month_of(r.timestamp) for r in records})
-    windows = build_windows(months[0], months[-1])
-
-    jobs = [(cfg, w, horizon, records) for w in windows]
+def run_sweep(cfg: BacktestConfig, extracted: dict[int, tuple[list[FeatureRecord], dict[str, int]]]
+              ) -> dict[int, MetricsReport]:
+    """Window-major sweep over already-extracted records: each window runs
+    every horizon whose span contains it, then releases its kernels.
+    horizon -> aggregated MetricsReport."""
+    windows: dict[int, set[Window]] = {}
+    for horizon, (records, _) in extracted.items():
+        if not records:
+            raise BacktestError("no usable events after feature extraction")
+        months = sorted({month_of(r.timestamp) for r in records})
+        windows[horizon] = set(build_windows(months[0], months[-1]))
+    order = sorted(set().union(*windows.values()), key=lambda w: _month_key(w.train_start))
+    jobs = [(cfg, w, [(h, extracted[h][0]) for h in extracted if w in windows[h]]) for w in order]
     if cfg.jobs > 1:
         with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
             outcomes = list(pool.map(_run_window_job, jobs))
     else:
         outcomes = [_run_window_job(j) for j in jobs]
 
+    by_horizon: dict[int, list] = {h: [] for h in extracted}
+    for (_, w, horizon_records), outs in zip(jobs, outcomes):
+        for (h, _), out in zip(horizon_records, outs):
+            by_horizon[h].append((w, out))
+    return {h: _report(cfg, by_horizon[h], extracted[h][1]) for h in extracted}
+
+
+def _report(cfg: BacktestConfig, outcomes: list, dropped: dict[str, int]) -> MetricsReport:
+    """One horizon's MetricsReport from its (window, WindowResult or WindowSkipped) list."""
     results: list[WindowResult] = []
     skipped = []
-    for w, out in zip(windows, outcomes):
+    for w, out in outcomes:
         if isinstance(out, WindowSkipped):
             skipped.append({"window_id": window_id(w), "reason": str(out)})
             log.info("window %s skipped: %s", window_id(w), out)
@@ -621,13 +659,16 @@ def run_horizon_on_records(cfg: BacktestConfig, horizon: int, records: list[Feat
                          n_dropped=dropped, skipped_windows=skipped)
 
 
+def run_horizon_on_records(cfg: BacktestConfig, horizon: int, records: list[FeatureRecord],
+                           dropped: dict[str, int] | None = None) -> MetricsReport:
+    """Window sweep of one horizon over already-extracted feature records."""
+    return run_sweep(cfg, {horizon: (records, dropped if dropped is not None else {})})[horizon]
+
+
 def run_backtest(cfg: BacktestConfig, docs: list[Document], prices: dict[str, PriceSeries],
                  dictionary: Dictionary) -> dict[int, MetricsReport]:
     """Run every configured horizon; horizon -> aggregated MetricsReport."""
-    if not cfg.horizons:
-        raise BacktestError("no horizons configured")
-    bags: dict = {}  # every horizon shares one tokenization of each document
-    return {h: run_horizon(cfg, h, docs, prices, dictionary, bags) for h in cfg.horizons}
+    return run_sweep(cfg, extract_horizons(cfg, docs, prices, dictionary))
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +708,7 @@ def report_to_dict(report: MetricsReport) -> dict:
                       "fp": report.confusion.fp, "fn": report.confusion.fn},
         "mean_kernel_weights": report.mean_kernel_weights,
         "n_dropped": report.n_dropped,
+        "windows_by_status": report.windows_by_status,
         "n_skipped_windows": report.n_skipped_windows,
         "skipped_windows": report.skipped_windows,
         "windows": report.per_window,

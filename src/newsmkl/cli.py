@@ -190,7 +190,10 @@ def cmd_backtest(args) -> int:
     )
     if args.train_min_event_time:
         cfg.train_min_event_time = _parse_clock(args.train_min_event_time)
-    reports = bt.run_backtest(cfg, docs, prices, dictionary)
+    extracted = bt.extract_horizons(cfg, docs, prices, dictionary)
+    # the sweep reads only the records: free the documents and prices before any Gram is built
+    del docs, prices
+    reports = bt.run_sweep(cfg, extracted)
     out = _out_dir(args)
     bt.write_window_csv(out / "windows.csv", cfg, reports)
     bt.write_report_json(out / "report.json", reports)

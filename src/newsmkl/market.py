@@ -164,11 +164,14 @@ def future_return(series: PriceSeries, t: datetime, horizon_minutes: int) -> flo
     return (p1 - p0) / p0
 
 
-@dataclass
+@dataclass(slots=True)
 class FeatureRecord:
     """A document joined to prices: text counts, return and calendar
     features, and the signed return over the horizon (labels are assigned
-    later, against a threshold from the training events)."""
+    later, against a threshold from the training events). `position` is
+    the document's index in the input list, which names the event even
+    where document ids repeat; the records of one document at several
+    horizons share its feature arrays."""
 
     doc_id: str
     ticker: str
@@ -179,6 +182,7 @@ class FeatureRecord:
     time_of_day: np.ndarray
     day_of_week: np.ndarray
     signed_return: float
+    position: int
 
     @property
     def abs_return(self) -> float:
@@ -193,33 +197,83 @@ def _bag(text: str, dictionary: Dictionary, bags: dict) -> tuple[np.ndarray, int
     return bags[text]
 
 
-def _feature_record(doc: Document, prices: dict[str, PriceSeries], dictionary: Dictionary,
-                    config: LabelingConfig, bags: dict) -> FeatureRecord:
-    """Join one document to its prices, or raise EventDropped with the exclusion reason."""
-    series = prices.get(doc.ticker)
-    if series is None:
-        raise EventDropped("unknown_ticker", doc.ticker)
+def _clock_drop(doc: Document, prices: dict[str, PriceSeries], config: LabelingConfig) -> str | None:
+    """The reason a document is dropped at every horizon, if any: its
+    ticker, its day or its clock time."""
+    if doc.ticker not in prices:
+        return "unknown_ticker"
     t = doc.timestamp
     if t.weekday() >= 5:
-        raise EventDropped("weekend", doc.id)
+        return "weekend"
     clock = t.timetz().replace(tzinfo=None)
     if clock < TRADING_DAY_START or clock > TRADING_DAY_END:
-        raise EventDropped("outside_trading_day", doc.id)
+        return "outside_trading_day"
     if clock < config.min_event_time:
-        raise EventDropped("before_min_event_time", doc.id)
-    t_end = t + timedelta(minutes=config.horizon_minutes)
-    if t_end.timetz().replace(tzinfo=None) > TRADING_DAY_END or t_end.date() != t.date():
-        raise EventDropped("horizon_overflow", doc.id)
-    try:
-        rets = return_features(series, t, absolute=(config.label_kind == "abnormal"))
-        r = future_return(series, t, config.horizon_minutes)
-    except MarketError as exc:
-        raise EventDropped("missing_price", f"{doc.id}: {exc}") from exc
-    tod, dow = calendar_features(t)
-    counts, n_tokens = _bag(doc.text, dictionary, bags)
-    return FeatureRecord(doc_id=doc.id, ticker=doc.ticker, timestamp=t, text_counts=counts,
-                         token_count=n_tokens, return_features=rets, time_of_day=tod,
-                         day_of_week=dow, signed_return=float(r))
+        return "before_min_event_time"
+    return None
+
+
+def _within_day(t: datetime, horizon_minutes: int) -> bool:
+    """Whether the horizon ends by the close of the event's trading day."""
+    t_end = t + timedelta(minutes=horizon_minutes)
+    return t_end.timetz().replace(tzinfo=None) <= TRADING_DAY_END and t_end.date() == t.date()
+
+
+def prepare_records_by_horizon(
+    docs: list[Document],
+    prices: dict[str, PriceSeries],
+    dictionary: Dictionary,
+    configs: list[LabelingConfig],
+) -> list[tuple[list[FeatureRecord], dict[str, int]]]:
+    """Extract features and horizon returns for every usable document, once
+    per configuration (the configurations may differ only in horizon).
+
+    Returns, per configuration, the kept records plus a tally of dropped
+    documents by reason; kept + dropped always sums to the input count.
+    At each horizon the checks run in the order ticker, weekend, trading
+    day, minimum event time, horizon overflow, price history, prices at
+    the horizon, and the first that fails names the drop. Everything but
+    the horizon checks is done once per document: a kept document is
+    tokenized once, its return and calendar features are computed once,
+    and a text's counts array is shared by every record of that text.
+    """
+    if len({(c.label_kind, c.min_event_time) for c in configs}) != 1:
+        raise MarketError("extraction needs configurations that differ only in horizon")
+    out = [([], dict.fromkeys(DROP_REASONS, 0)) for _ in configs]
+    absolute = configs[0].label_kind == "abnormal"
+    bags: dict = {}
+    for position, doc in enumerate(docs):
+        t = doc.timestamp
+        clock_reason = _clock_drop(doc, prices, configs[0])
+        fits = [clock_reason is None and _within_day(t, c.horizon_minutes) for c in configs]
+        history_reason = None
+        if any(fits):
+            series = prices[doc.ticker]
+            try:
+                rets = return_features(series, t, absolute=absolute)
+            except EventDropped as exc:
+                history_reason = exc.reason
+            except MarketError:
+                history_reason = "missing_price"
+        kept = []
+        for config, fit, (records, dropped) in zip(configs, fits, out):
+            reason = clock_reason or (history_reason if fit else "horizon_overflow")
+            if reason is not None:
+                dropped[reason] += 1
+                continue
+            try:
+                kept.append((records, future_return(series, t, config.horizon_minutes)))
+            except MarketError:
+                dropped["missing_price"] += 1
+        if kept:
+            tod, dow = calendar_features(t)
+            counts, n_tokens = _bag(doc.text, dictionary, bags)
+            for records, r in kept:
+                records.append(FeatureRecord(
+                    doc_id=doc.id, ticker=doc.ticker, timestamp=t, text_counts=counts,
+                    token_count=n_tokens, return_features=rets, time_of_day=tod, day_of_week=dow,
+                    signed_return=float(r), position=position))
+    return out
 
 
 def prepare_feature_records(
@@ -227,25 +281,9 @@ def prepare_feature_records(
     prices: dict[str, PriceSeries],
     dictionary: Dictionary,
     config: LabelingConfig,
-    bags: dict | None = None,
 ) -> tuple[list[FeatureRecord], dict[str, int]]:
-    """Extract features and horizon returns for every usable document.
-
-    Returns the kept records plus a tally of dropped documents by reason;
-    kept + dropped always sums to the input count. `bags` keeps each
-    text's stem counts across calls with the same dictionary, so a kept
-    document is tokenized once however many horizons share the dict; a
-    text's counts array is shared by every record of that text.
-    """
-    bags = {} if bags is None else bags
-    records: list[FeatureRecord] = []
-    dropped = dict.fromkeys(DROP_REASONS, 0)
-    for doc in docs:
-        try:
-            records.append(_feature_record(doc, prices, dictionary, config, bags))
-        except EventDropped as exc:
-            dropped[exc.reason] += 1
-    return records, dropped
+    """`prepare_records_by_horizon` for one configuration."""
+    return prepare_records_by_horizon(docs, prices, dictionary, [config])[0]
 
 
 def label_threshold(train_records: list[FeatureRecord], config: LabelingConfig) -> float:

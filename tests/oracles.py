@@ -9,13 +9,17 @@ naive double loops for tf-idf and the performance measures.
 from __future__ import annotations
 
 import math
+from datetime import time, timedelta
 
 import numpy as np
 
 from newsmkl.kernels import KernelSpec, gram_matrix
+from newsmkl.market import (DROP_REASONS, EventDropped, MarketError, calendar_features,
+                            future_return, return_features)
 from newsmkl.mkl import (BACKTRACK_ALPHA, BACKTRACK_BETA, NEWTON_TOL, LocalizationSet, MklProblem,
                          MklState, barrier_value, mkl_objective)
 from newsmkl.svm import TrainingSet, solve_dual
+from newsmkl.text import bag_of_words, tokenize
 
 # ---------------------------------------------------------------------------
 # SVM dual: spectral projected gradient on the box/hyperplane feasible set
@@ -225,3 +229,48 @@ def make_svm_problem(seed: int, l: int = 20, C: float | None = None,
 
 def solve_tight(ts: TrainingSet, C: float):
     return solve_dual(ts, C, tol=1e-10)
+
+
+# ---------------------------------------------------------------------------
+# Event extraction: every check per document and horizon, in the documented order
+# ---------------------------------------------------------------------------
+
+
+def naive_feature_records(docs, prices, dictionary, config) -> tuple[list[dict], dict[str, int]]:
+    """One horizon's kept events, as plain dicts, and its drop tally."""
+    kept, dropped = [], dict.fromkeys(DROP_REASONS, 0)
+    for position, doc in enumerate(docs):
+        t = doc.timestamp
+        clock = t.timetz().replace(tzinfo=None)
+        end = t + timedelta(minutes=config.horizon_minutes)
+        series = prices.get(doc.ticker)
+        reason = None
+        if series is None:
+            reason = "unknown_ticker"
+        elif t.weekday() >= 5:
+            reason = "weekend"
+        elif not time(9, 30) <= clock <= time(16, 0):
+            reason = "outside_trading_day"
+        elif clock < config.min_event_time:
+            reason = "before_min_event_time"
+        elif end.date() != t.date() or end.timetz().replace(tzinfo=None) > time(16, 0):
+            reason = "horizon_overflow"
+        else:
+            try:
+                rets = return_features(series, t, absolute=config.label_kind == "abnormal")
+                r = future_return(series, t, config.horizon_minutes)
+            except EventDropped as exc:
+                reason = exc.reason
+            except MarketError:
+                reason = "missing_price"
+        if reason is not None:
+            dropped[reason] += 1
+            continue
+        tod, dow = calendar_features(t)
+        tokens = tokenize(doc.text)
+        kept.append({"doc_id": doc.id, "ticker": doc.ticker, "timestamp": t, "position": position,
+                     "text_counts": bag_of_words(tokens, dictionary).tolist(),
+                     "token_count": len(tokens), "return_features": rets.tolist(),
+                     "time_of_day": tod.tolist(), "day_of_week": dow.tolist(),
+                     "signed_return": float(r)})
+    return kept, dropped

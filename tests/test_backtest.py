@@ -1,6 +1,8 @@
 import copy
 import dataclasses
+import gc
 import json
+import weakref
 from datetime import date, datetime, timezone
 
 import numpy as np
@@ -134,7 +136,8 @@ class TestChronoCv:
                 timestamp=datetime(2004, 1 + i // 20, 1 + i % 20, 12, 0, tzinfo=UTC),
                 text_counts=np.zeros(2, dtype=np.int64), token_count=5,
                 return_features=np.zeros(5), time_of_day=np.array([0, 1, 0.0]),
-                day_of_week=np.array([1, 0, 0, 0, 0.0]), signed_return=0.01 * (i % 3 - 1)))
+                day_of_week=np.array([1, 0, 0, 0, 0.0]), signed_return=0.01 * (i % 3 - 1),
+                position=i))
         return recs
 
     def test_single_candidate_unconditional(self):
@@ -184,7 +187,8 @@ def _record_at(i: int, t: datetime) -> bt.FeatureRecord:
     return bt.FeatureRecord(doc_id=f"d{i}", ticker="T", timestamp=t,
                             text_counts=np.zeros(2, dtype=np.int64), token_count=5,
                             return_features=np.zeros(5), time_of_day=np.array([0, 1, 0.0]),
-                            day_of_week=np.array([1, 0, 0, 0, 0.0]), signed_return=0.0)
+                            day_of_week=np.array([1, 0, 0, 0, 0.0]), signed_return=0.0,
+                            position=i)
 
 
 @settings(max_examples=60, deadline=None)
@@ -362,6 +366,7 @@ class TestArtifacts:
         assert payload["horizons"]["10"]["skipped_windows"] == []
         windows = payload["horizons"]["10"]["windows"]
         assert windows
+        assert payload["horizons"]["10"]["windows_by_status"] == {"converged": len(windows)}
         for w in windows:  # a single-kernel plan: one SVM solve at d = [1]
             assert w["svm_solves"] == 1 and w["mkl_status"] == "converged" and w["gap"] == 0.0
             assert w["mkl_iterations"] == 1 and w["smo_not_converged"] == 0
@@ -384,11 +389,13 @@ class TestArtifacts:
         for w in report.per_window:
             assert w["mkl_status"] == "max_iters" and w["mkl_iterations"] == 2
             assert w["gap"] > cfg.gap_tol and w["svm_solves"] >= 2
+        assert bt.report_to_dict(report)["windows_by_status"] == {"max_iters": len(report.per_window)}
 
 
 class TestKernelReuse:
     """Each window builds its kernels once per training set: the early
-    fold once for every C candidate, the full window once for the final fit."""
+    fold once for every C candidate and horizon, the full window once for
+    the final fits of every horizon."""
 
     PLAN = [bt.PlanKernel(name="lin_text", feature="text", kind="linear"),
             bt.PlanKernel(name="gauss_text", feature="text", kind="gaussian", sigma_scale=1.0),
@@ -445,10 +452,14 @@ class TestKernelReuse:
         windows = sum(len(r.per_window) for r in reports.values())
         assert windows == 4 and all(r.n_skipped_windows == 0 for r in reports.values())
         assert len(cv_runs) == windows
+        # synthetic events end by 15:30, so both horizons keep the same events
+        # and a window's training sets are the same at both
+        train_sets = {tuple(r.position for r in run[0]) for run in cv_runs}
+        assert len(train_sets) == windows // 2
         # two training sets per window (early fold, full window); per set one
         # Gram per plan kernel and one bandwidth per gaussian feature (text, absret)
-        assert calls["gram_matrix"] == windows * 2 * len(self.PLAN)
-        assert calls["median_sqdist"] == windows * 2 * 2
+        assert calls["gram_matrix"] == len(train_sets) * 2 * len(self.PLAN)
+        assert calls["median_sqdist"] == len(train_sets) * 2 * 2
 
     def test_documents_tokenized_once_per_run(self, traced):
         _, _, calls, _, n_kept = traced
@@ -473,3 +484,94 @@ class TestKernelReuse:
             assert len(preds) == len(candidates)
             for a, b in zip(preds, fresh_preds):
                 np.testing.assert_array_equal(a, b)
+
+
+LIN_TEXT = [bt.PlanKernel(name="lin_text", feature="text", kind="linear")]
+
+
+def _counting_builds(monkeypatch) -> list:
+    """Record the training-set positions of every `build_kernels` call."""
+    builds = []
+    real = bt.build_kernels
+
+    def counted(plan, train_records):
+        builds.append(tuple(r.position for r in train_records))
+        return real(plan, train_records)
+    monkeypatch.setattr(bt, "build_kernels", counted)
+    return builds
+
+
+class TestWindowMajorSweep:
+    """One window's horizons share its kernels wherever their events agree."""
+
+    def test_sweep_equals_each_horizon_alone(self, monkeypatch):
+        # synthetic events run 10:10-15:30: h=10 and h=20 keep the same events,
+        # h=250 drops every event after 11:50 and must build its own kernels
+        docs, prices, _ = synth_fixture(seed=3, n_events=300)
+        dic = default_dictionary()
+        cfg = bt.BacktestConfig(plan=LIN_TEXT, horizons=(10, 20, 250), c_grid=(10.0, 1000.0))
+        extracted = bt.extract_horizons(cfg, docs, prices, dic)
+        assert extracted[250][1]["horizon_overflow"] > 0
+        alone = {h: bt.run_horizon_on_records(cfg, h, *extracted[h]) for h in cfg.horizons}
+        builds = _counting_builds(monkeypatch)
+        swept = bt.run_backtest(cfg, docs, prices, dic)
+        assert sorted(swept) == sorted(alone)
+        for h in cfg.horizons:
+            assert swept[h].n_skipped_windows == 0
+            assert json.dumps(bt.report_to_dict(swept[h])) == json.dumps(bt.report_to_dict(alone[h]))
+        n_windows = len(swept[10].per_window)
+        assert len(builds) == len(set(builds)) == 2 * 2 * n_windows  # h=10/20 shared, h=250 own
+
+    def test_identical_events_build_each_window_once(self, monkeypatch):
+        docs, prices, _ = synth_fixture(seed=5, n_events=250)
+        cfg = bt.BacktestConfig(plan=LIN_TEXT, horizons=(10, 20, 30), c_grid=(10.0, 100.0))
+        builds = _counting_builds(monkeypatch)
+        reports = bt.run_backtest(cfg, docs, prices, default_dictionary())
+        n_windows = len(reports[10].per_window)
+        assert n_windows == 2 and all(len(r.per_window) == n_windows for r in reports.values())
+        assert len(builds) == 2 * n_windows  # early fold and full window, not 6 x n_windows
+
+    def test_documents_sharing_an_id_stay_two_events(self):
+        docs, prices, _ = synth_fixture(seed=5, n_events=250, n_months=13)
+        first_month = bt.month_of(docs[0].timestamp)  # synthetic documents come in time order
+        j, k = [i for i, d in enumerate(docs) if bt.month_of(d.timestamp) == first_month][:2]
+        docs[k] = dataclasses.replace(docs[k], id=docs[j].id)
+        assert docs[j].text != docs[k].text
+        cfg = bt.BacktestConfig(plan=LIN_TEXT, horizons=(10,), c_grid=(10.0,))
+        records, _ = bt.prepare_feature_records(docs, prices, default_dictionary(), cfg.labeling(10))
+        rj, rk = (next(r for r in records if r.position == i) for i in (j, k))
+        with_j = [r for r in records if r is not rk]
+        with_k = [rk if r is rj else r for r in with_j]  # the same ids in the same order
+        assert [r.doc_id for r in with_j] == [r.doc_id for r in with_k]
+        [window] = bt.build_windows(first_month, bt.month_of(docs[-1].timestamp))
+        shared: dict = {}
+        bt.run_window(cfg, window, 10, with_j, shared)
+        got = bt.run_window(cfg, window, 10, with_k, shared)
+        assert len(shared) == 2
+        fresh = bt.run_window(cfg, window, 10, with_k)
+        np.testing.assert_array_equal(got.predictions, fresh.predictions)
+        np.testing.assert_array_equal(got.kernel_weights, fresh.kernel_weights)
+        assert got.solver == fresh.solver
+
+    @pytest.mark.parametrize("horizons,early_alive", [((10,), False), ((10, 20), True)])
+    def test_early_fold_lives_only_while_another_horizon_may_read_it(self, monkeypatch, horizons,
+                                                                       early_alive):
+        docs, prices, _ = synth_fixture(seed=5, n_events=250, n_months=13)
+        cfg = bt.BacktestConfig(plan=LIN_TEXT, horizons=horizons, c_grid=(10.0, 100.0))
+        built, alive_at_full_fit = [], []
+        real_build, real_fit = bt.build_kernels, bt.fit_plan
+
+        def build(plan, train_records):
+            kernels = real_build(plan, train_records)
+            built.append(weakref.ref(kernels))
+            return kernels
+
+        def fit(kernels, *args):
+            if len(built) == 2 and kernels is built[1]():  # the one window's full-window fit
+                gc.collect()
+                alive_at_full_fit.append(built[0]() is not None)
+            return real_fit(kernels, *args)
+        monkeypatch.setattr(bt, "build_kernels", build)
+        monkeypatch.setattr(bt, "fit_plan", fit)
+        bt.run_backtest(cfg, docs, prices, default_dictionary())
+        assert alive_at_full_fit == [early_alive] * len(horizons)

@@ -143,9 +143,11 @@ class TestBacktestCommand:
             outs[jobs] = tmp_path / f"jobs{jobs}"
             run_cli("backtest", "--docs", str(synth_dir / "docs.jsonl"),
                     "--prices", str(synth_dir / "prices.csv"), "--plan", "linear4",
-                    "--c-grid", "10,100", "--jobs", jobs, "--out", str(outs[jobs]))
+                    "--horizons", "10,250", "--c-grid", "10,100", "--jobs", jobs,
+                    "--out", str(outs[jobs]))
         report = json.loads((outs["1"] / "report.json").read_text())
-        assert len(report["horizons"]["10"]["windows"]) >= 2
+        for h in ("10", "250"):
+            assert len(report["horizons"][h]["windows"]) >= 2
         for name in ("report.json", "windows.csv"):
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 

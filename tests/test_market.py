@@ -6,12 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import nearest_rank
+from oracles import naive_feature_records, nearest_rank
 
 from newsmkl.market import (DROP_REASONS, EventDropped, LabelingConfig, MarketError,
                             PriceSeries, SynthSpec, _price_rows, abnormal_threshold,
                             calendar_features, future_return, label_records,
-                            prepare_feature_records, price_at, read_prices, return_features,
+                            prepare_feature_records, prepare_records_by_horizon, price_at,
+                            read_prices, return_features,
                             synth_generate, trading_days, write_prices)
 from newsmkl.text import Document, parse_dictionary
 
@@ -259,6 +260,81 @@ def test_extraction_accounts_for_every_document(docs, horizon, label_kind, min_e
         assert r.timestamp.weekday() < 5
         assert clock >= min_event_time
         assert end.date() == r.timestamp.date() and end.timetz().replace(tzinfo=None) <= time(16, 0)
+
+
+def _late_start_prices():
+    """Minute prices of ticker L from 15:20 on the first day: events before
+    15:55 that day lack history."""
+    start = int((WEEK_START + timedelta(hours=15, minutes=20)).timestamp())
+    times = start + 60 * np.arange(41 + 4 * 24 * 60)
+    return PriceSeries(ticker="L", times=times, prices=100.0 + 0.01 * np.arange(times.size))
+
+
+TWO_TICKERS = {**WEEK_PRICES, "L": _late_start_prices()}
+HORIZONS = (10, 30, 60, 250)
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=st.lists(st.builds(
+           lambda day, minute, ticker, text: Document(
+               id="d", ticker=ticker, text=text, timestamp=WEEK_START + timedelta(days=day, minutes=minute)),
+           st.integers(0, 6), st.integers(0, 24 * 60 - 1) | st.integers(15 * 60, 16 * 60),
+           st.sampled_from(["T", "L", "UNKNOWN"]),
+           st.sampled_from(["hello", "hello hello world", "world"])), max_size=25),
+       label_kind=st.sampled_from(["abnormal", "direction"]),
+       min_event_time=st.sampled_from([time(9, 30), time(12, 0)]))
+def test_horizons_extracted_together_match_each_alone(docs, label_kind, min_event_time):
+    configs = [LabelingConfig(horizon_minutes=h, label_kind=label_kind, min_event_time=min_event_time)
+               for h in HORIZONS]
+    together = prepare_records_by_horizon(docs, TWO_TICKERS, DICTIONARY, configs)
+    for config, (records, dropped) in zip(configs, together):
+        kept, naive_dropped = naive_feature_records(docs, TWO_TICKERS, DICTIONARY, config)
+        assert dropped == naive_dropped
+        assert [{"doc_id": r.doc_id, "ticker": r.ticker, "timestamp": r.timestamp, "position": r.position,
+                 "text_counts": r.text_counts.tolist(), "token_count": r.token_count,
+                 "return_features": r.return_features.tolist(), "time_of_day": r.time_of_day.tolist(),
+                 "day_of_week": r.day_of_week.tolist(), "signed_return": r.signed_return}
+                for r in records] == kept
+
+
+class TestExtractionOrder:
+    def test_overflow_wins_over_missing_history_at_the_horizon_that_overflows(self):
+        # 15:40 on ticker L: no prices back to 15:05, and 30 minutes run past the close
+        doc = Document(id="x", ticker="L", text="hello", timestamp=WEEK_START + timedelta(hours=15, minutes=40))
+        configs = [LabelingConfig(horizon_minutes=h) for h in (10, 30)]
+        (kept10, dropped10), (kept30, dropped30) = prepare_records_by_horizon(
+            [doc], TWO_TICKERS, DICTIONARY, configs)
+        assert not kept10 and not kept30
+        assert {k: v for k, v in dropped10.items() if v} == {"insufficient_history": 1}
+        assert {k: v for k, v in dropped30.items() if v} == {"horizon_overflow": 1}
+
+    def test_features_computed_once_per_document(self, monkeypatch):
+        import newsmkl.market as market
+
+        calls = {"return_features": 0, "future_return": 0}
+        for name in calls:
+            real = getattr(market, name)
+
+            def counted(*args, real=real, name=name, **kwargs):
+                calls[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(market, name, counted)
+        docs = [Document(id=f"d{i}", ticker="T", text="hello", timestamp=dt(11 + i, 0, day=6))
+                for i in range(3)]
+        together = prepare_records_by_horizon(docs, WEEK_PRICES, DICTIONARY,
+                                              [LabelingConfig(horizon_minutes=h) for h in (10, 20, 30)])
+        assert [len(records) for records, _ in together] == [3, 3, 3]
+        assert calls == {"return_features": 3, "future_return": 9}
+        # one document's records at every horizon share its feature arrays
+        firsts = [records[0] for records, _ in together]
+        assert all(r.return_features is firsts[0].return_features for r in firsts)
+        assert all(r.text_counts is firsts[0].text_counts for r in firsts)
+
+    def test_configurations_must_differ_only_in_horizon(self):
+        with pytest.raises(MarketError):
+            prepare_records_by_horizon([], WEEK_PRICES, DICTIONARY,
+                                       [LabelingConfig(horizon_minutes=10),
+                                        LabelingConfig(horizon_minutes=20, label_kind="direction")])
 
 
 class TestSynth:
