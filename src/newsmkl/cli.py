@@ -144,10 +144,13 @@ def _train_common(args, plan) -> int:
         raise CliError("not enough events to train on")
     fit = bt.fit_plan(bt.build_kernels(plan, records), y, args.C, args.solver, args.gap_tol)
     out = _out_dir(args)
-    save_model(out / "model.json", fit.solution.model, kernels=fit.kernel_descriptions(),
-               mkl_weights=fit.solution.d)
+    sol = fit.solution
+    save_model(out / "model.json", sol.model, kernels=fit.kernel_descriptions(), mkl_weights=sol.d,
+               mkl={"status": sol.status, "gap": float(sol.gap), "iterations": sol.iterations,
+                    "svm_solves": sol.svm_solves, "smo_iterations": sol.smo_iterations,
+                    "smo_not_converged": sol.smo_not_converged})
     with open(out / "weights.json", "w", encoding="utf-8") as fh:
-        json.dump([float(w) for w in fit.solution.d], fh)
+        json.dump([float(w) for w in sol.d], fh)
         fh.write("\n")
     cfg = {"horizon": args.horizon, "percentile": args.percentile, "kind": args.kind,
            "C": args.C, "solver": args.solver, "gap_tol": args.gap_tol,
@@ -156,7 +159,7 @@ def _train_common(args, plan) -> int:
     write_manifest(out / "manifest.json", args.command, cfg, getattr(args, "seed", None))
     log.info("%s: trained on %d events (dropped %s), gap %.3g, %d SVM solves -> %s",
              args.command, len(records), {k: v for k, v in dropped.items() if v},
-             fit.solution.gap, fit.solution.svm_solves, out)
+             sol.gap, sol.svm_solves, out)
     return 0
 
 

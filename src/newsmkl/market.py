@@ -13,13 +13,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from array import array
 from datetime import datetime, time, timedelta, timezone
-from itertools import islice
 
 import numpy as np
 
-from .text import Dictionary, Document, bag_of_words, tokenize
+from .text import Dictionary, Document, bag_of_words, tokenize, _utf8_line
 
 TRADING_DAY_START = time(9, 30)
 TRADING_DAY_END = time(16, 0)
@@ -86,13 +84,39 @@ class PriceSeries:
         return self.times.size
 
 
+def _prices_at(series: PriceSeries, times) -> np.ndarray:
+    """Previous-tick sampling at each of an array of epoch times."""
+    idx = np.searchsorted(series.times, times, side="right") - 1
+    if idx.size and idx.min() < 0:
+        raise MarketError(f"{series.ticker}: no price at or before requested time")
+    return series.prices[idx]
+
+
+def _period_returns(series: PriceSeries, start, end) -> np.ndarray:
+    """[P(end) - P(start)] / P(start), elementwise over (broadcast) arrays of epoch times."""
+    p0 = _prices_at(series, start)
+    return (_prices_at(series, end) - p0) / p0
+
+
+# how far before the event each lagged return ends: 5k minutes, k = 0..4
+_RETURN_ENDS = RETURN_STEP_MINUTES * 60 * np.arange(N_RETURN_FEATURES)
+
+
+def _lagged_returns(series: PriceSeries, et: np.ndarray, absolute: bool) -> np.ndarray:
+    """The (n, 5) return features of events at epoch times `et`, all with history."""
+    ends = et[:, None] - _RETURN_ENDS
+    out = _period_returns(series, ends - RETURN_LAG_MINUTES * 60, ends)
+    return np.abs(out) if absolute else out
+
+
+def _has_history(series: PriceSeries, et):
+    return series.times[0] <= et - HISTORY_MINUTES * 60
+
+
 def price_at(series: PriceSeries, t: datetime | int) -> float:
     """Previous-tick sampling: last price at or before t."""
     et = t if isinstance(t, (int, np.integer)) else _epoch(t)
-    idx = int(np.searchsorted(series.times, et, side="right")) - 1
-    if idx < 0:
-        raise MarketError(f"{series.ticker}: no price at or before requested time")
-    return float(series.prices[idx])
+    return float(_prices_at(series, [et])[0])
 
 
 def return_features(series: PriceSeries, t: datetime | int, absolute: bool = False) -> np.ndarray:
@@ -102,15 +126,10 @@ def return_features(series: PriceSeries, t: datetime | int, absolute: bool = Fal
     back to t - 35 minutes; otherwise the event lacks history.
     """
     et = t if isinstance(t, (int, np.integer)) else _epoch(t)
-    if series.times[0] > et - HISTORY_MINUTES * 60:
+    if not _has_history(series, et):
         raise EventDropped("insufficient_history",
                            f"{series.ticker}: need prices back to t-{HISTORY_MINUTES}min")
-    out = np.empty(N_RETURN_FEATURES)
-    for k in range(N_RETURN_FEATURES):
-        p_now = price_at(series, et - RETURN_STEP_MINUTES * 60 * k)
-        p_lag = price_at(series, et - (RETURN_STEP_MINUTES * k + RETURN_LAG_MINUTES) * 60)
-        out[k] = (p_now - p_lag) / p_lag
-    return np.abs(out) if absolute else out
+    return _lagged_returns(series, np.array([et]), absolute)[0]
 
 
 def abnormal_threshold(training_abs_returns, percentile: float) -> float:
@@ -159,9 +178,8 @@ def calendar_features(t: datetime) -> tuple[np.ndarray, np.ndarray]:
 
 
 def future_return(series: PriceSeries, t: datetime, horizon_minutes: int) -> float:
-    p0 = price_at(series, t)
-    p1 = price_at(series, _epoch(t) + horizon_minutes * 60)
-    return (p1 - p0) / p0
+    et = _epoch(t)
+    return float(_period_returns(series, et, et + horizon_minutes * 60))
 
 
 @dataclass(slots=True)
@@ -231,48 +249,59 @@ def prepare_records_by_horizon(
     Returns, per configuration, the kept records plus a tally of dropped
     documents by reason; kept + dropped always sums to the input count.
     At each horizon the checks run in the order ticker, weekend, trading
-    day, minimum event time, horizon overflow, price history, prices at
-    the horizon, and the first that fails names the drop. Everything but
-    the horizon checks is done once per document: a kept document is
-    tokenized once, its return and calendar features are computed once,
-    and a text's counts array is shared by every record of that text.
+    day, minimum event time, horizon overflow, price history, and the
+    first that fails names the drop (with 35 minutes of history every
+    price lookup succeeds). Everything but the horizon checks is done once
+    per document: a kept document is tokenized once, its return and
+    calendar features are computed once, and a text's counts array is
+    shared by every record of that text. Prices are looked up per ticker,
+    for all of its events at once.
     """
     if len({(c.label_kind, c.min_event_time) for c in configs}) != 1:
         raise MarketError("extraction needs configurations that differ only in horizon")
-    out = [([], dict.fromkeys(DROP_REASONS, 0)) for _ in configs]
-    absolute = configs[0].label_kind == "abnormal"
-    bags: dict = {}
+    horizons = [c.horizon_minutes for c in configs]
+    # per document: the reason it drops at every horizon, and which horizons end by the close
+    checks = []
+    by_ticker: dict[str, list[int]] = {}  # positions of the documents that need prices
     for position, doc in enumerate(docs):
-        t = doc.timestamp
-        clock_reason = _clock_drop(doc, prices, configs[0])
-        fits = [clock_reason is None and _within_day(t, c.horizon_minutes) for c in configs]
-        history_reason = None
+        reason = _clock_drop(doc, prices, configs[0])
+        fits = [reason is None and _within_day(doc.timestamp, h) for h in horizons]
         if any(fits):
-            series = prices[doc.ticker]
-            try:
-                rets = return_features(series, t, absolute=absolute)
-            except EventDropped as exc:
-                history_reason = exc.reason
-            except MarketError:
-                history_reason = "missing_price"
+            by_ticker.setdefault(doc.ticker, []).append(position)
+        checks.append((reason, fits))
+
+    # each ticker's events at once: the history check, then every price lookup
+    # (with history, every lookup finds a price)
+    returns: dict[int, tuple[np.ndarray, list[float]]] = {}
+    for ticker, positions in by_ticker.items():
+        series = prices[ticker]
+        et = np.array([_epoch(docs[p].timestamp) for p in positions], dtype=np.int64)
+        ok = _has_history(series, et)
+        et = et[ok]
+        rets = _lagged_returns(series, et, absolute=configs[0].label_kind == "abnormal")
+        future = _period_returns(series, et[:, None], et[:, None] + 60 * np.array(horizons))
+        kept = [p for p, has in zip(positions, ok.tolist()) if has]
+        returns.update(zip(kept, zip(rets, future.tolist())))
+
+    out = [([], dict.fromkeys(DROP_REASONS, 0)) for _ in configs]
+    bags: dict = {}
+    for position, (doc, (reason, fits)) in enumerate(zip(docs, checks)):
+        rets, future = returns.get(position, (None, None))
         kept = []
-        for config, fit, (records, dropped) in zip(configs, fits, out):
-            reason = clock_reason or (history_reason if fit else "horizon_overflow")
-            if reason is not None:
-                dropped[reason] += 1
-                continue
-            try:
-                kept.append((records, future_return(series, t, config.horizon_minutes)))
-            except MarketError:
-                dropped["missing_price"] += 1
+        for j, (fit, (records, dropped)) in enumerate(zip(fits, out)):
+            if fit and rets is not None:
+                kept.append((records, future[j]))
+            else:
+                dropped[reason or ("insufficient_history" if fit else "horizon_overflow")] += 1
         if kept:
+            t = doc.timestamp
             tod, dow = calendar_features(t)
             counts, n_tokens = _bag(doc.text, dictionary, bags)
             for records, r in kept:
                 records.append(FeatureRecord(
                     doc_id=doc.id, ticker=doc.ticker, timestamp=t, text_counts=counts,
-                    token_count=n_tokens, return_features=rets, time_of_day=tod, day_of_week=dow,
-                    signed_return=float(r), position=position))
+                    token_count=n_tokens, return_features=rets, time_of_day=tod,
+                    day_of_week=dow, signed_return=r, position=position))
     return out
 
 
@@ -311,48 +340,110 @@ def label_records(records: list[FeatureRecord], config: LabelingConfig, threshol
 # ---------------------------------------------------------------------------
 
 
-# byte layout of a `write_prices` timestamp, YYYY-MM-DDTHH:MM:SSZ
-_STAMP_DIGITS = [0, 1, 2, 3, 5, 6, 8, 9, 11, 12, 14, 15, 17, 18]
-_STAMP_MARKS = [4, 7, 10, 13, 16, 19]
+_PRICE_HEADER = b"ticker,timestamp,price\n"
+_PRICE_BLOCK_BYTES = 1 << 20  # bytes read at a time; keeps every temporary of the parse small
+_MAX_FIELD_BYTES = 32  # a longer ticker or price goes to the row parser
+# each byte of a `write_prices` timestamp's YYYY-MM-DDTHH:MM:SS part lies in [lo, lo + span]
+_STAMP_LO = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
+_STAMP_SPAN = np.frombuffer(b"9999-99-99T99:99:99", np.uint8) - _STAMP_LO
 _YEAR_ONE = int(np.datetime64("0001-01-01T00:00:00", "s").astype(np.int64))  # datetime's minimum
-_PRICE_BLOCK_ROWS = 2048  # small blocks keep each temporary of the column parse small
+_WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # first k bytes of a word
 
 
-def _price_columns(rows: list[str]) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Parse non-empty rows by column; ValueError unless every row has three
-    fields, a `write_prices` timestamp and a positive finite price."""
-    joined = ",".join(rows)
-    flat = joined.split(",")
-    if len(flat) != 3 * len(rows) or "\0" in joined:
-        raise ValueError("a row is not three NUL-free fields")
-    # one spare byte per stamp, so a longer stamp shows as a nonzero last byte
-    raw = np.array(flat[1::3], dtype="S21").view(np.uint8).reshape(len(rows), 21)
-    digits = raw[:, _STAMP_DIGITS]
-    if not (np.all((digits >= ord("0")) & (digits <= ord("9")))
-            and np.all(raw[:, _STAMP_MARKS] == np.frombuffer(b"--T::Z", np.uint8))
-            and not np.any(raw[:, 20])):
+def _parse_price_block(buf: bytes, chunks: dict[bytes, tuple[list, list]]) -> None:
+    """Parse whole rows (`buf` ends in a newline) into per-ticker chunks of
+    times and prices, keyed by the ticker's bytes.
+
+    ValueError unless every row is three fields `ticker,YYYY-MM-DDTHH:MM:SSZ,price`
+    with a positive finite price, ticker and price of at most
+    `_MAX_FIELD_BYTES` bytes, no NUL or carriage return, and a printable,
+    non-space ASCII first and last byte (so stripping a row cannot change
+    it and no row is blank).
+    """
+    if b"\0" in buf or b"\r" in buf:
+        raise ValueError("a NUL byte or carriage return")
+    b = np.frombuffer(buf, np.uint8)
+    ends = np.flatnonzero(b == ord("\n"))
+    starts = np.concatenate(([0], ends[:-1] + 1))
+    edges = np.concatenate((b[starts], b[ends - 1]))
+    if not np.all(edges - np.uint8(33) <= 126 - 33):  # 33..126 (wrapping below 33 in uint8)
+        raise ValueError("a row's first or last byte is not printable ASCII")
+    commas = np.flatnonzero(b == ord(","))
+    if commas.size != 2 * ends.size:
+        raise ValueError("a row is not three fields")
+    c1, c2 = commas[0::2], commas[1::2]
+    if not (np.all(c1 >= starts) and np.all(c2 < ends) and np.all(c2 - c1 == 21)):
+        raise ValueError("a row is not three fields with a 20-byte timestamp")
+    lengths, widths = c1 - starts, ends - c2 - 1  # of the ticker and the price
+    if max(lengths.max(), widths.max()) > _MAX_FIELD_BYTES:
+        raise ValueError("a ticker or price is too long for the block parser")
+
+    stamps = np.lib.stride_tricks.sliding_window_view(b, 19)[c1 + 1]
+    if not (np.all(stamps - _STAMP_LO <= _STAMP_SPAN) and np.all(b[c2 - 1] == ord("Z"))):
         raise ValueError("a timestamp is not in YYYY-MM-DDTHH:MM:SSZ form")
-    stamps = np.ascontiguousarray(raw[:, :19]).view("S19").ravel()
-    times = stamps.astype("datetime64[s]").astype(np.int64)
+    times = stamps.view("S19").ravel().astype("datetime64[s]").astype(np.int64)
     if np.min(times) < _YEAR_ONE:
         raise ValueError("a timestamp is before year 1")
-    prices = np.array(list(map(float, flat[2::3])))
+
+    padded = np.concatenate((b, np.zeros(_MAX_FIELD_BYTES, np.uint8)))
+    width = int(widths.max())
+    fields = np.lib.stride_tricks.sliding_window_view(padded, width)[c2 + 1]
+    fields[np.arange(width) >= widths[:, None]] = 0
+    prices = fields.view(f"S{width}").ravel().astype(np.float64)
     if not np.all((prices > 0.0) & (prices < math.inf)):
         raise ValueError("a price is not a positive finite number")
-    return flat[0::3], times, prices
+
+    # a row starts a new run of its ticker unless its ticker equals the
+    # previous row's: same length and the same bytes, 8 at a time
+    new_run = np.concatenate(([True], lengths[1:] != lengths[:-1]))
+    words = np.lib.stride_tricks.sliding_window_view(padded, 8)
+    for k in range(0, int(lengths.max()), 8):
+        w = words[starts + k].view("<u8").ravel() & _WORD_MASKS[np.clip(lengths - k, 0, 8)]
+        new_run[1:] |= w[1:] != w[:-1]
+    heads = np.flatnonzero(new_run)
+    keys: dict[bytes, int] = {}
+    run_code = [keys.setdefault(buf[starts[h]:c1[h]], len(keys)) for h in heads.tolist()]
+    code = np.repeat(run_code, np.diff(np.append(heads, ends.size)))
+    for key, j in keys.items():
+        rows = code == j if len(keys) > 1 else slice(None)
+        t_parts, p_parts = chunks.setdefault(key, ([], []))
+        t_parts.append(times[rows])
+        p_parts.append(prices[rows])
+
+
+def _price_blocks(path) -> dict[bytes, tuple[list, list]]:
+    """Per-ticker chunks of a `write_prices` file, read in byte blocks cut at
+    their last newline; ValueError for any other file."""
+    chunks: dict[bytes, tuple[list, list]] = {}
+    with open(path, "rb") as fh:
+        if fh.readline() != _PRICE_HEADER:
+            raise ValueError("not the header `write_prices` writes")
+        tail = b""
+        while block := fh.read(_PRICE_BLOCK_BYTES):
+            data = tail + block
+            cut = data.rfind(b"\n") + 1
+            if cut:
+                _parse_price_block(data[:cut], chunks)
+            tail = data[cut:]
+        if tail:  # a last row without its newline
+            _parse_price_block(tail + b"\n", chunks)
+    return chunks
 
 
 def _price_rows(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Parse row by row (any ISO timestamp); a bad row raises MarketError naming `path:line`."""
+    """Parse row by row (any ISO timestamp); a bad header raises MarketError,
+    and so does a bad row, naming `path:line`."""
     tickers, times, prices = [], [], []
-    with open(path, encoding="utf-8") as fh:
-        fh.readline()  # the header
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        header = fh.readline().strip()
+        if header != "ticker,timestamp,price":
+            raise MarketError(f"bad price CSV header: {header!r}")
         for ln, line in enumerate(fh, start=2):
             line = line.strip()
             if not line:
                 continue
             try:
-                ticker, ts, price = line.split(",")
+                ticker, ts, price = _utf8_line(line).split(",")
                 et = _epoch(datetime.fromisoformat(ts.replace("Z", "+00:00")))
                 p = float(price)
                 if not 0.0 < p < math.inf:  # also false for nan
@@ -365,41 +456,24 @@ def _price_rows(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     return tickers, np.array(times, dtype=np.int64), np.array(prices, dtype=np.float64)
 
 
-def _append_rows(series: dict[str, tuple[array, array]], tickers: list[str], times: np.ndarray,
-                 prices: np.ndarray) -> None:
-    """Append parsed rows to per-ticker growing buffers, in row order."""
-    codes: dict[str, int] = {}
-    code = np.array([codes.setdefault(tk, len(codes)) for tk in tickers], dtype=np.int64)
-    for tk, j in codes.items():
-        t_buf, p_buf = series.setdefault(tk, (array("q"), array("d")))
-        t_buf.frombytes(times[code == j].tobytes())
-        p_buf.frombytes(prices[code == j].tobytes())
-
-
 def read_prices(path) -> dict[str, PriceSeries]:
-    """Read a `ticker,timestamp,price` CSV into per-ticker series.
+    """Read a `ticker,timestamp,price` CSV into per-ticker series, in order
+    of each ticker's first row.
 
-    A file written by `write_prices` is parsed by column, a small block of
-    rows at a time into growing buffers, which keeps the parse's temporary
-    memory small; any other file falls back to the row-by-row parser,
-    which names the first bad row.
+    A file in `write_prices`'s form is parsed as arrays, a block of about
+    1 MiB at a time; any other file (other timestamp forms, CRLF endings,
+    blank lines, padded rows, a bad row) falls back to the row-by-row
+    parser, which names the first bad row.
     """
-    series: dict[str, tuple[array, array]] = {}
-    with open(path, encoding="utf-8") as fh:
-        header = fh.readline().strip()
-        if header != "ticker,timestamp,price":
-            raise MarketError(f"bad price CSV header: {header!r}")
-        try:
-            while lines := list(islice(fh, _PRICE_BLOCK_ROWS)):
-                rows = [r for r in map(str.strip, lines) if r]
-                if rows:
-                    _append_rows(series, *_price_columns(rows))
-        except ValueError:
-            series.clear()
-            _append_rows(series, *_price_rows(path))
-    return {tk: PriceSeries(ticker=tk, times=np.array(t_buf, dtype=np.int64),
-                            prices=np.array(p_buf, dtype=np.float64))
-            for tk, (t_buf, p_buf) in series.items()}
+    try:
+        chunks = {key.decode("utf-8"): parts for key, parts in _price_blocks(path).items()}
+    except ValueError:
+        tickers, times, prices = _price_rows(path)
+        code = {tk: j for j, tk in enumerate(dict.fromkeys(tickers))}
+        row_code = np.array([code[tk] for tk in tickers], dtype=np.int64)
+        chunks = {tk: ([times[row_code == j]], [prices[row_code == j]]) for tk, j in code.items()}
+    return {tk: PriceSeries(ticker=tk, times=np.concatenate(t_parts), prices=np.concatenate(p_parts))
+            for tk, (t_parts, p_parts) in chunks.items()}
 
 
 def _iso(et: int) -> str:

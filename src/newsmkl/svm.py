@@ -219,7 +219,8 @@ def predict_many(model: SvmModel, labels: np.ndarray, rows: np.ndarray) -> tuple
 MODEL_FORMAT = "newsmkl-model-v1"
 
 
-def model_to_dict(model: SvmModel, kernels: list[dict] | None = None, mkl_weights=None) -> dict:
+def model_to_dict(model: SvmModel, kernels: list[dict] | None = None, mkl_weights=None,
+                  mkl: dict | None = None) -> dict:
     out = {
         "format": MODEL_FORMAT,
         "alpha": [float(a) for a in model.alpha],
@@ -236,6 +237,8 @@ def model_to_dict(model: SvmModel, kernels: list[dict] | None = None, mkl_weight
         out["kernels"] = kernels
     if mkl_weights is not None:
         out["mkl_weights"] = [float(w) for w in mkl_weights]
+    if mkl is not None:
+        out["mkl"] = mkl
     return out
 
 
@@ -254,9 +257,10 @@ def model_from_dict(d: dict) -> SvmModel:
     )
 
 
-def save_model(path, model: SvmModel, kernels: list[dict] | None = None, mkl_weights=None) -> None:
+def save_model(path, model: SvmModel, kernels: list[dict] | None = None, mkl_weights=None,
+               mkl: dict | None = None) -> None:
     with open(path, "w", encoding="utf-8") as fh:
-        json.dump(model_to_dict(model, kernels, mkl_weights), fh, indent=2)
+        json.dump(model_to_dict(model, kernels, mkl_weights, mkl), fh, indent=2)
         fh.write("\n")
 
 

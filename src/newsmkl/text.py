@@ -31,10 +31,12 @@ class TextError(ValueError):
 @dataclass(frozen=True)
 class Dictionary:
     """Ordered, unique, lowercase stems, indexed by first letter as
-    (stem, position) pairs for `bag_of_words`."""
+    (stem, position) pairs, with a memo from each cleaned token seen by
+    `bag_of_words` to the positions of the stems it starts with."""
 
     stems: tuple[str, ...]
     _by_first: dict[str, list[tuple[str, int]]] = field(init=False, repr=False, compare=False)
+    _hits: dict[str, tuple[int, ...]] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         stems = tuple(self.stems)
@@ -52,6 +54,15 @@ class Dictionary:
         for idx, s in enumerate(stems):
             by_first.setdefault(s[0], []).append((s, idx))
         object.__setattr__(self, "_by_first", by_first)
+        object.__setattr__(self, "_hits", {})
+
+    def _stems_hit(self, token: str) -> tuple[int, ...]:
+        """Positions of the stems a cleaned token starts with, memoized."""
+        hit = self._hits.get(token)
+        if hit is None:
+            hit = self._hits[token] = tuple(idx for stem, idx in self._by_first.get(token[0], ())
+                                            if token.startswith(stem))
+        return hit
 
     @property
     def size(self) -> int:
@@ -89,13 +100,8 @@ def bag_of_words(doc: Document | str | list[str], dictionary: Dictionary) -> np.
         tokens = doc
     else:
         tokens = tokenize(doc.text if isinstance(doc, Document) else doc)
-    counts = np.zeros(dictionary.size, dtype=np.int64)
-    buckets = dictionary._by_first
-    for tok in tokens:
-        for stem, idx in buckets.get(tok[0], ()):
-            if tok.startswith(stem):
-                counts[idx] += 1
-    return counts
+    hits = [idx for tok in tokens for idx in dictionary._stems_hit(tok)]
+    return np.bincount(np.array(hits, dtype=np.int64), minlength=dictionary.size)
 
 
 @dataclass(frozen=True)
@@ -182,16 +188,27 @@ def _parse_timestamp(raw: str) -> datetime:
     return ts.astimezone(timezone.utc)
 
 
+def _utf8_line(line: str) -> str:
+    """A line read with errors="surrogateescape", returned as it is;
+    ValueError if the file's bytes on that line were not UTF-8."""
+    if not line.isascii():
+        try:
+            line.encode("utf-8")
+        except UnicodeEncodeError:
+            raise ValueError("bytes that are not UTF-8") from None
+    return line
+
+
 def read_documents(path) -> list[Document]:
     """Read a JSON-lines document file (fields: id, timestamp, ticker, text)."""
     docs = []
-    with open(path, encoding="utf-8") as fh:
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         for ln, line in enumerate(fh, start=1):
             line = line.strip()
             if not line:
                 continue
             try:
-                rec = json.loads(line)
+                rec = json.loads(_utf8_line(line))
                 docs.append(Document(id=str(rec["id"]), timestamp=_parse_timestamp(rec["timestamp"]),
                                      ticker=str(rec["ticker"]), text=str(rec["text"])))
             except (KeyError, ValueError) as exc:

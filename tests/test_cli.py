@@ -110,6 +110,27 @@ class TestTrain:
         assert model["mkl_weights"] == [1.0]
         assert model["kernels"][0]["kind"] == "linear"
 
+    def test_model_records_how_the_mkl_solve_ended(self, synth_dir, tmp_path):
+        from newsmkl.svm import load_model
+
+        out = tmp_path / "mkl"
+        run_cli("train-mkl", "--docs", str(synth_dir / "docs.jsonl"),
+                "--prices", str(synth_dir / "prices.csv"), "--plan", "linear4", "--out", str(out))
+        model, record = load_model(out / "model.json")
+        mkl = record["mkl"]
+        assert list(mkl) == ["status", "gap", "iterations", "svm_solves", "smo_iterations",
+                             "smo_not_converged"]
+        assert mkl["status"] in ("converged", "flat_gradient", "stalled", "max_iters",
+                                 "degenerate_localization")
+        assert mkl["gap"] >= 0 and mkl["svm_solves"] >= mkl["iterations"] >= 1
+        assert mkl["smo_iterations"] >= 1 and 0 <= mkl["smo_not_converged"] <= mkl["svm_solves"]
+        # a model written before the diagnostics existed still loads, to the same model
+        old = tmp_path / "old.json"
+        old.write_text(json.dumps({k: v for k, v in record.items() if k != "mkl"}))
+        old_model, old_record = load_model(old)
+        assert "mkl" not in old_record
+        assert old_model.bias == model.bias and list(old_model.alpha) == list(model.alpha)
+
     def test_train_svm_writes_model(self, synth_dir, tmp_path):
         out = tmp_path / "svm"
         run_cli("train-svm", "--docs", str(synth_dir / "docs.jsonl"),

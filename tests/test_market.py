@@ -1,5 +1,8 @@
 import re
+import tempfile
 from datetime import datetime, time, timedelta, timezone
+from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -8,6 +11,7 @@ from hypothesis import strategies as st
 
 from oracles import naive_feature_records, nearest_rank
 
+import newsmkl.market as market
 from newsmkl.market import (DROP_REASONS, EventDropped, LabelingConfig, MarketError,
                             PriceSeries, SynthSpec, _price_rows, abnormal_threshold,
                             calendar_features, future_return, label_records,
@@ -311,20 +315,20 @@ class TestExtractionOrder:
     def test_features_computed_once_per_document(self, monkeypatch):
         import newsmkl.market as market
 
-        calls = {"return_features": 0, "future_return": 0}
-        for name in calls:
-            real = getattr(market, name)
+        looked_up = []
+        real = market._lagged_returns
 
-            def counted(*args, real=real, name=name, **kwargs):
-                calls[name] += 1
-                return real(*args, **kwargs)
-            monkeypatch.setattr(market, name, counted)
+        def recorded(series, et, absolute):
+            looked_up.append((series.ticker, et.tolist()))
+            return real(series, et, absolute)
+        monkeypatch.setattr(market, "_lagged_returns", recorded)
         docs = [Document(id=f"d{i}", ticker="T", text="hello", timestamp=dt(11 + i, 0, day=6))
                 for i in range(3)]
         together = prepare_records_by_horizon(docs, WEEK_PRICES, DICTIONARY,
                                               [LabelingConfig(horizon_minutes=h) for h in (10, 20, 30)])
         assert [len(records) for records, _ in together] == [3, 3, 3]
-        assert calls == {"return_features": 3, "future_return": 9}
+        # one batched lookup for the ticker, holding each document's event once
+        assert looked_up == [("T", [int(d.timestamp.timestamp()) for d in docs])]
         # one document's records at every horizon share its feature arrays
         firsts = [records[0] for records, _ in together]
         assert all(r.return_features is firsts[0].return_features for r in firsts)
@@ -335,6 +339,46 @@ class TestExtractionOrder:
             prepare_records_by_horizon([], WEEK_PRICES, DICTIONARY,
                                        [LabelingConfig(horizon_minutes=10),
                                         LabelingConfig(horizon_minutes=20, label_kind="direction")])
+
+
+def _edge_prices():
+    """Ticker A: minute prices from 10:00 to 16:00 on Monday; ticker B: one
+    day of minute prices from 9:30."""
+    start = int((WEEK_START + timedelta(hours=10)).timestamp())
+    rng = np.random.default_rng(5)
+    a = start + 60 * np.arange(361)
+    b = start - 30 * 60 + 60 * np.arange(391)
+    return {tk: PriceSeries(ticker=tk, times=t, prices=p0 * np.exp(np.cumsum(0.002 * rng.standard_normal(t.size))))
+            for tk, t, p0 in (("A", a, 100.0), ("B", b, 50.0))}
+
+
+def test_extraction_edges_match_the_per_event_oracle():
+    prices = _edge_prices()
+    at = [("A", timedelta(hours=10, minutes=35)),  # 35 minutes after the first tick: kept
+          ("A", timedelta(hours=10, minutes=34, seconds=59)),  # one second short of history
+          ("A", timedelta(hours=11)),  # on a tick
+          ("A", timedelta(hours=11, minutes=7, seconds=30)),  # between ticks
+          ("A", timedelta(hours=15, minutes=30)),  # h=30 ends exactly at 16:00
+          ("A", timedelta(hours=15)),  # h=60 ends exactly at 16:00
+          ("B", timedelta(hours=12, minutes=41, seconds=1))]  # the ticker's only event
+    docs = [Document(id=f"e{i}", ticker=tk, text="hello world", timestamp=WEEK_START + offset)
+            for i, (tk, offset) in enumerate(at)]
+    configs = [LabelingConfig(horizon_minutes=h) for h in (10, 30, 60)]
+    together = prepare_records_by_horizon(docs, prices, DICTIONARY, configs)
+    for config, (records, dropped) in zip(configs, together):
+        kept, naive_dropped = naive_feature_records(docs, prices, DICTIONARY, config)
+        assert dropped == naive_dropped
+        assert [{"doc_id": r.doc_id, "ticker": r.ticker, "timestamp": r.timestamp, "position": r.position,
+                 "text_counts": r.text_counts.tolist(), "token_count": r.token_count,
+                 "return_features": r.return_features.tolist(), "time_of_day": r.time_of_day.tolist(),
+                 "day_of_week": r.day_of_week.tolist(), "signed_return": r.signed_return}
+                for r in records] == kept
+    ids = [[r.doc_id for r in records] for records, _ in together]
+    assert ids == [["e0", "e2", "e3", "e4", "e5", "e6"], ["e0", "e2", "e3", "e4", "e5", "e6"],
+                   ["e0", "e2", "e3", "e5", "e6"]]
+    assert [{k: v for k, v in dropped.items() if v} for _, dropped in together] == \
+        [{"insufficient_history": 1}, {"insufficient_history": 1},
+         {"insufficient_history": 1, "horizon_overflow": 1}]
 
 
 class TestSynth:
@@ -403,11 +447,7 @@ class TestReadPrices:
     def test_column_parse_matches_row_parse(self, series, tmp_path):
         path = tmp_path / "prices.csv"
         write_prices(path, series)
-        tickers, times, prices = _price_rows(path)
-        by_row = {tk: PriceSeries(ticker=tk, times=times[[t == tk for t in tickers]],
-                                  prices=prices[[t == tk for t in tickers]])
-                  for tk in dict.fromkeys(tickers)}
-        self._same(read_prices(path), by_row)
+        self._same(read_prices(path), _by_rows(path))
 
     def test_other_timestamp_forms_fall_back_to_rows(self, series, tmp_path):
         canonical = tmp_path / "prices.csv"
@@ -415,6 +455,16 @@ class TestReadPrices:
         offset = tmp_path / "offset.csv"
         offset.write_text(canonical.read_text().replace("Z,", "+00:00,") + "\n\n")
         self._same(read_prices(offset), read_prices(canonical))
+
+    @pytest.mark.parametrize("row", [b"A\xffA,2004-01-05T09:31:00Z,1.0",  # in a ticker
+                                     b"AAA,2004-01-05T09:31:00Z,1.\xff"])  # in a price
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path, row):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"ticker,timestamp,price\nAAA,2004-01-05T09:30:00Z,1.0\n" + row +
+                         b"\nAAA,2004-01-05T09:32:00Z,1.0\n")
+        message = f"{path}:3: bad price row: bytes that are not UTF-8"
+        with pytest.raises(MarketError, match="^" + re.escape(message)):
+            read_prices(path)
 
     @pytest.mark.parametrize("row", [
         "AAA,2004-01-05T09:31:00Z",  # two fields
@@ -433,3 +483,97 @@ class TestReadPrices:
                         "AAA,2004-01-05T09:32:00Z,1.0\n")
         with pytest.raises(MarketError, match="^" + re.escape(f"{path}:4: bad price row")):
             read_prices(path)
+
+
+def _by_rows(path) -> dict[str, PriceSeries]:
+    """The row parser's rows, grouped into series in order of first appearance."""
+    tickers, times, prices = _price_rows(path)
+    return {tk: PriceSeries(ticker=tk, times=times[[t == tk for t in tickers]],
+                            prices=prices[[t == tk for t in tickers]])
+            for tk in dict.fromkeys(tickers)}
+
+
+# tickers the block parser takes, and ones whose edges send the file to the row parser
+PLAIN_TICKERS = ["AAA", "BBB", "B", "A B", "AÜB", "LONG.TICKER.NAME.OF.32.BYTES.XYZ",
+                 "LONG.TICKER.NAME.OF.32.BYTES.XYW"]
+ODD_TICKERS = [" PAD", "PAD ", "ÜBER", "X" * 33]
+BAD_ROWS = ["AAA,2004-01-05T09:31:00Z", "AAA,2004-02-30T09:31:00Z,1.0", "AAA,0000-01-05T09:31:00Z,1.0",
+            "AAA,2004-01-05T09:31:00Z,-1.0", "AAA,2004-01-05T09:31:00Z,nan",
+            "AAA,2004-01-05T09:31:00Z,1.0,2"]
+
+
+runs_of_rows = st.lists(st.tuples(st.sampled_from(PLAIN_TICKERS + ODD_TICKERS),
+                                  st.lists(st.floats(1e-4, 1e6), min_size=1, max_size=4)),
+                        min_size=1, max_size=12)
+
+
+def _price_file(runs, form, odd=False, offset_stamps=False, blanks=(), bad=None) -> list[str]:
+    """Rows of a price file: `runs` of consecutive rows per ticker, one minute apart."""
+    t0 = int(dt(9, 30).timestamp())
+    lines = []
+    for ticker, run_prices in runs:
+        if not odd and ticker in ODD_TICKERS:
+            ticker = "AAA"
+        for price in run_prices:
+            stamp = datetime.fromtimestamp(t0 + 60 * len(lines), tz=UTC).strftime("%Y-%m-%dT%H:%M:%SZ")
+            if offset_stamps:
+                stamp = stamp.replace("Z", "+00:00")
+            lines.append(f"{ticker},{stamp},{form.format(price)}")
+    for i in sorted(blanks, reverse=True):
+        lines.insert(min(i, len(lines)), "")
+    if bad is not None:
+        lines.insert(min(bad[0], len(lines)), bad[1])
+    return ["ticker,timestamp,price", *lines]
+
+
+def _read_both(lines, newline, final_newline, block_bytes):
+    """read_prices with small blocks, the row parser's series (or the
+    MarketError text of each), and whether read_prices fell back to rows."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "prices.csv"
+        path.write_bytes((newline.join(lines) + (newline if final_newline else "")).encode("utf-8"))
+        rows_parsed = mock.Mock(wraps=_price_rows)
+        with mock.patch.object(market, "_PRICE_BLOCK_BYTES", block_bytes), \
+                mock.patch.object(market, "_price_rows", rows_parsed):
+            results = []
+            for read in (read_prices, _by_rows):
+                try:
+                    results.append(read(path))
+                except MarketError as exc:
+                    results.append(str(exc))
+            return *results, rows_parsed.call_count > 0
+
+
+def _assert_same(got, expected):
+    if isinstance(expected, str):  # the same error, naming the same row
+        assert got == expected
+        return
+    assert list(got) == list(expected)
+    for tk in got:
+        assert got[tk].times.tobytes() == expected[tk].times.tobytes()
+        assert got[tk].prices.tobytes() == expected[tk].prices.tobytes()
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=runs_of_rows, form=st.sampled_from(["{:.6f}", "{!r}", "{:.3e}"]),
+       final_newline=st.booleans(), block_bytes=st.integers(1, 160))
+def test_block_parser_equals_row_parser(runs, form, final_newline, block_bytes):
+    """Files in `write_prices` form, rows straddling small blocks: the block
+    parser alone reads them, bitwise as the row parser does."""
+    got, expected, fell_back = _read_both(_price_file(runs, form), "\n", final_newline, block_bytes)
+    _assert_same(got, expected)
+    assert not fell_back
+
+
+@settings(max_examples=150, deadline=None)
+@given(runs=runs_of_rows, form=st.sampled_from(["{:.6f}", "{!r}", "{:.3e}"]), odd=st.booleans(),
+       crlf=st.booleans(), blanks=st.sets(st.integers(0, 40), max_size=3), final_newline=st.booleans(),
+       offset_stamps=st.booleans(), block_bytes=st.integers(1, 160),
+       bad=st.none() | st.tuples(st.integers(0, 40), st.sampled_from(BAD_ROWS)))
+def test_any_price_file_reads_as_the_row_parser_reads_it(runs, form, odd, crlf, blanks, final_newline,
+                                                        offset_stamps, block_bytes, bad):
+    """Padded and non-ASCII-edged tickers, CRLF, blank lines, other stamp
+    forms and bad rows: the same series, or the same error."""
+    lines = _price_file(runs, form, odd, offset_stamps, blanks, bad)
+    got, expected, _ = _read_both(lines, "\r\n" if crlf else "\n", final_newline, block_bytes)
+    _assert_same(got, expected)

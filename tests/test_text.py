@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from oracles import naive_tfidf
 
 from newsmkl.text import (Dictionary, Document, TextError, TfidfModel,
                           bag_of_words, default_dictionary, fit_tfidf,
-                          parse_dictionary, tokenize, transform_tfidf_many)
+                          parse_dictionary, read_documents, tokenize, transform_tfidf_many)
 
 # the worked example: a press release about an acquisition, scored against
 # the ten stems shown with it
@@ -163,3 +165,20 @@ class TestTokenCount:
 
     def test_pure_punctuation_tokens_ignored(self):
         assert len(tokenize("alpha — beta --- gamma")) == 3
+
+
+class TestReadDocuments:
+    def test_bytes_that_are_not_utf8_name_their_line(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        good = b'{"id": "a", "timestamp": "2004-01-05T11:00:00Z", "ticker": "AAA", "text": "up"}\n'
+        path.write_bytes(good + good.replace(b"up", b"up \xff down") + good)
+        message = f"{path}:2: bad document record: bytes that are not UTF-8"
+        with pytest.raises(TextError, match="^" + re.escape(message)):
+            read_documents(path)
+
+    def test_utf8_text_is_read(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text('{"id": "a", "timestamp": "2004-01-05T11:00:00Z", "ticker": "AAA", '
+                        '"text": "Zürich ↑"}\n', encoding="utf-8")
+        [doc] = read_documents(path)
+        assert doc.text == "Zürich ↑"
