@@ -163,10 +163,11 @@ def strategy_returns(predictions, labels, dates) -> tuple[list, np.ndarray]:
 
 
 def sharpe(daily_returns) -> float | None:
-    """Annualized sqrt(T) * mean / std (sample std); zero variance -> None."""
+    """Annualized sqrt(T) * mean / std (sample std); None where undefined:
+    fewer than 2 observations or zero variance."""
     r = np.asarray(daily_returns, dtype=np.float64).ravel()
     if r.size < 2:
-        raise BacktestError("Sharpe ratio needs at least 2 observations")
+        return None
     sd = float(np.std(r, ddof=1))
     if sd == 0.0:
         return None
@@ -450,10 +451,7 @@ def chrono_cv(
         preds = evaluate(early, y_early, fold, cand)
         if used_measure == "sharpe":
             days, rets = strategy_returns(preds, y_fold, [r.timestamp.date() for r in fold])
-            try:
-                score = sharpe(rets)
-            except BacktestError:
-                score = None
+            score = sharpe(rets)
         else:
             _, score, _ = classification_metrics(preds, y_fold)
         diagnostics.append({"candidate": cand, "score": score, "measure": used_measure})
@@ -555,10 +553,7 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int, records: list[
     _, acc, rec = classification_metrics(preds, y_test)
     dates = [r.timestamp.date() for r in test_records]
     _, rets = strategy_returns(preds, y_test, dates)
-    try:
-        sr = sharpe(rets)
-    except BacktestError:
-        sr = None
+    sr = sharpe(rets)
     return WindowResult(window=window, horizon=horizon, n_train=len(train_records),
                         n_test=len(test_records), threshold=threshold, chosen_C=best["C"],
                         predictions=preds, labels=y_test, dates=dates, kernel_weights=sol.d,
@@ -639,10 +634,7 @@ def _report(cfg: BacktestConfig, outcomes: list, dropped: dict[str, int]) -> Met
     dates = [d for r in results for d in r.dates]
     conf, acc, rec = classification_metrics(preds, labels)
     _, rets = strategy_returns(preds, labels, dates)
-    try:
-        sr = sharpe(rets)
-    except BacktestError:
-        sr = None
+    sr = sharpe(rets)
 
     weights = np.mean(np.vstack([r.kernel_weights for r in results]), axis=0)
     per_window = [{

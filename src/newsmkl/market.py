@@ -42,16 +42,6 @@ class MarketError(ValueError):
     """Malformed price series or labeling input."""
 
 
-class EventDropped(Exception):
-    """Event excluded from the experiment for a named reason."""
-
-    def __init__(self, reason: str, detail: str = ""):
-        if reason not in DROP_REASONS:
-            raise ValueError(f"unknown drop reason {reason!r}")
-        self.reason = reason
-        super().__init__(f"{reason}: {detail}" if detail else reason)
-
-
 def _epoch(t: datetime) -> int:
     if t.tzinfo is None:
         t = t.replace(tzinfo=timezone.utc)
@@ -102,34 +92,18 @@ def _period_returns(series: PriceSeries, start, end) -> np.ndarray:
 _RETURN_ENDS = RETURN_STEP_MINUTES * 60 * np.arange(N_RETURN_FEATURES)
 
 
-def _lagged_returns(series: PriceSeries, et: np.ndarray, absolute: bool) -> np.ndarray:
-    """The (n, 5) return features of events at epoch times `et`, all with history."""
-    ends = et[:, None] - _RETURN_ENDS
-    out = _period_returns(series, ends - RETURN_LAG_MINUTES * 60, ends)
-    return np.abs(out) if absolute else out
-
-
 def _has_history(series: PriceSeries, et):
     return series.times[0] <= et - HISTORY_MINUTES * 60
 
 
-def price_at(series: PriceSeries, t: datetime | int) -> float:
-    """Previous-tick sampling: last price at or before t."""
-    et = t if isinstance(t, (int, np.integer)) else _epoch(t)
-    return float(_prices_at(series, [et])[0])
-
-
-def return_features(series: PriceSeries, t: datetime | int, absolute: bool = False) -> np.ndarray:
-    """Five lagged returns before t: r_k = [P(t-5k) - P(t-5k-15)] / P(t-5k-15).
-
-    k runs 0..4 (5-minute spacing, 15-minute lag), so prices must exist
-    back to t - 35 minutes; otherwise the event lacks history.
-    """
-    et = t if isinstance(t, (int, np.integer)) else _epoch(t)
-    if not _has_history(series, et):
-        raise EventDropped("insufficient_history",
-                           f"{series.ticker}: need prices back to t-{HISTORY_MINUTES}min")
-    return _lagged_returns(series, np.array([et]), absolute)[0]
+def return_features(series: PriceSeries, et: np.ndarray, absolute: bool = False) -> np.ndarray:
+    """The (n, 5) lagged returns of events at epoch times `et`:
+    r_k = [P(t-5k) - P(t-5k-15)] / P(t-5k-15) for k = 0..4 (5-minute
+    spacing, 15-minute lag). Every event needs prices back to t - 35
+    minutes (`_has_history`)."""
+    ends = np.asarray(et)[:, None] - _RETURN_ENDS
+    out = _period_returns(series, ends - RETURN_LAG_MINUTES * 60, ends)
+    return np.abs(out) if absolute else out
 
 
 def abnormal_threshold(training_abs_returns, percentile: float) -> float:
@@ -177,9 +151,11 @@ def calendar_features(t: datetime) -> tuple[np.ndarray, np.ndarray]:
     return tod, dow
 
 
-def future_return(series: PriceSeries, t: datetime, horizon_minutes: int) -> float:
-    et = _epoch(t)
-    return float(_period_returns(series, et, et + horizon_minutes * 60))
+def future_return(series: PriceSeries, et: np.ndarray, horizons) -> np.ndarray:
+    """The (n, len(horizons)) returns [P(t+h) - P(t)] / P(t) of events at
+    epoch times `et`, one column per horizon h in minutes."""
+    start = np.asarray(et)[:, None]
+    return _period_returns(series, start, start + 60 * np.asarray(horizons))
 
 
 @dataclass(slots=True)
@@ -278,8 +254,8 @@ def prepare_records_by_horizon(
         et = np.array([_epoch(docs[p].timestamp) for p in positions], dtype=np.int64)
         ok = _has_history(series, et)
         et = et[ok]
-        rets = _lagged_returns(series, et, absolute=configs[0].label_kind == "abnormal")
-        future = _period_returns(series, et[:, None], et[:, None] + 60 * np.array(horizons))
+        rets = return_features(series, et, absolute=configs[0].label_kind == "abnormal")
+        future = future_return(series, et, horizons)
         kept = [p for p, has in zip(positions, ok.tolist()) if has]
         returns.update(zip(kept, zip(rets, future.tolist())))
 

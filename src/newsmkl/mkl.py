@@ -4,7 +4,9 @@ Minimizes J(d) = max_a { e'a - 1/2 a' diag(y) (sum_i d_i K_i) diag(y) a }
 over the unit simplex (sum d_i = 1, d >= 0). Each evaluation of J is one
 SVM solve on the mixed kernel.
 
-Two solvers:
+One loop, `_solve`, runs both solvers: it checks the duality gap at each
+point a solver proposes, keeps the best point and ends at gap_tol
+("converged") or max_iters. Each solver is only its proposal rule:
 
   * solve_accpm: analytic center cutting plane method. The simplex
     equality is eliminated by the parameterization
@@ -12,21 +14,21 @@ Two solvers:
     {z : A z <= b} lives in n-1 dimensions. Each iteration computes the
     analytic center (damped Newton on the log barrier), evaluates J and
     its gradient there (one SVM), prunes to at most 3n constraints by a
-    barrier-Hessian relevance score, adds the halfspace that keeps every
-    point at least as good as the center, and stops when the explicit
-    duality gap falls below gap_tol. The SVM oracle is inexact: SMO
-    starts loose and tightens only while the point needs it (see
-    `_evaluate`), and a loosely solved point's cut is shallow by the
-    SVM's own duality gap.
+    barrier-Hessian relevance score and adds the halfspace that keeps
+    every point at least as good as the center; a zero reduced gradient
+    ends it ("flat_gradient"), and so does an empty interior
+    ("degenerate_localization"). The SVM oracle is inexact: SMO starts
+    loose and tightens only while the point needs it (see `_evaluate`),
+    and a loosely solved point's cut is shallow by the SVM's own gap.
 
   * solve_reduced_gradient: projected reduced-gradient descent on the
-    simplex with a backtracking line search; every trial step is one SVM
-    solve. Serves as the baseline for SVM-call-count benchmarking.
+    simplex with a line search; every trial step is one SVM solve, and no
+    descent or no decrease ends it ("stalled"). Serves as the baseline
+    for SVM-call-count benchmarking.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,8 +37,6 @@ from . import _smo
 from .kernels import GramMatrix
 from .svm import (DEFAULT_MAX_ITER, SvmModel, as_labels, build_model, check_dual, dual_objective,
                   primal_dual_gap, project_feasible, recover_bias)
-
-log = logging.getLogger(__name__)
 
 NEWTON_TOL = 1e-8
 MAX_NEWTON = 200
@@ -544,7 +544,7 @@ def _push_inside(loc: LocalizationSet, z: np.ndarray, new_row: int, cap: float =
 
 
 # ---------------------------------------------------------------------------
-# Solvers
+# Solvers: one iteration loop, one proposal rule per method
 # ---------------------------------------------------------------------------
 
 
@@ -573,58 +573,67 @@ def _finish(problem: MklProblem, state: MklState, point: SolvePoint, iterations:
                        gap_history=gap_history)
 
 
-def solve_accpm(problem: MklProblem) -> MklSolution:
-    """Analytic center cutting plane method (one SVM solve per iteration,
-    started at LOOSE_TOL and tightened on demand: see `_evaluate`)."""
+def _solve(problem: MklProblem, points) -> MklSolution:
+    """Every MKL solve. `points(problem, state)` is a solver's proposal
+    rule: a generator that yields one solve point per iteration and returns
+    the status that ends the solve early. The best point is the lowest J,
+    or the point that meets gap_tol, or the point whose gradient was flat.
+    """
     state = MklState()
-    n = problem.n_kernels
-    if n == 1:
+    if problem.n_kernels == 1:
         return _finish(problem, state, _evaluate(problem, [1.0], state), 1, "converged", [0.0])
-    state.tol = max(problem.inner_tol, LOOSE_TOL)
-
-    loc = LocalizationSet.initial_simplex(n)
-    z_start: np.ndarray | None = uniform_reduced(n)
+    steps = points(problem, state)
     gap_history: list[float] = []
     best: SolvePoint | None = None
     status = "max_iters"
-    iterations = 0
+    while len(gap_history) < problem.max_iters:
+        try:
+            point = next(steps)
+        except StopIteration as stop:
+            status = stop.value
+            if status == "flat_gradient":
+                best = point
+            break
+        gap = _checked(problem, point)
+        gap_history.append(gap)
+        if gap <= problem.gap_tol:
+            best, status = point, "converged"
+            break
+        if best is None or point.J < best.J:
+            best = point
+    if best is None:
+        raise MklError("MKL solve made no iterations; increase max_iters")
+    return _finish(problem, state, best, len(gap_history), status, gap_history)
 
-    for iterations in range(1, problem.max_iters + 1):
+
+def _accpm_points(problem: MklProblem, state: MklState):
+    """ACCPM's proposal rule: the analytic center, then prune, cut and push inside."""
+    n = problem.n_kernels
+    state.tol = max(problem.inner_tol, LOOSE_TOL)
+    loc = LocalizationSet.initial_simplex(n)
+    z_start = uniform_reduced(n)
+    while True:
         try:
             z_c = analytic_center(loc, z0=z_start)
         except MklError:
-            status = "degenerate_localization"
-            iterations -= 1
-            break
+            return "degenerate_localization"
         d = np.maximum(reduced_to_full(z_c), 0.0)
         point = _evaluate(problem, d / d.sum(), state)
-        gap = _checked(problem, point)
-        gap_history.append(gap)
-        if best is None or point.J < best.J:
-            best = point
-        if gap <= problem.gap_tol:
-            best = point
-            status = "converged"
-            break
+        yield point
         # prune first, so a shallow new cut cannot be the one pruned away
         pruned = prune_cuts(loc, z_c, barrier_hessian(loc, z_c), budget=3 * n - 1)
         loc, added = add_cut(pruned, z_c, -0.5 * point.q, point.eps)
         if not added:
-            best = point
-            status = "flat_gradient"
-            break
+            return "flat_gradient"
         z_start = _push_inside(loc, z_c, new_row=loc.n_rows - 1)
         if not loc.is_interior(z_start):
-            status = "degenerate_localization"
-            break
+            return "degenerate_localization"
 
-    if best is None:
-        raise MklError("ACCPM made no iterations; increase max_iters")
-    sol = _finish(problem, state, best, iterations, status, gap_history)
-    if status == "max_iters":
-        log.warning("ACCPM stopped at max_iters=%d with gap %.3e > %.3e",
-                    problem.max_iters, sol.gap, problem.gap_tol)
-    return sol
+
+def solve_accpm(problem: MklProblem) -> MklSolution:
+    """Analytic center cutting plane method (one SVM solve per iteration,
+    started at LOOSE_TOL and tightened on demand: see `_evaluate`)."""
+    return _solve(problem, _accpm_points)
 
 
 def _simplex_step(d: np.ndarray, D: np.ndarray, t: float) -> np.ndarray:
@@ -636,36 +645,12 @@ def _simplex_step(d: np.ndarray, D: np.ndarray, t: float) -> np.ndarray:
 _GOLDEN = (np.sqrt(5.0) - 1.0) / 2.0
 
 
-def solve_reduced_gradient(problem: MklProblem) -> MklSolution:
-    """Reduced-gradient descent on the simplex (the baseline MKL method).
-
-    Each outer iteration backtracks along the reduced descent direction
-    with a golden-section search over the admissible step interval, so one
-    iteration costs several warm-started SVM solves (that is the point of
-    the benchmark against ACCPM, which needs exactly one per iteration).
-    Termination uses the same duality gap as ACCPM.
-    """
-    state = MklState()
+def _reduced_gradient_points(problem: MklProblem, state: MklState):
+    """Reduced gradient's proposal rule: the uniform mixture, then a line search per point."""
     n = problem.n_kernels
-    if n == 1:
-        return _finish(problem, state, _evaluate(problem, [1.0], state), 1, "converged", [0.0])
-
-    gap_history: list[float] = []
-    best: SolvePoint | None = None
-    status = "max_iters"
-    iterations = 0
     point = _evaluate(problem, np.full(n, 1.0 / n), state)
-
-    for iterations in range(1, problem.max_iters + 1):
-        gap = _checked(problem, point)
-        gap_history.append(gap)
-        if best is None or point.J < best.J:
-            best = point
-        if gap <= problem.gap_tol:
-            best = point
-            status = "converged"
-            break
-
+    while True:
+        yield point
         d, grad = point.d, -0.5 * point.q
         mu = int(np.argmax(d))
         red = grad - grad[mu]
@@ -675,8 +660,7 @@ def solve_reduced_gradient(problem: MklProblem) -> MklSolution:
         D[mu] = -float(D.sum())
         descent = float(grad @ D)
         if descent >= -1e-15 * max(1.0, float(np.abs(grad).max())):
-            status = "stalled"
-            break
+            return "stalled"
 
         neg = D < 0.0
         t_max = float(np.min(d[neg] / -D[neg]))  # some D_i < 0 since sum(D) = 0
@@ -706,15 +690,18 @@ def solve_reduced_gradient(problem: MklProblem) -> MklSolution:
                 f2 = evaluate(x2)
 
         t_best = min(trials, key=lambda t: trials[t].J)
-        if trials[t_best].J <= point.J + ARMIJO_C * t_best * descent:
-            point = trials[t_best]
-        else:
-            status = "stalled"
-            break
+        if trials[t_best].J > point.J + ARMIJO_C * t_best * descent:
+            return "stalled"
+        point = trials[t_best]
 
-    if best is None:
-        raise MklError("reduced gradient made no iterations")
-    sol = _finish(problem, state, best, iterations, status, gap_history)
-    if status in ("stalled", "max_iters"):
-        log.info("reduced gradient stopped (%s) at gap %.3e", status, sol.gap)
-    return sol
+
+def solve_reduced_gradient(problem: MklProblem) -> MklSolution:
+    """Reduced-gradient descent on the simplex (the baseline MKL method).
+
+    Each outer iteration backtracks along the reduced descent direction
+    with a golden-section search over the admissible step interval, so one
+    iteration costs several warm-started SVM solves (that is the point of
+    the benchmark against ACCPM, which needs exactly one per iteration).
+    Termination uses the same duality gap as ACCPM.
+    """
+    return _solve(problem, _reduced_gradient_points)

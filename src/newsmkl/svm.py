@@ -10,15 +10,12 @@ and evaluates the resulting decision function on kernel rows.
 from __future__ import annotations
 
 import json
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import _smo
 from .kernels import GramMatrix
-
-log = logging.getLogger(__name__)
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 10_000_000
@@ -144,8 +141,6 @@ def build_model(alpha: np.ndarray, objective: float, bias: float, C: float,
                 smo_result: tuple[int, float, bool]) -> SvmModel:
     """SvmModel from a finished SMO run, its dual objective and its bias."""
     n_iter, violation, converged = smo_result
-    if not converged:
-        log.warning("SMO hit max_iter=%d with KKT violation %.3e", n_iter, violation)
     return SvmModel(
         alpha=alpha,
         bias=bias,

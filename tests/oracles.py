@@ -8,14 +8,15 @@ naive double loops for tf-idf and the performance measures.
 
 from __future__ import annotations
 
+import bisect
+import calendar
 import math
 from datetime import time, timedelta
 
 import numpy as np
 
 from newsmkl.kernels import KernelSpec, gram_matrix
-from newsmkl.market import (DROP_REASONS, EventDropped, MarketError, calendar_features,
-                            future_return, return_features)
+from newsmkl.market import DROP_REASONS, calendar_features
 from newsmkl.mkl import (BACKTRACK_ALPHA, BACKTRACK_BETA, NEWTON_TOL, LocalizationSet, MklProblem,
                          MklState, barrier_value, mkl_objective)
 from newsmkl.svm import TrainingSet, solve_dual
@@ -236,11 +237,23 @@ def solve_tight(ts: TrainingSet, C: float):
 # ---------------------------------------------------------------------------
 
 
+def _naive_return(series, start: int, end: int) -> float:
+    """[P(end) - P(start)] / P(start), P the last price at or before an epoch second."""
+    p0 = series.prices[bisect.bisect_right(series.times, start) - 1]
+    return float((series.prices[bisect.bisect_right(series.times, end) - 1] - p0) / p0)
+
+
 def naive_feature_records(docs, prices, dictionary, config) -> tuple[list[dict], dict[str, int]]:
-    """One horizon's kept events, as plain dicts, and its drop tally."""
+    """One horizon's kept events, as plain dicts, and its drop tally.
+
+    Returns are recomputed here, event by event, from previous-tick prices
+    found by bisection: r_k = [P(t-5k) - P(t-5k-15)] / P(t-5k-15) for
+    k = 0..4 (minutes), and the horizon return [P(t+h) - P(t)] / P(t).
+    """
     kept, dropped = [], dict.fromkeys(DROP_REASONS, 0)
     for position, doc in enumerate(docs):
         t = doc.timestamp
+        et = calendar.timegm(t.utctimetuple())
         clock = t.timetz().replace(tzinfo=None)
         end = t + timedelta(minutes=config.horizon_minutes)
         series = prices.get(doc.ticker)
@@ -255,14 +268,13 @@ def naive_feature_records(docs, prices, dictionary, config) -> tuple[list[dict],
             reason = "before_min_event_time"
         elif end.date() != t.date() or end.timetz().replace(tzinfo=None) > time(16, 0):
             reason = "horizon_overflow"
+        elif series.times[0] > et - 35 * 60:
+            reason = "insufficient_history"
         else:
-            try:
-                rets = return_features(series, t, absolute=config.label_kind == "abnormal")
-                r = future_return(series, t, config.horizon_minutes)
-            except EventDropped as exc:
-                reason = exc.reason
-            except MarketError:
-                reason = "missing_price"
+            rets = [_naive_return(series, et - 300 * k - 900, et - 300 * k) for k in range(5)]
+            if config.label_kind == "abnormal":
+                rets = [abs(v) for v in rets]
+            r = _naive_return(series, et, et + 60 * config.horizon_minutes)
         if reason is not None:
             dropped[reason] += 1
             continue
@@ -270,7 +282,7 @@ def naive_feature_records(docs, prices, dictionary, config) -> tuple[list[dict],
         tokens = tokenize(doc.text)
         kept.append({"doc_id": doc.id, "ticker": doc.ticker, "timestamp": t, "position": position,
                      "text_counts": bag_of_words(tokens, dictionary).tolist(),
-                     "token_count": len(tokens), "return_features": rets.tolist(),
+                     "token_count": len(tokens), "return_features": rets,
                      "time_of_day": tod.tolist(), "day_of_week": dow.tolist(),
-                     "signed_return": float(r)})
+                     "signed_return": r})
     return kept, dropped

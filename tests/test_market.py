@@ -12,10 +12,10 @@ from hypothesis import strategies as st
 from oracles import naive_feature_records, nearest_rank
 
 import newsmkl.market as market
-from newsmkl.market import (DROP_REASONS, EventDropped, LabelingConfig, MarketError,
+from newsmkl.market import (DROP_REASONS, LabelingConfig, MarketError,
                             PriceSeries, SynthSpec, _price_rows, abnormal_threshold,
                             calendar_features, future_return, label_records,
-                            prepare_feature_records, prepare_records_by_horizon, price_at,
+                            prepare_feature_records, prepare_records_by_horizon,
                             read_prices, return_features,
                             synth_generate, trading_days, write_prices)
 from newsmkl.text import Document, parse_dictionary
@@ -27,6 +27,10 @@ def dt(h, m, day=5, month=1, year=2004):
     return datetime(year, month, day, h, m, tzinfo=UTC)  # 2004-01-05 is a Monday
 
 
+def epochs(*times):
+    return np.array([int(t.timestamp()) for t in times], dtype=np.int64)
+
+
 def minute_series(start, prices):
     t0 = int(start.timestamp())
     return PriceSeries(ticker="T", times=t0 + 60 * np.arange(len(prices)),
@@ -34,20 +38,26 @@ def minute_series(start, prices):
 
 
 class TestPriceAt:
+    """Previous-tick sampling, seen through the horizon returns."""
+
     def test_previous_tick(self):
+        # a price at 10:00 only: 10:05 and 10:15 both sample it
         s = minute_series(dt(10, 0), [100.0])
-        assert price_at(s, dt(10, 5)) == 100.0
+        np.testing.assert_array_equal(future_return(s, epochs(dt(10, 5)), [10]), [[0.0]])
 
     def test_before_first_point_errors(self):
         s = minute_series(dt(10, 0), [100.0])
         with pytest.raises(MarketError):
-            price_at(s, dt(9, 59))
+            future_return(s, epochs(dt(9, 59)), [10])
 
     def test_at_or_before_includes_equality(self):
         t0 = dt(10, 0)
         s = PriceSeries(ticker="T", times=[int(t0.timestamp()), int(t0.timestamp()) + 240],
                         prices=[100.0, 101.0])
-        assert price_at(s, dt(10, 4)) == 101.0
+        # 10:02 samples 100 (10:00), 10:04 samples the tick at 10:04 itself
+        np.testing.assert_array_equal(future_return(s, epochs(dt(10, 2), dt(10, 0)), [1, 2, 4]),
+                                      [[0.0, (101.0 - 100.0) / 100.0, (101.0 - 100.0) / 100.0],
+                                       [0.0, 0.0, (101.0 - 100.0) / 100.0]])
 
     def test_series_validation(self):
         with pytest.raises(MarketError):
@@ -62,40 +72,47 @@ class TestPriceAt:
 class TestReturnFeatures:
     def test_constant_prices_give_zeros(self):
         s = minute_series(dt(9, 30), [100.0] * 120)
-        np.testing.assert_array_equal(return_features(s, dt(10, 30)), np.zeros(5))
+        np.testing.assert_array_equal(return_features(s, epochs(dt(10, 30), dt(11, 0))),
+                                      np.zeros((2, 5)))
 
     def test_step_price_formula(self):
         # price 100 strictly before t-15, 110 at and after: r_0 = 10%
         t = dt(10, 30)
         prices = [100.0] * 45 + [110.0] * 16  # step exactly at t-15
         s = minute_series(dt(9, 45), prices)
-        r = return_features(s, t)
-        assert r[0] == pytest.approx(0.10)
+        r = return_features(s, epochs(t))
+        assert r.shape == (1, 5)
+        assert r[0, 0] == pytest.approx(0.10)
 
     def test_insufficient_history_drops_event(self):
+        # prices from 10:00: an event at 10:30 lacks the 35 minutes of history
         s = minute_series(dt(10, 0), [100.0] * 30)
-        with pytest.raises(EventDropped) as exc:
-            return_features(s, dt(10, 30))
-        assert exc.value.reason == "insufficient_history"
+        doc = Document(id="e", ticker="T", text="hello", timestamp=dt(10, 30))
+        records, dropped = prepare_feature_records([doc], {"T": s}, DICTIONARY,
+                                                   LabelingConfig(horizon_minutes=10,
+                                                                  min_event_time=time(9, 30)))
+        assert records == []
+        assert {k: v for k, v in dropped.items() if v} == {"insufficient_history": 1}
 
     def test_matches_naive_recompute_on_random_walk(self):
         rng = np.random.default_rng(0)
         prices = 100.0 * np.exp(np.cumsum(0.001 * rng.standard_normal(100)))
-        start = dt(9, 30)
-        s = minute_series(start, prices)
-        t = dt(10, 45)
-        mine = return_features(s, t)
-        for k in range(5):
-            p_now = price_at(s, int(t.timestamp()) - 300 * k)
-            p_lag = price_at(s, int(t.timestamp()) - 300 * k - 900)
-            assert mine[k] == (p_now - p_lag) / p_lag
+        s = minute_series(dt(9, 30), prices)
+        times = [dt(10, 45), dt(10, 5), dt(10, 52)]
+        mine = return_features(s, epochs(*times))
+        for row, t in zip(mine, times):
+            offset = (t - dt(9, 30)) // timedelta(minutes=1)  # minute index of t in the series
+            for k in range(5):
+                p_now, p_lag = prices[offset - 5 * k], prices[offset - 5 * k - 15]
+                assert row[k] == (p_now - p_lag) / p_lag
 
     def test_absolute_option(self):
         rng = np.random.default_rng(1)
         prices = 100.0 * np.exp(np.cumsum(0.002 * rng.standard_normal(100)))
         s = minute_series(dt(9, 30), prices)
-        np.testing.assert_array_equal(return_features(s, dt(10, 45), absolute=True),
-                                      np.abs(return_features(s, dt(10, 45))))
+        et = epochs(dt(10, 45), dt(10, 50))
+        np.testing.assert_array_equal(return_features(s, et, absolute=True),
+                                      np.abs(return_features(s, et)))
 
 
 class TestAbnormalThreshold:
@@ -210,7 +227,7 @@ class TestLabelEvent:
         s = minute_series(dt(9, 30), prices)
         cfg = LabelingConfig(horizon_minutes=20, label_kind="direction")
         _, label = label_one(s, self._doc(11, 0), cfg, threshold=0.0)
-        r = future_return(s, dt(11, 0), 20)
+        r = future_return(s, epochs(dt(11, 0)), [20])[0, 0]
         assert label == (1 if r > 0 else -1)
         # negated prices negate every non-tie label
         s_neg = minute_series(dt(9, 30), 1.0 / np.asarray(prices))
@@ -316,12 +333,12 @@ class TestExtractionOrder:
         import newsmkl.market as market
 
         looked_up = []
-        real = market._lagged_returns
+        real = market.return_features
 
         def recorded(series, et, absolute):
             looked_up.append((series.ticker, et.tolist()))
             return real(series, et, absolute)
-        monkeypatch.setattr(market, "_lagged_returns", recorded)
+        monkeypatch.setattr(market, "return_features", recorded)
         docs = [Document(id=f"d{i}", ticker="T", text="hello", timestamp=dt(11 + i, 0, day=6))
                 for i in range(3)]
         together = prepare_records_by_horizon(docs, WEEK_PRICES, DICTIONARY,
@@ -405,7 +422,7 @@ class TestSynth:
         by_id = {t.doc_id: t for t in truth}
         for doc in docs:
             t = by_id[doc.id]
-            r = future_return(prices[doc.ticker], doc.timestamp, 10)
+            [[r]] = future_return(prices[doc.ticker], epochs(doc.timestamp), [10])
             if t.jump:
                 assert abs(r) > 0.02
             else:

@@ -788,6 +788,62 @@ class TestSolvers:
             MklProblem(kernels=p.kernels, labels=labels, C=1.0)
 
 
+STATUSES = {solve_accpm: {"converged", "flat_gradient", "max_iters", "degenerate_localization"},
+            solve_reduced_gradient: {"converged", "stalled", "max_iters"}}
+
+
+class TestIterationLoop:
+    """Both solvers run through one loop, which owns the cap, the gap
+    history, the best point and the status."""
+
+    @given(seed=st.integers(0, 2**16), n_kernels=st.integers(2, 4), l=st.integers(10, 30),
+           C=st.sampled_from([1.0, 10.0, 100.0]), gap_tol=st.sampled_from([1e-4, 1e-2, 0.5]),
+           max_iters=st.sampled_from([1, 2, 3, 200]),
+           solver=st.sampled_from([solve_accpm, solve_reduced_gradient]))
+    @settings(max_examples=60, deadline=None)
+    def test_iterations_status_and_gap(self, seed, n_kernels, l, C, gap_tol, max_iters, solver):
+        p = small_problem(seed=seed, n_kernels=n_kernels, l=l, C=C, gap_tol=gap_tol)
+        p.max_iters = max_iters
+        sol = solver(p)
+        assert sol.status in STATUSES[solver]
+        assert sol.iterations == len(sol.gap_history) <= max_iters
+        converged = sol.gap_history[-1] <= gap_tol
+        assert (sol.status == "converged") == converged
+        if converged:
+            assert sol.gap <= gap_tol
+        if sol.status == "max_iters":
+            assert sol.iterations == max_iters
+
+    @pytest.mark.parametrize("solver", [solve_accpm, solve_reduced_gradient])
+    def test_zero_max_iters_raises(self, solver):
+        p = small_problem(n_kernels=3)
+        p.max_iters = 0
+        with pytest.raises(MklError):
+            solver(p)
+
+    def test_reduced_gradient_stops_at_its_last_checked_point(self, monkeypatch):
+        p = make_bench_problem(1, 3, 30, C=10.0, gap_tol=1e-12)
+        p.max_iters = 2
+        solves, solves_at_check = [0], []
+        real_evaluate, real_checked = mkl._evaluate, mkl._checked
+
+        def evaluate(*args):
+            solves[0] += 1
+            return real_evaluate(*args)
+
+        def check(problem, point):
+            solves_at_check.append(solves[0])
+            return real_checked(problem, point)
+
+        monkeypatch.setattr(mkl, "_evaluate", evaluate)
+        monkeypatch.setattr(mkl, "_checked", check)
+        sol = solve_reduced_gradient(p)
+        assert sol.status == "max_iters" and len(solves_at_check) == 2
+        assert sol.svm_solves == solves[0]
+        # no line search after the last checked point: at most _finish's re-solve
+        assert solves[0] - solves_at_check[-1] <= 1
+
+
 class TestSimplexGridHelper:
     def test_grid_covers_vertices_and_sums_to_one(self):
         pts = list(simplex_grid(3, 0.5))
