@@ -24,7 +24,7 @@ import numpy as np
 from .kernels import GramMatrix, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist
 from .market import (FeatureRecord, LabelingConfig, PriceSeries, label_records, label_threshold,
                      prepare_feature_records, prepare_records_by_horizon)
-from .mkl import MklProblem, MklSolution, solve_accpm, solve_reduced_gradient
+from .mkl import DEFAULT_GAP_TOL, DEFAULT_SOLVER, MklProblem, MklSolution, get_solver
 from .svm import predict_many
 from .text import Dictionary, Document, TfidfModel, fit_tfidf, transform_tfidf_many
 
@@ -178,7 +178,16 @@ def sharpe(daily_returns) -> float | None:
 # Kernel plans
 # ---------------------------------------------------------------------------
 
-FEATURE_KINDS = ("text", "absret", "timeofday", "dayofweek", "identity", "noise")
+# every feature a plan kernel can read: (records, their tf-idf rows) -> one row per record
+FEATURES = {
+    "text": lambda records, text: text,
+    "absret": lambda records, text: np.vstack([r.return_features for r in records]),
+    "timeofday": lambda records, text: np.vstack([r.time_of_day for r in records]),
+    "dayofweek": lambda records, text: np.vstack([r.day_of_week for r in records]),
+    "identity": lambda records, text: np.zeros((len(records), 1)),  # a placeholder: unread
+    "noise": lambda records, text: _noise_features([r.doc_id for r in records]),
+}
+DEFAULT_DEGREE = 2  # polynomial kernels without a degree
 
 
 @dataclass(frozen=True)
@@ -187,7 +196,9 @@ class PlanKernel:
 
     For gaussian kernels, `sigma_scale` (times the median pairwise squared
     distance of the training features) sets the bandwidth per window;
-    `sigma` pins it absolutely instead.
+    `sigma` pins it absolutely instead. Parameters that no data could
+    build a kernel from raise BacktestError here; a kernel that fails on
+    one window's data (a zero-trace text kernel) skips that window.
     """
 
     name: str
@@ -198,37 +209,68 @@ class PlanKernel:
     degree: int | None = None
 
     def __post_init__(self):
-        if self.feature not in FEATURE_KINDS:
+        if self.feature not in FEATURES:
             raise BacktestError(f"unknown feature kind {self.feature!r}")
-        if self.kind == "gaussian" and self.sigma is None and self.sigma_scale is None:
-            raise BacktestError(f"gaussian kernel {self.name!r} needs sigma or sigma_scale")
+        # the identity feature is a column of zeros: zero trace, zero norms
+        if self.feature == "identity" and self.kind in ("linear", "bagofwords"):
+            raise BacktestError(f"kernel {self.name!r}: a {self.kind} kernel on the identity "
+                                "feature is zero on any data")
+        try:
+            self.spec(median=1.0)
+        except KernelError as exc:
+            raise BacktestError(f"kernel {self.name!r}: {exc}") from exc
+
+    def spec(self, median: float | None) -> KernelSpec:
+        """The trace-normalized kernel spec; `median` is the training
+        features' median squared distance (read only by gaussian kernels
+        scaled by `sigma_scale`)."""
+        sigma = self.sigma
+        if self.kind == "gaussian" and sigma is None and self.sigma_scale is not None:
+            sigma = self.sigma_scale * median
+        degree = DEFAULT_DEGREE if self.degree is None else self.degree
+        return KernelSpec(kind=self.kind, sigma=sigma, degree=degree, trace_normalize=True)
 
 
 DEFAULT_GAUSSIAN_SCALES = (0.25, 1.0, 4.0, 16.0)
 NOISE_DIM = 8  # pseudo-random features per document for "noise" kernels
 
 
+def _linear(feature: str) -> PlanKernel:
+    return PlanKernel(name=f"lin_{feature}", feature=feature, kind="linear")
+
+
 def default_mkl_plan() -> list[PlanKernel]:
     """The 13-kernel mixing plan: 1 linear text, 1 linear absolute-returns,
     4 gaussian text, 4 gaussian absolute-returns, 1 linear time-of-day,
     1 linear day-of-week, 1 identity."""
-    plan = [
-        PlanKernel(name="lin_text", feature="text", kind="linear"),
-        PlanKernel(name="lin_absret", feature="absret", kind="linear"),
-    ]
-    for i, s in enumerate(DEFAULT_GAUSSIAN_SCALES, start=1):
-        plan.append(PlanKernel(name=f"gauss_text_{i}", feature="text", kind="gaussian", sigma_scale=s))
-    for i, s in enumerate(DEFAULT_GAUSSIAN_SCALES, start=1):
-        plan.append(PlanKernel(name=f"gauss_absret_{i}", feature="absret", kind="gaussian", sigma_scale=s))
-    plan.append(PlanKernel(name="lin_timeofday", feature="timeofday", kind="linear"))
-    plan.append(PlanKernel(name="lin_dayofweek", feature="dayofweek", kind="linear"))
-    plan.append(PlanKernel(name="identity", feature="identity", kind="identity"))
-    return plan
+    plan = [_linear("text"), _linear("absret")]
+    for f in ("text", "absret"):
+        plan += [PlanKernel(name=f"gauss_{f}_{i}", feature=f, kind="gaussian", sigma_scale=s)
+                 for i, s in enumerate(DEFAULT_GAUSSIAN_SCALES, start=1)]
+    return plan + [_linear("timeofday"), _linear("dayofweek"),
+                   PlanKernel(name="identity", feature="identity", kind="identity")]
 
 
 def random_noise_plan(n: int) -> list[PlanKernel]:
     """Uninformative kernels built on per-document pseudo-random features."""
     return [PlanKernel(name=f"noise_{i + 1}", feature="noise", kind="linear") for i in range(n)]
+
+
+# every named plan (the commands' --plan)
+PLANS = {
+    "linear-text": [_linear("text")],
+    "linear-absret": [_linear("absret")],
+    "linear4": [_linear(f) for f in ("text", "absret", "timeofday", "dayofweek")],
+    "mkl13": default_mkl_plan(),
+    "mkl13+noise3": default_mkl_plan() + random_noise_plan(3),
+}
+
+
+def named_plan(name: str) -> list[PlanKernel]:
+    """A copy of the plan called `name` in PLANS."""
+    if name not in PLANS:
+        raise BacktestError(f"unknown plan {name!r}; choose from {', '.join(PLANS)}")
+    return list(PLANS[name])
 
 
 def _noise_features(doc_ids: list[str]) -> np.ndarray:
@@ -241,39 +283,14 @@ def _noise_features(doc_ids: list[str]) -> np.ndarray:
     return out
 
 
-def _feature_matrix(f: str, records: list[FeatureRecord], text_matrix: np.ndarray) -> np.ndarray:
-    if f == "text":
-        return text_matrix
-    if f == "absret":
-        return np.vstack([r.return_features for r in records])
-    if f == "timeofday":
-        return np.vstack([r.time_of_day for r in records])
-    if f == "dayofweek":
-        return np.vstack([r.day_of_week for r in records])
-    if f == "noise":
-        return _noise_features([r.doc_id for r in records])
-    return np.zeros((len(records), 1))  # identity: features unused
-
-
 def _plan_features(plan: list[PlanKernel], records: list[FeatureRecord],
                    text_matrix: np.ndarray) -> list[np.ndarray]:
     """One feature matrix per plan kernel; kernels on the same feature share it."""
     built: dict[str, np.ndarray] = {}
     for pk in plan:
         if pk.feature not in built:
-            built[pk.feature] = _feature_matrix(pk.feature, records, text_matrix)
+            built[pk.feature] = FEATURES[pk.feature](records, text_matrix)
     return [built[pk.feature] for pk in plan]
-
-
-def _resolve_spec(pk: PlanKernel, median: float | None) -> KernelSpec:
-    """`median` is the training features' median squared distance (gaussian
-    kernels scaled by `sigma_scale` only)."""
-    if pk.kind == "gaussian":
-        sigma = pk.sigma if pk.sigma is not None else pk.sigma_scale * median
-        return KernelSpec(kind="gaussian", sigma=sigma, trace_normalize=True)
-    if pk.kind == "polynomial":
-        return KernelSpec(kind="polynomial", degree=pk.degree or 2, trace_normalize=True)
-    return KernelSpec(kind=pk.kind, trace_normalize=True)
 
 
 # ---------------------------------------------------------------------------
@@ -288,8 +305,8 @@ class BacktestConfig:
     percentile: float = 75.0
     label_kind: str = "abnormal"
     c_grid: tuple[float, ...] = (1000.0,)
-    solver: str = "accpm"  # or "redgrad"
-    gap_tol: float = 0.01
+    solver: str = DEFAULT_SOLVER  # a name in mkl.SOLVERS
+    gap_tol: float = DEFAULT_GAP_TOL
     train_min_event_time: time | None = None  # the stricter training-only filter variant
     jobs: int = 1
 
@@ -349,7 +366,7 @@ def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord]) ->
     for pk, X in zip(plan, features):
         if pk.kind == "gaussian" and pk.sigma is None and id(X) not in medians:
             medians[id(X)] = median_sqdist(X)
-        spec = _resolve_spec(pk, medians.get(id(X)))
+        spec = pk.spec(medians.get(id(X)))
         specs.append(spec)
         try:
             grams.append(gram_matrix(spec, X))
@@ -361,16 +378,11 @@ def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord]) ->
 
 def fit_plan(kernels: PlanKernels, y_train: np.ndarray, C: float, solver: str,
              gap_tol: float) -> FittedPlan:
-    """An MKL solve over a plan's kernels on its training records (for a
-    single kernel, one plain SVM solve)."""
+    """An MKL solve by the solver named `solver` over a plan's kernels on its
+    training records (for a single kernel, one plain SVM solve)."""
     problem = MklProblem(kernels=kernels.grams, labels=y_train.astype(np.float64), C=C,
                          gap_tol=gap_tol)
-    if solver == "accpm":
-        sol = solve_accpm(problem)
-    elif solver == "redgrad":
-        sol = solve_reduced_gradient(problem)
-    else:
-        raise BacktestError(f"unknown solver {solver!r}")
+    sol = get_solver(solver)(problem)
     return FittedPlan(kernels=kernels, solution=sol, y_train=y_train.astype(np.float64))
 
 

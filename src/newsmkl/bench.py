@@ -13,11 +13,11 @@ import time as _time
 import numpy as np
 
 from .kernels import KernelSpec, gram_matrix, median_sqdist
-from .mkl import MklProblem, MklSolution, solve_accpm, solve_reduced_gradient
+from .mkl import MklProblem, MklSolution, get_solver
 
-BENCH_CSV_HEADER = "method,n_kernels,kernel_dim,iterations,svm_solves,wall_time,final_gap,final_J"
+BENCH_CSV_HEADER = ("method,n_kernels,kernel_dim,iterations,svm_solves,wall_time,final_gap,final_J,"
+                    "status,smo_not_converged")
 
-METHODS = {"accpm": solve_accpm, "redgrad": solve_reduced_gradient}
 BLOCK = 4  # features in each of the linear and quadratic signal blocks
 N_NOISE = 4  # shared noise features padding both blocks
 
@@ -70,14 +70,13 @@ def make_bench_problem(seed: int, n_kernels: int, dim: int, C: float = 1000.0,
 
 def run_bench(methods: list[str], n_kernels: int, dim: int, runs: int, seed: int,
               C: float = 1000.0, gap_tol: float = 0.01) -> list[dict]:
-    """One row per (method, run): counts, wall time, and final gap / objective."""
+    """One row per (method, run): counts, wall time, final gap / objective
+    and how the solve ended. `methods` are names in `mkl.SOLVERS`."""
+    solvers = [(method, get_solver(method)) for method in methods]
     rows = []
     for run in range(runs):
         problem = make_bench_problem(seed + run, n_kernels, dim, C=C, gap_tol=gap_tol)
-        for method in methods:
-            solver = METHODS.get(method)
-            if solver is None:
-                raise ValueError(f"unknown method {method!r}; choose from {sorted(METHODS)}")
+        for method, solver in solvers:
             t0 = _time.perf_counter()
             sol: MklSolution = solver(problem)
             wall = _time.perf_counter() - t0
@@ -90,6 +89,8 @@ def run_bench(methods: list[str], n_kernels: int, dim: int, runs: int, seed: int
                 "wall_time": wall,
                 "final_gap": sol.gap,
                 "final_J": sol.objective,
+                "status": sol.status,
+                "smo_not_converged": sol.smo_not_converged,
             })
     return rows
 
@@ -99,4 +100,5 @@ def write_bench_csv(path, rows: list[dict]) -> None:
         fh.write(BENCH_CSV_HEADER + "\n")
         for r in rows:
             fh.write(f"{r['method']},{r['n_kernels']},{r['kernel_dim']},{r['iterations']},"
-                     f"{r['svm_solves']},{r['wall_time']:.6f},{r['final_gap']!r},{r['final_J']!r}\n")
+                     f"{r['svm_solves']},{r['wall_time']:.6f},{r['final_gap']!r},{r['final_J']!r},"
+                     f"{r['status']},{r['smo_not_converged']}\n")

@@ -18,37 +18,16 @@ from pathlib import Path
 
 import numpy as np
 
-from . import __version__, backtest as bt, market, text
+from . import __version__, backtest as bt, market, mkl, text
 from .bench import run_bench, write_bench_csv
 from .config import ConfigError, parse_overrides, read_kv_config, write_manifest
 from .svm import save_model
 
 log = logging.getLogger("newsmkl")
 
-NAMED_PLANS = ("linear-text", "linear-absret", "linear4", "mkl13", "mkl13+noise3")
-
 
 class CliError(Exception):
     """User-facing error: printed as one machine-parseable line."""
-
-
-def resolve_plan(name: str) -> list[bt.PlanKernel]:
-    if name == "linear-text":
-        return [bt.PlanKernel(name="lin_text", feature="text", kind="linear")]
-    if name == "linear-absret":
-        return [bt.PlanKernel(name="lin_absret", feature="absret", kind="linear")]
-    if name == "linear4":
-        return [
-            bt.PlanKernel(name="lin_text", feature="text", kind="linear"),
-            bt.PlanKernel(name="lin_absret", feature="absret", kind="linear"),
-            bt.PlanKernel(name="lin_timeofday", feature="timeofday", kind="linear"),
-            bt.PlanKernel(name="lin_dayofweek", feature="dayofweek", kind="linear"),
-        ]
-    if name == "mkl13":
-        return bt.default_mkl_plan()
-    if name == "mkl13+noise3":
-        return bt.default_mkl_plan() + bt.random_noise_plan(3)
-    raise CliError(f"unknown plan {name!r}; choose from {NAMED_PLANS}")
 
 
 def _load_inputs(args, need_prices: bool = True):
@@ -138,11 +117,11 @@ def cmd_label(args) -> int:
     return 0
 
 
-def _train_common(args, plan) -> int:
+def _train_common(args, plan, solver: str, gap_tol: float) -> int:
     records, y, _, dropped = _label_all(args)
     if len(records) < 2:
         raise CliError("not enough events to train on")
-    fit = bt.fit_plan(bt.build_kernels(plan, records), y, args.C, args.solver, args.gap_tol)
+    fit = bt.fit_plan(bt.build_kernels(plan, records), y, args.C, solver, gap_tol)
     out = _out_dir(args)
     sol = fit.solution
     save_model(out / "model.json", sol.model, kernels=fit.kernel_descriptions(), mkl_weights=sol.d,
@@ -153,7 +132,7 @@ def _train_common(args, plan) -> int:
         json.dump([float(w) for w in sol.d], fh)
         fh.write("\n")
     cfg = {"horizon": args.horizon, "percentile": args.percentile, "kind": args.kind,
-           "C": args.C, "solver": args.solver, "gap_tol": args.gap_tol,
+           "C": args.C, "solver": solver, "gap_tol": gap_tol,
            "plan": [pk.name for pk in plan], "docs": str(args.docs), "prices": str(args.prices),
            "dict": str(args.dict) if args.dict else "builtin"}
     write_manifest(out / "manifest.json", args.command, cfg, getattr(args, "seed", None))
@@ -164,25 +143,20 @@ def _train_common(args, plan) -> int:
 
 
 def cmd_train_svm(args) -> int:
-    sigma_scale = args.sigma_scale
-    if args.kernel == "gaussian" and args.sigma is None and sigma_scale is None:
-        sigma_scale = 1.0  # median pairwise squared distance heuristic
     pk = bt.PlanKernel(name=f"{args.kernel}_{args.feature}", feature=args.feature, kind=args.kernel,
-                       sigma=args.sigma, sigma_scale=sigma_scale, degree=args.degree)
-    args.solver = "accpm"
-    args.gap_tol = 0.01
-    return _train_common(args, [pk])
+                       sigma=args.sigma, sigma_scale=args.sigma_scale, degree=args.degree)
+    return _train_common(args, [pk], mkl.DEFAULT_SOLVER, mkl.DEFAULT_GAP_TOL)
 
 
 def cmd_train_mkl(args) -> int:
-    return _train_common(args, resolve_plan(args.plan))
+    return _train_common(args, bt.named_plan(args.plan), args.solver, args.gap_tol)
 
 
 def cmd_backtest(args) -> int:
     docs, prices, dictionary = _load_inputs(args)
     horizons = tuple(int(h) for h in args.horizons.split(","))
     cfg = bt.BacktestConfig(
-        plan=resolve_plan(args.plan),
+        plan=bt.named_plan(args.plan),
         horizons=horizons,
         percentile=args.percentile,
         label_kind=args.kind,
@@ -250,7 +224,7 @@ def _add_label_args(p: argparse.ArgumentParser):
     p.add_argument("--horizon", type=int, default=10, help="prediction horizon in minutes")
     p.add_argument("--percentile", type=float, default=75.0,
                    help="training percentile defining the abnormal threshold")
-    p.add_argument("--kind", choices=("abnormal", "direction"), default="abnormal")
+    p.add_argument("--kind", choices=market.LABEL_KINDS, default="abnormal")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -284,8 +258,8 @@ def build_parser() -> argparse.ArgumentParser:
     _add_label_args(p)
     p.add_argument("--feature", choices=("text", "absret", "timeofday", "dayofweek"), default="text")
     p.add_argument("--kernel", choices=("linear", "gaussian", "polynomial"), default="linear")
-    p.add_argument("--sigma", type=float, default=None)
-    p.add_argument("--sigma-scale", type=float, default=None,
+    p.add_argument("--sigma", type=float, default=None, help="gaussian bandwidth (overrides --sigma-scale)")
+    p.add_argument("--sigma-scale", type=float, default=1.0,
                    help="gaussian bandwidth as a multiple of the median pairwise squared distance")
     p.add_argument("--degree", type=int, default=None)
     p.add_argument("--C", type=float, default=1000.0)
@@ -295,9 +269,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("train-mkl", help="learn kernel weights and an SVM on all labeled events")
     _add_data_args(p)
     _add_label_args(p)
-    p.add_argument("--plan", default="mkl13", help=f"kernel plan: one of {NAMED_PLANS}")
-    p.add_argument("--solver", choices=("accpm", "redgrad"), default="accpm")
-    p.add_argument("--gap-tol", type=float, default=0.01)
+    p.add_argument("--plan", default="mkl13", help=f"kernel plan: one of {', '.join(bt.PLANS)}")
+    p.add_argument("--solver", choices=tuple(mkl.SOLVERS), default=mkl.DEFAULT_SOLVER)
+    p.add_argument("--gap-tol", type=float, default=mkl.DEFAULT_GAP_TOL)
     p.add_argument("--C", type=float, default=1000.0)
     p.add_argument("--out", required=True, help="output directory")
     p.set_defaults(fn=cmd_train_mkl)
@@ -306,9 +280,9 @@ def build_parser() -> argparse.ArgumentParser:
     _add_data_args(p)
     _add_label_args(p)
     p.add_argument("--horizons", default="10", help="comma-separated horizons in minutes")
-    p.add_argument("--plan", default="linear-text", help=f"kernel plan: one of {NAMED_PLANS}")
-    p.add_argument("--solver", choices=("accpm", "redgrad"), default="accpm")
-    p.add_argument("--gap-tol", type=float, default=0.01)
+    p.add_argument("--plan", default="linear-text", help=f"kernel plan: one of {', '.join(bt.PLANS)}")
+    p.add_argument("--solver", choices=tuple(mkl.SOLVERS), default=mkl.DEFAULT_SOLVER)
+    p.add_argument("--gap-tol", type=float, default=mkl.DEFAULT_GAP_TOL)
     p.add_argument("--c-grid", default="1000", help="comma-separated C candidates for chrono CV")
     p.add_argument("--train-min-event-time", default=None, metavar="HH:MM",
                    help="extra clock-time filter applied to training events only")
@@ -319,11 +293,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("bench-mkl", help="benchmark ACCPM vs reduced gradient on synthetic instances")
     p.add_argument("--kernels", type=int, default=3)
     p.add_argument("--dim", type=int, default=500, help="training samples per kernel")
-    p.add_argument("--methods", default="accpm,redgrad")
+    p.add_argument("--methods", default=",".join(mkl.SOLVERS), help="comma-separated solver names")
     p.add_argument("--runs", type=int, default=5)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--C", type=float, default=1000.0)
-    p.add_argument("--gap-tol", type=float, default=0.01)
+    p.add_argument("--gap-tol", type=float, default=mkl.DEFAULT_GAP_TOL)
     p.add_argument("--out", required=True, help="output CSV path or directory")
     p.set_defaults(fn=cmd_bench_mkl)
     return ap

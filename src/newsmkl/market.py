@@ -21,12 +21,13 @@ from .text import Dictionary, Document, bag_of_words, tokenize, _utf8_line
 
 TRADING_DAY_START = time(9, 30)
 TRADING_DAY_END = time(16, 0)
-DEFAULT_MIN_EVENT_TIME = time(10, 10)
+MIN_EVENT_TIME = time(10, 10)  # earlier events are dropped
 RETURN_LAG_MINUTES = 15
 RETURN_STEP_MINUTES = 5
 N_RETURN_FEATURES = 5
 HISTORY_MINUTES = RETURN_LAG_MINUTES + RETURN_STEP_MINUTES * (N_RETURN_FEATURES - 1)  # 35
 
+LABEL_KINDS = ("abnormal", "direction")
 DROP_REASONS = (
     "weekend",
     "outside_trading_day",
@@ -121,8 +122,7 @@ def abnormal_threshold(training_abs_returns, percentile: float) -> float:
 class LabelingConfig:
     horizon_minutes: int
     percentile: float = 75.0
-    label_kind: str = "abnormal"  # or "direction"
-    min_event_time: time = DEFAULT_MIN_EVENT_TIME
+    label_kind: str = "abnormal"  # one of LABEL_KINDS
 
     def __post_init__(self):
         h = self.horizon_minutes
@@ -130,7 +130,7 @@ class LabelingConfig:
             raise MarketError("horizon must be a multiple of 10 in [10, 250]")
         if not 50.0 <= self.percentile <= 95.0:
             raise MarketError("labeling percentile must lie in [50, 95]")
-        if self.label_kind not in ("abnormal", "direction"):
+        if self.label_kind not in LABEL_KINDS:
             raise MarketError(f"unknown label kind {self.label_kind!r}")
 
 
@@ -191,7 +191,7 @@ def _bag(text: str, dictionary: Dictionary, bags: dict) -> tuple[np.ndarray, int
     return bags[text]
 
 
-def _clock_drop(doc: Document, prices: dict[str, PriceSeries], config: LabelingConfig) -> str | None:
+def _clock_drop(doc: Document, prices: dict[str, PriceSeries]) -> str | None:
     """The reason a document is dropped at every horizon, if any: its
     ticker, its day or its clock time."""
     if doc.ticker not in prices:
@@ -202,7 +202,7 @@ def _clock_drop(doc: Document, prices: dict[str, PriceSeries], config: LabelingC
     clock = t.timetz().replace(tzinfo=None)
     if clock < TRADING_DAY_START or clock > TRADING_DAY_END:
         return "outside_trading_day"
-    if clock < config.min_event_time:
+    if clock < MIN_EVENT_TIME:
         return "before_min_event_time"
     return None
 
@@ -220,12 +220,12 @@ def prepare_records_by_horizon(
     configs: list[LabelingConfig],
 ) -> list[tuple[list[FeatureRecord], dict[str, int]]]:
     """Extract features and horizon returns for every usable document, once
-    per configuration (the configurations may differ only in horizon).
+    per configuration (the configurations must share their label kind).
 
     Returns, per configuration, the kept records plus a tally of dropped
     documents by reason; kept + dropped always sums to the input count.
     At each horizon the checks run in the order ticker, weekend, trading
-    day, minimum event time, horizon overflow, price history, and the
+    day, minimum event time (10:10), horizon overflow, price history, and the
     first that fails names the drop (with 35 minutes of history every
     price lookup succeeds). Everything but the horizon checks is done once
     per document: a kept document is tokenized once, its return and
@@ -233,14 +233,14 @@ def prepare_records_by_horizon(
     shared by every record of that text. Prices are looked up per ticker,
     for all of its events at once.
     """
-    if len({(c.label_kind, c.min_event_time) for c in configs}) != 1:
-        raise MarketError("extraction needs configurations that differ only in horizon")
+    if len({c.label_kind for c in configs}) != 1:
+        raise MarketError("extraction needs configurations of one label kind")
     horizons = [c.horizon_minutes for c in configs]
     # per document: the reason it drops at every horizon, and which horizons end by the close
     checks = []
     by_ticker: dict[str, list[int]] = {}  # positions of the documents that need prices
     for position, doc in enumerate(docs):
-        reason = _clock_drop(doc, prices, configs[0])
+        reason = _clock_drop(doc, prices)
         fits = [reason is None and _within_day(doc.timestamp, h) for h in horizons]
         if any(fits):
             by_ticker.setdefault(doc.ticker, []).append(position)

@@ -349,15 +349,15 @@ def _gap_from_quads(d: np.ndarray, q: np.ndarray) -> float:
 
 @dataclass
 class LocalizationSet:
-    """Polyhedron {z in R^(n-1) : A z <= b} with per-row provenance.
+    """Polyhedron {z in R^(n-1) : A z <= b}, rows unit-normalized.
 
-    Rows are unit-normalized; 'face' rows encode the simplex itself and
-    are never pruned, 'cut' rows come from objective gradients.
+    The first n rows are the faces of the simplex and are never pruned;
+    every later row is a cut from an objective gradient (`add_cut`
+    appends, `prune_cuts` keeps rows in order).
     """
 
     A: np.ndarray
     b: np.ndarray
-    origins: list[str]
 
     @classmethod
     def initial_simplex(cls, n: int) -> "LocalizationSet":
@@ -367,7 +367,7 @@ class LocalizationSet:
             raise MklError("reduced simplex needs n >= 2 kernels")
         A = np.vstack([-np.eye(k), np.ones((1, k)) / np.sqrt(k)])
         b = np.concatenate([np.zeros(k), [1.0 / np.sqrt(k)]])
-        return cls(A=A, b=b, origins=["face"] * (k + 1))
+        return cls(A=A, b=b)
 
     @property
     def n_rows(self) -> int:
@@ -482,7 +482,7 @@ def add_cut(loc: LocalizationSet, center_z: np.ndarray, full_gradient: np.ndarra
     b_new = float(a @ center_z) + slack / norm
     A = np.vstack([loc.A, a[None, :]])
     b = np.concatenate([loc.b, [b_new]])
-    return LocalizationSet(A=A, b=b, origins=loc.origins + ["cut"]), True
+    return LocalizationSet(A=A, b=b), True
 
 
 def cut_relevance(loc: LocalizationSet, center_z: np.ndarray, hessian: np.ndarray) -> np.ndarray:
@@ -513,22 +513,16 @@ def prune_cuts(loc: LocalizationSet, center_z: np.ndarray, hessian: np.ndarray,
     the center was computed in, so a freshly added zero-slack cut gets
     infinite relevance and survives automatically.
     """
-    n = loc.dim + 1
+    n = loc.dim + 1  # the faces are rows 0..n-1
     if budget is None:
         budget = 3 * n
-    if loc.n_rows <= budget:
+    n_keep_cuts = max(budget - n, 0)
+    if loc.n_rows - n <= n_keep_cuts:
         return loc
-    origins = np.array(loc.origins)
-    face_idx = np.flatnonzero(origins == "face")
-    cut_idx = np.flatnonzero(origins == "cut")
-    n_keep_cuts = max(budget - face_idx.size, 0)
-    if cut_idx.size <= n_keep_cuts:
-        return loc
-    rel = cut_relevance(loc, center_z, hessian)[cut_idx]
+    rel = cut_relevance(loc, center_z, hessian)[n:]
     order = np.argsort(-rel, kind="stable")  # stable: earliest row wins ties
-    kept_cuts = np.sort(cut_idx[order[:n_keep_cuts]])
-    keep = np.sort(np.concatenate([face_idx, kept_cuts]))
-    return LocalizationSet(A=loc.A[keep], b=loc.b[keep], origins=[loc.origins[i] for i in keep])
+    keep = np.concatenate([np.arange(n), n + np.sort(order[:n_keep_cuts])])
+    return LocalizationSet(A=loc.A[keep], b=loc.b[keep])
 
 
 def _push_inside(loc: LocalizationSet, z: np.ndarray, new_row: int, cap: float = 0.1) -> np.ndarray:
@@ -705,3 +699,17 @@ def solve_reduced_gradient(problem: MklProblem) -> MklSolution:
     Termination uses the same duality gap as ACCPM.
     """
     return _solve(problem, _reduced_gradient_points)
+
+
+# every solver by name: its entry point in this module
+SOLVERS = {"accpm": "solve_accpm", "redgrad": "solve_reduced_gradient"}
+DEFAULT_SOLVER = "accpm"
+
+
+def get_solver(name: str):
+    """The entry point of the solver called `name` in SOLVERS, looked up as
+    a module attribute when called, so a wrapper installed on it sees the
+    solves (a table of the functions themselves would hide them)."""
+    if name not in SOLVERS:
+        raise MklError(f"unknown solver {name!r}; choose from {', '.join(SOLVERS)}")
+    return globals()[SOLVERS[name]]

@@ -264,7 +264,7 @@ def naive_feature_records(docs, prices, dictionary, config) -> tuple[list[dict],
             reason = "weekend"
         elif not time(9, 30) <= clock <= time(16, 0):
             reason = "outside_trading_day"
-        elif clock < config.min_event_time:
+        elif clock < time(10, 10):
             reason = "before_min_event_time"
         elif end.date() != t.date() or end.timetz().replace(tzinfo=None) > time(16, 0):
             reason = "horizon_overflow"

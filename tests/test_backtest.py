@@ -13,9 +13,9 @@ from hypothesis import strategies as st
 from oracles import naive_accuracy_recall, naive_sharpe
 
 from newsmkl import backtest as bt
-from newsmkl import market
+from newsmkl import market, mkl
 from newsmkl.market import SynthSpec, synth_generate
-from newsmkl.kernels import KernelError
+from newsmkl.kernels import KERNEL_KINDS, KernelError
 from newsmkl.text import Dictionary, default_dictionary
 
 UTC = timezone.utc
@@ -210,6 +210,86 @@ def test_no_test_event_inside_training_months(stamps, min_time):
         assert len(test) == n_test_month
 
 
+class TestNamedPlans:
+    def test_each_name_gives_a_fresh_copy_of_its_plan(self):
+        assert list(bt.PLANS) == ["linear-text", "linear-absret", "linear4", "mkl13", "mkl13+noise3"]
+        assert bt.named_plan("mkl13") == bt.default_mkl_plan()
+        assert bt.named_plan("mkl13+noise3") == bt.default_mkl_plan() + bt.random_noise_plan(3)
+        assert [pk.name for pk in bt.named_plan("linear4")] == \
+            ["lin_text", "lin_absret", "lin_timeofday", "lin_dayofweek"]
+        plan = bt.named_plan("linear-text")
+        plan.append(bt.PlanKernel(name="identity", feature="identity", kind="identity"))
+        assert len(bt.named_plan("linear-text")) == 1
+
+    def test_unknown_name_lists_the_known(self):
+        with pytest.raises(bt.BacktestError, match="choose from linear-text, linear-absret, linear4, "
+                                                   "mkl13, mkl13\\+noise3$"):
+            bt.named_plan("mkl12")
+
+
+def _kernel_records(n: int, seed: int) -> list[bt.FeatureRecord]:
+    """Records on which every feature has nonzero rows and every stem a
+    nonzero idf (each of the 4 stems appears in about a quarter of them)."""
+    rng = np.random.default_rng(seed)
+    return [bt.FeatureRecord(doc_id=f"d{i}", ticker="T", timestamp=datetime(2004, 1, 5, 11, tzinfo=UTC),
+                             text_counts=np.eye(4, dtype=np.int64)[i % 4] * (1 + i % 3),
+                             token_count=5, return_features=np.abs(rng.standard_normal(5)) + 0.01,
+                             time_of_day=np.eye(3)[i % 3], day_of_week=np.eye(5)[i % 5],
+                             signed_return=0.0, position=i)
+            for i in range(n)]
+
+
+KERNEL_DATA = (_kernel_records(12, 0), _kernel_records(7, 1))
+
+
+class TestPlanKernelChecks:
+    @pytest.mark.parametrize("params", [
+        {"feature": "text", "kind": "bogus"},
+        {"feature": "bogus", "kind": "linear"},
+        {"feature": "absret", "kind": "gaussian", "sigma": -1.0},
+        {"feature": "absret", "kind": "gaussian"},
+        {"feature": "identity", "kind": "linear"},
+        {"feature": "absret", "kind": "polynomial", "degree": 0},
+    ])
+    def test_rejected_at_construction(self, params):
+        with pytest.raises(bt.BacktestError):
+            bt.PlanKernel(name="k", **params)
+
+    def test_polynomial_degree_defaults_to_two(self):
+        pk = bt.PlanKernel(name="k", feature="absret", kind="polynomial")
+        assert pk.spec(None).degree == bt.DEFAULT_DEGREE == 2
+        assert bt.PlanKernel(name="k", feature="absret", kind="polynomial", degree=3).spec(None).degree == 3
+
+    @settings(max_examples=300, deadline=None)
+    @given(feature=st.sampled_from(tuple(bt.FEATURES)),
+           kind=st.sampled_from(KERNEL_KINDS + ("bogus",)),
+           sigma=st.sampled_from([None, -1.0, 0.0, 0.5]),
+           sigma_scale=st.sampled_from([None, -2.0, 0.0, 1.0]),
+           degree=st.sampled_from([None, -3, 0, 1, 3]))
+    def test_rejects_exactly_what_no_data_builds(self, feature, kind, sigma, sigma_scale, degree):
+        """Construction raises for the parameters `build_kernels` fails on
+        with every data set, and accepts every kernel that builds on data
+        whose features all have nonzero rows."""
+        params = {"name": "k", "feature": feature, "kind": kind, "sigma": sigma,
+                  "sigma_scale": sigma_scale, "degree": degree}
+        unchecked = object.__new__(bt.PlanKernel)  # the same kernel, built without its checks
+        for key, value in params.items():
+            object.__setattr__(unchecked, key, value)
+        builds = []
+        for records in KERNEL_DATA:
+            try:
+                bt.build_kernels([unchecked], records)
+                builds.append(True)
+            except KernelError:
+                builds.append(False)
+        try:
+            bt.PlanKernel(**params)
+        except bt.BacktestError:
+            assert not any(builds)
+        else:
+            assert all(builds)
+
+
 def synth_fixture(seed=7, n_events=500, n_months=14, signal=1.0):
     spec = SynthSpec(n_events=n_events, n_months=n_months, signal_strength=signal)
     return synth_generate(seed, spec)
@@ -376,8 +456,8 @@ class TestArtifacts:
                 "smo_not_converged"]
 
     def test_window_that_stops_at_max_iters_says_so(self, monkeypatch):
-        real = bt.solve_accpm
-        monkeypatch.setattr(bt, "solve_accpm",
+        real = mkl.solve_accpm  # fit_plan looks the solver up in mkl when it runs
+        monkeypatch.setattr(mkl, "solve_accpm",
                             lambda problem: real(dataclasses.replace(problem, max_iters=2)))
         docs, prices, _ = synth_fixture(seed=2, n_events=400)
         cfg = bt.BacktestConfig(plan=[bt.PlanKernel(name="lin_text", feature="text", kind="linear"),

@@ -1,3 +1,4 @@
+import argparse
 import dataclasses
 import json
 import subprocess
@@ -7,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from newsmkl import cli, market
+from newsmkl import backtest, cli, market, mkl
 
 RUN = [sys.executable, "-m", "newsmkl.cli"]
 
@@ -180,10 +181,17 @@ class TestBenchCommand:
                 "--seed", "1", "--C", "10", "--methods", "accpm,redgrad",
                 "--out", str(out_csv))
         lines = out_csv.read_text().splitlines()
-        assert lines[0] == "method,n_kernels,kernel_dim,iterations,svm_solves,wall_time,final_gap,final_J"
+        assert lines[0] == ("method,n_kernels,kernel_dim,iterations,svm_solves,wall_time,final_gap,final_J,"
+                            "status,smo_not_converged")
         assert len(lines) == 1 + 4  # 2 runs x 2 methods
-        methods = [ln.split(",")[0] for ln in lines[1:]]
+        rows = [ln.split(",") for ln in lines[1:]]
+        methods = [r[0] for r in rows]
         assert methods.count("accpm") == 2 and methods.count("redgrad") == 2
+        for r in rows:
+            assert r[8] in ("converged", "flat_gradient", "stalled", "max_iters", "degenerate_localization")
+            if r[8] == "converged":  # met the CLI's default gap target
+                assert float(r[6]) <= 0.01
+            assert 0 <= int(r[9]) <= int(r[4])
 
     def test_bench_deterministic_except_wall_time(self, tmp_path):
         def strip_time(path):
@@ -201,7 +209,65 @@ class TestBenchCommand:
         assert strip_time(a) == strip_time(b)
 
 
+def _option(command: str, dest: str) -> argparse.Action:
+    """The argparse action of `command`'s option `dest`."""
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    [action] = [a for a in sub.choices[command]._actions if a.dest == dest]
+    return action
+
+
+def _json_error(out) -> dict:
+    """The one stderr line of a failed command, parsed."""
+    assert out.returncode == 1
+    lines = [ln for ln in out.stderr.splitlines() if ln.strip()]
+    assert len(lines) == 1
+    return json.loads(lines[0])
+
+
+class TestNamesFromTheLibrary:
+    """Every name the CLI offers comes from the library's one table of it."""
+
+    def test_solver_choices(self):
+        for command in ("train-mkl", "backtest"):
+            assert tuple(_option(command, "solver").choices) == tuple(mkl.SOLVERS)
+
+    def test_methods_accepts_the_solver_names(self, tmp_path):
+        assert _option("bench-mkl", "methods").default.split(",") == list(mkl.SOLVERS)
+        out = run_cli("bench-mkl", "--methods", "accpm,bogus", "--out", str(tmp_path / "b.csv"),
+                      check=False)
+        message = _json_error(out)["message"]
+        assert "'bogus'" in message and message.endswith(", ".join(mkl.SOLVERS))
+        assert not (tmp_path / "b.csv").exists()
+
+    def test_plan_lists_the_named_plans(self):
+        for command in ("train-mkl", "backtest"):
+            option = _option(command, "plan")
+            assert option.help == f"kernel plan: one of {', '.join(backtest.PLANS)}"
+            assert option.default in backtest.PLANS
+
+    def test_kind_choices(self):
+        for command in ("label", "train-svm", "train-mkl", "backtest"):
+            assert tuple(_option(command, "kind").choices) == market.LABEL_KINDS
+
+    def test_unknown_plan_single_line_json_error(self, synth_dir, tmp_path):
+        for command in ("train-mkl", "backtest"):
+            out = run_cli(command, "--docs", str(synth_dir / "docs.jsonl"),
+                          "--prices", str(synth_dir / "prices.csv"), "--plan", "mkl12",
+                          "--out", str(tmp_path / command), check=False)
+            parsed = _json_error(out)
+            assert parsed["error"] == "BacktestError"
+            assert parsed["message"] == f"unknown plan 'mkl12'; choose from {', '.join(backtest.PLANS)}"
+
+
 class TestErrors:
+    def test_degree_below_one_single_line_json_error(self, synth_dir, tmp_path):
+        out = run_cli("train-svm", "--docs", str(synth_dir / "docs.jsonl"),
+                      "--prices", str(synth_dir / "prices.csv"), "--kernel", "polynomial",
+                      "--degree", "0", "--out", str(tmp_path / "svm"), check=False)
+        parsed = _json_error(out)
+        assert parsed["error"] == "BacktestError" and "degree >= 1" in parsed["message"]
+        assert not (tmp_path / "svm").exists()
+
     def test_unknown_command_exits_nonzero(self):
         out = run_cli("frobnicate", check=False)
         assert out.returncode == 2  # argparse usage error

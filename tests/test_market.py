@@ -89,8 +89,7 @@ class TestReturnFeatures:
         s = minute_series(dt(10, 0), [100.0] * 30)
         doc = Document(id="e", ticker="T", text="hello", timestamp=dt(10, 30))
         records, dropped = prepare_feature_records([doc], {"T": s}, DICTIONARY,
-                                                   LabelingConfig(horizon_minutes=10,
-                                                                  min_event_time=time(9, 30)))
+                                                   LabelingConfig(horizon_minutes=10))
         assert records == []
         assert {k: v for k, v in dropped.items() if v} == {"insufficient_history": 1}
 
@@ -260,28 +259,6 @@ def _week_of_minute_prices():
 
 WEEK_PRICES = {"T": _week_of_minute_prices()}
 
-documents = st.lists(st.builds(
-    lambda day, minute, ticker: Document(id="d", ticker=ticker, text="hello",
-                                         timestamp=WEEK_START + timedelta(days=day, minutes=minute)),
-    st.integers(0, 6), st.integers(0, 24 * 60 - 1), st.sampled_from(["T", "UNKNOWN"])), max_size=25)
-
-
-@settings(max_examples=60, deadline=None)
-@given(docs=documents, horizon=st.sampled_from([10, 60, 250]),
-       label_kind=st.sampled_from(["abnormal", "direction"]),
-       min_event_time=st.sampled_from([time(9, 30), time(10, 10), time(12, 0)]))
-def test_extraction_accounts_for_every_document(docs, horizon, label_kind, min_event_time):
-    cfg = LabelingConfig(horizon_minutes=horizon, label_kind=label_kind, min_event_time=min_event_time)
-    records, dropped = prepare_feature_records(docs, WEEK_PRICES, DICTIONARY, cfg)
-    assert len(records) + sum(dropped.values()) == len(docs)
-    assert set(dropped) <= set(DROP_REASONS)
-    for r in records:
-        clock = r.timestamp.timetz().replace(tzinfo=None)
-        end = r.timestamp + timedelta(minutes=horizon)
-        assert r.timestamp.weekday() < 5
-        assert clock >= min_event_time
-        assert end.date() == r.timestamp.date() and end.timetz().replace(tzinfo=None) <= time(16, 0)
-
 
 def _late_start_prices():
     """Minute prices of ticker L from 15:20 on the first day: events before
@@ -292,6 +269,45 @@ def _late_start_prices():
 
 
 TWO_TICKERS = {**WEEK_PRICES, "L": _late_start_prices()}
+
+# ticker L's first day has events (15:20-15:55) that lack history at every horizon
+documents = st.lists(st.builds(
+    lambda day, minute, ticker: Document(id="d", ticker=ticker, text="hello",
+                                         timestamp=WEEK_START + timedelta(days=day, minutes=minute)),
+    st.integers(0, 6), st.integers(0, 24 * 60 - 1) | st.integers(15 * 60, 16 * 60),
+    st.sampled_from(["T", "L", "UNKNOWN"])), max_size=25)
+
+
+def test_every_drop_reason_but_missing_price_is_reachable():
+    """Each reason the extraction tests can meet, one document each (no
+    lookup fails once the history check passes, so missing_price never
+    counts)."""
+    day = [("T", 5, 11 * 60), ("T", 0, 8 * 60), ("T", 0, 10 * 60 + 9), ("T", 0, 15 * 60 + 55),
+           ("L", 0, 15 * 60 + 30), ("UNKNOWN", 0, 11 * 60), ("T", 0, 10 * 60 + 10)]
+    docs = [Document(id=f"d{i}", ticker=tk, text="hello", timestamp=WEEK_START + timedelta(days=d, minutes=m))
+            for i, (tk, d, m) in enumerate(day)]
+    records, dropped = prepare_feature_records(docs, TWO_TICKERS, DICTIONARY,
+                                               LabelingConfig(horizon_minutes=10))
+    assert [r.doc_id for r in records] == ["d6"]  # 10:10 is the earliest event kept
+    assert [k for k, v in dropped.items() if v] == [k for k in DROP_REASONS if k != "missing_price"]
+
+
+@settings(max_examples=60, deadline=None)
+@given(docs=documents, horizon=st.sampled_from([10, 60, 250]),
+       label_kind=st.sampled_from(["abnormal", "direction"]))
+def test_extraction_accounts_for_every_document(docs, horizon, label_kind):
+    cfg = LabelingConfig(horizon_minutes=horizon, label_kind=label_kind)
+    records, dropped = prepare_feature_records(docs, TWO_TICKERS, DICTIONARY, cfg)
+    assert len(records) + sum(dropped.values()) == len(docs)
+    assert set(dropped) <= set(DROP_REASONS)
+    for r in records:
+        clock = r.timestamp.timetz().replace(tzinfo=None)
+        end = r.timestamp + timedelta(minutes=horizon)
+        assert r.timestamp.weekday() < 5
+        assert clock >= time(10, 10)
+        assert end.date() == r.timestamp.date() and end.timetz().replace(tzinfo=None) <= time(16, 0)
+
+
 HORIZONS = (10, 30, 60, 250)
 
 
@@ -302,11 +318,9 @@ HORIZONS = (10, 30, 60, 250)
            st.integers(0, 6), st.integers(0, 24 * 60 - 1) | st.integers(15 * 60, 16 * 60),
            st.sampled_from(["T", "L", "UNKNOWN"]),
            st.sampled_from(["hello", "hello hello world", "world"])), max_size=25),
-       label_kind=st.sampled_from(["abnormal", "direction"]),
-       min_event_time=st.sampled_from([time(9, 30), time(12, 0)]))
-def test_horizons_extracted_together_match_each_alone(docs, label_kind, min_event_time):
-    configs = [LabelingConfig(horizon_minutes=h, label_kind=label_kind, min_event_time=min_event_time)
-               for h in HORIZONS]
+       label_kind=st.sampled_from(["abnormal", "direction"]))
+def test_horizons_extracted_together_match_each_alone(docs, label_kind):
+    configs = [LabelingConfig(horizon_minutes=h, label_kind=label_kind) for h in HORIZONS]
     together = prepare_records_by_horizon(docs, TWO_TICKERS, DICTIONARY, configs)
     for config, (records, dropped) in zip(configs, together):
         kept, naive_dropped = naive_feature_records(docs, TWO_TICKERS, DICTIONARY, config)

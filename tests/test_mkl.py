@@ -516,7 +516,7 @@ class TestAnalyticCenter:
         A = np.array([[-1.0, 0.0], [0.0, -1.0], [1.0, 0.0], [0.0, 1.0],
                       [1.0 / np.sqrt(2), 1.0 / np.sqrt(2)]])
         b = np.array([0.0, 0.0, 1.0, 1.0, 1.0 / np.sqrt(2)])
-        loc = LocalizationSet(A=A, b=b, origins=["face"] * 4 + ["cut"])
+        loc = LocalizationSet(A=A, b=b)
         z = analytic_center(loc, z0=np.array([0.25, 0.25]))
         z_grid = barrier_grid_center(A, b, 0.001, 0.999, n_grid=600)
         np.testing.assert_allclose(z, z_grid, atol=1e-3)
@@ -541,7 +541,7 @@ class TestAnalyticCenter:
         A = np.array([[float.fromhex(v) for v in row] for row in self.STALL_A])
         b = np.array([float.fromhex(v) for v in self.STALL_B])
         z0 = np.array([float.fromhex(v) for v in self.STALL_Z0])
-        loc = LocalizationSet(A=A, b=b, origins=["face"] * 3 + ["cut"] * 6)
+        loc = LocalizationSet(A=A, b=b)
         evaluations = []
         real = mkl.barrier_value
         monkeypatch.setattr(mkl, "barrier_value", lambda l, z: evaluations.append(1) or real(l, z))
@@ -554,7 +554,7 @@ class TestAnalyticCenter:
     def test_empty_interior_detected(self):
         A = np.array([[1.0], [-1.0]])
         b = np.array([0.2, -0.3])  # z <= 0.2 and z >= 0.3: empty
-        loc = LocalizationSet(A=A, b=b, origins=["face", "face"])
+        loc = LocalizationSet(A=A, b=b)
         with pytest.raises(MklError):
             analytic_center(loc, z0=np.array([0.25]))
 
@@ -598,14 +598,12 @@ class TestPrune:
         rng = np.random.default_rng(seed)
         loc = LocalizationSet.initial_simplex(3)
         rows, offs = [loc.A], [loc.b]
-        origins = list(loc.origins)
         for _ in range(n_cuts):
             a = rng.standard_normal(2)
             a /= np.linalg.norm(a)
             rows.append(a[None, :])
             offs.append(np.array([float(a @ self.CENTER3) + rng.uniform(0.05, 0.4)]))
-            origins.append("cut")
-        return LocalizationSet(A=np.vstack(rows), b=np.concatenate(offs), origins=origins)
+        return LocalizationSet(A=np.vstack(rows), b=np.concatenate(offs))
 
     def test_within_budget_is_identity(self):
         loc = self._loc_with_cuts(4)  # 3 faces + 4 cuts = 7 <= 3n = 9
@@ -618,15 +616,16 @@ class TestPrune:
         H = barrier_hessian(loc, self.CENTER3)
         pruned = prune_cuts(loc, self.CENTER3, H)  # budget 3n = 9: 3 faces + 6 cuts
         assert pruned.n_rows == 9
-        assert pruned.origins.count("face") == 3
+        # the 3 faces are the first rows, kept
+        np.testing.assert_array_equal(pruned.A[:3], loc.A[:3])
+        np.testing.assert_array_equal(pruned.b[:3], loc.b[:3])
         # oracle: recompute relevance with an explicit dense inverse
         Hinv = np.linalg.inv(H)
         s = loc.slacks(self.CENTER3)
         rel = np.array([loc.A[j] @ Hinv @ loc.A[j] / s[j] ** 2 for j in range(loc.n_rows)])
-        cut_rows = [j for j, o in enumerate(loc.origins) if o == "cut"]
+        cut_rows = range(3, loc.n_rows)
         expected = sorted(sorted(cut_rows, key=lambda j: -rel[j])[:6])
-        kept = [(tuple(r), float(bv)) for r, bv, o in zip(pruned.A, pruned.b, pruned.origins)
-                if o == "cut"]
+        kept = [(tuple(r), float(bv)) for r, bv in zip(pruned.A[3:], pruned.b[3:])]
         assert kept == [(tuple(loc.A[j]), float(loc.b[j])) for j in expected]
 
     def test_duplicate_rows_keep_earliest(self):
@@ -638,8 +637,8 @@ class TestPrune:
         H = barrier_hessian(LocalizationSet.initial_simplex(2), center)
         pruned = prune_cuts(loc, center, H, budget=4)
         # 2 faces + first 2 duplicates survive (stable tie ordering)
-        assert pruned.n_rows == 4
-        assert pruned.origins == ["face", "face", "cut", "cut"]
+        np.testing.assert_array_equal(pruned.A, loc.A[:4])
+        np.testing.assert_array_equal(pruned.b, loc.b[:4])
 
     def test_relevance_survives_singular_hessian(self):
         # a cut 1e-10 from the center makes H = sum a a'/s^2 singular in floats
@@ -647,8 +646,7 @@ class TestPrune:
         simplex = LocalizationSet.initial_simplex(3)
         a = np.array([1.0, 1.0]) / np.sqrt(2.0)
         loc = LocalizationSet(A=np.vstack([simplex.A, a, [[1.0, 0.0]]]),
-                              b=np.concatenate([simplex.b, [a @ center + 1e-10, 0.9]]),
-                              origins=simplex.origins + ["cut", "cut"])
+                              b=np.concatenate([simplex.b, [a @ center + 1e-10, 0.9]]))
         H = barrier_hessian(loc, center)
         with pytest.raises(np.linalg.LinAlgError):
             np.linalg.solve(H, loc.A.T)
@@ -656,15 +654,14 @@ class TestPrune:
         assert np.all(np.isfinite(rel)) and np.all(rel >= 0.0)
         assert int(np.argmax(rel)) == 3  # the near-zero-slack cut
         pruned = prune_cuts(loc, center, H, budget=4)
-        assert pruned.origins == ["face"] * 3 + ["cut"]
-        np.testing.assert_array_equal(pruned.A[-1], a)
+        np.testing.assert_array_equal(pruned.A, loc.A[:4])  # the 3 faces and the near cut
 
     def test_relevance_infinite_on_negative_slack(self):
         loc = LocalizationSet.initial_simplex(2)
         center = np.array([0.5])
         H = barrier_hessian(loc, center)
-        loc2 = LocalizationSet(A=np.vstack([loc.A, [[1.0]]]), b=np.concatenate([loc.b, [np.nextafter(0.5, 0.0)]]),
-                               origins=loc.origins + ["cut"])
+        loc2 = LocalizationSet(A=np.vstack([loc.A, [[1.0]]]),
+                               b=np.concatenate([loc.b, [np.nextafter(0.5, 0.0)]]))
         assert loc2.slacks(center)[-1] < 0.0
         assert np.isinf(cut_relevance(loc2, center, H)[-1])
 

@@ -61,3 +61,18 @@ def test_probe_records_one_solve_per_plan_fit(monkeypatch):
     assert len(fits) == 3  # two C candidates in cross validation, then the full window
     assert len(record["solves"]) == len(fits)
     assert all("status" in s for s in record["solves"])
+
+
+def test_probe_records_every_bench_solve():
+    """`bench-mkl` looks its solvers up when it runs, so the probe's solver
+    wrappers see each of its solves, with how it ended."""
+    from newsmkl.bench import run_bench
+
+    probe = _probe_module().Probe(timing=False)
+    probe.install()
+    try:
+        rows = run_bench(["accpm", "redgrad"], 2, 30, 1, 0)
+    finally:
+        probe.uninstall()
+    assert [s["method"] for s in probe.solves] == ["solve_accpm", "solve_reduced_gradient"]
+    assert [s["status"] for s in probe.solves] == [r["status"] for r in rows]
