@@ -308,7 +308,11 @@ class BacktestConfig:
     solver: str = DEFAULT_SOLVER  # a name in mkl.SOLVERS
     gap_tol: float = DEFAULT_GAP_TOL
     train_min_event_time: time | None = None  # the stricter training-only filter variant
-    jobs: int = 1
+    jobs: int = 1  # worker processes for the windows
+
+    def __post_init__(self):
+        if self.jobs < 1:
+            raise BacktestError(f"jobs must be >= 1, got {self.jobs}")
 
     def labeling(self, horizon: int) -> LabelingConfig:
         return LabelingConfig(horizon_minutes=horizon, percentile=self.percentile,
@@ -317,29 +321,45 @@ class BacktestConfig:
 
 @dataclass
 class PlanKernels:
-    """A plan's kernels on one training set: the tf-idf fit, the resolved
-    specs, one trace-normalized Gram per plan kernel, and the training
-    feature matrix of each kernel (shared by kernels on the same feature)."""
+    """A plan's kernels on one training set and their cross-Gram blocks
+    against one test set: the tf-idf fit, the resolved specs, one
+    trace-normalized Gram per plan kernel, and the training feature matrix
+    of each kernel (shared by kernels on the same feature). Each
+    (n_test, n_train) block is built on first use and kept, so every fit
+    scored on the test set (the C values of chronological CV) reuses it."""
 
     plan: list[PlanKernel]
     records: list[FeatureRecord]
+    test_records: list[FeatureRecord]
     tfidf: TfidfModel
     specs: list[KernelSpec]
     grams: list[GramMatrix]
     features: list[np.ndarray]
+    _blocks: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
+    _test_features: list[np.ndarray] | None = field(default=None, init=False, repr=False)
 
+    def block(self, k: int) -> np.ndarray:
+        """Kernel k's (n_test, n_train) cross-Gram block."""
+        if k not in self._blocks:
+            if self._test_features is None:
+                text = transform_tfidf_many(self.tfidf, *_text_counts(self.test_records))
+                self._test_features = _plan_features(self.plan, self.test_records, text)
+            self._blocks[k] = cross_gram(self.specs[k], self.features[k], self._test_features[k],
+                                         scale=self.grams[k].scale)
+        return self._blocks[k]
 
-@dataclass
-class FittedPlan:
-    """Everything needed to score new events against a trained window."""
+    def mix(self, d) -> np.ndarray:
+        """(n_test, n_train) rows of the mixture sum_k d_k K_k(x_i, x)."""
+        rows = np.zeros((len(self.test_records), len(self.records)))
+        for k, w in enumerate(d):
+            if w != 0.0:
+                rows += w * self.block(k)
+        return rows
 
-    kernels: PlanKernels
-    solution: MklSolution
-    y_train: np.ndarray
-
-    def kernel_descriptions(self) -> list[dict]:
+    def descriptions(self) -> list[dict]:
+        """Each kernel's resolved spec, name, feature and trace scale, as model.json lists them."""
         out = []
-        for pk, spec, g in zip(self.kernels.plan, self.kernels.specs, self.kernels.grams):
+        for pk, spec, g in zip(self.plan, self.specs, self.grams):
             d = spec.describe()
             d["name"] = pk.name
             d["feature"] = pk.feature
@@ -353,11 +373,14 @@ def _text_counts(records: list[FeatureRecord]) -> tuple[np.ndarray, np.ndarray]:
     return np.vstack([r.text_counts for r in records]), np.array([r.token_count for r in records])
 
 
-def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord]) -> PlanKernels:
+def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord],
+                  test_records: list[FeatureRecord] = ()) -> PlanKernels:
     """tf-idf fit on the training corpus only, then one trace-normalized
     Gram per plan kernel; gaussian bandwidths come from one median squared
     distance per training feature matrix. A Gram that cannot be built
-    (a zero-trace kernel) raises KernelError naming the plan kernel."""
+    (a zero-trace kernel) raises KernelError naming the plan kernel.
+    `test_records` are the events the kernels will score (none for a
+    model trained on every event)."""
     counts, lengths = _text_counts(train_records)
     tf = fit_tfidf(counts)
     features = _plan_features(plan, train_records, transform_tfidf_many(tf, counts, lengths))
@@ -372,79 +395,55 @@ def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord]) ->
             grams.append(gram_matrix(spec, X))
         except KernelError as exc:
             raise KernelError(f"kernel {pk.name!r}: {exc}") from exc
-    return PlanKernels(plan=plan, records=train_records, tfidf=tf, specs=specs, grams=grams,
-                       features=features)
+    return PlanKernels(plan=plan, records=train_records, test_records=list(test_records), tfidf=tf,
+                       specs=specs, grams=grams, features=features)
 
 
 def fit_plan(kernels: PlanKernels, y_train: np.ndarray, C: float, solver: str,
-             gap_tol: float) -> FittedPlan:
+             gap_tol: float) -> MklSolution:
     """An MKL solve by the solver named `solver` over a plan's kernels on its
     training records (for a single kernel, one plain SVM solve)."""
     problem = MklProblem(kernels=kernels.grams, labels=y_train.astype(np.float64), C=C,
                          gap_tol=gap_tol)
-    sol = get_solver(solver)(problem)
-    return FittedPlan(kernels=kernels, solution=sol, y_train=y_train.astype(np.float64))
+    return get_solver(solver)(problem)
 
 
-class CrossGrams:
-    """Per-kernel (n_test, n_train) cross-Gram blocks of test records
-    against a plan's training kernels, each built on first use and kept,
-    so every mixture scored on the same test records (the C candidates of
-    chronological CV) reuses them."""
-
-    def __init__(self, kernels: PlanKernels, test_records: list[FeatureRecord]):
-        self.kernels = kernels
-        self.test_records = test_records
-        self._blocks: dict[int, np.ndarray] = {}
-        self._features: list[np.ndarray] | None = None
-
-    def block(self, k: int) -> np.ndarray:
-        if k not in self._blocks:
-            kn = self.kernels
-            if self._features is None:
-                text = transform_tfidf_many(kn.tfidf, *_text_counts(self.test_records))
-                self._features = _plan_features(kn.plan, self.test_records, text)
-            self._blocks[k] = cross_gram(kn.specs[k], kn.features[k], self._features[k],
-                                         scale=kn.grams[k].scale)
-        return self._blocks[k]
-
-    def mix(self, d) -> np.ndarray:
-        """(n_test, n_train) rows of the mixture sum_k d_k K_k(x_i, x)."""
-        rows = np.zeros((len(self.test_records), len(self.kernels.records)))
-        for k, w in enumerate(d):
-            if w != 0.0:
-                rows += w * self.block(k)
-        return rows
+def predict_records(kernels: PlanKernels, solution: MklSolution, y_train: np.ndarray) -> np.ndarray:
+    """Predictions for `kernels.test_records` by a solution fitted on
+    `kernels` with training labels `y_train`."""
+    return predict_many(solution.model, y_train.astype(np.float64), kernels.mix(solution.d))[0]
 
 
-def predict_records(fit: FittedPlan, cross: CrossGrams) -> np.ndarray:
-    """Predictions for `cross.test_records`; `cross` holds their blocks
-    against `fit.kernels` and may be shared with other fits on them."""
-    return predict_many(fit.solution.model, fit.y_train, cross.mix(fit.solution.d))[0]
+CV_SPLIT = 0.75  # the earlier share of a window's training events that CV trains on
 
 
-def chrono_cv(
-    train_records: list[FeatureRecord],
-    y_train: np.ndarray,
-    candidates: list[dict],
-    evaluate,
-    measure: str = "sharpe",
-    split: float = 0.75,
-) -> tuple[dict, list[dict]]:
-    """Chronological one-fold cross validation.
+def _cv_sharpe(daily_returns: np.ndarray) -> float:
+    """`sharpe` for ranking C values: where it is undefined (one day, or
+    every day's return alike) the score is +inf, -inf or 0 by the sign of
+    the mean return, so a C right on every day ranks first."""
+    score = sharpe(daily_returns)
+    if score is None:
+        mean = float(np.mean(daily_returns))
+        return np.inf if mean > 0 else -np.inf if mean < 0 else 0.0
+    return score
 
-    Trains on the earlier `split` fraction (by time), scores each
-    candidate on the later fold with the configured measure, and returns
-    the maximizer (ties and undefined scores resolve to the earliest
-    candidate). A single-class validation fold downgrades the measure to
-    accuracy, flagged in the returned diagnostics.
+
+def chrono_cv(train_records: list[FeatureRecord], y_train: np.ndarray,
+              c_grid: tuple[float, ...], evaluate) -> float:
+    """Chronological one-fold cross validation over the C values in `c_grid`.
+
+    `evaluate(early, y_early, fold, C)` trains on the earlier CV_SPLIT
+    share of the events (by time) and predicts the later fold. Returns the
+    first C of the grid with the best score on the fold: `_cv_sharpe` of
+    the fold's daily strategy returns, or accuracy where the fold is
+    single-class. A single C is returned without cross validation.
     """
-    if not candidates:
-        raise BacktestError("no candidate parameters")
-    if len(candidates) == 1:
-        return candidates[0], [{"candidate": candidates[0], "score": None, "measure": "unconditional"}]
+    if not c_grid:
+        raise BacktestError("no C values to choose from")
+    if len(c_grid) == 1:
+        return c_grid[0]
     order = np.argsort([r.timestamp.timestamp() for r in train_records], kind="stable")
-    cut = int(np.floor(split * len(train_records)))
+    cut = int(np.floor(CV_SPLIT * len(train_records)))
     early_idx, fold_idx = order[:cut], order[cut:]
     if early_idx.size < 2 or fold_idx.size < 1:
         raise WindowSkipped("not enough events for a chronological split")
@@ -453,24 +452,18 @@ def chrono_cv(
     y_early, y_fold = y_train[early_idx], y_train[fold_idx]
     if np.all(y_early == y_early[0]):
         raise WindowSkipped("single-class early fold in cross validation")
-    used_measure = measure
-    if np.all(y_fold == y_fold[0]) and measure == "sharpe":
-        used_measure = "accuracy"
+    single_class = bool(np.all(y_fold == y_fold[0]))
+    if single_class:
         log.warning("single-class validation fold: falling back to accuracy for CV")
-
-    best, best_score, diagnostics = None, -np.inf, []
-    for cand in candidates:
-        preds = evaluate(early, y_early, fold, cand)
-        if used_measure == "sharpe":
-            days, rets = strategy_returns(preds, y_fold, [r.timestamp.date() for r in fold])
-            score = sharpe(rets)
+    dates = [r.timestamp.date() for r in fold]
+    scores = []
+    for C in c_grid:
+        preds = evaluate(early, y_early, fold, C)
+        if single_class:
+            scores.append(classification_metrics(preds, y_fold)[1])
         else:
-            _, score, _ = classification_metrics(preds, y_fold)
-        diagnostics.append({"candidate": cand, "score": score, "measure": used_measure})
-        numeric = -np.inf if score is None else score
-        if numeric > best_score:
-            best, best_score = cand, numeric
-    return best if best is not None else candidates[0], diagnostics
+            scores.append(_cv_sharpe(strategy_returns(preds, y_fold, dates)[1]))
+    return c_grid[int(np.argmax(scores))]
 
 
 @dataclass
@@ -511,7 +504,7 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int, records: list[
     """Calibrate on the train months and predict the test month of one window.
 
     `shared` maps (training events, test events), by their positions in
-    the input document list, to the `CrossGrams` built on them. Kernels
+    the input document list, to the `PlanKernels` built on them. Kernels
     do not depend on labels, so the horizons of one window pass the same
     dict and build each training set's kernels once; a horizon whose
     events differ misses and builds its own. Without `shared` the early
@@ -532,29 +525,27 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int, records: list[
     if np.all(y_train == y_train[0]):
         raise WindowSkipped("single-class training labels")
 
-    def cross(train: list[FeatureRecord], test: list[FeatureRecord]) -> CrossGrams:
+    def kernels_on(train: list[FeatureRecord], test: list[FeatureRecord]) -> PlanKernels:
         key = (tuple(r.position for r in train), tuple(r.position for r in test))
         if key not in shared:
             try:
-                shared[key] = CrossGrams(build_kernels(cfg.plan, train), test)
+                shared[key] = build_kernels(cfg.plan, train, test)
             except KernelError as exc:  # e.g. no training document hits a dictionary stem
                 raise WindowSkipped(str(exc)) from exc
         return shared[key]
 
-    def evaluate(early, y_early, fold, cand):
-        cv = cross(early, fold)  # built once for every C candidate
-        fit = fit_plan(cv.kernels, y_early, cand["C"], cfg.solver, cfg.gap_tol)
-        return predict_records(fit, cv)
+    def evaluate(early, y_early, fold, C):
+        kernels = kernels_on(early, fold)  # built once for every C
+        return predict_records(kernels, fit_plan(kernels, y_early, C, cfg.solver, cfg.gap_tol),
+                               y_early)
 
-    candidates = [{"C": c} for c in cfg.c_grid]
-    best, _ = chrono_cv(train_records, y_train, candidates, evaluate)
+    chosen_C = chrono_cv(train_records, y_train, cfg.c_grid, evaluate)
     if own:
         shared.clear()
 
-    full = cross(train_records, test_records)
-    fit = fit_plan(full.kernels, y_train, best["C"], cfg.solver, cfg.gap_tol)
-    preds = predict_records(fit, full)
-    sol = fit.solution
+    kernels = kernels_on(train_records, test_records)
+    sol = fit_plan(kernels, y_train, chosen_C, cfg.solver, cfg.gap_tol)
+    preds = predict_records(kernels, sol, y_train)
 
     # out-of-sample guarantee: no test event at or before the training span
     train_end_key = _month_key(window.train_end)
@@ -567,7 +558,7 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int, records: list[
     _, rets = strategy_returns(preds, y_test, dates)
     sr = sharpe(rets)
     return WindowResult(window=window, horizon=horizon, n_train=len(train_records),
-                        n_test=len(test_records), threshold=threshold, chosen_C=best["C"],
+                        n_test=len(test_records), threshold=threshold, chosen_C=chosen_C,
                         predictions=preds, labels=y_test, dates=dates, kernel_weights=sol.d,
                         accuracy=acc, recall=rec, sharpe=sr,
                         solver={"svm_solves": sol.svm_solves, "mkl_status": sol.status,

@@ -121,10 +121,10 @@ def _train_common(args, plan, solver: str, gap_tol: float) -> int:
     records, y, _, dropped = _label_all(args)
     if len(records) < 2:
         raise CliError("not enough events to train on")
-    fit = bt.fit_plan(bt.build_kernels(plan, records), y, args.C, solver, gap_tol)
+    kernels = bt.build_kernels(plan, records)
+    sol = bt.fit_plan(kernels, y, args.C, solver, gap_tol)
     out = _out_dir(args)
-    sol = fit.solution
-    save_model(out / "model.json", sol.model, kernels=fit.kernel_descriptions(), mkl_weights=sol.d,
+    save_model(out / "model.json", sol.model, kernels=kernels.descriptions(), mkl_weights=sol.d,
                mkl={"status": sol.status, "gap": float(sol.gap), "iterations": sol.iterations,
                     "svm_solves": sol.svm_solves, "smo_iterations": sol.smo_iterations,
                     "smo_not_converged": sol.smo_not_converged})
@@ -153,7 +153,6 @@ def cmd_train_mkl(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    docs, prices, dictionary = _load_inputs(args)
     horizons = tuple(int(h) for h in args.horizons.split(","))
     cfg = bt.BacktestConfig(
         plan=bt.named_plan(args.plan),
@@ -167,6 +166,7 @@ def cmd_backtest(args) -> int:
     )
     if args.train_min_event_time:
         cfg.train_min_event_time = _parse_clock(args.train_min_event_time)
+    docs, prices, dictionary = _load_inputs(args)
     extracted = bt.extract_horizons(cfg, docs, prices, dictionary)
     # the sweep reads only the records: free the documents and prices before any Gram is built
     del docs, prices

@@ -34,7 +34,6 @@ DROP_REASONS = (
     "before_min_event_time",
     "horizon_overflow",
     "insufficient_history",
-    "missing_price",
     "unknown_ticker",
 )
 
@@ -183,14 +182,6 @@ class FeatureRecord:
         return abs(self.signed_return)
 
 
-def _bag(text: str, dictionary: Dictionary, bags: dict) -> tuple[np.ndarray, int]:
-    """Stem counts and token count of a text, tokenized once and kept in `bags`."""
-    if text not in bags:
-        tokens = tokenize(text)
-        bags[text] = (bag_of_words(tokens, dictionary), len(tokens))
-    return bags[text]
-
-
 def _clock_drop(doc: Document, prices: dict[str, PriceSeries]) -> str | None:
     """The reason a document is dropped at every horizon, if any: its
     ticker, its day or its clock time."""
@@ -228,10 +219,9 @@ def prepare_records_by_horizon(
     day, minimum event time (10:10), horizon overflow, price history, and the
     first that fails names the drop (with 35 minutes of history every
     price lookup succeeds). Everything but the horizon checks is done once
-    per document: a kept document is tokenized once, its return and
-    calendar features are computed once, and a text's counts array is
-    shared by every record of that text. Prices are looked up per ticker,
-    for all of its events at once.
+    per document: a kept document is tokenized once, and its counts
+    array, return and calendar features are shared by its records at every
+    horizon. Prices are looked up per ticker, for all of its events at once.
     """
     if len({c.label_kind for c in configs}) != 1:
         raise MarketError("extraction needs configurations of one label kind")
@@ -260,7 +250,6 @@ def prepare_records_by_horizon(
         returns.update(zip(kept, zip(rets, future.tolist())))
 
     out = [([], dict.fromkeys(DROP_REASONS, 0)) for _ in configs]
-    bags: dict = {}
     for position, (doc, (reason, fits)) in enumerate(zip(docs, checks)):
         rets, future = returns.get(position, (None, None))
         kept = []
@@ -272,11 +261,12 @@ def prepare_records_by_horizon(
         if kept:
             t = doc.timestamp
             tod, dow = calendar_features(t)
-            counts, n_tokens = _bag(doc.text, dictionary, bags)
+            tokens = tokenize(doc.text)
+            counts = bag_of_words(tokens, dictionary)
             for records, r in kept:
                 records.append(FeatureRecord(
                     doc_id=doc.id, ticker=doc.ticker, timestamp=t, text_counts=counts,
-                    token_count=n_tokens, return_features=rets, time_of_day=tod,
+                    token_count=len(tokens), return_features=rets, time_of_day=tod,
                     day_of_week=dow, signed_return=r, position=position))
     return out
 

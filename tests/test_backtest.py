@@ -128,6 +128,11 @@ class TestSharpe:
 
 
 class TestChronoCv:
+    """The fold is the last 10 of 40 events; `_records` puts one event on
+    each day, and the labels alternate."""
+
+    Y = np.array([1, -1] * 20)
+
     def _records(self, n=40):
         recs = []
         for i in range(n):
@@ -141,46 +146,88 @@ class TestChronoCv:
         return recs
 
     def test_single_candidate_unconditional(self):
-        recs = self._records()
-        y = np.array([1, -1] * 20)
-        best, diag = bt.chrono_cv(recs, y, [{"C": 7.0}], evaluate=None)
-        assert best == {"C": 7.0}
-        assert diag[0]["measure"] == "unconditional"
+        assert bt.chrono_cv(self._records(), self.Y, (7.0,), evaluate=None) == 7.0
 
     def test_dominant_candidate_selected(self):
-        recs = self._records()
-        y = np.array([1, -1] * 20)
+        y_fold = self.Y[30:]
 
-        def evaluate(early, y_early, fold, cand):
-            # candidate 'good' predicts the fold labels exactly; 'bad' inverts
-            y_fold = y[len(early):len(early) + len(fold)]
-            return y_fold if cand["name"] == "good" else -y_fold
+        def evaluate(early, y_early, fold, C):
+            # C=2 predicts the fold labels exactly; C=1 inverts them
+            return y_fold if C == 2.0 else -y_fold
 
-        best, diag = bt.chrono_cv(recs, y, [{"name": "bad"}, {"name": "good"}],
-                                  evaluate, measure="accuracy")
-        assert best["name"] == "good"
+        assert bt.chrono_cv(self._records(), self.Y, (1.0, 2.0), evaluate) == 2.0
 
     def test_tie_goes_to_first_candidate(self):
-        recs = self._records()
-        y = np.array([1, -1] * 20)
+        def evaluate(early, y_early, fold, C):
+            return self.Y[30:]
 
-        def evaluate(early, y_early, fold, cand):
-            return y[len(early):len(early) + len(fold)]
+        assert bt.chrono_cv(self._records(), self.Y, (5.0, 3.0), evaluate) == 5.0
 
-        best, _ = bt.chrono_cv(recs, y, [{"name": "a"}, {"name": "b"}], evaluate,
-                               measure="accuracy")
-        assert best["name"] == "a"
+    def test_perfect_c_ranks_first(self):
+        """A C right on every day has all-equal daily returns, so its Sharpe
+        ratio is undefined; CV ranks it above every finite Sharpe ratio."""
+        y_fold = self.Y[30:]
+        preds = {1.0: y_fold, 2.0: np.where(np.arange(10) < 2, -y_fold, y_fold)}
+        assert bt.sharpe(bt.strategy_returns(preds[1.0], y_fold, range(10))[1]) is None
+        assert bt.sharpe(bt.strategy_returns(preds[2.0], y_fold, range(10))[1]) > 0
+        assert bt.chrono_cv(self._records(), self.Y, (1.0, 2.0),
+                            lambda early, y_early, fold, C: preds[C]) == 1.0
 
     def test_single_class_fold_falls_back_to_accuracy(self):
-        recs = self._records()
-        y = np.concatenate([np.tile([1, -1], 15), np.ones(10, dtype=np.int64)])
+        # fold: one event on one day, then nine on the next; all labeled +1
+        recs = self._records(30) + [_record_at(30 + i, datetime(2004, 3, 1 + (i > 0), 12, i, tzinfo=UTC))
+                                    for i in range(10)]
+        y = np.concatenate([self.Y[:30], np.ones(10, dtype=np.int64)])
+        # C=1: right on the first day and on 5 of 9 events the next (Sharpe > 0,
+        # accuracy 0.6); C=2: wrong on the first day, right on the next nine
+        # (daily returns -1 and 1, Sharpe 0, accuracy 0.9)
+        preds = {1.0: np.array([1] * 6 + [-1] * 4), 2.0: np.array([-1] + [1] * 9)}
+        dates = [r.timestamp.date() for r in recs[30:]]
+        assert bt.sharpe(bt.strategy_returns(preds[1.0], y[30:], dates)[1]) > 0
+        assert bt.sharpe(bt.strategy_returns(preds[2.0], y[30:], dates)[1]) == 0.0
+        assert bt.chrono_cv(recs, y, (1.0, 2.0), lambda early, y_early, fold, C: preds[C]) == 2.0
 
-        def evaluate(early, y_early, fold, cand):
-            return np.ones(len(fold), dtype=np.int64)
 
-        best, diag = bt.chrono_cv(recs, y, [{"name": "a"}, {"name": "b"}], evaluate,
-                                  measure="sharpe")
-        assert all(d["measure"] == "accuracy" for d in diag)
+def _cv_oracle(c_grid, preds: dict, y_fold, days) -> float:
+    """The first C of the grid with the highest documented CV score: the
+    accuracy on a single-class fold, else the Sharpe ratio of the daily
+    strategy returns, with +inf / -inf / 0 by the sign of their mean where
+    it is undefined."""
+    if len(c_grid) == 1:
+        return c_grid[0]
+    scores = []
+    for C in c_grid:
+        right = np.asarray(preds[C]) == y_fold
+        if len(set(y_fold.tolist())) == 1:
+            scores.append(float(np.mean(right)))
+            continue
+        rets = np.array([(2 * right[days == d] - 1).mean() for d in sorted(set(days.tolist()))])
+        sr = bt.sharpe(rets)
+        if sr is None:
+            sr = np.inf if rets.mean() > 0 else -np.inf if rets.mean() < 0 else 0.0
+        scores.append(sr)
+    return next(C for C, s in zip(c_grid, scores) if s == max(scores))
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data(), n_c=st.integers(1, 4))
+def test_cv_picks_the_earliest_best_c(data, n_c):
+    """For arbitrary per-C fold predictions, chrono_cv returns the first C
+    that maximizes the documented score."""
+    pm1 = st.sampled_from([-1, 1])
+    y_fold = np.array(data.draw(st.lists(pm1, min_size=10, max_size=10)))
+    days = np.array(sorted(data.draw(st.lists(st.integers(1, 4), min_size=10, max_size=10))))
+    c_grid = tuple(float(c) for c in range(1, n_c + 1))
+    preds = {C: np.array(data.draw(st.lists(pm1, min_size=10, max_size=10))) for C in c_grid}
+    recs = [_record_at(i, datetime(2004, 1, 1 + i, 12, tzinfo=UTC)) for i in range(30)]
+    recs += [_record_at(30 + i, datetime(2004, 2, int(d), 12, i, tzinfo=UTC)) for i, d in enumerate(days)]
+    y = np.concatenate([np.array([1, -1] * 15), y_fold])
+
+    def evaluate(early, y_early, fold, C):
+        assert [r.position for r in fold] == list(range(30, 40))
+        return preds[C]
+
+    assert bt.chrono_cv(recs, y, c_grid, evaluate) == _cv_oracle(c_grid, preds, y_fold, days)
 
 
 def _record_at(i: int, t: datetime) -> bt.FeatureRecord:
@@ -509,16 +556,16 @@ class TestKernelReuse:
         counted(market, "bag_of_words")
         real_cv = bt.chrono_cv
 
-        def recording_cv(train_records, y_train, candidates, evaluate, **kwargs):
+        def recording_cv(train_records, y_train, c_grid, evaluate):
             preds = []
 
-            def recorded(early, y_early, fold, cand):
-                out = evaluate(early, y_early, fold, cand)
+            def recorded(early, y_early, fold, C):
+                out = evaluate(early, y_early, fold, C)
                 preds.append(out)
                 return out
-            best, diag = real_cv(train_records, y_train, candidates, recorded, **kwargs)
-            cv_runs.append((train_records, y_train, candidates, kwargs, preds, diag))
-            return best, diag
+            chosen = real_cv(train_records, y_train, c_grid, recorded)
+            cv_runs.append((train_records, y_train, c_grid, preds, chosen))
+            return chosen
 
         mp.setattr(bt, "chrono_cv", recording_cv)
         try:
@@ -548,20 +595,19 @@ class TestKernelReuse:
     def test_cv_matches_fresh_fits(self, traced):
         cfg, _, _, cv_runs, _ = traced
 
-        def fresh_fit(early, y_early, fold, cand):
-            fit = bt.fit_plan(bt.build_kernels(cfg.plan, early), y_early, cand["C"], cfg.solver,
-                              cfg.gap_tol)
-            return bt.predict_records(fit, bt.CrossGrams(fit.kernels, fold))
+        def fresh_fit(early, y_early, fold, C):
+            kernels = bt.build_kernels(cfg.plan, early, fold)
+            solution = bt.fit_plan(kernels, y_early, C, cfg.solver, cfg.gap_tol)
+            return bt.predict_records(kernels, solution, y_early)
 
-        for train_records, y_train, candidates, kwargs, preds, diag in cv_runs:
+        for train_records, y_train, c_grid, preds, chosen in cv_runs:
             fresh_preds = []
 
-            def recorded(early, y_early, fold, cand):
-                fresh_preds.append(fresh_fit(early, y_early, fold, cand))
+            def recorded(early, y_early, fold, C):
+                fresh_preds.append(fresh_fit(early, y_early, fold, C))
                 return fresh_preds[-1]
-            _, fresh_diag = bt.chrono_cv(train_records, y_train, candidates, recorded, **kwargs)
-            assert fresh_diag == diag
-            assert len(preds) == len(candidates)
+            assert bt.chrono_cv(train_records, y_train, c_grid, recorded) == chosen
+            assert len(preds) == len(c_grid)
             for a, b in zip(preds, fresh_preds):
                 np.testing.assert_array_equal(a, b)
 
@@ -574,9 +620,9 @@ def _counting_builds(monkeypatch) -> list:
     builds = []
     real = bt.build_kernels
 
-    def counted(plan, train_records):
+    def counted(plan, train_records, test_records=()):
         builds.append(tuple(r.position for r in train_records))
-        return real(plan, train_records)
+        return real(plan, train_records, test_records)
     monkeypatch.setattr(bt, "build_kernels", counted)
     return builds
 
@@ -641,8 +687,8 @@ class TestWindowMajorSweep:
         built, alive_at_full_fit = [], []
         real_build, real_fit = bt.build_kernels, bt.fit_plan
 
-        def build(plan, train_records):
-            kernels = real_build(plan, train_records)
+        def build(plan, train_records, test_records=()):
+            kernels = real_build(plan, train_records, test_records)
             built.append(weakref.ref(kernels))
             return kernels
 

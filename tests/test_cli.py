@@ -268,6 +268,16 @@ class TestErrors:
         assert parsed["error"] == "BacktestError" and "degree >= 1" in parsed["message"]
         assert not (tmp_path / "svm").exists()
 
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_single_line_json_error(self, tmp_path, jobs):
+        # the documents do not exist: the check must come before any input is read
+        out = run_cli("backtest", "--docs", str(tmp_path / "nope.jsonl"),
+                      "--prices", str(tmp_path / "nope.csv"), "--jobs", jobs,
+                      "--out", str(tmp_path / "bt"), check=False)
+        parsed = _json_error(out)
+        assert parsed["error"] == "BacktestError" and "jobs must be >= 1" in parsed["message"]
+        assert not (tmp_path / "bt").exists()
+
     def test_unknown_command_exits_nonzero(self):
         out = run_cli("frobnicate", check=False)
         assert out.returncode == 2  # argparse usage error

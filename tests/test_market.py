@@ -278,10 +278,8 @@ documents = st.lists(st.builds(
     st.sampled_from(["T", "L", "UNKNOWN"])), max_size=25)
 
 
-def test_every_drop_reason_but_missing_price_is_reachable():
-    """Each reason the extraction tests can meet, one document each (no
-    lookup fails once the history check passes, so missing_price never
-    counts)."""
+def test_every_drop_reason_is_reachable():
+    """Each drop reason, one document each."""
     day = [("T", 5, 11 * 60), ("T", 0, 8 * 60), ("T", 0, 10 * 60 + 9), ("T", 0, 15 * 60 + 55),
            ("L", 0, 15 * 60 + 30), ("UNKNOWN", 0, 11 * 60), ("T", 0, 10 * 60 + 10)]
     docs = [Document(id=f"d{i}", ticker=tk, text="hello", timestamp=WEEK_START + timedelta(days=d, minutes=m))
@@ -289,7 +287,7 @@ def test_every_drop_reason_but_missing_price_is_reachable():
     records, dropped = prepare_feature_records(docs, TWO_TICKERS, DICTIONARY,
                                                LabelingConfig(horizon_minutes=10))
     assert [r.doc_id for r in records] == ["d6"]  # 10:10 is the earliest event kept
-    assert [k for k, v in dropped.items() if v] == [k for k in DROP_REASONS if k != "missing_price"]
+    assert [k for k, v in dropped.items() if v] == list(DROP_REASONS)
 
 
 @settings(max_examples=60, deadline=None)

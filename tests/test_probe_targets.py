@@ -76,3 +76,29 @@ def test_probe_records_every_bench_solve():
         probe.uninstall()
     assert [s["method"] for s in probe.solves] == ["solve_accpm", "solve_reduced_gradient"]
     assert [s["status"] for s in probe.solves] == [r["status"] for r in rows]
+
+
+def test_backtest_spans_stay_live():
+    """A traced backtest records a span for every backtest and kernel layer
+    the benchmark reports. A refactor that calls a wrapped function by
+    another name would read 0 in its per-layer metric, not fail."""
+    from newsmkl import backtest as bt
+    from newsmkl.market import SynthSpec, synth_generate
+    from newsmkl.text import default_dictionary
+
+    docs, prices, _ = synth_generate(5, SynthSpec(n_events=200, n_months=13, tickers=("AAA",)))
+    plan = [bt.PlanKernel(name="lin_text", feature="text", kind="linear"),
+            bt.PlanKernel(name="lin_absret", feature="absret", kind="linear")]
+    cfg = bt.BacktestConfig(plan=plan, horizons=(10,), c_grid=(10.0, 100.0))
+    probe = _probe_module().Probe(timing=True)
+    probe.install()
+    try:
+        reports = bt.run_backtest(cfg, docs, prices, default_dictionary())
+    finally:
+        probe.uninstall()
+    assert reports[10].per_window
+    recorded = {name for name, *_ in probe.spans}
+    for span in ("backtest.run_window", "backtest.chrono_cv", "backtest.fit_plan",
+                 "backtest.predict_records", "kernels.gram_matrix", "kernels.cross_gram",
+                 "smo.solve"):
+        assert span in recorded, span
