@@ -24,7 +24,8 @@ import numpy as np
 from .kernels import GramMatrix, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist
 from .market import (FeatureRecord, LabelingConfig, PriceSeries, label_records, label_threshold,
                      prepare_feature_records, prepare_records_by_horizon)
-from .mkl import DEFAULT_GAP_TOL, DEFAULT_SOLVER, MklProblem, MklSolution, get_solver
+from .mkl import (DEFAULT_GAP_TOL, DEFAULT_SOLVER, MklProblem, MklSolution, check_c_and_gap_tol,
+                  get_solver)
 from .svm import predict_many
 from .text import Dictionary, Document, TfidfModel, fit_tfidf, transform_tfidf_many
 
@@ -197,8 +198,10 @@ class PlanKernel:
     For gaussian kernels, `sigma_scale` (times the median pairwise squared
     distance of the training features) sets the bandwidth per window;
     `sigma` pins it absolutely instead. Parameters that no data could
-    build a kernel from raise BacktestError here; a kernel that fails on
-    one window's data (a zero-trace text kernel) skips that window.
+    build a kernel from raise BacktestError here, and so does a kernel
+    that ignores the data: the identity kind on a real feature, or any
+    other kind on the identity placeholder. A kernel that fails on one
+    window's data (a zero-trace text kernel) skips that window.
     """
 
     name: str
@@ -211,10 +214,11 @@ class PlanKernel:
     def __post_init__(self):
         if self.feature not in FEATURES:
             raise BacktestError(f"unknown feature kind {self.feature!r}")
-        # the identity feature is a column of zeros: zero trace, zero norms
-        if self.feature == "identity" and self.kind in ("linear", "bagofwords"):
-            raise BacktestError(f"kernel {self.name!r}: a {self.kind} kernel on the identity "
-                                "feature is zero on any data")
+        # the identity feature is an unread placeholder column: any other kind builds a
+        # zero or constant Gram from it, and the identity kind reads no feature at all
+        if (self.feature == "identity") != (self.kind == "identity"):
+            raise BacktestError(f"kernel {self.name!r}: the identity kind and the identity feature "
+                                f"go only together, got a {self.kind} kernel on {self.feature}")
         try:
             self.spec(median=1.0)
         except KernelError as exc:
@@ -313,6 +317,10 @@ class BacktestConfig:
     def __post_init__(self):
         if self.jobs < 1:
             raise BacktestError(f"jobs must be >= 1, got {self.jobs}")
+        for C in self.c_grid:
+            check_c_and_gap_tol(C, self.gap_tol)
+        for h in self.horizons:  # a LabelingConfig checks the horizon and the percentile
+            self.labeling(h)
 
     def labeling(self, horizon: int) -> LabelingConfig:
         return LabelingConfig(horizon_minutes=horizon, percentile=self.percentile,

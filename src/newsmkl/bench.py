@@ -13,7 +13,7 @@ import time as _time
 import numpy as np
 
 from .kernels import KernelSpec, gram_matrix, median_sqdist
-from .mkl import MklProblem, MklSolution, get_solver
+from .mkl import MklError, MklProblem, MklSolution, get_solver
 
 BENCH_CSV_HEADER = ("method,n_kernels,kernel_dim,iterations,svm_solves,wall_time,final_gap,final_J,"
                     "status,smo_not_converged")
@@ -33,6 +33,8 @@ def make_bench_problem(seed: int, n_kernels: int, dim: int, C: float = 1000.0,
     noise features), so no single kernel captures the whole signal and the
     optimal mixture typically weights at least two kernels.
     """
+    if n_kernels < 1:
+        raise MklError(f"n_kernels must be >= 1, got {n_kernels}")
     rng = np.random.default_rng(seed)
     L = rng.standard_normal((dim, BLOCK))
     Q = rng.standard_normal((dim, BLOCK))

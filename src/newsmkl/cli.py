@@ -2,8 +2,9 @@
 
 Subcommands: synth, featurize, label, train-svm, train-mkl, backtest,
 bench-mkl. Inputs and outputs are files in the formats documented in the
-README; every run writes a manifest.json with the config hash, the seed,
-and library versions. Logs go to stderr only, never into data outputs.
+README. Every command but featurize and label (which write one CSV each)
+also writes a manifest.json: its settings, their hash, the seed and
+library versions. Logs go to stderr only, never into data outputs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import __version__, backtest as bt, market, mkl, text
 from .bench import run_bench, write_bench_csv
-from .config import ConfigError, parse_overrides, read_kv_config, write_manifest
+from .config import ConfigError, parse_overrides, write_manifest
 from .svm import save_model
 
 log = logging.getLogger("newsmkl")
@@ -57,16 +58,21 @@ def _synth_spec_from_config(cfg: dict) -> market.SynthSpec:
     return market.SynthSpec(**kwargs)
 
 
-def _merged_config(args) -> dict[str, str]:
-    cfg = read_kv_config(args.config) if getattr(args, "config", None) else {}
-    cfg.update(parse_overrides(getattr(args, "set", []) or []))
-    return cfg
-
-
 def _out_dir(args) -> Path:
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+# parsed names a manifest's config leaves out: the output path (reruns into other
+# directories must match), the log level, the seed (the manifest's own field), dispatch
+_UNRECORDED = ("out", "verbose", "seed", "command", "fn")
+
+
+def _write_manifest(path: Path, args) -> None:
+    """Write the command's manifest; its config is every flag the command parsed, as parsed."""
+    config = {k: v for k, v in vars(args).items() if k not in _UNRECORDED}
+    write_manifest(path, args.command, config, getattr(args, "seed", None))
 
 
 # ---------------------------------------------------------------------------
@@ -75,7 +81,7 @@ def _out_dir(args) -> Path:
 
 
 def cmd_synth(args) -> int:
-    cfg = _merged_config(args)
+    cfg = parse_overrides(args.set)
     spec = _synth_spec_from_config(cfg)
     out = _out_dir(args)
     docs, prices, truths = market.synth_generate(args.seed, spec)
@@ -99,9 +105,9 @@ def cmd_featurize(args) -> int:
 def _label_all(args):
     """Feature records for every usable event, labeled against a threshold
     taken from all of them; returns (records, labels, threshold, dropped)."""
-    docs, prices, dictionary = _load_inputs(args)
     labeling = market.LabelingConfig(horizon_minutes=args.horizon, percentile=args.percentile,
                                      label_kind=args.kind)
+    docs, prices, dictionary = _load_inputs(args)
     records, dropped = market.prepare_feature_records(docs, prices, dictionary, labeling)
     if not records:
         raise CliError("no events survived feature extraction")
@@ -118,6 +124,7 @@ def cmd_label(args) -> int:
 
 
 def _train_common(args, plan, solver: str, gap_tol: float) -> int:
+    mkl.check_c_and_gap_tol(args.C, gap_tol)
     records, y, _, dropped = _label_all(args)
     if len(records) < 2:
         raise CliError("not enough events to train on")
@@ -131,11 +138,7 @@ def _train_common(args, plan, solver: str, gap_tol: float) -> int:
     with open(out / "weights.json", "w", encoding="utf-8") as fh:
         json.dump([float(w) for w in sol.d], fh)
         fh.write("\n")
-    cfg = {"horizon": args.horizon, "percentile": args.percentile, "kind": args.kind,
-           "C": args.C, "solver": solver, "gap_tol": gap_tol,
-           "plan": [pk.name for pk in plan], "docs": str(args.docs), "prices": str(args.prices),
-           "dict": str(args.dict) if args.dict else "builtin"}
-    write_manifest(out / "manifest.json", args.command, cfg, getattr(args, "seed", None))
+    _write_manifest(out / "manifest.json", args)
     log.info("%s: trained on %d events (dropped %s), gap %.3g, %d SVM solves -> %s",
              args.command, len(records), {k: v for k, v in dropped.items() if v},
              sol.gap, sol.svm_solves, out)
@@ -174,13 +177,7 @@ def cmd_backtest(args) -> int:
     out = _out_dir(args)
     bt.write_window_csv(out / "windows.csv", cfg, reports)
     bt.write_report_json(out / "report.json", reports)
-    manifest_cfg = {"plan": args.plan, "horizons": args.horizons, "percentile": args.percentile,
-                    "kind": args.kind, "c_grid": args.c_grid, "solver": args.solver,
-                    "gap_tol": args.gap_tol, "jobs": args.jobs,
-                    "train_min_event_time": args.train_min_event_time or "",
-                    "docs": str(args.docs), "prices": str(args.prices),
-                    "dict": str(args.dict) if args.dict else "builtin"}
-    write_manifest(out / "manifest.json", "backtest", manifest_cfg, None)
+    _write_manifest(out / "manifest.json", args)
     for h in sorted(reports):
         r = reports[h]
         log.info("backtest horizon %d: accuracy=%s recall=%s sharpe=%s over %d predictions",
@@ -201,9 +198,7 @@ def cmd_bench_mkl(args) -> int:
         csv_path = out
         manifest_path = out.with_name(out.stem + "_manifest.json")
     write_bench_csv(csv_path, rows)
-    cfg = {"methods": args.methods, "kernels": args.kernels, "dim": args.dim,
-           "runs": args.runs, "C": args.C, "gap_tol": args.gap_tol}
-    write_manifest(manifest_path, "bench-mkl", cfg, args.seed)
+    _write_manifest(manifest_path, args)
     log.info("bench-mkl: %d rows -> %s", len(rows), csv_path)
     return 0
 
@@ -220,8 +215,9 @@ def _add_data_args(p: argparse.ArgumentParser, prices: bool = True):
     p.add_argument("--dict", default=None, help="stem dictionary file (default: builtin)")
 
 
-def _add_label_args(p: argparse.ArgumentParser):
-    p.add_argument("--horizon", type=int, default=10, help="prediction horizon in minutes")
+def _add_label_args(p: argparse.ArgumentParser, horizon: bool = True):
+    if horizon:
+        p.add_argument("--horizon", type=int, default=10, help="prediction horizon in minutes")
     p.add_argument("--percentile", type=float, default=75.0,
                    help="training percentile defining the abnormal threshold")
     p.add_argument("--kind", choices=market.LABEL_KINDS, default="abnormal")
@@ -237,7 +233,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("synth", help="generate synthetic documents, prices, and ground truth")
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--config", default=None, help="key=value synth spec file")
     p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                    help="override a synth spec key")
     p.set_defaults(fn=cmd_synth)
@@ -278,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("backtest", help="sliding-window out-of-sample evaluation")
     _add_data_args(p)
-    _add_label_args(p)
+    _add_label_args(p, horizon=False)
     p.add_argument("--horizons", default="10", help="comma-separated horizons in minutes")
     p.add_argument("--plan", default="linear-text", help=f"kernel plan: one of {', '.join(bt.PLANS)}")
     p.add_argument("--solver", choices=tuple(mkl.SOLVERS), default=mkl.DEFAULT_SOLVER)

@@ -1,4 +1,4 @@
-"""Flat key=value config files and reproducibility manifests."""
+"""`--set key=value` overrides, config hashes and reproducibility manifests."""
 
 from __future__ import annotations
 
@@ -8,22 +8,7 @@ import sys
 
 
 class ConfigError(ValueError):
-    """Malformed config file or value."""
-
-
-def read_kv_config(path) -> dict[str, str]:
-    """Parse `key = value` lines; '#' starts a comment, blanks ignored."""
-    out: dict[str, str] = {}
-    with open(path, encoding="utf-8") as fh:
-        for ln, raw in enumerate(fh, start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{ln}: expected key=value, got {raw.strip()!r}")
-            key, value = line.split("=", 1)
-            out[key.strip()] = value.strip()
-    return out
+    """Malformed or unknown key=value override."""
 
 
 def parse_overrides(pairs: list[str]) -> dict[str, str]:

@@ -60,6 +60,14 @@ class MklError(ValueError):
     """Malformed MKL problem or degenerate localization set."""
 
 
+def check_c_and_gap_tol(C: float, gap_tol: float) -> None:
+    """Raise MklError unless the SVM box bound C and the duality-gap target are positive."""
+    if not C > 0:
+        raise MklError(f"C must be positive, got {C}")
+    if not gap_tol > 0:
+        raise MklError(f"gap_tol must be positive, got {gap_tol}")
+
+
 @dataclass
 class MklProblem:
     """A fixed set of kernels, labels, and solver tolerances."""
@@ -78,8 +86,7 @@ class MklProblem:
         if any(k.size != size for k in self.kernels):
             raise MklError("all kernels must have the same size")
         self.labels = as_labels(self.labels, size, MklError)
-        if self.gap_tol <= 0 or self.C <= 0:
-            raise MklError("C and gap_tol must be positive")
+        check_c_and_gap_tol(self.C, self.gap_tol)
 
     @property
     def n_kernels(self) -> int:

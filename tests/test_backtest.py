@@ -297,6 +297,9 @@ class TestPlanKernelChecks:
         {"feature": "absret", "kind": "gaussian"},
         {"feature": "identity", "kind": "linear"},
         {"feature": "absret", "kind": "polynomial", "degree": 0},
+        {"feature": "identity", "kind": "gaussian", "sigma_scale": 1.0},
+        {"feature": "identity", "kind": "polynomial"},
+        {"feature": "text", "kind": "identity"},
     ])
     def test_rejected_at_construction(self, params):
         with pytest.raises(bt.BacktestError):
@@ -315,8 +318,10 @@ class TestPlanKernelChecks:
            degree=st.sampled_from([None, -3, 0, 1, 3]))
     def test_rejects_exactly_what_no_data_builds(self, feature, kind, sigma, sigma_scale, degree):
         """Construction raises for the parameters `build_kernels` fails on
-        with every data set, and accepts every kernel that builds on data
-        whose features all have nonzero rows."""
+        with every data set and for a kernel that ignores the data (the
+        identity kind and the identity feature apart), and accepts every
+        other kernel that builds on data whose features all have nonzero
+        rows."""
         params = {"name": "k", "feature": feature, "kind": kind, "sigma": sigma,
                   "sigma_scale": sigma_scale, "degree": degree}
         unchecked = object.__new__(bt.PlanKernel)  # the same kernel, built without its checks
@@ -329,12 +334,13 @@ class TestPlanKernelChecks:
                 builds.append(True)
             except KernelError:
                 builds.append(False)
+        ignores_data = (feature == "identity") != (kind == "identity")
         try:
             bt.PlanKernel(**params)
         except bt.BacktestError:
-            assert not any(builds)
+            assert ignores_data or not any(builds)
         else:
-            assert all(builds)
+            assert not ignores_data and all(builds)
 
 
 def synth_fixture(seed=7, n_events=500, n_months=14, signal=1.0):

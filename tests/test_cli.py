@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 from newsmkl import backtest, cli, market, mkl
+from newsmkl.config import parse_overrides
 
 RUN = [sys.executable, "-m", "newsmkl.cli"]
 
@@ -71,7 +72,16 @@ class TestSynth:
             sets += ["--set", f"{f.name}={text}"]
         args = cli.build_parser().parse_args(["synth", "--seed", "0", "--out", "unused", *sets])
         assert len(args.set) == len(dataclasses.fields(spec))
-        assert cli._synth_spec_from_config(cli._merged_config(args)) == spec
+        assert cli._synth_spec_from_config(parse_overrides(args.set)) == spec
+
+    def test_config_file_option_is_refused(self, tmp_path):
+        cfg = tmp_path / "synth.cfg"
+        cfg.write_text("n_events = 50\n")
+        out = run_cli("synth", "--seed", "1", "--out", str(tmp_path / "x"), "--config", str(cfg),
+                      check=False)
+        assert out.returncode == 2  # argparse usage error: --set is the one way to set a key
+        assert "--config" in out.stderr
+        assert not (tmp_path / "x").exists()
 
 
 class TestFeaturize:
@@ -174,6 +184,16 @@ class TestBacktestCommand:
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
+    def test_horizon_flag_is_read_as_horizons(self, synth_dir, tmp_path):
+        assert "horizon" not in _dests("backtest")
+        out = tmp_path / "bt"
+        run_cli("backtest", "--docs", str(synth_dir / "docs.jsonl"),
+                "--prices", str(synth_dir / "prices.csv"), "--plan", "linear-text",
+                "--horizon", "30", "--out", str(out))
+        report = json.loads((out / "report.json").read_text())
+        assert list(report["horizons"]) == ["30"]
+
+
 class TestBenchCommand:
     def test_bench_csv_columns_and_trend(self, tmp_path):
         out_csv = tmp_path / "bench.csv"
@@ -209,10 +229,19 @@ class TestBenchCommand:
         assert strip_time(a) == strip_time(b)
 
 
+def _subparser(command: str) -> argparse.ArgumentParser:
+    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    return sub.choices[command]
+
+
+def _dests(command: str) -> set[str]:
+    """The destinations of `command`'s options, --help aside."""
+    return {a.dest for a in _subparser(command)._actions if not isinstance(a, argparse._HelpAction)}
+
+
 def _option(command: str, dest: str) -> argparse.Action:
     """The argparse action of `command`'s option `dest`."""
-    [sub] = [a for a in cli.build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
-    [action] = [a for a in sub.choices[command]._actions if a.dest == dest]
+    [action] = [a for a in _subparser(command)._actions if a.dest == dest]
     return action
 
 
@@ -278,6 +307,33 @@ class TestErrors:
         assert parsed["error"] == "BacktestError" and "jobs must be >= 1" in parsed["message"]
         assert not (tmp_path / "bt").exists()
 
+    @pytest.mark.parametrize("command, flag, message", [
+        ("backtest", ("--c-grid", "10,0"), "C must be positive"),
+        ("backtest", ("--gap-tol", "0"), "gap_tol must be positive"),
+        ("backtest", ("--percentile", "40"), "percentile must lie in [50, 95]"),
+        ("backtest", ("--horizons", "10,15"), "horizon must be a multiple of 10"),
+        ("label", ("--horizon", "15"), "horizon must be a multiple of 10"),
+        ("train-svm", ("--horizon", "15"), "horizon must be a multiple of 10"),
+        ("train-mkl", ("--horizon", "15"), "horizon must be a multiple of 10"),
+        ("train-svm", ("--C", "0"), "C must be positive"),
+        ("train-mkl", ("--C", "0"), "C must be positive"),
+        ("train-mkl", ("--gap-tol", "-1"), "gap_tol must be positive"),
+    ])
+    def test_bad_setting_rejected_before_inputs_are_read(self, tmp_path, command, flag, message):
+        # the inputs do not exist: the check must come before any of them is read
+        out = run_cli(command, "--docs", str(tmp_path / "nope.jsonl"),
+                      "--prices", str(tmp_path / "nope.csv"), *flag,
+                      "--out", str(tmp_path / "out"), check=False)
+        assert message in _json_error(out)["message"]
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("kernels", ["0", "-2"])
+    def test_bench_without_kernels_single_line_json_error(self, tmp_path, kernels):
+        out = run_cli("bench-mkl", "--kernels", kernels, "--dim", "20", "--runs", "1",
+                      "--out", str(tmp_path / "b.csv"), check=False)
+        assert "n_kernels must be >= 1" in _json_error(out)["message"]
+        assert not (tmp_path / "b.csv").exists()
+
     def test_unknown_command_exits_nonzero(self):
         out = run_cli("frobnicate", check=False)
         assert out.returncode == 2  # argparse usage error
@@ -303,3 +359,33 @@ class TestErrors:
         parsed = json.loads(lines[0])
         assert parsed["error"] == "MarketError"
         assert f"{prices}:6:" in parsed["message"]
+
+
+class TestManifests:
+    """A command's manifest records every flag it parsed, and nothing else."""
+
+    @pytest.mark.parametrize("args", [
+        ("train-svm", "--feature", "absret"),
+        ("train-mkl", "--plan", "linear-absret"),
+        ("backtest", "--plan", "linear-absret"),
+        ("bench-mkl", "--kernels", "2", "--dim", "20", "--runs", "1"),
+    ])
+    def test_config_holds_every_parsed_flag(self, synth_dir, tmp_path, args):
+        inputs = () if args[0] == "bench-mkl" else \
+            ("--docs", str(synth_dir / "docs.jsonl"), "--prices", str(synth_dir / "prices.csv"))
+        run_cli(*args, *inputs, "--out", str(tmp_path))
+        manifest = json.loads((tmp_path / "manifest.json").read_text())
+        assert manifest["command"] == args[0]
+        assert set(manifest["config"]) == _dests(args[0]) - {"out", "verbose", "seed"}
+
+    def test_every_setting_changes_the_hash(self, synth_dir, tmp_path):
+        hashes = set()
+        for scale in ("1", "4"):
+            out = tmp_path / scale
+            run_cli("train-svm", "--docs", str(synth_dir / "docs.jsonl"),
+                    "--prices", str(synth_dir / "prices.csv"), "--feature", "absret",
+                    "--kernel", "gaussian", "--sigma-scale", scale, "--out", str(out))
+            manifest = json.loads((out / "manifest.json").read_text())
+            assert manifest["config"]["sigma_scale"] == float(scale)
+            hashes.add(manifest["config_sha256"])
+        assert len(hashes) == 2
