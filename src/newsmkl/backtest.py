@@ -21,7 +21,8 @@ from datetime import datetime, time
 
 import numpy as np
 
-from .kernels import GramMatrix, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist
+from .kernels import (GramMatrix, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist,
+                      sqdist)
 from .market import (FeatureRecord, LabelingConfig, PriceSeries, label_records, label_threshold,
                      prepare_feature_records, prepare_records_by_horizon)
 from .mkl import (DEFAULT_GAP_TOL, DEFAULT_SOLVER, MklProblem, MklSolution, check_c_and_gap_tol,
@@ -384,25 +385,36 @@ def _text_counts(records: list[FeatureRecord]) -> tuple[np.ndarray, np.ndarray]:
 def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord],
                   test_records: list[FeatureRecord] = ()) -> PlanKernels:
     """tf-idf fit on the training corpus only, then one trace-normalized
-    Gram per plan kernel; gaussian bandwidths come from one median squared
-    distance per training feature matrix. A Gram that cannot be built
-    (a zero-trace kernel) raises KernelError naming the plan kernel.
-    `test_records` are the events the kernels will score (none for a
-    model trained on every event)."""
+    Gram per plan kernel. The gaussian kernels on a training feature matrix
+    share one squared-distance matrix, which also gives their bandwidth
+    median, and it is freed after that feature's last gaussian Gram. A Gram
+    that cannot be built (a zero-trace kernel) raises KernelError naming
+    the plan kernel. `test_records` are the events the kernels will score
+    (none for a model trained on every event)."""
     counts, lengths = _text_counts(train_records)
     tf = fit_tfidf(counts)
     features = _plan_features(plan, train_records, transform_tfidf_many(tf, counts, lengths))
+    last_gaussian = {id(X): k for k, (pk, X) in enumerate(zip(plan, features))
+                     if pk.kind == "gaussian"}
+    distances: dict[int, np.ndarray] = {}
     medians: dict[int, float] = {}
     specs, grams = [], []
-    for pk, X in zip(plan, features):
-        if pk.kind == "gaussian" and pk.sigma is None and id(X) not in medians:
-            medians[id(X)] = median_sqdist(X)
+    for k, (pk, X) in enumerate(zip(plan, features)):
+        D = None
+        if pk.kind == "gaussian":
+            D = distances.get(id(X))
+            if D is None:
+                D = distances[id(X)] = sqdist(X)
+            if pk.sigma is None and id(X) not in medians:
+                medians[id(X)] = median_sqdist(D)
         spec = pk.spec(medians.get(id(X)))
         specs.append(spec)
         try:
-            grams.append(gram_matrix(spec, X))
+            grams.append(gram_matrix(spec, X, D))
         except KernelError as exc:
             raise KernelError(f"kernel {pk.name!r}: {exc}") from exc
+        if last_gaussian.get(id(X)) == k:
+            del distances[id(X)]
     return PlanKernels(plan=plan, records=train_records, test_records=list(test_records), tfidf=tf,
                        specs=specs, grams=grams, features=features)
 

@@ -12,8 +12,8 @@ import time as _time
 
 import numpy as np
 
-from .kernels import KernelSpec, gram_matrix, median_sqdist
-from .mkl import MklError, MklProblem, MklSolution, get_solver
+from .kernels import KernelSpec, gram_matrix, median_sqdist, sqdist
+from .mkl import SOLVERS, MklError, MklProblem, MklSolution, get_solver
 
 BENCH_CSV_HEADER = ("method,n_kernels,kernel_dim,iterations,svm_solves,wall_time,final_gap,final_J,"
                     "status,smo_not_converged")
@@ -35,6 +35,8 @@ def make_bench_problem(seed: int, n_kernels: int, dim: int, C: float = 1000.0,
     """
     if n_kernels < 1:
         raise MklError(f"n_kernels must be >= 1, got {n_kernels}")
+    if dim < 2:  # one sample cannot hold both classes
+        raise MklError(f"dim must be >= 2, got {dim}")
     rng = np.random.default_rng(seed)
     L = rng.standard_normal((dim, BLOCK))
     Q = rng.standard_normal((dim, BLOCK))
@@ -52,7 +54,8 @@ def make_bench_problem(seed: int, n_kernels: int, dim: int, C: float = 1000.0,
 
     X_lin = np.hstack([L, N])
     X_nl = np.hstack([Q, N])
-    med = median_sqdist(X_nl)
+    D = sqdist(X_nl)  # the median's and every gaussian Gram's distances
+    med = median_sqdist(D)
     kernels = [gram_matrix(KernelSpec(kind="linear", trace_normalize=True), X_lin)]
     sigma_scales = (1.0, 0.25, 4.0, 16.0, 64.0)
     degrees = (2, 3, 4)
@@ -62,18 +65,24 @@ def make_bench_problem(seed: int, n_kernels: int, dim: int, C: float = 1000.0,
             spec = KernelSpec(kind="gaussian", sigma=sigma_scales[gi % len(sigma_scales)] * med,
                               trace_normalize=True)
             gi += 1
+            kernels.append(gram_matrix(spec, X_nl, D))
         else:
             spec = KernelSpec(kind="polynomial", degree=degrees[pi % len(degrees)],
                               trace_normalize=True)
             pi += 1
-        kernels.append(gram_matrix(spec, X_nl))
+            kernels.append(gram_matrix(spec, X_nl))
     return MklProblem(kernels=kernels, labels=y, C=C, gap_tol=gap_tol)
 
 
 def run_bench(methods: list[str], n_kernels: int, dim: int, runs: int, seed: int,
               C: float = 1000.0, gap_tol: float = 0.01) -> list[dict]:
     """One row per (method, run): counts, wall time, final gap / objective
-    and how the solve ended. `methods` are names in `mkl.SOLVERS`."""
+    and how the solve ended. `methods` are names in `mkl.SOLVERS`; an empty
+    list or `runs` < 1 raises MklError, as there would be nothing to solve."""
+    if not methods:
+        raise MklError(f"no solver named; choose from {', '.join(SOLVERS)}")
+    if runs < 1:
+        raise MklError(f"runs must be >= 1, got {runs}")
     solvers = [(method, get_solver(method)) for method in methods]
     rows = []
     for run in range(runs):

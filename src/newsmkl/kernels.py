@@ -11,6 +11,11 @@ Supported kernel functions on feature vectors x, y:
 The identity kernel exists only to absorb noise inside a kernel mixture:
 it is the identity matrix over training samples, and its cross-kernel
 values against unseen points are 0.
+
+A feature's gaussian Grams and its bandwidth median share one squared
+distance matrix: `sqdist` computes it once, `median_sqdist` takes the
+median of its strict upper triangle and `gram_matrix` maps it to each
+gaussian Gram.
 """
 
 from __future__ import annotations
@@ -167,17 +172,37 @@ def _kernel_block(spec: KernelSpec, A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return K
 
 
-def gram_matrix(spec: KernelSpec, samples) -> GramMatrix:
+def sqdist(samples) -> np.ndarray:
+    """(n, n) squared Euclidean distances between the samples, the matrix a
+    gaussian Gram maps elementwise (built as `_kernel_block` builds it)."""
+    X = _as_matrix(samples)
+    return _pairwise_sqdist(X, X)
+
+
+def gram_matrix(spec: KernelSpec, samples, distances: np.ndarray | None = None) -> GramMatrix:
     """Assemble the symmetric matrix of pairwise kernel values.
 
     The matrix is exactly symmetric with no symmetrization pass: syrk
     fills one triangle and mirrors it, and every kind maps that product
-    (and the row norms) elementwise and symmetrically. Applies trace
-    normalization (divide by the trace so trace = 1) when
-    spec.trace_normalize is set.
+    (and the row norms) elementwise and symmetrically. A gaussian Gram is
+    mapped from `distances`, which must be `sqdist(samples)` (only its
+    shape is checked), so the kernels on one feature compute it once; it
+    is computed here when not given. Applies trace normalization (divide
+    by the trace so trace = 1) when spec.trace_normalize is set.
     """
     X = _as_matrix(samples)
-    G = np.eye(X.shape[0]) if spec.kind == "identity" else _kernel_block(spec, X, X)
+    if spec.kind == "identity":
+        G = np.eye(X.shape[0])
+    elif spec.kind == "gaussian":
+        D = _pairwise_sqdist(X, X) if distances is None else distances
+        if D.shape != (X.shape[0], X.shape[0]):
+            raise KernelError(f"distance matrix of shape {D.shape} for {X.shape[0]} samples")
+        # exp(-D / sigma), computed in one buffer
+        G = np.negative(D)
+        G /= spec.sigma
+        np.exp(G, out=G)
+    else:
+        G = _kernel_block(spec, X, X)
     scale = 1.0
     if spec.trace_normalize:
         tr = float(np.trace(G))
@@ -206,14 +231,15 @@ def cross_gram(spec: KernelSpec, train_samples, test_samples, scale: float = 1.0
     return K
 
 
-def median_sqdist(samples) -> float:
-    """Median pairwise squared distance (gaussian bandwidth heuristic)."""
-    X = _as_matrix(samples)
-    d2 = _pairwise_sqdist(X, X)
-    iu = np.triu_indices(X.shape[0], k=1)
-    if iu[0].size == 0:
+def median_sqdist(distances: np.ndarray) -> float:
+    """Median pairwise squared distance (gaussian bandwidth heuristic): the
+    median of the strict upper triangle of a `sqdist` matrix, gathered row
+    by row. 1.0 when there is no pair or the median is 0."""
+    n = distances.shape[0]
+    if n < 2:
         return 1.0
-    med = float(np.median(d2[iu]))
+    upper = np.concatenate([distances[i, i + 1:] for i in range(n - 1)])
+    med = float(np.median(upper, overwrite_input=True))
     return med if med > 0.0 else 1.0
 
 

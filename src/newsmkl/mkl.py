@@ -19,7 +19,10 @@ point a solver proposes, keeps the best point and ends at gap_tol
     ends it ("flat_gradient"), and so does an empty interior
     ("degenerate_localization"). The SVM oracle is inexact: SMO starts
     loose and tightens only while the point needs it (see `_evaluate`),
-    and a loosely solved point's cut is shallow by the SVM's own gap.
+    and a loosely solved point's cut is shallow by the SVM's own gap. A
+    center that puts VERTEX_SHARE of its weight on one kernel is followed
+    by one solve at that kernel's vertex, whose zero gap certifies a
+    vertex optimum that the centers could only approach.
 
   * solve_reduced_gradient: projected reduced-gradient descent on the
     simplex with a line search; every trial step is one SVM solve, and no
@@ -54,6 +57,9 @@ DEFAULT_C = 1000.0
 DELTA_MAX_FRACTION = 0.25
 # ACCPM's first SMO tolerance; later solves tighten from it toward inner_tol
 LOOSE_TOL = 1e-2
+# ACCPM: a center with at least this weight on the kernel of largest quad form
+# is followed by one solve at that kernel's vertex (see `_accpm_points`)
+VERTEX_SHARE = 0.9
 
 
 class MklError(ValueError):
@@ -608,11 +614,21 @@ def _solve(problem: MklProblem, points) -> MklSolution:
 
 
 def _accpm_points(problem: MklProblem, state: MklState):
-    """ACCPM's proposal rule: the analytic center, then prune, cut and push inside."""
+    """ACCPM's proposal rule: the analytic center, then prune, cut and push inside.
+
+    Analytic centers stay off the simplex's faces, so an optimum at a
+    vertex e_k is only approached. When a center puts VERTEX_SHARE of its
+    weight on k = argmax q, the kernel its own gradient favours, the vertex
+    e_k is solved once as the next point: if it is the optimum, its gap
+    max q - q_k is 0 and certifies it. Otherwise it only competes as the
+    best point: it adds no cut, and the center's own cut is added as
+    always, so cuts keep coming from interior points.
+    """
     n = problem.n_kernels
     state.tol = max(problem.inner_tol, LOOSE_TOL)
     loc = LocalizationSet.initial_simplex(n)
     z_start = uniform_reduced(n)
+    vertices_tried: set[int] = set()
     while True:
         try:
             z_c = analytic_center(loc, z0=z_start)
@@ -621,6 +637,10 @@ def _accpm_points(problem: MklProblem, state: MklState):
         d = np.maximum(reduced_to_full(z_c), 0.0)
         point = _evaluate(problem, d / d.sum(), state)
         yield point
+        k = int(np.argmax(point.q))
+        if point.d[k] >= VERTEX_SHARE and k not in vertices_tried:
+            vertices_tried.add(k)
+            yield _evaluate(problem, np.eye(n)[k], state)
         # prune first, so a shallow new cut cannot be the one pruned away
         pruned = prune_cuts(loc, z_c, barrier_hessian(loc, z_c), budget=3 * n - 1)
         loc, added = add_cut(pruned, z_c, -0.5 * point.q, point.eps)

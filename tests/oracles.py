@@ -110,6 +110,16 @@ def grid_mkl_oracle(problem: MklProblem, step: float = 0.01) -> tuple[float, np.
     return best_J, best_d
 
 
+def triu_median_sqdist(d2: np.ndarray) -> float:
+    """Median of a squared-distance matrix's strict upper triangle, gathered
+    by index arrays; 1.0 when there is no pair or the median is 0."""
+    iu = np.triu_indices(d2.shape[0], k=1)
+    if iu[0].size == 0:
+        return 1.0
+    med = float(np.median(d2[iu]))
+    return med if med > 0.0 else 1.0
+
+
 def central_difference_directional(problem: MklProblem, d: np.ndarray, v: np.ndarray,
                                    h: float = 1e-5) -> float:
     """[J(d + h v) - J(d - h v)] / 2h with independent cold inner solves."""

@@ -10,10 +10,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_accuracy_recall, naive_sharpe
+from oracles import naive_accuracy_recall, naive_sharpe, triu_median_sqdist
 
 from newsmkl import backtest as bt
-from newsmkl import market, mkl
+from newsmkl import kernels, market, mkl
 from newsmkl.market import SynthSpec, synth_generate
 from newsmkl.kernels import KERNEL_KINDS, KernelError
 from newsmkl.text import Dictionary, default_dictionary
@@ -523,6 +523,38 @@ class TestArtifacts:
             assert w["mkl_status"] == "max_iters" and w["mkl_iterations"] == 2
             assert w["gap"] > cfg.gap_tol and w["svm_solves"] >= 2
         assert bt.report_to_dict(report)["windows_by_status"] == {"max_iters": len(report.per_window)}
+
+
+class TestSharedDistances:
+    """mkl13's gaussian kernels on a feature share one squared-distance
+    pass, and the Grams, scales and medians are those of kernels built one
+    at a time."""
+
+    def test_one_distance_pass_per_gaussian_feature(self, monkeypatch):
+        docs, prices, _ = synth_fixture(seed=4, n_events=260, n_months=14)
+        cfg = bt.BacktestConfig(plan=bt.named_plan("mkl13"))
+        records, _ = bt.prepare_feature_records(docs, prices, default_dictionary(), cfg.labeling(10))
+        real = kernels._pairwise_sqdist
+        passes = []
+
+        def counted(X, Y):
+            passes.append(X.shape[0])
+            return real(X, Y)
+        monkeypatch.setattr(kernels, "_pairwise_sqdist", counted)
+        built = bt.build_kernels(cfg.plan, records)
+        monkeypatch.undo()
+        assert passes == [len(records)] * 2  # text and absret
+
+        gaussian = 0
+        for pk, spec, g, X in zip(cfg.plan, built.specs, built.grams, built.features):
+            if pk.kind != "gaussian":
+                continue
+            gaussian += 1
+            assert spec == pk.spec(triu_median_sqdist(real(X, X)))
+            alone = kernels._kernel_block(spec, X, X)
+            assert g.scale == 1.0 / np.trace(alone)
+            np.testing.assert_array_equal(g.values, alone * g.scale)
+        assert gaussian == 8
 
 
 class TestKernelReuse:

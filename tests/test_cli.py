@@ -334,6 +334,20 @@ class TestErrors:
         assert "n_kernels must be >= 1" in _json_error(out)["message"]
         assert not (tmp_path / "b.csv").exists()
 
+    @pytest.mark.parametrize("flag, message", [
+        (("--runs", "0"), "runs must be >= 1"),
+        (("--runs", "-1"), "runs must be >= 1"),
+        (("--methods", ","), "no solver named"),
+        (("--methods", ""), "no solver named"),
+        (("--dim", "0"), "dim must be >= 2"),
+        (("--dim", "1"), "dim must be >= 2"),
+    ])
+    def test_bench_with_nothing_to_solve_single_line_json_error(self, tmp_path, flag, message):
+        out = run_cli("bench-mkl", "--kernels", "2", "--dim", "20", "--runs", "1", *flag,
+                      "--out", str(tmp_path / "b.csv"), check=False)
+        assert message in _json_error(out)["message"]
+        assert not (tmp_path / "b.csv").exists()
+
     def test_unknown_command_exits_nonzero(self):
         out = run_cli("frobnicate", check=False)
         assert out.returncode == 2  # argparse usage error

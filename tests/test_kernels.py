@@ -1,8 +1,11 @@
 import numpy as np
 import pytest
 
+from oracles import triu_median_sqdist
+
+from newsmkl import kernels
 from newsmkl.kernels import (GramMatrix, KernelError, KernelSpec, cross_gram,
-                             eval_kernel, gram_matrix, validate_psd)
+                             eval_kernel, gram_matrix, median_sqdist, sqdist, validate_psd)
 
 ALL_VECTOR_KINDS = ("linear", "gaussian", "polynomial", "bagofwords")
 
@@ -182,3 +185,41 @@ class TestKernelProperties:
             gram_matrix(KernelSpec(kind="bagofwords"), X)
         with pytest.raises(KernelError):
             cross_gram(KernelSpec(kind="bagofwords"), np.ones((2, 2)), X)
+
+
+class TestSharedDistances:
+    """A feature's median and gaussian Grams read one `sqdist` matrix and
+    give the same numbers as kernels built one at a time."""
+
+    @staticmethod
+    def _inputs():
+        rng = np.random.default_rng(5)
+        X = rng.standard_normal((30, 4))
+        yield X
+        yield np.vstack([X[:10], X[:10], X[:3]])  # duplicate rows, pairs at distance 0
+        yield np.repeat(X[:1], 6, axis=0)  # every pair at distance 0
+        yield X[:1]
+        yield X[:2]
+
+    def test_median_matches_the_index_array_oracle(self):
+        for X in self._inputs():
+            D = sqdist(X)
+            assert median_sqdist(D) == triu_median_sqdist(D)
+
+    def test_gaussian_grams_from_shared_distances_are_bitwise_equal(self):
+        for X in self._inputs():
+            D = sqdist(X)
+            for sigma in (0.3, 1.0, 7.5):
+                for trace_normalize in (False, True):
+                    spec = KernelSpec(kind="gaussian", sigma=sigma, trace_normalize=trace_normalize)
+                    shared = gram_matrix(spec, X, D)
+                    block = kernels._kernel_block(spec, X, X)
+                    scale = 1.0 / np.trace(block) if trace_normalize else 1.0
+                    np.testing.assert_array_equal(shared.values, block * scale)
+                    assert shared.scale == scale
+            np.testing.assert_array_equal(D, sqdist(X))  # the shared matrix is not overwritten
+
+    def test_distance_matrix_of_wrong_shape_rejected(self):
+        X = np.ones((4, 2))
+        with pytest.raises(KernelError):
+            gram_matrix(KernelSpec(kind="gaussian", sigma=1.0), X, sqdist(np.ones((3, 2))))

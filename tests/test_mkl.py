@@ -703,6 +703,21 @@ class TestSolvers:
         J_grid, d_grid = grid_mkl_oracle(p, step=0.05)
         assert d_grid[0] >= 0.9
 
+    @pytest.mark.parametrize("gap_tol", [1e-2, 1e-3, 1e-4])
+    def test_vertex_optimum_certified_in_few_solves(self, gap_tol):
+        # the instance above: its optimum is the informative vertex, which the
+        # analytic centers only approach; one solve at the vertex certifies it
+        rng = np.random.default_rng(0)
+        X = rng.standard_normal((40, 4))
+        y = np.where(X @ rng.standard_normal(4) >= 0, 1.0, -1.0)
+        informative = gram_matrix(KernelSpec(kind="linear", trace_normalize=True), X)
+        noise = gram_matrix(KernelSpec(kind="identity", trace_normalize=True), X)
+        sol = solve_accpm(MklProblem(kernels=[informative, noise], labels=y, C=10.0,
+                                     gap_tol=gap_tol))
+        assert sol.status == "converged"
+        np.testing.assert_array_equal(sol.d, [1.0, 0.0])
+        assert sol.gap == 0.0 and sol.svm_solves <= 5
+
     def test_accpm_matches_grid_oracle(self):
         # only instances whose grid optimum genuinely mixes: at a vertex
         # optimum the gap bound is tight and epsilon = 0.01 cannot certify
