@@ -288,16 +288,6 @@ def _noise_features(doc_ids: list[str]) -> np.ndarray:
     return out
 
 
-def _plan_features(plan: list[PlanKernel], records: list[FeatureRecord],
-                   text_matrix: np.ndarray) -> list[np.ndarray]:
-    """One feature matrix per plan kernel; kernels on the same feature share it."""
-    built: dict[str, np.ndarray] = {}
-    for pk in plan:
-        if pk.feature not in built:
-            built[pk.feature] = FEATURES[pk.feature](records, text_matrix)
-    return [built[pk.feature] for pk in plan]
-
-
 # ---------------------------------------------------------------------------
 # Window training / prediction
 # ---------------------------------------------------------------------------
@@ -332,10 +322,10 @@ class BacktestConfig:
 class PlanKernels:
     """A plan's kernels on one training set and their cross-Gram blocks
     against one test set: the tf-idf fit, the resolved specs, one
-    trace-normalized Gram per plan kernel, and the training feature matrix
-    of each kernel (shared by kernels on the same feature). Each
-    (n_test, n_train) block is built on first use and kept, so every fit
-    scored on the test set (the C values of chronological CV) reuses it."""
+    trace-normalized Gram per plan kernel, and one training matrix per
+    feature the plan reads. Each (n_test, n_train) block is built on first
+    use and kept, so every fit scored on the test set (the C values of
+    chronological CV) reuses it."""
 
     plan: list[PlanKernel]
     records: list[FeatureRecord]
@@ -343,18 +333,19 @@ class PlanKernels:
     tfidf: TfidfModel
     specs: list[KernelSpec]
     grams: list[GramMatrix]
-    features: list[np.ndarray]
+    features: dict[str, np.ndarray]
     _blocks: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    _test_features: list[np.ndarray] | None = field(default=None, init=False, repr=False)
+    _test_features: dict[str, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def block(self, k: int) -> np.ndarray:
         """Kernel k's (n_test, n_train) cross-Gram block."""
         if k not in self._blocks:
             if self._test_features is None:
                 text = transform_tfidf_many(self.tfidf, *_text_counts(self.test_records))
-                self._test_features = _plan_features(self.plan, self.test_records, text)
-            self._blocks[k] = cross_gram(self.specs[k], self.features[k], self._test_features[k],
-                                         scale=self.grams[k].scale)
+                self._test_features = {f: FEATURES[f](self.test_records, text) for f in self.features}
+            feature = self.plan[k].feature
+            self._blocks[k] = cross_gram(self.specs[k], self.features[feature],
+                                         self._test_features[feature], scale=self.grams[k].scale)
         return self._blocks[k]
 
     def mix(self, d) -> np.ndarray:
@@ -385,36 +376,34 @@ def _text_counts(records: list[FeatureRecord]) -> tuple[np.ndarray, np.ndarray]:
 def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord],
                   test_records: list[FeatureRecord] = ()) -> PlanKernels:
     """tf-idf fit on the training corpus only, then one trace-normalized
-    Gram per plan kernel. The gaussian kernels on a training feature matrix
-    share one squared-distance matrix, which also gives their bandwidth
-    median, and it is freed after that feature's last gaussian Gram. A Gram
-    that cannot be built (a zero-trace kernel) raises KernelError naming
-    the plan kernel. `test_records` are the events the kernels will score
-    (none for a model trained on every event)."""
+    Gram per plan kernel, built feature by feature in order of first use.
+    The gaussian kernels on a feature share one squared-distance matrix,
+    which also gives their bandwidth median, and it is freed before the
+    next feature. A kernel that cannot be built (a zero-trace kernel)
+    raises KernelError naming the plan kernel, the first in that order.
+    `test_records` are the events the kernels will score (none for a model
+    trained on every event)."""
     counts, lengths = _text_counts(train_records)
     tf = fit_tfidf(counts)
-    features = _plan_features(plan, train_records, transform_tfidf_many(tf, counts, lengths))
-    last_gaussian = {id(X): k for k, (pk, X) in enumerate(zip(plan, features))
-                     if pk.kind == "gaussian"}
-    distances: dict[int, np.ndarray] = {}
-    medians: dict[int, float] = {}
-    specs, grams = [], []
-    for k, (pk, X) in enumerate(zip(plan, features)):
-        D = None
-        if pk.kind == "gaussian":
-            D = distances.get(id(X))
-            if D is None:
-                D = distances[id(X)] = sqdist(X)
-            if pk.sigma is None and id(X) not in medians:
-                medians[id(X)] = median_sqdist(D)
-        spec = pk.spec(medians.get(id(X)))
-        specs.append(spec)
-        try:
-            grams.append(gram_matrix(spec, X, D))
-        except KernelError as exc:
-            raise KernelError(f"kernel {pk.name!r}: {exc}") from exc
-        if last_gaussian.get(id(X)) == k:
-            del distances[id(X)]
+    text = transform_tfidf_many(tf, counts, lengths)
+    on_feature: dict[str, list[int]] = {}
+    for k, pk in enumerate(plan):
+        on_feature.setdefault(pk.feature, []).append(k)
+    features: dict[str, np.ndarray] = {}
+    specs: list = [None] * len(plan)
+    grams: list = [None] * len(plan)
+    for feature, ks in on_feature.items():
+        X = features[feature] = FEATURES[feature](train_records, text)
+        gaussian = [plan[k] for k in ks if plan[k].kind == "gaussian"]
+        D = sqdist(X) if gaussian else None
+        median = median_sqdist(D) if any(pk.sigma is None for pk in gaussian) else None
+        for k in ks:
+            try:
+                specs[k] = plan[k].spec(median)
+                grams[k] = gram_matrix(specs[k], X, D)
+            except KernelError as exc:
+                raise KernelError(f"kernel {plan[k].name!r}: {exc}") from exc
+        del D  # before the next feature's distances are computed
     return PlanKernels(plan=plan, records=train_records, test_records=list(test_records), tfidf=tf,
                        specs=specs, grams=grams, features=features)
 

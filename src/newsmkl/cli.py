@@ -39,8 +39,12 @@ def _load_inputs(args, need_prices: bool = True):
 
 
 def _parse_clock(raw: str) -> time:
-    h, m = raw.split(":")
-    return time(int(h), int(m))
+    """An "HH:MM" clock time; ConfigError for anything else."""
+    try:
+        h, m = raw.split(":")
+        return time(int(h), int(m))
+    except ValueError:
+        raise ConfigError(f"expected HH:MM, got {raw!r}") from None
 
 
 def _synth_spec_from_config(cfg: dict) -> market.SynthSpec:
@@ -165,10 +169,10 @@ def cmd_backtest(args) -> int:
         c_grid=tuple(float(c) for c in args.c_grid.split(",")),
         solver=args.solver,
         gap_tol=args.gap_tol,
+        train_min_event_time=(_parse_clock(args.train_min_event_time)
+                              if args.train_min_event_time else None),
         jobs=args.jobs,
     )
-    if args.train_min_event_time:
-        cfg.train_min_event_time = _parse_clock(args.train_min_event_time)
     docs, prices, dictionary = _load_inputs(args)
     extracted = bt.extract_horizons(cfg, docs, prices, dictionary)
     # the sweep reads only the records: free the documents and prices before any Gram is built

