@@ -22,7 +22,7 @@ from datetime import datetime, time
 import numpy as np
 
 from .kernels import (GramMatrix, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist,
-                      sqdist)
+                      release_freed_memory, sqdist)
 from .market import (FeatureRecord, LabelingConfig, PriceSeries, label_records, label_threshold,
                      prepare_feature_records, prepare_records_by_horizon)
 from .mkl import (DEFAULT_GAP_TOL, DEFAULT_SOLVER, MklProblem, MklSolution, check_c_and_gap_tol,
@@ -224,6 +224,10 @@ class PlanKernel:
             self.spec(median=1.0)
         except KernelError as exc:
             raise BacktestError(f"kernel {self.name!r}: {exc}") from exc
+        for key in ("sigma", "sigma_scale"):  # also on the kinds that do not read them
+            value = getattr(self, key)
+            if value is not None and not np.isfinite(value):
+                raise BacktestError(f"kernel {self.name!r}: {key} must be finite, got {value}")
 
     def spec(self, median: float | None) -> KernelSpec:
         """The trace-normalized kernel spec; `median` is the training
@@ -477,20 +481,10 @@ def chrono_cv(train_records: list[FeatureRecord], y_train: np.ndarray,
 
 @dataclass
 class WindowResult:
-    window: Window
-    horizon: int
-    n_train: int
-    n_test: int
-    threshold: float
-    chosen_C: float
-    predictions: np.ndarray
+    row: dict  # the window's entry in report.json's "windows"
+    predictions: np.ndarray  # the test month's, pooled into the horizon's totals
     labels: np.ndarray
     dates: list
-    kernel_weights: np.ndarray
-    accuracy: float | None
-    recall: float | None
-    sharpe: float | None
-    solver: dict  # how the full-window MKL fit ended, as report.json lists it
 
 
 def window_records(cfg: BacktestConfig, window: Window,
@@ -565,22 +559,22 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int, records: list[
     _, acc, rec = classification_metrics(preds, y_test)
     dates = [r.timestamp.date() for r in test_records]
     _, rets = strategy_returns(preds, y_test, dates)
-    sr = sharpe(rets)
-    return WindowResult(window=window, horizon=horizon, n_train=len(train_records),
-                        n_test=len(test_records), threshold=threshold, chosen_C=chosen_C,
-                        predictions=preds, labels=y_test, dates=dates, kernel_weights=sol.d,
-                        accuracy=acc, recall=rec, sharpe=sr,
-                        solver={"svm_solves": sol.svm_solves, "mkl_status": sol.status,
-                                "gap": sol.gap, "mkl_iterations": sol.iterations,
-                                "smo_iterations": sol.smo_iterations,
-                                "smo_not_converged": sol.smo_not_converged})
+    row = {"window_id": window_id(window), "horizon": horizon, "n_train": len(train_records),
+           "n_test": len(test_records), "accuracy": acc, "recall": rec, "sharpe": sharpe(rets),
+           "threshold": threshold, "chosen_C": chosen_C, "svm_solves": sol.svm_solves,
+           "mkl_status": sol.status, "gap": sol.gap, "mkl_iterations": sol.iterations,
+           "smo_iterations": sol.smo_iterations, "smo_not_converged": sol.smo_not_converged,
+           "n_kernels_active": int(np.sum(sol.d > 0)),
+           "kernel_weights": {pk.name: float(w) for pk, w in zip(cfg.plan, sol.d)}}
+    return WindowResult(row=row, predictions=preds, labels=y_test, dates=dates)
 
 
 def _run_window_job(args) -> list:
     """One window at each of its horizons, sharing the window's kernels;
-    a WindowResult or the WindowSkipped per horizon."""
+    a WindowResult or the WindowSkipped per horizon. The window's kernels
+    are freed and their memory released before it returns."""
     cfg, window, horizon_records = args
-    # dies with the window; a lone horizon shares nothing and frees as it goes
+    # a lone horizon shares nothing and frees as it goes
     shared = {} if len(horizon_records) > 1 else None
     outcomes = []
     for horizon, records in horizon_records:
@@ -588,6 +582,9 @@ def _run_window_job(args) -> list:
             outcomes.append(run_window(cfg, window, horizon, records, shared))
         except WindowSkipped as exc:
             outcomes.append(exc)
+    if shared is not None:
+        shared.clear()  # a skipped horizon's traceback still holds the dict
+    release_freed_memory()
     return outcomes
 
 
@@ -625,11 +622,12 @@ def run_sweep(cfg: BacktestConfig, extracted: dict[int, tuple[list[FeatureRecord
     for (_, w, horizon_records), outs in zip(jobs, outcomes):
         for (h, _), out in zip(horizon_records, outs):
             by_horizon[h].append((w, out))
-    return {h: _report(cfg, by_horizon[h], extracted[h][1]) for h in extracted}
+    return {h: _report(by_horizon[h], extracted[h][1]) for h in extracted}
 
 
-def _report(cfg: BacktestConfig, outcomes: list, dropped: dict[str, int]) -> MetricsReport:
-    """One horizon's MetricsReport from its (window, WindowResult or WindowSkipped) list."""
+def _report(outcomes: list, dropped: dict[str, int]) -> MetricsReport:
+    """One horizon's MetricsReport from its (window, WindowResult or WindowSkipped) list;
+    its windows are the results' rows as they are."""
     results: list[WindowResult] = []
     skipped = []
     for w, out in outcomes:
@@ -648,18 +646,11 @@ def _report(cfg: BacktestConfig, outcomes: list, dropped: dict[str, int]) -> Met
     _, rets = strategy_returns(preds, labels, dates)
     sr = sharpe(rets)
 
-    weights = np.mean(np.vstack([r.kernel_weights for r in results]), axis=0)
-    per_window = [{
-        "window_id": window_id(r.window),
-        "horizon": r.horizon, "n_train": r.n_train, "n_test": r.n_test,
-        "accuracy": r.accuracy, "recall": r.recall, "sharpe": r.sharpe,
-        "threshold": r.threshold, "chosen_C": r.chosen_C, **r.solver,
-        "n_kernels_active": int(np.sum(r.kernel_weights > 0)),
-        "kernel_weights": {pk.name: float(w) for pk, w in zip(cfg.plan, r.kernel_weights)},
-    } for r in results]
+    rows = [r.row for r in results]
+    mean = np.mean([list(row["kernel_weights"].values()) for row in rows], axis=0)
     return MetricsReport(accuracy=acc, recall=rec, sharpe=sr, n_predictions=int(preds.size),
-                         n_days=len(set(dates)), confusion=conf, per_window=per_window,
-                         mean_kernel_weights={pk.name: float(w) for pk, w in zip(cfg.plan, weights)},
+                         n_days=len(set(dates)), confusion=conf, per_window=rows,
+                         mean_kernel_weights=dict(zip(rows[0]["kernel_weights"], mean.tolist())),
                          n_dropped=dropped, skipped_windows=skipped)
 
 
@@ -688,17 +679,22 @@ def _fmt(v) -> str:
     return str(v)
 
 
+# windows.csv: these row fields, then one weight per plan kernel, then the solver's
+WINDOW_COLUMNS = ("window_id", "horizon", "n_train", "n_test", "accuracy", "recall", "sharpe",
+                  "n_kernels_active")
+SOLVER_COLUMNS = ("svm_solves", "mkl_status", "gap", "mkl_iterations", "smo_iterations",
+                  "smo_not_converged")
+
+
 def write_window_csv(path, cfg: BacktestConfig, reports: dict[int, MetricsReport]) -> None:
     names = [pk.name for pk in cfg.plan]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("window_id,horizon,n_train,n_test,accuracy,recall,sharpe,n_kernels_active,"
-                 + ",".join(names) + "\n")
+        fh.write(",".join([*WINDOW_COLUMNS, *names, *SOLVER_COLUMNS]) + "\n")
         for horizon in sorted(reports):
-            for w in reports[horizon].per_window:
-                weights = ",".join(_fmt(w["kernel_weights"][n]) for n in names)
-                fh.write(",".join([w["window_id"], str(horizon), str(w["n_train"]), str(w["n_test"]),
-                                   _fmt(w["accuracy"]), _fmt(w["recall"]), _fmt(w["sharpe"]),
-                                   str(w["n_kernels_active"]), weights]) + "\n")
+            for row in reports[horizon].per_window:
+                cells = ([row[c] for c in WINDOW_COLUMNS] + [row["kernel_weights"][n] for n in names]
+                         + [row[c] for c in SOLVER_COLUMNS])
+                fh.write(",".join(map(_fmt, cells)) + "\n")
 
 
 def report_to_dict(report: MetricsReport) -> dict:

@@ -16,7 +16,7 @@ from .kernels import KernelSpec, gram_matrix, median_sqdist, sqdist
 from .mkl import SOLVERS, MklError, MklProblem, MklSolution, get_solver
 
 BENCH_CSV_HEADER = ("method,n_kernels,kernel_dim,iterations,svm_solves,wall_time,final_gap,final_J,"
-                    "status,smo_not_converged")
+                    "status,smo_not_converged,smo_iterations")
 
 BLOCK = 4  # features in each of the linear and quadratic signal blocks
 N_NOISE = 4  # shared noise features padding both blocks
@@ -102,6 +102,7 @@ def run_bench(methods: list[str], n_kernels: int, dim: int, runs: int, seed: int
                 "final_J": sol.objective,
                 "status": sol.status,
                 "smo_not_converged": sol.smo_not_converged,
+                "smo_iterations": sol.smo_iterations,
             })
     return rows
 
@@ -112,4 +113,4 @@ def write_bench_csv(path, rows: list[dict]) -> None:
         for r in rows:
             fh.write(f"{r['method']},{r['n_kernels']},{r['kernel_dim']},{r['iterations']},"
                      f"{r['svm_solves']},{r['wall_time']:.6f},{r['final_gap']!r},{r['final_J']!r},"
-                     f"{r['status']},{r['smo_not_converged']}\n")
+                     f"{r['status']},{r['smo_not_converged']},{r['smo_iterations']}\n")

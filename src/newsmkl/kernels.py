@@ -21,6 +21,7 @@ block evaluator maps it to each gaussian Gram.
 
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -194,3 +195,21 @@ def median_sqdist(distances: np.ndarray) -> float:
     upper = np.concatenate([distances[i, i + 1:] for i in range(n - 1)])
     med = float(np.median(upper, overwrite_input=True))
     return med if med > 0.0 else 1.0
+
+
+try:
+    _malloc_trim = ctypes.CDLL(None).malloc_trim  # glibc only
+except (AttributeError, OSError, TypeError):
+    _malloc_trim = None
+
+
+def release_freed_memory() -> None:
+    """Return the C heap's free pages to the OS, where glibc allows it.
+
+    glibc keeps freed Gram matrices resident as heap holes, and a small
+    object that outlives them pins those holes. When the next round of
+    Grams (the backtest's next window) does not fit the holes, the heap
+    grows past them, so peak memory jumps by a Gram's size or not
+    depending on where unrelated small objects landed."""
+    if _malloc_trim is not None:
+        _malloc_trim(0)

@@ -67,11 +67,11 @@ class MklError(ValueError):
 
 
 def check_c_and_gap_tol(C: float, gap_tol: float) -> None:
-    """Raise MklError unless the SVM box bound C and the duality-gap target are positive."""
-    if not C > 0:
-        raise MklError(f"C must be positive, got {C}")
-    if not gap_tol > 0:
-        raise MklError(f"gap_tol must be positive, got {gap_tol}")
+    """Raise MklError unless the SVM box bound C and the gap target are finite and > 0."""
+    if not 0 < C < np.inf:
+        raise MklError(f"C must be positive and finite, got {C}")
+    if not 0 < gap_tol < np.inf:
+        raise MklError(f"gap_tol must be positive and finite, got {gap_tol}")
 
 
 @dataclass

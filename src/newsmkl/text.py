@@ -204,6 +204,8 @@ def _document(rec) -> Document:
     ticker and text are strings (the id may also be a number)."""
     if not isinstance(rec, dict):
         raise ValueError("a document line must be a JSON object")
+    if isinstance(rec["id"], bool) or not isinstance(rec["id"], (str, int, float)):
+        raise ValueError(f"id must be a string or a number, got {json.dumps(rec['id'])}")
     for key in ("timestamp", "ticker", "text"):
         if not isinstance(rec[key], str):
             raise ValueError(f"{key} must be a string, got {json.dumps(rec[key])}")

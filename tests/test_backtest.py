@@ -1,4 +1,5 @@
 import copy
+import csv
 import dataclasses
 import gc
 import json
@@ -300,6 +301,9 @@ class TestPlanKernelChecks:
         {"feature": "identity", "kind": "gaussian", "sigma_scale": 1.0},
         {"feature": "identity", "kind": "polynomial"},
         {"feature": "text", "kind": "identity"},
+        {"feature": "text", "kind": "linear", "sigma": np.nan},
+        {"feature": "text", "kind": "linear", "sigma_scale": np.inf},
+        {"feature": "absret", "kind": "gaussian", "sigma": 0.5, "sigma_scale": np.nan},
     ])
     def test_rejected_at_construction(self, params):
         with pytest.raises(bt.BacktestError):
@@ -318,10 +322,11 @@ class TestPlanKernelChecks:
            degree=st.sampled_from([None, -3, 0, 1, 3]))
     def test_rejects_exactly_what_no_data_builds(self, feature, kind, sigma, sigma_scale, degree):
         """Construction raises for the parameters `build_kernels` fails on
-        with every data set and for a kernel that ignores the data (the
-        identity kind and the identity feature apart), and accepts every
-        other kernel that builds on data whose features all have nonzero
-        rows."""
+        with every data set, for a kernel that ignores the data (the
+        identity kind and the identity feature apart) and for a non-finite
+        `sigma` or `sigma_scale`, even where the kind reads neither; it
+        accepts every other kernel that builds on data whose features all
+        have nonzero rows."""
         params = {"name": "k", "feature": feature, "kind": kind, "sigma": sigma,
                   "sigma_scale": sigma_scale, "degree": degree}
         unchecked = object.__new__(bt.PlanKernel)  # the same kernel, built without its checks
@@ -335,12 +340,13 @@ class TestPlanKernelChecks:
             except KernelError:
                 builds.append(False)
         ignores_data = (feature == "identity") != (kind == "identity")
+        non_finite = any(v is not None and not np.isfinite(v) for v in (sigma, sigma_scale))
         try:
             bt.PlanKernel(**params)
         except bt.BacktestError:
-            assert ignores_data or not any(builds)
+            assert ignores_data or non_finite or not any(builds)
         else:
-            assert not ignores_data and all(builds)
+            assert not ignores_data and not non_finite and all(builds)
 
 
 def synth_fixture(seed=7, n_events=500, n_months=14, signal=1.0):
@@ -492,7 +498,8 @@ class TestArtifacts:
         bt.write_report_json(json_path, reports)
         header = csv_path.read_text().splitlines()[0]
         assert header == ("window_id,horizon,n_train,n_test,accuracy,recall,sharpe,"
-                          "n_kernels_active,lin_text")
+                          "n_kernels_active,lin_text,svm_solves,mkl_status,gap,mkl_iterations,"
+                          "smo_iterations,smo_not_converged")
         payload = json.loads(json_path.read_text())
         assert "10" in payload["horizons"]
         assert payload["horizons"]["10"]["n_predictions"] == reports[10].n_predictions
@@ -508,7 +515,7 @@ class TestArtifacts:
                 "svm_solves", "mkl_status", "gap", "mkl_iterations", "smo_iterations",
                 "smo_not_converged"]
 
-    def test_window_that_stops_at_max_iters_says_so(self, monkeypatch):
+    def test_window_that_stops_at_max_iters_says_so(self, monkeypatch, tmp_path):
         real = mkl.solve_accpm  # fit_plan looks the solver up in mkl when it runs
         monkeypatch.setattr(mkl, "solve_accpm",
                             lambda problem: real(dataclasses.replace(problem, max_iters=2)))
@@ -523,6 +530,38 @@ class TestArtifacts:
             assert w["mkl_status"] == "max_iters" and w["mkl_iterations"] == 2
             assert w["gap"] > cfg.gap_tol and w["svm_solves"] >= 2
         assert bt.report_to_dict(report)["windows_by_status"] == {"max_iters": len(report.per_window)}
+        bt.write_window_csv(tmp_path / "windows.csv", cfg, {10: report})
+        with open(tmp_path / "windows.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert [row["mkl_status"] for row in rows] == ["max_iters"] * len(report.per_window)
+        assert [row["mkl_iterations"] for row in rows] == ["2"] * len(report.per_window)
+
+    def test_every_window_csv_cell_is_its_report_json_value(self, tmp_path):
+        # two horizons over the zero-trace repro below, whose first window is skipped
+        docs, prices, _ = synth_generate(3, SynthSpec(n_events=200, n_months=14, tickers=("AAA",)))
+        months = sorted({bt.month_of(d.timestamp) for d in docs})
+        docs = [dataclasses.replace(d, text=d.text + " zzqx") if bt.month_of(d.timestamp) == months[12]
+                else d for d in docs]
+        plan = [bt.PlanKernel(name="lin_absret", feature="absret", kind="linear"),
+                bt.PlanKernel(name="lin_text", feature="text", kind="linear")]
+        cfg = bt.BacktestConfig(plan=plan, horizons=(10, 20), c_grid=(10.0,))
+        reports = bt.run_backtest(cfg, docs, prices, Dictionary(stems=("zzqx",)))
+        bt.write_window_csv(tmp_path / "windows.csv", cfg, reports)
+        bt.write_report_json(tmp_path / "report.json", reports)
+        horizons = json.loads((tmp_path / "report.json").read_text())["horizons"]
+        assert [h["n_skipped_windows"] for h in horizons.values()] == [1, 1]
+        windows = [w for h in sorted(horizons, key=int) for w in horizons[h]["windows"]]
+        with open(tmp_path / "windows.csv", encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == len(windows) == 2
+        assert list(rows[0]) == [*bt.WINDOW_COLUMNS, "lin_absret", "lin_text", *bt.SOLVER_COLUMNS]
+        for row, w in zip(rows, windows):
+            for column, cell in row.items():
+                value = w["kernel_weights"][column] if column in w["kernel_weights"] else w[column]
+                if value is None:
+                    assert cell == "", column
+                else:
+                    assert type(value)(cell) == value, column
 
 
 class TestSharedDistances:
@@ -780,8 +819,7 @@ class TestWindowMajorSweep:
         assert len(shared) == 2
         fresh = bt.run_window(cfg, window, 10, with_k)
         np.testing.assert_array_equal(got.predictions, fresh.predictions)
-        np.testing.assert_array_equal(got.kernel_weights, fresh.kernel_weights)
-        assert got.solver == fresh.solver
+        assert got.row == fresh.row
 
     @pytest.mark.parametrize("horizons,early_alive", [((10,), False), ((10, 20), True)])
     def test_early_fold_lives_only_while_another_horizon_may_read_it(self, monkeypatch, horizons,
@@ -805,3 +843,36 @@ class TestWindowMajorSweep:
         monkeypatch.setattr(bt, "fit_plan", fit)
         bt.run_backtest(cfg, docs, prices, default_dictionary())
         assert alive_at_full_fit == [early_alive] * len(horizons)
+
+    def test_window_kernels_are_freed_before_their_memory_is_released(self, monkeypatch):
+        # the first window's h=20 is skipped by a frame that holds the window's
+        # shared dict, as run_window's own frame does when it raises WindowSkipped
+        docs, prices, _ = synth_fixture(seed=5, n_events=250)
+        cfg = bt.BacktestConfig(plan=LIN_TEXT, horizons=(10, 20), c_grid=(10.0,))
+        built, alive_at_release = [], []
+        real_build, real_run = bt.build_kernels, bt.run_window
+
+        def build(plan, train_records, test_records=()):
+            kernels = real_build(plan, train_records, test_records)
+            built.append(weakref.ref(kernels))
+            return kernels
+
+        def run(cfg, window, horizon, records, shared=None):
+            if horizon == 20 and not alive_at_release:
+                raise bt.WindowSkipped("skipped after h=10 shared its kernels")
+            return real_run(cfg, window, horizon, records, shared)
+
+        def release():
+            alive_at_release.append(sum(ref() is not None for ref in built))
+        monkeypatch.setattr(bt, "build_kernels", build)
+        monkeypatch.setattr(bt, "run_window", run)
+        monkeypatch.setattr(bt, "release_freed_memory", release)
+        reports = bt.run_backtest(cfg, docs, prices, default_dictionary())
+        assert reports[20].n_skipped_windows == 1
+        assert len(alive_at_release) == len(reports[10].per_window) == 2
+        assert built and alive_at_release == [0, 0]
+
+    def test_release_freed_memory_runs_where_malloc_trim_is_missing(self, monkeypatch):
+        kernels.release_freed_memory()
+        monkeypatch.setattr(kernels, "_malloc_trim", None)
+        kernels.release_freed_memory()

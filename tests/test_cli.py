@@ -173,7 +173,9 @@ class TestBacktestCommand:
         report = json.loads((out1 / "report.json").read_text())
         assert report["horizons"]["10"]["accuracy"] > 0.8
         windows = (out1 / "windows.csv").read_text().splitlines()
-        assert windows[0].endswith("lin_text")
+        assert windows[0] == ("window_id,horizon,n_train,n_test,accuracy,recall,sharpe,"
+                              "n_kernels_active,lin_text,svm_solves,mkl_status,gap,mkl_iterations,"
+                              "smo_iterations,smo_not_converged")
         assert len(windows) == 1 + len(report["horizons"]["10"]["windows"])
 
 
@@ -210,7 +212,7 @@ class TestBenchCommand:
                 "--out", str(out_csv))
         lines = out_csv.read_text().splitlines()
         assert lines[0] == ("method,n_kernels,kernel_dim,iterations,svm_solves,wall_time,final_gap,final_J,"
-                            "status,smo_not_converged")
+                            "status,smo_not_converged,smo_iterations")
         assert len(lines) == 1 + 4  # 2 runs x 2 methods
         rows = [ln.split(",") for ln in lines[1:]]
         methods = [r[0] for r in rows]
@@ -220,6 +222,7 @@ class TestBenchCommand:
             if r[8] == "converged":  # met the CLI's default gap target
                 assert float(r[6]) <= 0.01
             assert 0 <= int(r[9]) <= int(r[4])
+            assert int(r[10]) > 0  # smo_iterations, over every SVM solve of the run
 
     def test_bench_deterministic_except_wall_time(self, tmp_path):
         def strip_time(path):
@@ -331,6 +334,15 @@ class TestErrors:
         ("train-svm", ("--kernel", "gaussian", "--sigma-scale", "nan"), "0 < sigma < inf"),
         ("backtest", ("--train-min-event-time", "10"), "expected HH:MM, got '10'"),
         ("backtest", ("--train-min-event-time", "25:00"), "expected HH:MM, got '25:00'"),
+        ("train-svm", ("--C", "inf"), "C must be positive and finite, got inf"),
+        ("backtest", ("--c-grid", "10,inf"), "C must be positive and finite, got inf"),
+        ("train-mkl", ("--gap-tol", "inf"), "gap_tol must be positive and finite, got inf"),
+        ("train-svm", ("--kernel", "linear", "--sigma", "nan"), "sigma must be finite, got nan"),
+        ("train-svm", ("--kernel", "linear", "--sigma", "inf"), "sigma must be finite, got inf"),
+        ("train-svm", ("--kernel", "linear", "--sigma-scale", "nan"),
+         "sigma_scale must be finite, got nan"),
+        ("train-svm", ("--kernel", "linear", "--sigma-scale", "inf"),
+         "sigma_scale must be finite, got inf"),
     ])
     def test_bad_setting_rejected_before_inputs_are_read(self, tmp_path, command, flag, message):
         # the inputs do not exist: the check must come before any of them is read

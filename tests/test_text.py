@@ -193,6 +193,10 @@ class TestReadDocuments:
         ({**GOOD, "ticker": None}, "ticker must be a string, got null"),
         ({**GOOD, "text": None}, "text must be a string, got null"),
         ({**GOOD, "text": ["up"]}, 'text must be a string, got ["up"]'),
+        ({**GOOD, "id": None}, "id must be a string or a number, got null"),
+        ({**GOOD, "id": True}, "id must be a string or a number, got true"),
+        ({**GOOD, "id": ["a"]}, 'id must be a string or a number, got ["a"]'),
+        ({**GOOD, "id": {"a": 1}}, 'id must be a string or a number, got {"a": 1}'),
     ])
     def test_record_of_the_wrong_shape_names_its_line(self, tmp_path, line, message):
         path = tmp_path / "docs.jsonl"
