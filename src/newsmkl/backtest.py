@@ -17,14 +17,14 @@ import logging
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
-from datetime import datetime, time
+from datetime import time
 
 import numpy as np
 
 from .kernels import (GramMatrix, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist,
                       release_freed_memory, sqdist)
-from .market import (FeatureRecord, LabelingConfig, PriceSeries, label_records, label_threshold,
-                     prepare_feature_records, prepare_records_by_horizon)
+from .market import (FeatureRecord, LabelingConfig, PriceSeries, _key_month, _month_key, label_records,
+                     label_threshold, month_of, prepare_feature_records, prepare_records_by_horizon)
 from .mkl import (DEFAULT_GAP_TOL, DEFAULT_SOLVER, MklProblem, MklSolution, check_c_and_gap_tol,
                   get_solver)
 from .svm import predict_many
@@ -61,19 +61,6 @@ class Window:
 def window_id(w: Window) -> str:
     """The window's name in the artifacts: "TRAIN_START..TRAIN_END->TEST_MONTH"."""
     return f"{w.train_start}..{w.train_end}->{w.test_month}"
-
-
-def _month_key(ym: str) -> int:
-    y, m = ym.split("-")
-    return int(y) * 12 + (int(m) - 1)
-
-
-def _key_month(k: int) -> str:
-    return f"{k // 12:04d}-{k % 12 + 1:02d}"
-
-
-def month_of(t: datetime) -> str:
-    return f"{t.year:04d}-{t.month:02d}"
 
 
 def build_windows(first_month: str, last_month: str) -> list[Window]:
@@ -316,6 +303,9 @@ class BacktestConfig:
             check_c_and_gap_tol(C, self.gap_tol)
         for h in self.horizons:  # a LabelingConfig checks the horizon and the percentile
             self.labeling(h)
+        for name, values in (("horizons", self.horizons), ("c_grid", self.c_grid)):
+            if len(set(values)) < len(values):
+                raise BacktestError(f"{name} repeats a value: {', '.join(map(str, values))}")
 
     def labeling(self, horizon: int) -> LabelingConfig:
         return LabelingConfig(horizon_minutes=horizon, percentile=self.percentile,
@@ -491,14 +481,16 @@ def window_records(cfg: BacktestConfig, window: Window,
                    records: list[FeatureRecord]) -> tuple[list[FeatureRecord], list[FeatureRecord]]:
     """(training, test) records of a window: the training months' events
     (minus those before `cfg.train_min_event_time`, when set) and the test
-    month's events, each in input order."""
-    train_keys = range(_month_key(window.train_start), _month_key(window.train_end) + 1)
-    train_months = {_key_month(k) for k in train_keys}
-    train_records = [r for r in records if month_of(r.timestamp) in train_months]
+    month's events, each in input order. BacktestError for a window whose
+    test month is not after its training span (the out-of-sample guarantee)."""
+    lo, hi, test = (_month_key(m) for m in (window.train_start, window.train_end, window.test_month))
+    if test <= hi:
+        raise BacktestError(f"out-of-sample violation: window {window_id(window)}")
+    keys = [_month_key(month_of(r.timestamp)) for r in records]
+    train_records = [r for r, k in zip(records, keys) if lo <= k <= hi]
     if cfg.train_min_event_time is not None:
-        train_records = [r for r in train_records
-                         if r.timestamp.timetz().replace(tzinfo=None) >= cfg.train_min_event_time]
-    test_records = [r for r in records if month_of(r.timestamp) == window.test_month]
+        train_records = [r for r in train_records if r.timestamp.time() >= cfg.train_min_event_time]
+    test_records = [r for r, k in zip(records, keys) if k == test]
     return train_records, test_records
 
 
@@ -549,12 +541,6 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int, records: list[
     kernels = kernels_on(train_records, test_records)
     sol = fit_plan(kernels, y_train, chosen_C, cfg.solver, cfg.gap_tol)
     preds = predict_records(kernels, sol, y_train)
-
-    # out-of-sample guarantee: no test event at or before the training span
-    train_end_key = _month_key(window.train_end)
-    for r in test_records:
-        if _month_key(month_of(r.timestamp)) <= train_end_key:
-            raise BacktestError(f"out-of-sample violation: {r.doc_id} inside training months")
 
     _, acc, rec = classification_metrics(preds, y_test)
     dates = [r.timestamp.date() for r in test_records]

@@ -15,8 +15,11 @@ import numpy as np
 from .kernels import KernelSpec, gram_matrix, median_sqdist, sqdist
 from .mkl import SOLVERS, MklError, MklProblem, MklSolution, get_solver
 
-BENCH_CSV_HEADER = ("method,n_kernels,kernel_dim,iterations,svm_solves,wall_time,final_gap,final_J,"
-                    "status,smo_not_converged,smo_iterations")
+# bench.csv's columns, the keys of a run_bench row (`wall_time` stays column 5); a cell
+# is str() of its value unless _BENCH_FORMATS formats it
+BENCH_COLUMNS = ("method", "n_kernels", "kernel_dim", "iterations", "svm_solves", "wall_time",
+                 "final_gap", "final_J", "status", "smo_not_converged", "smo_iterations")
+_BENCH_FORMATS = {"wall_time": "{:.6f}", "final_gap": "{!r}", "final_J": "{!r}"}
 
 BLOCK = 4  # features in each of the linear and quadratic signal blocks
 N_NOISE = 4  # shared noise features padding both blocks
@@ -76,9 +79,10 @@ def make_bench_problem(seed: int, n_kernels: int, dim: int, C: float = 1000.0,
 
 def run_bench(methods: list[str], n_kernels: int, dim: int, runs: int, seed: int,
               C: float = 1000.0, gap_tol: float = 0.01) -> list[dict]:
-    """One row per (method, run): counts, wall time, final gap / objective
-    and how the solve ended. `methods` are names in `mkl.SOLVERS`; an empty
-    list or `runs` < 1 raises MklError, as there would be nothing to solve."""
+    """One row per (method, run), keyed by BENCH_COLUMNS: counts, wall
+    time, final gap / objective and how the solve ended. `methods` are
+    names in `mkl.SOLVERS`; an empty list or `runs` < 1 raises MklError,
+    as there would be nothing to solve."""
     if not methods:
         raise MklError(f"no solver named; choose from {', '.join(SOLVERS)}")
     if runs < 1:
@@ -91,26 +95,14 @@ def run_bench(methods: list[str], n_kernels: int, dim: int, runs: int, seed: int
             t0 = _time.perf_counter()
             sol: MklSolution = solver(problem)
             wall = _time.perf_counter() - t0
-            rows.append({
-                "method": method,
-                "n_kernels": n_kernels,
-                "kernel_dim": dim,
-                "iterations": sol.iterations,
-                "svm_solves": sol.svm_solves,
-                "wall_time": wall,
-                "final_gap": sol.gap,
-                "final_J": sol.objective,
-                "status": sol.status,
-                "smo_not_converged": sol.smo_not_converged,
-                "smo_iterations": sol.smo_iterations,
-            })
+            rows.append(dict(zip(BENCH_COLUMNS, (
+                method, n_kernels, dim, sol.iterations, sol.svm_solves, wall, sol.gap, sol.objective,
+                sol.status, sol.smo_not_converged, sol.smo_iterations))))
     return rows
 
 
 def write_bench_csv(path, rows: list[dict]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(BENCH_CSV_HEADER + "\n")
+        fh.write(",".join(BENCH_COLUMNS) + "\n")
         for r in rows:
-            fh.write(f"{r['method']},{r['n_kernels']},{r['kernel_dim']},{r['iterations']},"
-                     f"{r['svm_solves']},{r['wall_time']:.6f},{r['final_gap']!r},{r['final_J']!r},"
-                     f"{r['status']},{r['smo_not_converged']},{r['smo_iterations']}\n")
+            fh.write(",".join(_BENCH_FORMATS.get(c, "{}").format(r[c]) for c in BENCH_COLUMNS) + "\n")

@@ -215,7 +215,7 @@ def cmd_bench_mkl(args) -> int:
 def _add_data_args(p: argparse.ArgumentParser, prices: bool = True):
     p.add_argument("--docs", required=True, help="documents JSON-lines file")
     if prices:
-        p.add_argument("--prices", required=True, help="prices CSV (ticker,timestamp,price)")
+        p.add_argument("--prices", required=True, help=f"prices CSV ({market.PRICE_HEADER})")
     p.add_argument("--dict", default=None, help="stem dictionary file (default: builtin)")
 
 

@@ -153,13 +153,17 @@ def gram_matrix(spec: KernelSpec, samples, distances: np.ndarray | None = None) 
     (or the distances) elementwise and symmetrically. A gaussian Gram is
     mapped from `distances` when given, which must be `sqdist(samples)`.
     Applies trace normalization (divide by the trace so trace = 1) when
-    spec.trace_normalize is set.
+    spec.trace_normalize is set. KernelError for a kernel whose values
+    overflow (a high polynomial degree): its trace is not finite.
     """
     X = _as_matrix(samples)
-    G = np.eye(X.shape[0]) if spec.kind == "identity" else _kernel_block(spec, X, X, distances)
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the trace
+        G = np.eye(X.shape[0]) if spec.kind == "identity" else _kernel_block(spec, X, X, distances)
+    tr = float(np.trace(G))
+    if not tr < np.inf:  # also true for nan
+        raise KernelError(f"kernel values overflow: the trace is {tr}")
     scale = 1.0
     if spec.trace_normalize:
-        tr = float(np.trace(G))
         if tr <= 0.0:
             raise KernelError("cannot trace-normalize a matrix with nonpositive trace")
         scale = 1.0 / tr

@@ -12,12 +12,14 @@ dropped and accounted for.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, field
 from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
 
-from .text import Dictionary, Document, bag_of_words, tokenize, _utf8_line
+from .text import (Dictionary, Document, bag_of_words, tokenize, _format_timestamp, _parse_timestamp,
+                   _utf8_line)
 
 TRADING_DAY_START = time(9, 30)
 TRADING_DAY_END = time(16, 0)
@@ -42,10 +44,23 @@ class MarketError(ValueError):
     """Malformed price series or labeling input."""
 
 
-def _epoch(t: datetime) -> int:
-    if t.tzinfo is None:
-        t = t.replace(tzinfo=timezone.utc)
-    return int(t.timestamp())
+# months: "YYYY-MM" strings and their integer keys 12 * year + (month - 1)
+_MONTH = re.compile(r"[0-9]{4}-(0[1-9]|1[0-2])")
+
+
+def month_of(t: datetime) -> str:
+    return f"{t.year:04d}-{t.month:02d}"
+
+
+def _month_key(ym: str) -> int:
+    """The key of a "YYYY-MM" month (01 to 12); MarketError for any other string."""
+    if not _MONTH.fullmatch(ym):
+        raise MarketError(f"expected a YYYY-MM month, got {ym!r}")
+    return int(ym[:4]) * 12 + int(ym[5:]) - 1
+
+
+def _key_month(k: int) -> str:
+    return f"{k // 12:04d}-{k % 12 + 1:02d}"
 
 
 @dataclass
@@ -190,7 +205,7 @@ def _clock_drop(doc: Document, prices: dict[str, PriceSeries]) -> str | None:
     t = doc.timestamp
     if t.weekday() >= 5:
         return "weekend"
-    clock = t.timetz().replace(tzinfo=None)
+    clock = t.time()
     if clock < TRADING_DAY_START or clock > TRADING_DAY_END:
         return "outside_trading_day"
     if clock < MIN_EVENT_TIME:
@@ -201,7 +216,7 @@ def _clock_drop(doc: Document, prices: dict[str, PriceSeries]) -> str | None:
 def _within_day(t: datetime, horizon_minutes: int) -> bool:
     """Whether the horizon ends by the close of the event's trading day."""
     t_end = t + timedelta(minutes=horizon_minutes)
-    return t_end.timetz().replace(tzinfo=None) <= TRADING_DAY_END and t_end.date() == t.date()
+    return t_end.time() <= TRADING_DAY_END and t_end.date() == t.date()
 
 
 def prepare_records_by_horizon(
@@ -241,7 +256,7 @@ def prepare_records_by_horizon(
     returns: dict[int, tuple[np.ndarray, list[float]]] = {}
     for ticker, positions in by_ticker.items():
         series = prices[ticker]
-        et = np.array([_epoch(docs[p].timestamp) for p in positions], dtype=np.int64)
+        et = np.array([int(docs[p].timestamp.timestamp()) for p in positions], dtype=np.int64)
         ok = _has_history(series, et)
         et = et[ok]
         rets = return_features(series, et, absolute=configs[0].label_kind == "abnormal")
@@ -306,7 +321,7 @@ def label_records(records: list[FeatureRecord], config: LabelingConfig, threshol
 # ---------------------------------------------------------------------------
 
 
-_PRICE_HEADER = b"ticker,timestamp,price\n"
+PRICE_HEADER = "ticker,timestamp,price"
 _PRICE_BLOCK_BYTES = 1 << 20  # bytes read at a time; keeps every temporary of the parse small
 _MAX_FIELD_BYTES = 32  # a longer ticker or price goes to the row parser
 # each byte of a `write_prices` timestamp's YYYY-MM-DDTHH:MM:SS part lies in [lo, lo + span]
@@ -382,7 +397,7 @@ def _price_blocks(path) -> dict[bytes, tuple[list, list]]:
     their last newline; ValueError for any other file."""
     chunks: dict[bytes, tuple[list, list]] = {}
     with open(path, "rb") as fh:
-        if fh.readline() != _PRICE_HEADER:
+        if fh.readline() != f"{PRICE_HEADER}\n".encode():
             raise ValueError("not the header `write_prices` writes")
         tail = b""
         while block := fh.read(_PRICE_BLOCK_BYTES):
@@ -402,7 +417,7 @@ def _price_rows(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     tickers, times, prices = [], [], []
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
-        if header != "ticker,timestamp,price":
+        if header != PRICE_HEADER:
             raise MarketError(f"bad price CSV header: {header!r}")
         for ln, line in enumerate(fh, start=2):
             line = line.strip()
@@ -410,7 +425,7 @@ def _price_rows(path) -> tuple[list[str], np.ndarray, np.ndarray]:
                 continue
             try:
                 ticker, ts, price = _utf8_line(line).split(",")
-                et = _epoch(datetime.fromisoformat(ts.replace("Z", "+00:00")))
+                et = int(_parse_timestamp(ts).timestamp())
                 p = float(price)
                 if not 0.0 < p < math.inf:  # also false for nan
                     raise ValueError(f"price {price!r} is not a positive finite number")
@@ -423,7 +438,7 @@ def _price_rows(path) -> tuple[list[str], np.ndarray, np.ndarray]:
 
 
 def read_prices(path) -> dict[str, PriceSeries]:
-    """Read a `ticker,timestamp,price` CSV into per-ticker series, in order
+    """Read a price CSV (header `PRICE_HEADER`) into per-ticker series, in order
     of each ticker's first row.
 
     A file in `write_prices`'s form is parsed as arrays, a block of about
@@ -442,17 +457,14 @@ def read_prices(path) -> dict[str, PriceSeries]:
             for tk, (t_parts, p_parts) in chunks.items()}
 
 
-def _iso(et: int) -> str:
-    return datetime.fromtimestamp(et, tz=timezone.utc).strftime("%Y-%m-%dT%H:%M:%SZ")
-
-
 def write_prices(path, series: dict[str, PriceSeries]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("ticker,timestamp,price\n")
+        fh.write(PRICE_HEADER + "\n")
         for ticker in sorted(series):
             s = series[ticker]
             for et, p in zip(s.times, s.prices):
-                fh.write(f"{ticker},{_iso(int(et))},{p:.6f}\n")
+                stamp = _format_timestamp(datetime.fromtimestamp(int(et), tz=timezone.utc))
+                fh.write(f"{ticker},{stamp},{p:.6f}\n")
 
 
 EVENT_CSV_HEADER = (
@@ -469,7 +481,7 @@ def write_events_csv(path, records: list[FeatureRecord], labels, horizon_minutes
             rets = ",".join(repr(float(v)) for v in r.return_features)
             tod = ",".join(str(int(v)) for v in r.time_of_day)
             dow = ",".join(str(int(v)) for v in r.day_of_week)
-            fh.write(f"{r.doc_id},{r.ticker},{r.timestamp.strftime('%Y-%m-%dT%H:%M:%SZ')},"
+            fh.write(f"{r.doc_id},{r.ticker},{_format_timestamp(r.timestamp)},"
                      f"{horizon_minutes},{rets},{tod},{dow},{repr(r.abs_return)},{int(label)}\n")
 
 
@@ -523,6 +535,7 @@ class SynthSpec:
             raise MarketError("signal_strength must lie in [0, 1]")
         if not 0.0 <= self.keyword_fraction <= 1.0:
             raise MarketError("keyword_fraction must lie in [0, 1]")
+        _month_key(self.start_month)  # MarketError unless a YYYY-MM month
 
 
 @dataclass
@@ -533,23 +546,13 @@ class SynthTruth:
     jump_return: float
 
 
-def _month_list(start_month: str, n_months: int) -> list[tuple[int, int]]:
-    year, month = (int(p) for p in start_month.split("-"))
-    out = []
-    for _ in range(n_months):
-        out.append((year, month))
-        month += 1
-        if month == 13:
-            year, month = year + 1, 1
-    return out
-
-
 def trading_days(start_month: str, n_months: int) -> list[datetime]:
     """Weekdays of the month range, as midnight UTC datetimes."""
     days = []
-    for year, month in _month_list(start_month, n_months):
-        d = datetime(year, month, 1, tzinfo=timezone.utc)
-        while d.month == month:
+    first = _month_key(start_month)
+    for month in map(_key_month, range(first, first + n_months)):
+        d = datetime.strptime(month, "%Y-%m").replace(tzinfo=timezone.utc)
+        while month_of(d) == month:
             if d.weekday() < 5:
                 days.append(d)
             d += timedelta(days=1)
@@ -632,7 +635,7 @@ def synth_generate(seed: int, spec: SynthSpec) -> tuple[list[Document], dict[str
                     eps[jump_minute] += math.log1p(jump_ret)
             log_path = np.cumsum(eps)
             day_prices = price * np.exp(log_path)
-            base_epoch = _epoch(day + timedelta(minutes=day_start_min))
+            base_epoch = int((day + timedelta(minutes=day_start_min)).timestamp())
             all_times.append(base_epoch + 60 * np.arange(n_minutes))
             all_prices.append(day_prices)
             price = float(day_prices[-1])

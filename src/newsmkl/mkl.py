@@ -38,8 +38,8 @@ import numpy as np
 
 from . import _smo
 from .kernels import GramMatrix
-from .svm import (DEFAULT_MAX_ITER, SvmModel, as_labels, build_model, check_dual, dual_objective,
-                  primal_dual_gap, project_feasible, recover_bias)
+from .svm import (DEFAULT_MAX_ITER, SvmModel, as_labels, build_model, check_dual, check_positive_finite,
+                  dual_objective, primal_dual_gap, project_feasible, recover_bias)
 
 NEWTON_TOL = 1e-8
 MAX_NEWTON = 200
@@ -68,10 +68,8 @@ class MklError(ValueError):
 
 def check_c_and_gap_tol(C: float, gap_tol: float) -> None:
     """Raise MklError unless the SVM box bound C and the gap target are finite and > 0."""
-    if not 0 < C < np.inf:
-        raise MklError(f"C must be positive and finite, got {C}")
-    if not 0 < gap_tol < np.inf:
-        raise MklError(f"gap_tol must be positive and finite, got {gap_tol}")
+    check_positive_finite("C", C, MklError)
+    check_positive_finite("gap_tol", gap_tol, MklError)
 
 
 @dataclass

@@ -94,12 +94,16 @@ def project_feasible(alpha0, y: np.ndarray, C: float, tol: float = 1e-12) -> np.
     return a
 
 
+def check_positive_finite(name: str, value: float, error: type[ValueError] = SvmError) -> None:
+    """Raise `error` unless 0 < value < inf (NaN fails too)."""
+    if not 0.0 < value < np.inf:
+        raise error(f"{name} must be positive and finite, got {value}")
+
+
 def check_dual(y: np.ndarray, C: float, tol: float) -> None:
-    """Raise SvmError for C <= 0, tol <= 0 or single-class labels."""
-    if C <= 0.0:
-        raise SvmError("C must be positive (C = 0 collapses the box to alpha = 0)")
-    if tol <= 0.0:
-        raise SvmError("tol must be positive")
+    """Raise SvmError unless C and tol are positive and finite, or for single-class labels."""
+    check_positive_finite("C", C)
+    check_positive_finite("tol", tol)
     if np.all(y > 0) or np.all(y < 0):
         raise SvmError("training set has a single class; no separating problem to solve")
 
@@ -114,7 +118,7 @@ def solve_dual(
     """Solve the dual QP to KKT tolerance `tol` by SMO.
 
     `warm_start` (a previous alpha) is projected onto the feasible set
-    before the solve. Raises SvmError for single-class input or C <= 0.
+    before the solve. SvmError for single-class input, or a C or tol not positive and finite.
     """
     y = ts.labels
     check_dual(y, C, tol)

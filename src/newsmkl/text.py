@@ -79,8 +79,12 @@ class Document:
     def __post_init__(self):
         if not self.ticker:
             raise TextError(f"document {self.id!r} has an empty ticker")
-        if self.timestamp.tzinfo is None:
-            object.__setattr__(self, "timestamp", self.timestamp.replace(tzinfo=timezone.utc))
+        object.__setattr__(self, "timestamp", _as_utc(self.timestamp))
+
+
+def _as_utc(t: datetime) -> datetime:
+    """`t` in UTC; a naive datetime is read as UTC."""
+    return t.replace(tzinfo=timezone.utc) if t.tzinfo is None else t.astimezone(timezone.utc)
 
 
 def tokenize(text: str) -> list[str]:
@@ -182,10 +186,13 @@ def default_dictionary() -> Dictionary:
 
 
 def _parse_timestamp(raw: str) -> datetime:
-    ts = datetime.fromisoformat(raw.replace("Z", "+00:00"))
-    if ts.tzinfo is None:
-        ts = ts.replace(tzinfo=timezone.utc)
-    return ts.astimezone(timezone.utc)
+    """An ISO-8601 timestamp in UTC (a naive one is read as UTC)."""
+    return _as_utc(datetime.fromisoformat(raw.replace("Z", "+00:00")))
+
+
+def _format_timestamp(t: datetime) -> str:
+    """`t` in UTC as `YYYY-MM-DDTHH:MM:SSZ`, the form of every timestamp this package writes."""
+    return _as_utc(t).strftime("%Y-%m-%dT%H:%M:%SZ")
 
 
 def _utf8_line(line: str) -> str:
@@ -231,8 +238,8 @@ def read_documents(path) -> list[Document]:
 def write_documents(path, docs: list[Document]) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         for d in docs:
-            rec = {"id": d.id, "timestamp": d.timestamp.strftime("%Y-%m-%dT%H:%M:%SZ"),
-                   "ticker": d.ticker, "text": d.text}
+            rec = {"id": d.id, "timestamp": _format_timestamp(d.timestamp), "ticker": d.ticker,
+                   "text": d.text}
             fh.write(json.dumps(rec) + "\n")
 
 

@@ -258,6 +258,15 @@ def test_no_test_event_inside_training_months(stamps, min_time):
         assert len(test) == n_test_month
 
 
+def test_window_that_does_not_test_after_its_training_span_is_refused():
+    records = [_record_at(i, datetime(2004, 1 + i, 5, 12, tzinfo=UTC)) for i in range(12)]
+    cfg = bt.BacktestConfig(plan=[])
+    for test_month in ("2004-12", "2004-06", "2003-12"):
+        window = bt.Window(train_start="2004-01", train_end="2004-12", test_month=test_month)
+        with pytest.raises(bt.BacktestError, match="out-of-sample violation"):
+            bt.window_records(cfg, window, records)
+
+
 class TestNamedPlans:
     def test_each_name_gives_a_fresh_copy_of_its_plan(self):
         assert list(bt.PLANS) == ["linear-text", "linear-absret", "linear4", "mkl13", "mkl13+noise3"]
@@ -456,6 +465,17 @@ class TestDegenerateWindows:
             bt.run_window(cfg, window, 10, records)
         with pytest.raises(bt.BacktestError, match="every window was skipped"):
             bt.run_horizon_on_records(cfg, 10, records, dropped)
+
+    def test_overflowing_kernel_skips_the_window(self):
+        # (x.y + 1)^2000 on the one-hot time-of-day bins overflows: the Gram's trace is inf
+        docs, prices, _ = synth_generate(3, SynthSpec(n_events=200, n_months=13, tickers=("AAA",)))
+        plan = [bt.PlanKernel(name="poly_tod", feature="timeofday", kind="polynomial", degree=2000)]
+        cfg = bt.BacktestConfig(plan=plan, horizons=(10,), c_grid=(10.0,))
+        records, _ = bt.prepare_feature_records(docs, prices, default_dictionary(), cfg.labeling(10))
+        months = sorted({bt.month_of(r.timestamp) for r in records})
+        window = bt.build_windows(months[0], months[-1])[0]
+        with pytest.raises(bt.WindowSkipped, match="'poly_tod'.*overflow"):
+            bt.run_window(cfg, window, 10, records)
 
     def test_report_lists_each_skipped_window_with_its_reason(self, tmp_path):
         # the zero-trace repro over 14 months, where only the last training

@@ -66,6 +66,14 @@ class TestSynth:
         assert parsed == {"error": "ConfigError", "message": "expected HH:MM, got '10'"}
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("month", ["2004-13", "2004-00", "2004-1", "2004/01"])
+    def test_malformed_start_month_single_line_json_error(self, tmp_path, month):
+        out = run_cli("synth", "--seed", "1", "--out", str(tmp_path / "x"),
+                      "--set", f"start_month={month}", check=False)
+        parsed = _json_error(out)
+        assert parsed == {"error": "MarketError", "message": f"expected a YYYY-MM month, got {month!r}"}
+        assert not (tmp_path / "x").exists()
+
     def test_every_spec_field_parses_its_default_from_set(self):
         spec = market.SynthSpec()
         sets = []
@@ -343,6 +351,8 @@ class TestErrors:
          "sigma_scale must be finite, got nan"),
         ("train-svm", ("--kernel", "linear", "--sigma-scale", "inf"),
          "sigma_scale must be finite, got inf"),
+        ("backtest", ("--horizons", "10,10"), "horizons repeats a value: 10, 10"),
+        ("backtest", ("--c-grid", "10,100,10"), "c_grid repeats a value: 10.0, 100.0, 10.0"),
     ])
     def test_bad_setting_rejected_before_inputs_are_read(self, tmp_path, command, flag, message):
         # the inputs do not exist: the check must come before any of them is read
@@ -351,6 +361,17 @@ class TestErrors:
                       "--out", str(tmp_path / "out"), check=False)
         assert message in _json_error(out)["message"]
         assert not (tmp_path / "out").exists()
+
+    def test_overflowing_kernel_single_line_json_error(self, synth_dir, tmp_path):
+        # (x.y + 1)^2000 on the one-hot time-of-day bins overflows: the Gram's trace is inf
+        out = run_cli("train-svm", "--docs", str(synth_dir / "docs.jsonl"),
+                      "--prices", str(synth_dir / "prices.csv"), "--kernel", "polynomial",
+                      "--degree", "2000", "--feature", "timeofday", "--C", "10",
+                      "--out", str(tmp_path / "svm"), check=False)
+        parsed = _json_error(out)
+        assert parsed["error"] == "KernelError"
+        assert "'polynomial_timeofday'" in parsed["message"] and "overflow" in parsed["message"]
+        assert not (tmp_path / "svm" / "model.json").exists()
 
     @pytest.mark.parametrize("kernels", ["0", "-2"])
     def test_bench_without_kernels_single_line_json_error(self, tmp_path, kernels):

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -85,6 +87,14 @@ class TestGramMatrix:
                 for trace_normalize in (False, True):
                     G = gram_matrix(spec_for(kind, trace_normalize), X).values
                     assert np.array_equal(G, G.T), (name, kind, trace_normalize)
+
+    @pytest.mark.parametrize("trace_normalize", [False, True])
+    def test_overflowing_kernel_raises_without_a_warning(self, trace_normalize):
+        spec = KernelSpec(kind="polynomial", degree=2000, trace_normalize=trace_normalize)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(KernelError, match="overflow: the trace is inf"):
+                gram_matrix(spec, [[1.0], [2.0]])
 
     def test_values_immutable(self):
         g = gram_matrix(KernelSpec(kind="linear"), [[1.0], [2.0]])

@@ -447,6 +447,15 @@ class TestSynth:
         for doc in docs:
             assert (spec.signal_word in doc.text) == by_id[doc.id].has_keyword
 
+    def test_trading_days_run_across_a_year_end(self):
+        days = trading_days("2004-11", 3)
+        d, weekdays = datetime(2004, 11, 1, tzinfo=UTC), []
+        while d < datetime(2005, 2, 1, tzinfo=UTC):
+            if d.weekday() < 5:
+                weekdays.append(d)
+            d += timedelta(days=1)
+        assert days == weekdays
+
     def test_trading_days_are_weekdays(self):
         days = trading_days("2004-01", 2)
         assert all(d.weekday() < 5 for d in days)
@@ -458,6 +467,21 @@ class TestSynth:
         for d in docs:
             clock = d.timestamp.timetz().replace(tzinfo=None)
             assert time(10, 10) <= clock <= time(15, 30)
+
+
+class TestMonths:
+    @given(st.datetimes(min_value=datetime(1, 1, 1), max_value=datetime(9999, 12, 31),
+                        timezones=st.just(UTC)))
+    def test_keys_count_months(self, t):
+        month = market.month_of(t)
+        assert market._month_key(month) == 12 * t.year + t.month - 1
+        assert market._key_month(market._month_key(month)) == month
+
+    @pytest.mark.parametrize("month", ["2004-13", "2004-00", "2004-1", "04-01", "2004/01",
+                                       "2004-01-05", " 2004-01", "2004-01\n", "\uff12004-01", ""])
+    def test_anything_but_yyyy_mm_is_refused(self, month):
+        with pytest.raises(MarketError, match=re.escape(f"expected a YYYY-MM month, got {month!r}")):
+            market._month_key(month)
 
 
 class TestReadPrices:
@@ -477,6 +501,15 @@ class TestReadPrices:
         path = tmp_path / "prices.csv"
         write_prices(path, series)
         self._same(read_prices(path), _by_rows(path))
+
+    def test_row_parser_reads_any_iso_form_in_utc(self, tmp_path):
+        path = tmp_path / "prices.csv"
+        path.write_bytes(b"ticker,timestamp,price\r\nAAA,2004-01-05T09:30:00Z,1.0\r\n"
+                         b"AAA,2004-01-05T04:31:00-05:00,2.0\r\nAAA,2004-01-05T09:32:00,3.0\r\n"
+                         b"AAA,2004-01-05T09:33:00.750+00:00,4.0\r\n")
+        s = read_prices(path)["AAA"]
+        assert s.times.tolist() == [int(dt(9, m).timestamp()) for m in (30, 31, 32, 33)]
+        assert s.prices.tolist() == [1.0, 2.0, 3.0, 4.0]
 
     def test_other_timestamp_forms_fall_back_to_rows(self, series, tmp_path):
         canonical = tmp_path / "prices.csv"

@@ -31,6 +31,12 @@ class TestSolveDual:
         with pytest.raises(SvmError):
             solve_dual(ts, C=0.0)
 
+    @pytest.mark.parametrize("C, tol", [(np.nan, 1e-3), (np.inf, 1e-3), (10.0, np.nan), (10.0, np.inf)])
+    def test_C_and_tol_must_be_positive_and_finite(self, C, tol):
+        ts, _ = make_svm_problem(0)
+        with pytest.raises(SvmError, match="must be positive and finite"):
+            solve_dual(ts, C, tol=tol, max_iter=1000)  # a tol of nan is never met: stop soon without the check
+
     def test_single_class_rejected(self):
         g = gram_matrix(KernelSpec(kind="linear"), [[1.0], [2.0]])
         ts = TrainingSet(labels=[1.0, 1.0], gram=g)

@@ -1,5 +1,6 @@
 import json
 import re
+from datetime import datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from oracles import naive_tfidf
 
 from newsmkl.text import (Dictionary, Document, TextError, TfidfModel,
                           bag_of_words, default_dictionary, fit_tfidf,
-                          parse_dictionary, read_documents, tokenize, transform_tfidf_many)
+                          parse_dictionary, read_documents, tokenize, transform_tfidf_many,
+                          write_documents)
 
 # the worked example: a press release about an acquisition, scored against
 # the ten stems shown with it
@@ -205,6 +207,19 @@ class TestReadDocuments:
         path.write_text("\n".join([good, good, bad, good]) + "\n", encoding="utf-8")
         with pytest.raises(TextError, match="^" + re.escape(f"{path}:3: bad document record: {message}")):
             read_documents(path)
+
+    def test_timestamps_are_held_and_written_in_utc(self, tmp_path):
+        eastern = timezone(timedelta(hours=-5))
+        doc = Document(id="a", timestamp=datetime(2004, 1, 5, 10, 0, tzinfo=eastern), ticker="AAA",
+                       text="up")
+        naive = Document(id="b", timestamp=datetime(2004, 1, 5, 15, 1), ticker="AAA", text="up")
+        assert doc.timestamp == naive.timestamp - timedelta(minutes=1)
+        assert doc.timestamp.utcoffset() == naive.timestamp.utcoffset() == timedelta(0)
+        path = tmp_path / "docs.jsonl"
+        write_documents(path, [doc, naive])
+        stamps = [json.loads(line)["timestamp"] for line in path.read_text().splitlines()]
+        assert stamps == ["2004-01-05T15:00:00Z", "2004-01-05T15:01:00Z"]
+        assert read_documents(path) == [doc, naive]
 
     def test_numeric_id_is_read_as_text(self, tmp_path):
         path = tmp_path / "docs.jsonl"
