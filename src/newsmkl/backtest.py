@@ -16,7 +16,7 @@ import json
 import logging
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import time
 
 import numpy as np
@@ -25,8 +25,8 @@ from .kernels import (GramMatrix, KernelError, KernelSpec, cross_gram, gram_matr
                       release_freed_memory, sqdist)
 from .market import (FeatureRecord, LabelingConfig, PriceSeries, _key_month, _month_key, label_records,
                      label_threshold, month_of, prepare_feature_records, prepare_records_by_horizon)
-from .mkl import (DEFAULT_GAP_TOL, DEFAULT_SOLVER, MklProblem, MklSolution, check_c_and_gap_tol,
-                  get_solver)
+from .mkl import (DEFAULT_GAP_TOL, DEFAULT_SOLVER, SOLVERS, MklProblem, MklSolution,
+                  check_c_and_gap_tol, get_solver)
 from .svm import predict_many
 from .text import Dictionary, Document, TfidfModel, fit_tfidf, transform_tfidf_many
 
@@ -96,25 +96,20 @@ class Confusion:
 
 @dataclass
 class MetricsReport:
+    """One horizon's pooled measures; its fields, in order, are the horizon's report.json keys."""
+
     accuracy: float | None
     recall: float | None
     sharpe: float | None
     n_predictions: int
     n_days: int
     confusion: Confusion
-    per_window: list[dict] = field(default_factory=list)
-    mean_kernel_weights: dict[str, float] = field(default_factory=dict)
-    n_dropped: dict[str, int] = field(default_factory=dict)
-    skipped_windows: list[dict] = field(default_factory=list)  # {window_id, reason} each
-
-    @property
-    def n_skipped_windows(self) -> int:
-        return len(self.skipped_windows)
-
-    @property
-    def windows_by_status(self) -> dict[str, int]:
-        """Evaluated windows counted by how their full-window MKL fit ended."""
-        return dict(sorted(Counter(w["mkl_status"] for w in self.per_window).items()))
+    mean_kernel_weights: dict[str, float]
+    n_dropped: dict[str, int]
+    windows_by_status: dict[str, int]  # evaluated windows by how their full-window MKL fit ended
+    n_skipped_windows: int
+    skipped_windows: list[dict]  # {window_id, reason} each
+    windows: list[dict]  # each evaluated window's row, as `run_window` built it
 
 
 def classification_metrics(predictions, labels) -> tuple[Confusion, float | None, float | None]:
@@ -297,13 +292,19 @@ class BacktestConfig:
     jobs: int = 1  # worker processes for the windows
 
     def __post_init__(self):
+        if not self.plan:
+            raise BacktestError("the plan has no kernels")
+        if self.solver not in SOLVERS:
+            raise BacktestError(f"unknown solver {self.solver!r}; choose from {', '.join(SOLVERS)}")
         if self.jobs < 1:
             raise BacktestError(f"jobs must be >= 1, got {self.jobs}")
         for C in self.c_grid:
             check_c_and_gap_tol(C, self.gap_tol)
         for h in self.horizons:  # a LabelingConfig checks the horizon and the percentile
             self.labeling(h)
-        for name, values in (("horizons", self.horizons), ("c_grid", self.c_grid)):
+        # kernel names key the weights in report.json and the columns of windows.csv
+        for name, values in (("horizons", self.horizons), ("c_grid", self.c_grid),
+                             ("plan", [pk.name for pk in self.plan])):
             if len(set(values)) < len(values):
                 raise BacktestError(f"{name} repeats a value: {', '.join(map(str, values))}")
 
@@ -635,9 +636,11 @@ def _report(outcomes: list, dropped: dict[str, int]) -> MetricsReport:
     rows = [r.row for r in results]
     mean = np.mean([list(row["kernel_weights"].values()) for row in rows], axis=0)
     return MetricsReport(accuracy=acc, recall=rec, sharpe=sr, n_predictions=int(preds.size),
-                         n_days=len(set(dates)), confusion=conf, per_window=rows,
+                         n_days=len(set(dates)), confusion=conf,
                          mean_kernel_weights=dict(zip(rows[0]["kernel_weights"], mean.tolist())),
-                         n_dropped=dropped, skipped_windows=skipped)
+                         n_dropped=dropped,
+                         windows_by_status=dict(sorted(Counter(row["mkl_status"] for row in rows).items())),
+                         n_skipped_windows=len(skipped), skipped_windows=skipped, windows=rows)
 
 
 def run_horizon_on_records(cfg: BacktestConfig, horizon: int, records: list[FeatureRecord],
@@ -677,32 +680,14 @@ def write_window_csv(path, cfg: BacktestConfig, reports: dict[int, MetricsReport
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join([*WINDOW_COLUMNS, *names, *SOLVER_COLUMNS]) + "\n")
         for horizon in sorted(reports):
-            for row in reports[horizon].per_window:
+            for row in reports[horizon].windows:
                 cells = ([row[c] for c in WINDOW_COLUMNS] + [row["kernel_weights"][n] for n in names]
                          + [row[c] for c in SOLVER_COLUMNS])
                 fh.write(",".join(map(_fmt, cells)) + "\n")
 
 
-def report_to_dict(report: MetricsReport) -> dict:
-    return {
-        "accuracy": report.accuracy,
-        "recall": report.recall,
-        "sharpe": report.sharpe,
-        "n_predictions": report.n_predictions,
-        "n_days": report.n_days,
-        "confusion": {"tp": report.confusion.tp, "tn": report.confusion.tn,
-                      "fp": report.confusion.fp, "fn": report.confusion.fn},
-        "mean_kernel_weights": report.mean_kernel_weights,
-        "n_dropped": report.n_dropped,
-        "windows_by_status": report.windows_by_status,
-        "n_skipped_windows": report.n_skipped_windows,
-        "skipped_windows": report.skipped_windows,
-        "windows": report.per_window,
-    }
-
-
 def write_report_json(path, reports: dict[int, MetricsReport]) -> None:
-    payload = {"horizons": {str(h): report_to_dict(r) for h, r in sorted(reports.items())}}
+    payload = {"horizons": {str(h): asdict(r) for h, r in sorted(reports.items())}}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(payload, fh, indent=2)
         fh.write("\n")

@@ -87,8 +87,8 @@ def _write_manifest(path: Path, args) -> None:
 def cmd_synth(args) -> int:
     cfg = parse_overrides(args.set)
     spec = _synth_spec_from_config(cfg)
-    out = _out_dir(args)
     docs, prices, truths = market.synth_generate(args.seed, spec)
+    out = _out_dir(args)  # after generating, so a spec that cannot be met leaves no directory
     text.write_documents(out / "docs.jsonl", docs)
     market.write_prices(out / "prices.csv", prices)
     market.write_truth_csv(out / "truth.csv", truths)

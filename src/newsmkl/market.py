@@ -11,6 +11,7 @@ dropped and accounted for.
 
 from __future__ import annotations
 
+import calendar
 import math
 import re
 from dataclasses import dataclass, field
@@ -535,7 +536,11 @@ class SynthSpec:
             raise MarketError("signal_strength must lie in [0, 1]")
         if not 0.0 <= self.keyword_fraction <= 1.0:
             raise MarketError("keyword_fraction must lie in [0, 1]")
-        _month_key(self.start_month)  # MarketError unless a YYYY-MM month
+        if _month_key(self.start_month) + self.n_months - 1 > _month_key("9999-12"):
+            raise MarketError(f"{self.n_months} months from {self.start_month} run past 9999-12")
+        if self.event_end < self.event_start:
+            raise MarketError(f"event_end {self.event_end:%H:%M} is before "
+                              f"event_start {self.event_start:%H:%M}")
 
 
 @dataclass
@@ -551,11 +556,9 @@ def trading_days(start_month: str, n_months: int) -> list[datetime]:
     days = []
     first = _month_key(start_month)
     for month in map(_key_month, range(first, first + n_months)):
-        d = datetime.strptime(month, "%Y-%m").replace(tzinfo=timezone.utc)
-        while month_of(d) == month:
-            if d.weekday() < 5:
-                days.append(d)
-            d += timedelta(days=1)
+        start = datetime.strptime(month, "%Y-%m").replace(tzinfo=timezone.utc)
+        n_days = calendar.monthrange(start.year, start.month)[1]  # no step past the month's last day
+        days += [d for d in (start.replace(day=k) for k in range(1, n_days + 1)) if d.weekday() < 5]
     return days
 
 
@@ -575,6 +578,12 @@ def synth_generate(seed: int, spec: SynthSpec) -> tuple[list[Document], dict[str
 
     ev_lo = spec.event_start.hour * 60 + spec.event_start.minute - day_start_min
     ev_hi = spec.event_end.hour * 60 + spec.event_end.minute - day_start_min
+    gap = spec.min_event_gap_minutes
+    if gap > 0:  # events on one ticker-day stand at least `gap` minutes apart
+        fit = len(days) * len(spec.tickers) * ((ev_hi - ev_lo) // gap + 1)
+        if spec.n_events > fit:
+            raise MarketError(f"cannot place {spec.n_events} events: at most {fit} fit in "
+                              f"{len(days)} days x {len(spec.tickers)} tickers at a {gap}-minute gap")
 
     # events: (day index, ticker, minute offset), spaced per ticker-day
     minutes_used: dict[tuple[int, str], list[int]] = {}

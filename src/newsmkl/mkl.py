@@ -125,10 +125,10 @@ class MklState:
     full pass, so a gap that could end a solve (`_checked`) and the
     returned gap and bias (`_finish`) come from full passes.
 
-    `tol` is the SMO tolerance the next solve starts at: None solves at
-    `inner_tol`; a float turns on the inexact oracle of `_evaluate`, which
-    only ever lowers it and compares each point's J with `best_J`, the
-    lowest J so far.
+    `tol` is the SMO tolerance the next solve starts at, never below
+    `inner_tol`: 0.0 solves at `inner_tol` (the exact oracle), and ACCPM
+    starts at LOOSE_TOL. `_evaluate` only ever lowers it, and compares each
+    point's J with `best_J`, the lowest J so far.
     """
 
     svm_solves: int = 0
@@ -136,7 +136,7 @@ class MklState:
     smo_not_converged: int = 0
     alpha: np.ndarray | None = None
     products: np.ndarray | None = None
-    tol: float | None = None
+    tol: float = 0.0
     best_J: float = np.inf
 
 
@@ -231,7 +231,7 @@ def _quad_forms(U: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.array([float(v @ u) for u in U])
 
 
-def _evaluate(problem: MklProblem, d, state: MklState | None = None) -> SolvePoint:
+def _evaluate(problem: MklProblem, d, state: MklState) -> SolvePoint:
     """J(d), its alpha and the kernel quad forms q from one SVM solve.
 
     The mixture sum_k d_k K_k is never built: SMO reads its rows through
@@ -240,14 +240,13 @@ def _evaluate(problem: MklProblem, d, state: MklState | None = None) -> SolvePoi
     `state` by delta updates (see MklState); they give the warm-start
     gradient and the quad forms U (y * alpha).
 
-    With `state.tol` set (ACCPM), SMO stops at that tolerance and, while
-    the point stopped above `inner_tol`, the same run (alpha, gradient and
-    row cache) continues at a tenth of it, never below `inner_tol`, as
-    long as (a) its SVM duality gap eps exceeds a tenth of its MKL gap,
-    (b) its MKL gap is at most gap_tol (only a point at `inner_tol`
-    certifies convergence) or (c) J >= best_J - eps (it does not beat the
-    best point by more than its own error). The tolerance reached is the
-    next solve's start.
+    SMO stops at `state.tol` (at least `inner_tol`) and, while the point
+    stopped above `inner_tol`, the same run (alpha, gradient and row cache)
+    continues at a tenth of it, never below `inner_tol`, as long as (a) its
+    SVM duality gap eps exceeds a tenth of its MKL gap, (b) its MKL gap is
+    at most gap_tol (only a point at `inner_tol` certifies convergence) or
+    (c) J >= best_J - eps (it does not beat the best point by more than its
+    own error). The tolerance reached is the next solve's start.
     """
     d = _check_simplex(d, problem.n_kernels)
     y, C, inner = problem.labels, problem.C, problem.inner_tol
@@ -269,7 +268,7 @@ def _evaluate(problem: MklProblem, d, state: MklState | None = None) -> SolvePoi
             return r
 
         diag = w @ np.array([np.diagonal(K) for K in grams])
-    if state is not None and state.alpha is not None:
+    if state.alpha is not None:
         start = project_feasible(state.alpha, y, C)
         U = _sync_products(problem, state.products, state.alpha, start)
         grad = y * (d @ U) - 1.0
@@ -277,8 +276,7 @@ def _evaluate(problem: MklProblem, d, state: MklState | None = None) -> SolvePoi
         start, U = np.zeros(n), None
         grad = -np.ones(n)
 
-    inexact = state is not None and state.tol is not None
-    tol = state.tol if inexact else inner
+    tol = max(inner, state.tol)
     alpha, before, n_iter = start.copy(), start, 0
     while True:
         more, violation, converged = _smo.solve(row, diag, y, alpha, grad, C, tol,
@@ -287,7 +285,7 @@ def _evaluate(problem: MklProblem, d, state: MklState | None = None) -> SolvePoi
         U = _sync_products(problem, U, before, alpha)
         point = SolvePoint(d=d, J=dual_objective(alpha, grad), alpha=alpha,
                            smo=(n_iter, violation, converged), q=_quad_forms(U, y * alpha))
-        if not inexact or violation <= inner:
+        if violation <= inner:
             break
         point.eps = primal_dual_gap(alpha, y, grad, C)
         if not converged:  # SMO's iteration budget is spent
@@ -297,13 +295,11 @@ def _evaluate(problem: MklProblem, d, state: MklState | None = None) -> SolvePoi
                 or point.J >= state.best_J - point.eps):
             break
         tol, before = max(inner, 0.1 * tol), alpha.copy()
-    if state is not None:
-        state.svm_solves += 1
-        state.smo_iterations += n_iter
-        state.smo_not_converged += 0 if converged else 1
-        state.alpha, state.products = alpha, U
-        if inexact:
-            state.tol, state.best_J = tol, min(state.best_J, point.J)
+    state.svm_solves += 1
+    state.smo_iterations += n_iter
+    state.smo_not_converged += 0 if converged else 1
+    state.alpha, state.products = alpha, U
+    state.tol, state.best_J = tol, min(state.best_J, point.J)
     return point
 
 
@@ -321,7 +317,7 @@ def _checked(problem: MklProblem, point: SolvePoint) -> float:
 
 def mkl_objective(problem: MklProblem, d, state: MklState | None = None) -> tuple[float, np.ndarray]:
     """J(d) and the maximizing alpha from one SVM solve on the mixture."""
-    point = _evaluate(problem, d, state)
+    point = _evaluate(problem, d, MklState() if state is None else state)
     return point.J, np.array(point.alpha)
 
 
@@ -562,8 +558,7 @@ def _finish(problem: MklProblem, state: MklState, point: SolvePoint, iterations:
     kept = np.where(point.d < WEIGHT_THRESHOLD, 0.0, point.d)
     thresholded = not np.array_equal(kept, point.d)
     if thresholded or point.smo[1] > problem.inner_tol:
-        if state.tol is not None:
-            state.tol = problem.inner_tol
+        state.tol = 0.0
         point = _evaluate(problem, kept / kept.sum() if thresholded else point.d, state)
     d = point.d / point.d.sum()
     y, C = problem.labels, problem.C
@@ -623,7 +618,7 @@ def _accpm_points(problem: MklProblem, state: MklState):
     always, so cuts keep coming from interior points.
     """
     n = problem.n_kernels
-    state.tol = max(problem.inner_tol, LOOSE_TOL)
+    state.tol = LOOSE_TOL
     loc = LocalizationSet.initial_simplex(n)
     z_start = uniform_reduced(n)
     vertices_tried: set[int] = set()

@@ -218,9 +218,9 @@ def predict_many(model: SvmModel, labels: np.ndarray, rows: np.ndarray) -> tuple
 MODEL_FORMAT = "newsmkl-model-v1"
 
 
-def model_to_dict(model: SvmModel, kernels: list[dict] | None = None, mkl_weights=None,
-                  mkl: dict | None = None) -> dict:
-    out = {
+def model_to_dict(model: SvmModel, kernels: list[dict], mkl_weights, mkl: dict) -> dict:
+    """model.json's layout: the SVM, its kernels, their learned weights and how the MKL solve ended."""
+    return {
         "format": MODEL_FORMAT,
         "alpha": [float(a) for a in model.alpha],
         "bias": model.bias,
@@ -231,40 +231,13 @@ def model_to_dict(model: SvmModel, kernels: list[dict] | None = None, mkl_weight
         "kkt_violation": model.kkt_violation,
         "converged": model.converged,
         "label_convention": "label = sign(decision); decision of exactly 0 -> +1",
+        "kernels": kernels,
+        "mkl_weights": [float(w) for w in mkl_weights],
+        "mkl": mkl,
     }
-    if kernels is not None:
-        out["kernels"] = kernels
-    if mkl_weights is not None:
-        out["mkl_weights"] = [float(w) for w in mkl_weights]
-    if mkl is not None:
-        out["mkl"] = mkl
-    return out
 
 
-def model_from_dict(d: dict) -> SvmModel:
-    if d.get("format") != MODEL_FORMAT:
-        raise SvmError(f"unsupported model format {d.get('format')!r}")
-    return SvmModel(
-        alpha=np.asarray(d["alpha"], dtype=np.float64),
-        bias=float(d["bias"]),
-        C=float(d["C"]),
-        support_indices=np.asarray(d["support_indices"], dtype=np.int64),
-        objective=float(d["objective"]),
-        n_iter=int(d.get("n_iter", 0)),
-        kkt_violation=float(d.get("kkt_violation", 0.0)),
-        converged=bool(d.get("converged", True)),
-    )
-
-
-def save_model(path, model: SvmModel, kernels: list[dict] | None = None, mkl_weights=None,
-               mkl: dict | None = None) -> None:
+def save_model(path, model: SvmModel, kernels: list[dict], mkl_weights, mkl: dict) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(model_to_dict(model, kernels, mkl_weights, mkl), fh, indent=2)
         fh.write("\n")
-
-
-def load_model(path) -> tuple[SvmModel, dict]:
-    """Load a model; returns (model, full record dict)."""
-    with open(path, encoding="utf-8") as fh:
-        d = json.load(fh)
-    return model_from_dict(d), d

@@ -246,7 +246,7 @@ def _record_at(i: int, t: datetime) -> bt.FeatureRecord:
                                  datetime(2004, 1, 1, 14, 0).time()]))
 def test_no_test_event_inside_training_months(stamps, min_time):
     records = [_record_at(i, t) for i, t in enumerate(stamps)]
-    cfg = bt.BacktestConfig(plan=[], train_min_event_time=min_time)
+    cfg = bt.BacktestConfig(plan=LIN_TEXT, train_min_event_time=min_time)
     for window in bt.build_windows("2003-11", "2005-04"):
         train, test = bt.window_records(cfg, window, records)
         lo, hi = bt._month_key(window.train_start), bt._month_key(window.train_end)
@@ -260,7 +260,7 @@ def test_no_test_event_inside_training_months(stamps, min_time):
 
 def test_window_that_does_not_test_after_its_training_span_is_refused():
     records = [_record_at(i, datetime(2004, 1 + i, 5, 12, tzinfo=UTC)) for i in range(12)]
-    cfg = bt.BacktestConfig(plan=[])
+    cfg = bt.BacktestConfig(plan=LIN_TEXT)
     for test_month in ("2004-12", "2004-06", "2003-12"):
         window = bt.Window(train_start="2004-01", train_end="2004-12", test_month=test_month)
         with pytest.raises(bt.BacktestError, match="out-of-sample violation"):
@@ -381,12 +381,12 @@ class TestRunBacktest:
     def test_aggregate_confusion_equals_window_sum(self, small_run):
         _, report = small_run
         total = report.confusion.total
-        assert total == sum(w["n_test"] for w in report.per_window)
+        assert total == sum(w["n_test"] for w in report.windows)
         assert total == report.n_predictions
 
     def test_kernel_weight_vectors_on_simplex(self, small_run):
         _, report = small_run
-        for w in report.per_window:
+        for w in report.windows:
             s = sum(w["kernel_weights"].values())
             assert s == pytest.approx(1.0, abs=1e-10)
 
@@ -443,7 +443,18 @@ class TestRunBacktest:
 
     def test_empty_horizons_rejected(self):
         with pytest.raises(bt.BacktestError):
-            bt.run_backtest(bt.BacktestConfig(plan=[], horizons=()), [], {}, None)
+            bt.run_backtest(bt.BacktestConfig(plan=LIN_TEXT, horizons=()), [], {}, None)
+
+    @pytest.mark.parametrize("changes, message", [
+        ({"plan": []}, "the plan has no kernels"),
+        ({"solver": "bogus"}, "unknown solver 'bogus'; choose from accpm, redgrad"),
+        # one name for two kernels would key both weights, and both windows.csv columns, alike
+        ({"plan": [bt.PlanKernel(name="k", feature="text", kind="linear"),
+                   bt.PlanKernel(name="k", feature="absret", kind="linear")]}, "plan repeats a value: k, k"),
+    ])
+    def test_unusable_config_rejected_when_made(self, changes, message):
+        with pytest.raises(bt.BacktestError, match=message):
+            bt.BacktestConfig(**{"plan": LIN_TEXT, **changes})
 
 
 class TestDegenerateWindows:
@@ -522,6 +533,13 @@ class TestArtifacts:
                           "smo_iterations,smo_not_converged")
         payload = json.loads(json_path.read_text())
         assert "10" in payload["horizons"]
+        # a horizon's keys are MetricsReport's fields, in order, and the documented layout
+        keys = ["accuracy", "recall", "sharpe", "n_predictions", "n_days", "confusion",
+                "mean_kernel_weights", "n_dropped", "windows_by_status", "n_skipped_windows",
+                "skipped_windows", "windows"]
+        assert list(payload["horizons"]["10"]) == [f.name for f in dataclasses.fields(bt.MetricsReport)]
+        assert list(payload["horizons"]["10"]) == keys
+        assert payload["horizons"]["10"]["confusion"] == dataclasses.asdict(reports[10].confusion)
         assert payload["horizons"]["10"]["n_predictions"] == reports[10].n_predictions
         assert payload["horizons"]["10"]["skipped_windows"] == []
         windows = payload["horizons"]["10"]["windows"]
@@ -545,16 +563,16 @@ class TestArtifacts:
                                                     kind="gaussian", sigma_scale=1.0)],
                                 horizons=(10,), c_grid=(10.0,), gap_tol=1e-6)
         report = bt.run_backtest(cfg, docs, prices, default_dictionary())[10]
-        assert report.per_window
-        for w in report.per_window:
+        assert report.windows
+        for w in report.windows:
             assert w["mkl_status"] == "max_iters" and w["mkl_iterations"] == 2
             assert w["gap"] > cfg.gap_tol and w["svm_solves"] >= 2
-        assert bt.report_to_dict(report)["windows_by_status"] == {"max_iters": len(report.per_window)}
+        assert report.windows_by_status == {"max_iters": len(report.windows)}
         bt.write_window_csv(tmp_path / "windows.csv", cfg, {10: report})
         with open(tmp_path / "windows.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert [row["mkl_status"] for row in rows] == ["max_iters"] * len(report.per_window)
-        assert [row["mkl_iterations"] for row in rows] == ["2"] * len(report.per_window)
+        assert [row["mkl_status"] for row in rows] == ["max_iters"] * len(report.windows)
+        assert [row["mkl_iterations"] for row in rows] == ["2"] * len(report.windows)
 
     def test_every_window_csv_cell_is_its_report_json_value(self, tmp_path):
         # two horizons over the zero-trace repro below, whose first window is skipped
@@ -739,7 +757,7 @@ class TestKernelReuse:
 
     def test_kernels_built_once_per_training_set(self, traced):
         cfg, reports, calls, cv_runs, _ = traced
-        windows = sum(len(r.per_window) for r in reports.values())
+        windows = sum(len(r.windows) for r in reports.values())
         assert windows == 4 and all(r.n_skipped_windows == 0 for r in reports.values())
         assert len(cv_runs) == windows
         # synthetic events end by 15:30, so both horizons keep the same events
@@ -807,8 +825,8 @@ class TestWindowMajorSweep:
         assert sorted(swept) == sorted(alone)
         for h in cfg.horizons:
             assert swept[h].n_skipped_windows == 0
-            assert json.dumps(bt.report_to_dict(swept[h])) == json.dumps(bt.report_to_dict(alone[h]))
-        n_windows = len(swept[10].per_window)
+            assert json.dumps(dataclasses.asdict(swept[h])) == json.dumps(dataclasses.asdict(alone[h]))
+        n_windows = len(swept[10].windows)
         assert len(builds) == len(set(builds)) == 2 * 2 * n_windows  # h=10/20 shared, h=250 own
 
     def test_identical_events_build_each_window_once(self, monkeypatch):
@@ -816,8 +834,8 @@ class TestWindowMajorSweep:
         cfg = bt.BacktestConfig(plan=LIN_TEXT, horizons=(10, 20, 30), c_grid=(10.0, 100.0))
         builds = _counting_builds(monkeypatch)
         reports = bt.run_backtest(cfg, docs, prices, default_dictionary())
-        n_windows = len(reports[10].per_window)
-        assert n_windows == 2 and all(len(r.per_window) == n_windows for r in reports.values())
+        n_windows = len(reports[10].windows)
+        assert n_windows == 2 and all(len(r.windows) == n_windows for r in reports.values())
         assert len(builds) == 2 * n_windows  # early fold and full window, not 6 x n_windows
 
     def test_documents_sharing_an_id_stay_two_events(self):
@@ -889,7 +907,7 @@ class TestWindowMajorSweep:
         monkeypatch.setattr(bt, "release_freed_memory", release)
         reports = bt.run_backtest(cfg, docs, prices, default_dictionary())
         assert reports[20].n_skipped_windows == 1
-        assert len(alive_at_release) == len(reports[10].per_window) == 2
+        assert len(alive_at_release) == len(reports[10].windows) == 2
         assert built and alive_at_release == [0, 0]
 
     def test_release_freed_memory_runs_where_malloc_trim_is_missing(self, monkeypatch):

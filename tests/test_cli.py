@@ -74,6 +74,25 @@ class TestSynth:
         assert parsed == {"error": "MarketError", "message": f"expected a YYYY-MM month, got {month!r}"}
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("sets, message", [
+        (("start_month=9999-12", "n_months=2"), "2 months from 9999-12 run past 9999-12"),
+        (("event_start=15:00", "event_end=11:00"), "event_end 11:00 is before event_start 15:00"),
+        # 22 weekdays in 2004-01, one ticker, at most 11 events per day 30 minutes apart
+        (("n_events=1000", "n_months=1", "tickers=AAA"),
+         "cannot place 1000 events: at most 242 fit in 22 days x 1 tickers at a 30-minute gap"),
+    ])
+    def test_spec_that_cannot_be_met_single_line_json_error(self, tmp_path, sets, message):
+        out = run_cli("synth", "--seed", "1", "--out", str(tmp_path / "x"),
+                      *(a for kv in sets for a in ("--set", kv)), check=False)
+        assert _json_error(out) == {"error": "MarketError", "message": message}
+        assert not (tmp_path / "x").exists()
+
+    def test_last_month_of_the_calendar(self, tmp_path):
+        run_cli("synth", "--seed", "1", "--out", str(tmp_path / "x"), "--set", "start_month=9999-12",
+                "--set", "n_months=1", "--set", "n_events=5")
+        assert (tmp_path / "x" / "prices.csv").read_text().splitlines()[-1].startswith(
+            "DDD,9999-12-31T16:00:00Z,")
+
     def test_every_spec_field_parses_its_default_from_set(self):
         spec = market.SynthSpec()
         sets = []
@@ -138,25 +157,16 @@ class TestTrain:
         assert model["kernels"][0]["kind"] == "linear"
 
     def test_model_records_how_the_mkl_solve_ended(self, synth_dir, tmp_path):
-        from newsmkl.svm import load_model
-
         out = tmp_path / "mkl"
         run_cli("train-mkl", "--docs", str(synth_dir / "docs.jsonl"),
                 "--prices", str(synth_dir / "prices.csv"), "--plan", "linear4", "--out", str(out))
-        model, record = load_model(out / "model.json")
-        mkl = record["mkl"]
+        mkl = json.loads((out / "model.json").read_text())["mkl"]
         assert list(mkl) == ["status", "gap", "iterations", "svm_solves", "smo_iterations",
                              "smo_not_converged"]
         assert mkl["status"] in ("converged", "flat_gradient", "stalled", "max_iters",
                                  "degenerate_localization")
         assert mkl["gap"] >= 0 and mkl["svm_solves"] >= mkl["iterations"] >= 1
         assert mkl["smo_iterations"] >= 1 and 0 <= mkl["smo_not_converged"] <= mkl["svm_solves"]
-        # a model written before the diagnostics existed still loads, to the same model
-        old = tmp_path / "old.json"
-        old.write_text(json.dumps({k: v for k, v in record.items() if k != "mkl"}))
-        old_model, old_record = load_model(old)
-        assert "mkl" not in old_record
-        assert old_model.bias == model.bias and list(old_model.alpha) == list(model.alpha)
 
     def test_train_svm_writes_model(self, synth_dir, tmp_path):
         out = tmp_path / "svm"

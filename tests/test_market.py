@@ -456,6 +456,10 @@ class TestSynth:
             d += timedelta(days=1)
         assert days == weekdays
 
+    def test_trading_days_end_on_the_last_day_of_the_calendar(self):
+        days = trading_days("9999-12", 1)
+        assert (len(days), days[-1]) == (23, datetime(9999, 12, 31, tzinfo=UTC))
+
     def test_trading_days_are_weekdays(self):
         days = trading_days("2004-01", 2)
         assert all(d.weekday() < 5 for d in days)

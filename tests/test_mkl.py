@@ -87,7 +87,7 @@ class TestMixtureFree:
         for seed in range(3):
             p = self._problem(seed)
             d = np.array([0.2, 0.5, 0.3])
-            point = _evaluate(p, d)
+            point = _evaluate(p, d, MklState())
             self._assert_same(point, self._explicit(p, d))
             np.testing.assert_array_equal(point.d, d)
             np.testing.assert_array_equal(point.q, kernel_quad_forms(p, point.alpha))
@@ -95,12 +95,12 @@ class TestMixtureFree:
     def test_zero_weight_kernel_is_skipped(self):
         p = self._problem(1)
         d = np.array([0.0, 0.6, 0.4])
-        self._assert_same(_evaluate(p, d), self._explicit(p, d))
+        self._assert_same(_evaluate(p, d, MklState()), self._explicit(p, d))
 
     def test_vertex_weight_solves_on_the_kernel_itself(self):
         p = self._problem(4)
         d = np.array([0.0, 1.0, 0.0])
-        point = _evaluate(p, d)
+        point = _evaluate(p, d, MklState())
         ref = solve_dual(TrainingSet(labels=p.labels, gram=p.kernels[1]), p.C, tol=self.TOL)
         np.testing.assert_array_equal(point.alpha, ref.alpha)
         self._assert_same(point, ref)
@@ -178,7 +178,7 @@ class TestMixtureFree:
     def test_cold_solves_and_large_moves_take_a_full_pass(self, monkeypatch):
         calls = self._count_full_passes(monkeypatch)
         p = self._problem(2)
-        _evaluate(p, [0.2, 0.5, 0.3])
+        _evaluate(p, [0.2, 0.5, 0.3], MklState())
         assert len(calls) == 1
         for fraction, passes in ((0.0, 1), (1.0, 0)):
             monkeypatch.setattr(mkl, "DELTA_MAX_FRACTION", fraction)

@@ -96,7 +96,7 @@ def test_backtest_spans_stay_live():
         reports = bt.run_backtest(cfg, docs, prices, default_dictionary())
     finally:
         probe.uninstall()
-    assert reports[10].per_window
+    assert reports[10].windows
     recorded = {name for name, *_ in probe.spans}
     for span in ("backtest.run_window", "backtest.chrono_cv", "backtest.fit_plan",
                  "backtest.predict_records", "kernels.gram_matrix", "kernels.cross_gram",

@@ -7,7 +7,7 @@ from oracles import make_svm_problem, qp_projected_gradient, solve_tight
 
 from newsmkl import _smo
 from newsmkl.kernels import GramMatrix, KernelSpec, gram_matrix
-from newsmkl.svm import (SvmError, TrainingSet, dual_objective, model_from_dict, model_to_dict,
+from newsmkl.svm import (SvmError, TrainingSet, dual_objective, model_to_dict,
                          predict_many, primal_dual_gap, project_feasible, recover_bias,
                          solve_dual)
 
@@ -228,15 +228,13 @@ class TestSerialization:
     def test_round_trip(self):
         ts, C = make_svm_problem(1)
         m = solve_tight(ts, C)
-        rec = model_to_dict(m, kernels=[{"kind": "linear"}], mkl_weights=[1.0])
-        m2 = model_from_dict(rec)
-        np.testing.assert_array_equal(m2.alpha, m.alpha)
-        assert m2.bias == m.bias and m2.C == m.C
-        assert rec["mkl_weights"] == [1.0]
-        assert rec["converged"] is True and m2.converged
+        mkl = {"status": "converged", "gap": 0.0}
+        rec = model_to_dict(m, kernels=[{"kind": "linear"}], mkl_weights=[1.0], mkl=mkl)
+        assert rec["format"] == "newsmkl-model-v1"
+        assert rec["alpha"] == m.alpha.tolist() and rec["support_indices"] == m.support_indices.tolist()
+        assert (rec["bias"], rec["C"], rec["objective"]) == (m.bias, m.C, m.objective)
+        assert (rec["n_iter"], rec["kkt_violation"]) == (m.n_iter, m.kkt_violation)
+        assert rec["kernels"] == [{"kind": "linear"}] and rec["mkl_weights"] == [1.0] and rec["mkl"] == mkl
+        assert rec["converged"] is True
         stalled = solve_dual(ts, C, max_iter=1)
-        assert model_from_dict(model_to_dict(stalled)).converged is False
-
-    def test_unknown_format_rejected(self):
-        with pytest.raises(SvmError):
-            model_from_dict({"format": "something-else"})
+        assert model_to_dict(stalled, kernels=[], mkl_weights=[1.0], mkl=mkl)["converged"] is False
