@@ -24,7 +24,9 @@ import numpy as np
 from .kernels import (GramMatrix, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist,
                       release_freed_memory, sqdist)
 from .market import (FeatureRecord, LabelingConfig, PriceSeries, _key_month, _month_key, label_records,
-                     label_threshold, month_of, prepare_feature_records, prepare_records_by_horizon)
+                     label_threshold, month_of, prepare_records_by_horizon)
+# not called here; the acceptance tests and the benchmark probe read it through this module
+from .market import prepare_feature_records  # noqa: F401
 from .mkl import (DEFAULT_GAP_TOL, DEFAULT_SOLVER, SOLVERS, MklProblem, MklSolution,
                   check_c_and_gap_tol, get_solver)
 from .svm import predict_many

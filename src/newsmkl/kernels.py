@@ -88,10 +88,6 @@ class GramMatrix:
         object.__setattr__(self, "values", v)
         object.__setattr__(self, "size", v.shape[0])
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.values))
-
 
 def _as_matrix(samples) -> np.ndarray:
     X = np.asarray(samples, dtype=np.float64)

@@ -14,7 +14,7 @@ from __future__ import annotations
 import calendar
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
@@ -84,10 +84,6 @@ class PriceSeries:
         if np.any(p <= 0):
             raise MarketError(f"{self.ticker}: prices must be positive")
         self.times, self.prices = t, p
-
-    @property
-    def size(self) -> int:
-        return self.times.size
 
 
 def _prices_at(series: PriceSeries, times) -> np.ndarray:
@@ -541,6 +537,20 @@ class SynthSpec:
         if self.event_end < self.event_start:
             raise MarketError(f"event_end {self.event_end:%H:%M} is before "
                               f"event_start {self.event_start:%H:%M}")
+        if self.event_start < TRADING_DAY_START:
+            raise MarketError(f"event_start {self.event_start:%H:%M} is before the "
+                              f"{TRADING_DAY_START:%H:%M} open")
+        if self.jump_delay_minutes < 0:
+            raise MarketError(f"jump_delay_minutes must be >= 0, got {self.jump_delay_minutes}")
+        last_jump = self.event_end.hour * 60 + self.event_end.minute + self.jump_delay_minutes
+        if last_jump > TRADING_DAY_END.hour * 60 + TRADING_DAY_END.minute:
+            raise MarketError(f"a jump {self.jump_delay_minutes} minutes after event_end "
+                              f"{self.event_end:%H:%M} falls past the {TRADING_DAY_END:%H:%M} close")
+        if not 0.0 <= self.surprise_rate <= 1.0:
+            raise MarketError("surprise_rate must lie in [0, 1]")
+        if not abs(self.jump_size) * (1.0 + abs(self.jump_jitter)) < 1.0:
+            raise MarketError("a jump must move the price by less than 100%: "
+                              "|jump_size| * (1 + |jump_jitter|) must be below 1")
 
 
 @dataclass

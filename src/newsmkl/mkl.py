@@ -171,10 +171,6 @@ class MklSolution:
     status: str  # converged | flat_gradient | stalled | max_iters | degenerate_localization
     gap_history: list[float] = field(default_factory=list)
 
-    @property
-    def converged(self) -> bool:
-        return self.status in ("converged", "flat_gradient")
-
 
 # ---------------------------------------------------------------------------
 # Objective, gradient, duality gap

@@ -10,7 +10,7 @@ and evaluates the resulting decision function on kernel rows.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,21 +34,6 @@ def as_labels(labels, size: int, error: type[ValueError] = SvmError) -> np.ndarr
     if y.shape[0] != size:
         raise error(f"label count {y.shape[0]} does not match kernel size {size}")
     return y
-
-
-@dataclass
-class TrainingSet:
-    """Labels (+/-1) paired with the Gram matrix over the same samples."""
-
-    labels: np.ndarray
-    gram: GramMatrix
-
-    def __post_init__(self):
-        self.labels = as_labels(self.labels, self.gram.size)
-
-    @property
-    def size(self) -> int:
-        return self.labels.shape[0]
 
 
 @dataclass(frozen=True)
@@ -109,27 +94,28 @@ def check_dual(y: np.ndarray, C: float, tol: float) -> None:
 
 
 def solve_dual(
-    ts: TrainingSet,
+    gram: GramMatrix,
+    labels,
     C: float,
     tol: float = DEFAULT_TOL,
     warm_start: np.ndarray | None = None,
     max_iter: int = DEFAULT_MAX_ITER,
 ) -> SvmModel:
-    """Solve the dual QP to KKT tolerance `tol` by SMO.
+    """Solve the dual QP on `gram` with +/-1 `labels` to KKT tolerance `tol` by SMO.
 
-    `warm_start` (a previous alpha) is projected onto the feasible set
-    before the solve. SvmError for single-class input, or a C or tol not positive and finite.
+    `warm_start` (a previous alpha) is projected onto the feasible set before the
+    solve. SvmError for bad or single-class labels, or a C or tol not positive and finite.
     """
-    y = ts.labels
+    y = as_labels(labels, gram.size)
     check_dual(y, C, tol)
-    K = ts.gram.values
+    K = gram.values
 
     if warm_start is not None:
         alpha = project_feasible(warm_start, y, C)
         grad = y * (K @ (y * alpha)) - 1.0
     else:
-        alpha = np.zeros(ts.size)
-        grad = -np.ones(ts.size)
+        alpha = np.zeros(y.shape[0])
+        grad = -np.ones(y.shape[0])
 
     result = _smo.solve(K.__getitem__, np.diagonal(K), y, alpha, grad, C, tol, max_iter)
     bias = recover_bias(alpha, y, K @ (y * alpha), C)

@@ -1,6 +1,6 @@
 """Bag-of-words and tf-idf featurization of press-release text.
 
-The dictionary is an ordered list of lowercase stems ("acqui",
+The dictionary is an ordered list of stems of a-z and 0-9 ("acqui",
 "integrat", ...). A token counts toward stem j when its lowercase,
 punctuation-stripped form begins with the stem, so "Acquired" and
 "ACQUISITION" both hit "acqui". tf-idf weighting:
@@ -30,7 +30,7 @@ class TextError(ValueError):
 
 @dataclass(frozen=True)
 class Dictionary:
-    """Ordered, unique, lowercase stems, indexed by first letter as
+    """Ordered, unique stems of a-z and 0-9, indexed by first letter as
     (stem, position) pairs, with a memo from each cleaned token seen by
     `bag_of_words` to the positions of the stems it starts with."""
 
@@ -44,11 +44,7 @@ class Dictionary:
             raise TextError("dictionary is empty")
         seen = set()
         for s in stems:
-            if not s or s != s.lower() or any(c.isspace() for c in s):
-                raise TextError(f"invalid stem {s!r}: stems are nonempty, lowercase, no whitespace")
-            if s in seen:
-                raise TextError(f"duplicate stem {s!r}")
-            seen.add(s)
+            _check_stem(s, seen)
         object.__setattr__(self, "stems", stems)
         by_first: dict[str, list[tuple[str, int]]] = {}
         for idx, s in enumerate(stems):
@@ -67,6 +63,16 @@ class Dictionary:
     @property
     def size(self) -> int:
         return len(self.stems)
+
+
+def _check_stem(stem: str, seen: set[str]) -> None:
+    """TextError unless `stem` is new to `seen` and made of the characters a
+    cleaned token keeps (a stem with any other could never match); adds it."""
+    if not stem or _CLEAN.search(stem):
+        raise TextError(f"invalid stem {stem!r}: a stem is made of a-z and 0-9")
+    if stem in seen:
+        raise TextError(f"duplicate stem {stem!r}")
+    seen.add(stem)
 
 
 @dataclass(frozen=True)
@@ -165,17 +171,24 @@ def transform_tfidf_many(model: TfidfModel, counts: np.ndarray, doc_lengths: np.
 
 
 def load_dictionary(path) -> Dictionary:
-    with open(path, encoding="utf-8") as fh:
-        return parse_dictionary(fh.read())
+    """Read a UTF-8 dictionary file; TextError names `path:line` of a bad line."""
+    with open(path, encoding="utf-8", errors="surrogateescape") as fh:
+        return parse_dictionary(fh.read(), source=path)
 
 
-def parse_dictionary(content: str) -> Dictionary:
-    stems = []
-    for line in content.splitlines():
+def parse_dictionary(content: str, source="dictionary") -> Dictionary:
+    """One stem per line, lowercased; blank lines and '#' comments are skipped."""
+    stems, seen = [], set()
+    for ln, line in enumerate(content.split("\n"), start=1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
-        stems.append(line.lower())
+        try:
+            stem = _utf8_line(line).lower()
+            _check_stem(stem, seen)
+        except ValueError as exc:
+            raise TextError(f"{source}:{ln}: bad dictionary line: {exc}") from exc
+        stems.append(stem)
     return Dictionary(stems=tuple(stems))
 
 

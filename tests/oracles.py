@@ -14,6 +14,7 @@ import calendar
 import math
 from dataclasses import dataclass
 from datetime import time, timedelta
+from typing import NamedTuple
 
 import numpy as np
 
@@ -21,7 +22,7 @@ from newsmkl.kernels import GramMatrix, KernelError, KernelSpec, gram_matrix
 from newsmkl.market import DROP_REASONS, calendar_features
 from newsmkl.mkl import (BACKTRACK_ALPHA, BACKTRACK_BETA, NEWTON_TOL, LocalizationSet, MklProblem,
                          MklState, barrier_value, mkl_objective)
-from newsmkl.svm import TrainingSet, solve_dual
+from newsmkl.svm import solve_dual
 from newsmkl.text import bag_of_words, tokenize
 
 # ---------------------------------------------------------------------------
@@ -278,8 +279,15 @@ def nearest_rank(values, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+class SvmProblem(NamedTuple):
+    """Labels (+/-1) paired with the Gram matrix over the same samples."""
+
+    labels: np.ndarray
+    gram: GramMatrix
+
+
 def make_svm_problem(seed: int, l: int = 20, C: float | None = None,
-                     label_noise: float = 0.5) -> tuple[TrainingSet, float]:
+                     label_noise: float = 0.5) -> tuple[SvmProblem, float]:
     """Random labeled problem with a kernel kind cycling by seed."""
     rng = np.random.default_rng(1000 + seed)
     X = rng.standard_normal((l, 5))
@@ -292,11 +300,11 @@ def make_svm_problem(seed: int, l: int = 20, C: float | None = None,
                       degree=2 if kind == "polynomial" else None)
     if C is None:
         C = 1.0 if seed % 2 == 0 else 1000.0
-    return TrainingSet(labels=y, gram=gram_matrix(spec, X)), C
+    return SvmProblem(labels=y, gram=gram_matrix(spec, X)), C
 
 
-def solve_tight(ts: TrainingSet, C: float):
-    return solve_dual(ts, C, tol=1e-10)
+def solve_tight(ts: SvmProblem, C: float):
+    return solve_dual(ts.gram, ts.labels, C, tol=1e-10)
 
 
 # ---------------------------------------------------------------------------

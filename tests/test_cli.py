@@ -80,6 +80,18 @@ class TestSynth:
         # 22 weekdays in 2004-01, one ticker, at most 11 events per day 30 minutes apart
         (("n_events=1000", "n_months=1", "tickers=AAA"),
          "cannot place 1000 events: at most 242 fit in 22 days x 1 tickers at a 30-minute gap"),
+        # every event after the close: label would find none to extract
+        (("event_start=17:00", "event_end=18:00", "n_events=50", "n_months=1"),
+         "a jump 5 minutes after event_end 18:00 falls past the 16:00 close"),
+        # a jump past the day's last minute would be dropped, and truth.csv would still say jump=1
+        (("event_end=15:59", "jump_delay_minutes=30"),
+         "a jump 30 minutes after event_end 15:59 falls past the 16:00 close"),
+        (("event_start=09:00",), "event_start 09:00 is before the 09:30 open"),
+        # a downward jump of size >= 1 has no log return
+        (("jump_size=1.0", "n_events=200", "n_months=2"),
+         "a jump must move the price by less than 100%: |jump_size| * (1 + |jump_jitter|) must be below 1"),
+        (("surprise_rate=1.5",), "surprise_rate must lie in [0, 1]"),
+        (("jump_delay_minutes=-1",), "jump_delay_minutes must be >= 0, got -1"),
     ])
     def test_spec_that_cannot_be_met_single_line_json_error(self, tmp_path, sets, message):
         out = run_cli("synth", "--seed", "1", "--out", str(tmp_path / "x"),
@@ -411,6 +423,23 @@ class TestErrors:
         parsed = _json_error(out)
         assert parsed["error"] == "TextError"
         assert parsed["message"] == f"{docs}:1: bad document record: timestamp must be a string, got 5"
+        assert not (tmp_path / "f.csv").exists()
+
+    @pytest.mark.parametrize("content, message", [
+        (b"\xff\xfeacqui\n", "1: bad dictionary line: bytes that are not UTF-8"),
+        # a byte-order mark would stick to the first stem, which then never matches
+        (b"\xef\xbb\xbfacqui\nmerg\n",
+         "1: bad dictionary line: invalid stem '\\ufeffacqui': a stem is made of a-z and 0-9"),
+        (b"acqui\n# comment\nm&a\n", "3: bad dictionary line: invalid stem 'm&a': a stem is made of a-z and 0-9"),
+    ])
+    def test_bad_dictionary_line_single_line_json_error(self, tmp_path, content, message):
+        docs, stems = tmp_path / "docs.jsonl", tmp_path / "stems.txt"
+        docs.write_text('{"id": "a", "timestamp": "2004-01-05T15:00:00Z", "ticker": "AAA", '
+                        '"text": "acquisition merger acquired"}\n')
+        stems.write_bytes(content)
+        out = run_cli("featurize", "--docs", str(docs), "--dict", str(stems),
+                      "--out", str(tmp_path / "f.csv"), check=False)
+        assert _json_error(out) == {"error": "TextError", "message": f"{stems}:{message}"}
         assert not (tmp_path / "f.csv").exists()
 
     def test_unknown_command_exits_nonzero(self):

@@ -74,7 +74,7 @@ class TestGramMatrix:
         X = rng.standard_normal((7, 3))
         for kind in ALL_VECTOR_KINDS:
             g = gram_matrix(spec_for(kind, trace_normalize=True), np.abs(X) + 0.1)
-            assert abs(g.trace - 1.0) <= 1e-10
+            assert abs(np.trace(g.values) - 1.0) <= 1e-10
 
     def test_every_kind_is_exactly_symmetric(self):
         # gram_matrix has no symmetrization pass; strided and Fortran-ordered
@@ -144,7 +144,7 @@ class TestKernelProperties:
             raw = gram_matrix(spec_for(kind), X)
             normed = gram_matrix(spec_for(kind, trace_normalize=True), X)
             assert validate_psd(normed).passed
-            np.testing.assert_allclose(normed.values, raw.values / raw.trace, rtol=1e-12)
+            np.testing.assert_allclose(normed.values, raw.values / np.trace(raw.values), rtol=1e-12)
 
     def test_cross_gram_row_matches_gram_column(self):
         rng = np.random.default_rng(11)

@@ -15,7 +15,7 @@ from newsmkl.mkl import (LocalizationSet, MklError, MklProblem, MklState,
                          kernel_quad_forms, mix_kernels, mkl_gradient,
                          mkl_objective, prune_cuts, reduced_to_full,
                          solve_accpm, solve_reduced_gradient, uniform_reduced)
-from newsmkl.svm import TrainingSet, project_feasible, recover_bias, solve_dual
+from newsmkl.svm import project_feasible, recover_bias, solve_dual
 
 
 def small_problem(seed: int = 0, n_kernels: int = 2, l: int = 20, C: float = 10.0,
@@ -28,9 +28,22 @@ class TestObjective:
         p = small_problem(n_kernels=2)
         single = MklProblem(kernels=[p.kernels[0]], labels=p.labels, C=p.C)
         J, alpha = mkl_objective(single, [1.0])
-        ts = TrainingSet(labels=p.labels, gram=p.kernels[0])
-        m = solve_dual(ts, p.C, tol=single.inner_tol)
+        m = solve_dual(p.kernels[0], p.labels, p.C, tol=single.inner_tol)
         assert J == pytest.approx(m.objective, rel=1e-12)
+
+    @pytest.mark.parametrize("solver", [solve_accpm, solve_reduced_gradient])
+    @pytest.mark.parametrize("C", [1.0, 10.0, 1000.0])
+    def test_single_kernel_fit_is_solve_dual_bit_for_bit(self, solver, C):
+        # both run SMO cold on the same rows and diagonal to inner_tol and take
+        # the bias from K (y * alpha): one computation, not two that agree
+        for seed in range(6):
+            p = make_bench_problem(seed, n_kernels=2, dim=60, C=C)
+            for gram in p.kernels:
+                single = MklProblem(kernels=[gram], labels=p.labels, C=p.C)
+                model = solver(single).model
+                ref = solve_dual(gram, p.labels, p.C, tol=single.inner_tol)
+                np.testing.assert_array_equal(model.alpha, ref.alpha)
+                assert (model.bias, model.objective) == (ref.bias, ref.objective)
 
     def test_identical_kernels_objective_constant_in_d(self):
         p = small_problem(n_kernels=2)
@@ -43,7 +56,7 @@ class TestObjective:
         d = np.array([0.3, 0.7])
         J, _ = mkl_objective(p, d)
         mixed = GramMatrix(values=0.3 * p.kernels[0].values + 0.7 * p.kernels[1].values)
-        m = solve_dual(TrainingSet(labels=p.labels, gram=mixed), p.C, tol=p.inner_tol)
+        m = solve_dual(mixed, p.labels, p.C, tol=p.inner_tol)
         assert J == pytest.approx(m.objective, rel=1e-6)
 
     def test_state_counts_solves_and_warm_starts(self):
@@ -66,8 +79,7 @@ class TestMixtureFree:
         return p
 
     def _explicit(self, p: MklProblem, d, warm_start=None):
-        ts = TrainingSet(labels=p.labels, gram=mix_kernels(p, d))
-        return solve_dual(ts, p.C, tol=self.TOL, warm_start=warm_start)
+        return solve_dual(mix_kernels(p, d), p.labels, p.C, tol=self.TOL, warm_start=warm_start)
 
     def _assert_same(self, point, ref):
         np.testing.assert_allclose(point.alpha, ref.alpha, rtol=0.0, atol=1e-8)
@@ -101,7 +113,7 @@ class TestMixtureFree:
         p = self._problem(4)
         d = np.array([0.0, 1.0, 0.0])
         point = _evaluate(p, d, MklState())
-        ref = solve_dual(TrainingSet(labels=p.labels, gram=p.kernels[1]), p.C, tol=self.TOL)
+        ref = solve_dual(p.kernels[1], p.labels, p.C, tol=self.TOL)
         np.testing.assert_array_equal(point.alpha, ref.alpha)
         self._assert_same(point, ref)
         assert point.smo == (ref.n_iter, ref.kkt_violation, ref.converged)
@@ -421,7 +433,8 @@ class TestInexactOracle:
         ref.svm_tol = 1e-12
         ref.max_iters = 1000
         ref_sol = solve_accpm(ref)
-        assume(ref_sol.converged)  # a tight run can end on a numerically empty localization set
+        # a tight run can end on a numerically empty localization set
+        assume(ref_sol.status in ("converged", "flat_gradient"))
         z_star = ref_sol.d[:-1]
         cuts = []
         with pytest.MonkeyPatch.context() as mp:
@@ -439,8 +452,7 @@ class TestInexactOracle:
         for point, a, b in cuts:
             assert float(a @ z_star) <= b + 1e-9
             if point.smo[1] > p.inner_tol:
-                exact = solve_dual(TrainingSet(labels=p.labels, gram=mix_kernels(p, point.d)),
-                                   p.C, tol=1e-12)
+                exact = solve_dual(mix_kernels(p, point.d), p.labels, p.C, tol=1e-12)
                 assert point.eps >= exact.objective - point.J - 1e-12 * max(1.0, abs(point.J))
 
 

@@ -3,25 +3,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import make_svm_problem, qp_projected_gradient, solve_tight
+from oracles import SvmProblem, make_svm_problem, qp_projected_gradient, solve_tight
 
 from newsmkl import _smo
 from newsmkl.kernels import GramMatrix, KernelSpec, gram_matrix
-from newsmkl.svm import (SvmError, TrainingSet, dual_objective, model_to_dict,
+from newsmkl.svm import (SvmError, dual_objective, model_to_dict,
                          predict_many, primal_dual_gap, project_feasible, recover_bias,
                          solve_dual)
 
 
 def two_point_problem(shift: float = 0.0, C: float = 10.0):
     pts = [[-1.0 + shift], [1.0 + shift]]
-    ts = TrainingSet(labels=[-1.0, 1.0], gram=gram_matrix(KernelSpec(kind="linear"), pts))
+    ts = SvmProblem(labels=np.array([-1.0, 1.0]), gram=gram_matrix(KernelSpec(kind="linear"), pts))
     return ts, C
 
 
 class TestSolveDual:
     def test_two_point_analytic_solution(self):
         ts, C = two_point_problem()
-        m = solve_dual(ts, C, tol=1e-10)
+        m = solve_dual(ts.gram, ts.labels, C, tol=1e-10)
         np.testing.assert_allclose(m.alpha, [0.5, 0.5], atol=1e-12)
         assert m.bias == pytest.approx(0.0, abs=1e-12)
         assert m.objective == pytest.approx(0.5, abs=1e-12)
@@ -29,26 +29,26 @@ class TestSolveDual:
     def test_C_zero_rejected(self):
         ts, _ = two_point_problem()
         with pytest.raises(SvmError):
-            solve_dual(ts, C=0.0)
+            solve_dual(ts.gram, ts.labels, C=0.0)
 
     @pytest.mark.parametrize("C, tol", [(np.nan, 1e-3), (np.inf, 1e-3), (10.0, np.nan), (10.0, np.inf)])
     def test_C_and_tol_must_be_positive_and_finite(self, C, tol):
         ts, _ = make_svm_problem(0)
         with pytest.raises(SvmError, match="must be positive and finite"):
-            solve_dual(ts, C, tol=tol, max_iter=1000)  # a tol of nan is never met: stop soon without the check
+            # a tol of nan is never met: stop soon without the check
+            solve_dual(ts.gram, ts.labels, C, tol=tol, max_iter=1000)
 
     def test_single_class_rejected(self):
         g = gram_matrix(KernelSpec(kind="linear"), [[1.0], [2.0]])
-        ts = TrainingSet(labels=[1.0, 1.0], gram=g)
-        with pytest.raises(SvmError):
-            solve_dual(ts, C=1.0)
+        with pytest.raises(SvmError, match="single class"):
+            solve_dual(g, [1.0, 1.0], C=1.0)
 
     def test_labels_must_be_plus_minus_one(self):
         g = gram_matrix(KernelSpec(kind="linear"), [[1.0], [2.0]])
-        with pytest.raises(SvmError):
-            TrainingSet(labels=[1.0, 0.0], gram=g)
-        with pytest.raises(SvmError):
-            TrainingSet(labels=[1.0, -1.0, 1.0], gram=g)
+        with pytest.raises(SvmError, match="must be -1 or \\+1"):
+            solve_dual(g, [1.0, 0.0], C=1.0)
+        with pytest.raises(SvmError, match="does not match kernel size"):
+            solve_dual(g, [1.0, -1.0, 1.0], C=1.0)
 
     def test_matches_projected_gradient_oracle(self):
         for seed in range(10):
@@ -61,7 +61,7 @@ class TestSolveDual:
     def test_feasibility_and_kkt_invariants(self):
         for seed in range(8):
             ts, C = make_svm_problem(seed)
-            m = solve_dual(ts, C, tol=1e-6)
+            m = solve_dual(ts.gram, ts.labels, C, tol=1e-6)
             assert np.all(m.alpha >= 0.0) and np.all(m.alpha <= C)
             assert abs(float(m.alpha @ ts.labels)) <= 1e-9 * max(1.0, C)
             assert m.kkt_violation <= 1e-6
@@ -69,8 +69,8 @@ class TestSolveDual:
 
     def test_warm_start_same_problem_converges_immediately(self):
         ts, C = make_svm_problem(4)
-        m1 = solve_dual(ts, C, tol=1e-8)
-        m2 = solve_dual(ts, C, tol=1e-8, warm_start=m1.alpha)
+        m1 = solve_dual(ts.gram, ts.labels, C, tol=1e-8)
+        m2 = solve_dual(ts.gram, ts.labels, C, tol=1e-8, warm_start=m1.alpha)
         assert m2.n_iter <= 2
         assert m2.objective == pytest.approx(m1.objective, rel=1e-12)
 
@@ -78,9 +78,9 @@ class TestSolveDual:
         rng = np.random.default_rng(0)
         ts, C = make_svm_problem(6)
         m = solve_tight(ts, C)
-        perm = rng.permutation(ts.size)
+        perm = rng.permutation(len(ts.labels))
         K_perm = ts.gram.values[np.ix_(perm, perm)]
-        ts_perm = TrainingSet(labels=ts.labels[perm], gram=GramMatrix(values=K_perm))
+        ts_perm = SvmProblem(labels=ts.labels[perm], gram=GramMatrix(values=K_perm))
         m_perm = solve_tight(ts_perm, C)
         # the same test point: its kernel row permutes along with training order
         row = ts.gram.values[3:4]
@@ -93,7 +93,7 @@ class TestSolveDual:
             ts, C = make_svm_problem(seed)
             m = solve_tight(ts, C)
             rng = np.random.default_rng(seed)
-            a = project_feasible(rng.uniform(0, C, ts.size), ts.labels, C)
+            a = project_feasible(rng.uniform(0, C, len(ts.labels)), ts.labels, C)
             Q = (ts.labels[:, None] * ts.labels[None, :]) * ts.gram.values
             feas_obj = float(a.sum()) - 0.5 * float(a @ (Q @ a))
             assert m.objective >= feas_obj - 1e-6 * max(1.0, abs(feas_obj))
@@ -124,13 +124,13 @@ class TestSmoKkt:
 class TestBias:
     def test_symmetric_problem_zero_bias(self):
         ts, C = two_point_problem()
-        assert solve_dual(ts, C).bias == pytest.approx(0.0, abs=1e-12)
+        assert solve_dual(ts.gram, ts.labels, C).bias == pytest.approx(0.0, abs=1e-12)
 
     def test_translated_points_shift_bias(self):
         # both points shifted by +c with a linear kernel: w stays 1, b becomes -c
         for c in (0.5, 2.0, -1.5):
             ts, C = two_point_problem(shift=c)
-            m = solve_dual(ts, C, tol=1e-10)
+            m = solve_dual(ts.gram, ts.labels, C, tol=1e-10)
             assert m.bias == pytest.approx(-c, abs=1e-9)
 
     def test_all_bound_support_vectors_use_interval_midpoint(self):
@@ -138,7 +138,7 @@ class TestBias:
         # [max lower, min upper] = [y_i - S_i bounds] computed by hand
         ts, _ = two_point_problem()
         C = 0.1
-        m = solve_dual(ts, C, tol=1e-12)
+        m = solve_dual(ts.gram, ts.labels, C, tol=1e-12)
         np.testing.assert_allclose(m.alpha, [C, C], atol=1e-15)
         S = ts.gram.values @ (ts.labels * m.alpha)
         u = ts.labels - S
@@ -167,7 +167,7 @@ class TestPrimalDualGap:
         for seed in range(12):
             ts, C = make_svm_problem(seed)
             y, K = ts.labels, ts.gram.values
-            alpha, grad = np.zeros(ts.size), -np.ones(ts.size)
+            alpha, grad = np.zeros(len(ts.labels)), -np.ones(len(ts.labels))
             _smo.solve(K.__getitem__, np.diagonal(K), y, alpha, grad, C, 0.3, 10**6)  # loose
             eps = primal_dual_gap(alpha, y, grad, C)
             u = -y * grad  # the bound is piecewise linear in b with breakpoints at u
@@ -189,25 +189,25 @@ class TestPrimalDualGap:
 class TestPredict:
     def test_decision_value_and_label(self):
         ts, C = two_point_problem()
-        m = solve_dual(ts, C, tol=1e-10)
+        m = solve_dual(ts.gram, ts.labels, C, tol=1e-10)
         labels, values = predict_many(m, ts.labels, [[-2.0, 2.0]])
         assert (labels[0], values[0]) == (1, pytest.approx(2.0))
 
     def test_zero_decision_maps_to_plus_one(self):
         ts, C = two_point_problem()
-        m = solve_dual(ts, C, tol=1e-10)
+        m = solve_dual(ts.gram, ts.labels, C, tol=1e-10)
         labels, values = predict_many(m, ts.labels, [[0.0, 0.0]])
         assert values[0] == 0.0 and labels[0] == 1
 
     def test_training_points_classified_correctly_when_separable(self):
         ts, C = two_point_problem()
-        m = solve_dual(ts, C, tol=1e-10)
+        m = solve_dual(ts.gram, ts.labels, C, tol=1e-10)
         labels, _ = predict_many(m, ts.labels, ts.gram.values)
         np.testing.assert_array_equal(labels, ts.labels)
 
     def test_row_length_mismatch(self):
         ts, C = two_point_problem()
-        m = solve_dual(ts, C)
+        m = solve_dual(ts.gram, ts.labels, C)
         with pytest.raises(SvmError):
             predict_many(m, ts.labels, [[1.0, 2.0, 3.0]])
         with pytest.raises(SvmError):
@@ -236,5 +236,5 @@ class TestSerialization:
         assert (rec["n_iter"], rec["kkt_violation"]) == (m.n_iter, m.kkt_violation)
         assert rec["kernels"] == [{"kind": "linear"}] and rec["mkl_weights"] == [1.0] and rec["mkl"] == mkl
         assert rec["converged"] is True
-        stalled = solve_dual(ts, C, max_iter=1)
+        stalled = solve_dual(ts.gram, ts.labels, C, max_iter=1)
         assert model_to_dict(stalled, kernels=[], mkl_weights=[1.0], mkl=mkl)["converged"] is False

@@ -38,10 +38,19 @@ class TestDictionary:
             Dictionary(stems=("Upper",))
         with pytest.raises(TextError):
             Dictionary(stems=("two words",))
+        # tokenize strips every character but a-z and 0-9, so no cleaned token could match these
+        for stem in ("m&a", "é", "\ufeffacqui", "up-"):
+            with pytest.raises(TextError, match="a stem is made of a-z and 0-9"):
+                Dictionary(stems=(stem,))
 
     def test_parse_skips_comments_and_blanks(self):
         d = parse_dictionary("# comment\nacqui\n\nlead\n# more\nup\n")
         assert d.stems == ("acqui", "lead", "up")
+
+    def test_parse_lowercases_and_names_the_bad_line(self):
+        assert parse_dictionary("ACQUI\r\nLead\n").stems == ("acqui", "lead")
+        with pytest.raises(TextError, match="^stems.txt:4: bad dictionary line: duplicate stem 'up'$"):
+            parse_dictionary("up\n\n# c\nUP\n", source="stems.txt")
 
     def test_stem_index_is_not_part_of_identity(self):
         import pickle
