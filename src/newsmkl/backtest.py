@@ -23,14 +23,14 @@ import numpy as np
 
 from .kernels import (GramMatrix, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist,
                       release_freed_memory, sqdist)
-from .market import (FeatureRecord, LabelingConfig, PriceSeries, _key_month, _month_key, label_records,
-                     label_threshold, month_of, prepare_records_by_horizon)
+from .market import (FeatureRecord, LabelingConfig, PriceSeries, _datetime_month_key, _key_month, _month_key,
+                     label_records, label_threshold, month_of, prepare_records_by_horizon)
 # not called here; the acceptance tests and the benchmark probe read it through this module
 from .market import prepare_feature_records  # noqa: F401
 from .mkl import (DEFAULT_GAP_TOL, DEFAULT_SOLVER, SOLVERS, MklProblem, MklSolution,
                   check_c_and_gap_tol, get_solver)
 from .svm import predict_many
-from .text import Dictionary, Document, TfidfModel, fit_tfidf, transform_tfidf_many
+from .text import Dictionary, Document, fit_tfidf, transform_tfidf_many
 
 log = logging.getLogger(__name__)
 
@@ -318,40 +318,26 @@ class BacktestConfig:
 @dataclass
 class PlanKernels:
     """A plan's kernels on one training set and their cross-Gram blocks
-    against one test set: the tf-idf fit, the resolved specs, one
-    trace-normalized Gram per plan kernel, and one training matrix per
-    feature the plan reads. Each (n_test, n_train) block is built on first
-    use and kept, so every fit scored on the test set (the C values of
-    chronological CV) reuses it."""
+    against one test set: the resolved specs, one trace-normalized Gram per
+    plan kernel, and one training and one test matrix per feature the plan
+    reads. Each (n_test, n_train) block is built on first use and kept, so
+    every fit scored on the test set (the C values of chronological CV)
+    reuses it."""
 
     plan: list[PlanKernel]
-    records: list[FeatureRecord]
-    test_records: list[FeatureRecord]
-    tfidf: TfidfModel
     specs: list[KernelSpec]
     grams: list[GramMatrix]
     features: dict[str, np.ndarray]
+    test_features: dict[str, np.ndarray]
     _blocks: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
-    _test_features: dict[str, np.ndarray] | None = field(default=None, init=False, repr=False)
 
     def block(self, k: int) -> np.ndarray:
         """Kernel k's (n_test, n_train) cross-Gram block."""
         if k not in self._blocks:
-            if self._test_features is None:
-                text = transform_tfidf_many(self.tfidf, *_text_counts(self.test_records))
-                self._test_features = {f: FEATURES[f](self.test_records, text) for f in self.features}
             feature = self.plan[k].feature
             self._blocks[k] = cross_gram(self.specs[k], self.features[feature],
-                                         self._test_features[feature], scale=self.grams[k].scale)
+                                         self.test_features[feature], scale=self.grams[k].scale)
         return self._blocks[k]
-
-    def mix(self, d) -> np.ndarray:
-        """(n_test, n_train) rows of the mixture sum_k d_k K_k(x_i, x)."""
-        rows = np.zeros((len(self.test_records), len(self.records)))
-        for k, w in enumerate(d):
-            if w != 0.0:
-                rows += w * self.block(k)
-        return rows
 
     def descriptions(self) -> list[dict]:
         """Each kernel's resolved spec, name, feature and trace scale, as model.json lists them."""
@@ -379,10 +365,11 @@ def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord],
     next feature. A kernel that cannot be built (a zero-trace kernel)
     raises KernelError naming the plan kernel, the first in that order.
     `test_records` are the events the kernels will score (none for a model
-    trained on every event)."""
+    trained on every event); their feature matrices are built beside the
+    Grams, by the training corpus's idf."""
     counts, lengths = _text_counts(train_records)
-    tf = fit_tfidf(counts)
-    text = transform_tfidf_many(tf, counts, lengths)
+    idf = fit_tfidf(counts)
+    text = transform_tfidf_many(idf, counts, lengths)
     on_feature: dict[str, list[int]] = {}
     for k, pk in enumerate(plan):
         on_feature.setdefault(pk.feature, []).append(k)
@@ -401,8 +388,12 @@ def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord],
             except KernelError as exc:
                 raise KernelError(f"kernel {plan[k].name!r}: {exc}") from exc
         del D  # before the next feature's distances are computed
-    return PlanKernels(plan=plan, records=train_records, test_records=list(test_records), tfidf=tf,
-                       specs=specs, grams=grams, features=features)
+    test_features = {}
+    if test_records:
+        test_text = transform_tfidf_many(idf, *_text_counts(test_records))
+        test_features = {f: FEATURES[f](test_records, test_text) for f in features}
+    return PlanKernels(plan=plan, specs=specs, grams=grams, features=features,
+                       test_features=test_features)
 
 
 def fit_plan(kernels: PlanKernels, y_train: np.ndarray, C: float, solver: str,
@@ -415,9 +406,14 @@ def fit_plan(kernels: PlanKernels, y_train: np.ndarray, C: float, solver: str,
 
 
 def predict_records(kernels: PlanKernels, solution: MklSolution, y_train: np.ndarray) -> np.ndarray:
-    """Predictions for `kernels.test_records` by a solution fitted on
-    `kernels` with training labels `y_train`."""
-    return predict_many(solution.model, y_train.astype(np.float64), kernels.mix(solution.d))[0]
+    """Predictions for the test events of `kernels` by a solution fitted on
+    `kernels` with training labels `y_train`: the decision values are
+    sum_k d_k B_k (y * alpha) + b over the kernels of nonzero weight, with
+    B_k kernel k's cross-Gram block, so no mixed block is built."""
+    v = y_train.astype(np.float64) * solution.model.alpha
+    used = np.flatnonzero(solution.d)
+    k_alpha = solution.d[used] @ np.array([kernels.block(k) @ v for k in used])
+    return predict_many(solution.model, k_alpha)[0]
 
 
 CV_SPLIT = 0.75  # the earlier share of a window's training events that CV trains on
@@ -489,7 +485,7 @@ def window_records(cfg: BacktestConfig, window: Window,
     lo, hi, test = (_month_key(m) for m in (window.train_start, window.train_end, window.test_month))
     if test <= hi:
         raise BacktestError(f"out-of-sample violation: window {window_id(window)}")
-    keys = [_month_key(month_of(r.timestamp)) for r in records]
+    keys = [_datetime_month_key(r.timestamp) for r in records]
     train_records = [r for r, k in zip(records, keys) if lo <= k <= hi]
     if cfg.train_min_event_time is not None:
         train_records = [r for r in train_records if r.timestamp.time() >= cfg.train_min_event_time]

@@ -19,8 +19,8 @@ from datetime import datetime, time, timedelta, timezone
 
 import numpy as np
 
-from .text import (Dictionary, Document, bag_of_words, tokenize, _format_timestamp, _parse_timestamp,
-                   _utf8_line)
+from .text import (Dictionary, Document, bag_of_words, tokenize, _csv_cell, _format_timestamp,
+                   _parse_timestamp, _utf8_line)
 
 TRADING_DAY_START = time(9, 30)
 TRADING_DAY_END = time(16, 0)
@@ -58,6 +58,11 @@ def _month_key(ym: str) -> int:
     if not _MONTH.fullmatch(ym):
         raise MarketError(f"expected a YYYY-MM month, got {ym!r}")
     return int(ym[:4]) * 12 + int(ym[5:]) - 1
+
+
+def _datetime_month_key(t: datetime) -> int:
+    """`_month_key(month_of(t))` without the string."""
+    return 12 * t.year + t.month - 1
 
 
 def _key_month(k: int) -> str:
@@ -478,7 +483,7 @@ def write_events_csv(path, records: list[FeatureRecord], labels, horizon_minutes
             rets = ",".join(repr(float(v)) for v in r.return_features)
             tod = ",".join(str(int(v)) for v in r.time_of_day)
             dow = ",".join(str(int(v)) for v in r.day_of_week)
-            fh.write(f"{r.doc_id},{r.ticker},{_format_timestamp(r.timestamp)},"
+            fh.write(f"{_csv_cell(r.doc_id)},{r.ticker},{_format_timestamp(r.timestamp)},"
                      f"{horizon_minutes},{rets},{tod},{dow},{repr(r.abs_return)},{int(label)}\n")
 
 

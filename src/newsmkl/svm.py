@@ -4,7 +4,7 @@ Solves  max_a  e'a - 1/2 a' diag(y) K diag(y) a
         s.t.   y'a = 0,  0 <= a <= C
 
 on a precomputed Gram matrix, recovers the bias from the KKT conditions,
-and evaluates the resulting decision function on kernel rows.
+and evaluates the resulting decision function on kernel products.
 """
 
 from __future__ import annotations
@@ -187,13 +187,11 @@ def primal_dual_gap(alpha: np.ndarray, y: np.ndarray, grad: np.ndarray, C: float
     return float(alpha @ grad) + C * float(np.maximum(0.0, y * (u - b)).sum())
 
 
-def predict_many(model: SvmModel, labels: np.ndarray, rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Labels and decision values over a (n_points, l) matrix of kernel rows
-    k(x_i, x): d = rows (y * alpha) + b, and d >= 0 (exactly 0 too) gives +1."""
-    rows = np.asarray(rows, dtype=np.float64)
-    if rows.ndim != 2 or rows.shape[1] != labels.shape[0]:
-        raise SvmError("rows must be (n_points, training size)")
-    d = rows @ (labels * model.alpha) + model.bias
+def predict_many(model: SvmModel, k_alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Labels and decision values of points given k_alpha, each point's
+    kernel products sum_i y_i a_i k(x_i, x): d = k_alpha + b, and d >= 0
+    (exactly 0 too) gives +1."""
+    d = np.asarray(k_alpha, dtype=np.float64) + model.bias
     return np.where(d >= 0.0, 1, -1), d
 
 

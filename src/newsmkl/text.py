@@ -114,54 +114,36 @@ def bag_of_words(doc: Document | str | list[str], dictionary: Dictionary) -> np.
     return np.bincount(np.array(hits, dtype=np.int64), minlength=dictionary.size)
 
 
-@dataclass(frozen=True)
-class TfidfModel:
-    """Per-stem document frequencies fit on a (training) corpus."""
-
-    doc_frequency: np.ndarray
-    n_docs: int
-    n_stems: int
-
-    def __post_init__(self):
-        df = np.asarray(self.doc_frequency, dtype=np.int64)
-        if np.any(df < 0) or np.any(df > self.n_docs):
-            raise TextError("document frequencies must lie in [0, n_docs]")
-        df.flags.writeable = False
-        object.__setattr__(self, "doc_frequency", df)
-
-    @property
-    def idf(self) -> np.ndarray:
-        """log(N / DF), with 0 where DF = 0 (absent stems contribute nothing)."""
-        df = self.doc_frequency
-        out = np.zeros(self.n_stems, dtype=np.float64)
-        present = df > 0
-        out[present] = np.log(self.n_docs / df[present])
-        return out
-
-
-def fit_tfidf(corpus) -> TfidfModel:
-    """Fit document frequencies from a corpus of count vectors."""
+def fit_tfidf(corpus) -> np.ndarray:
+    """The read-only idf vector log(N / DF) of a corpus of count vectors,
+    with 0 where DF = 0 (absent stems contribute nothing)."""
     X = np.asarray(corpus)
     if X.ndim != 2 or X.shape[0] == 0:
         raise TextError("corpus must be a nonempty (n_docs, n_stems) count array")
     df = (X > 0).sum(axis=0).astype(np.int64)
-    return TfidfModel(doc_frequency=df, n_docs=X.shape[0], n_stems=X.shape[1])
+    idf = np.zeros(X.shape[1], dtype=np.float64)
+    present = df > 0
+    idf[present] = np.log(X.shape[0] / df[present])
+    idf.flags.writeable = False
+    return idf
 
 
-def transform_tfidf_many(model: TfidfModel, counts: np.ndarray, doc_lengths: np.ndarray) -> np.ndarray:
+def transform_tfidf_many(idf: np.ndarray, counts: np.ndarray, doc_lengths: np.ndarray) -> np.ndarray:
     """TF-IDF rows for a (n_docs, n_stems) count matrix and each document's
     total token count (the TF denominator: all tokens, not just dictionary
-    hits). A zero-length document must have zero counts."""
+    hits), by the idf vector `fit_tfidf` gives. A zero-length document must
+    have zero counts."""
     C = np.asarray(counts, dtype=np.float64)
     L = np.asarray(doc_lengths, dtype=np.float64).ravel()
-    if C.ndim != 2 or C.shape[1] != model.n_stems:
-        raise TextError(f"count matrix of shape {C.shape} does not have {model.n_stems} stem columns")
+    n_stems = idf.shape[0]
+    if C.ndim != 2 or C.shape[1] != n_stems:
+        raise TextError(f"count matrix of shape {C.shape} does not have {n_stems} stem columns")
     if L.shape[0] != C.shape[0]:
         raise TextError(f"{L.shape[0]} document lengths for {C.shape[0]} count rows")
     if np.any((L <= 0) & (C.sum(axis=1) > 0)):
         raise TextError("zero doc_length with nonzero counts")
     safe = np.maximum(L, 1.0)
-    return (C / safe[:, None]) * model.idf[None, :]
+    return (C / safe[:, None]) * idf[None, :]
 
 
 # ---------------------------------------------------------------------------
@@ -189,6 +171,8 @@ def parse_dictionary(content: str, source="dictionary") -> Dictionary:
         except ValueError as exc:
             raise TextError(f"{source}:{ln}: bad dictionary line: {exc}") from exc
         stems.append(stem)
+    if not stems:
+        raise TextError(f"{source}: dictionary is empty")
     return Dictionary(stems=tuple(stems))
 
 
@@ -206,6 +190,14 @@ def _parse_timestamp(raw: str) -> datetime:
 def _format_timestamp(t: datetime) -> str:
     """`t` in UTC as `YYYY-MM-DDTHH:MM:SSZ`, the form of every timestamp this package writes."""
     return _as_utc(t).strftime("%Y-%m-%dT%H:%M:%SZ")
+
+
+def _csv_cell(value: str) -> str:
+    """`value` as one CSV cell that `csv.reader` reads back as written: in
+    double quotes, inner quotes doubled, when it holds `,`, `"`, CR or LF."""
+    if any(c in value for c in ',"\r\n'):
+        return '"' + value.replace('"', '""') + '"'
+    return value
 
 
 def _utf8_line(line: str) -> str:
@@ -261,4 +253,4 @@ def write_features_csv(path, ids: list[str], counts: np.ndarray, dictionary: Dic
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("id," + ",".join(dictionary.stems) + "\n")
         for doc_id, row in zip(ids, counts):
-            fh.write(doc_id + "," + ",".join(str(int(v)) for v in row) + "\n")
+            fh.write(_csv_cell(doc_id) + "," + ",".join(str(int(v)) for v in row) + "\n")

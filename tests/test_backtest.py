@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 from oracles import eval_kernel, naive_accuracy_recall, naive_sharpe, triu_median_sqdist
 
 from newsmkl import backtest as bt
-from newsmkl import kernels, market, mkl
+from newsmkl import kernels, market, mkl, svm
 from newsmkl.market import SynthSpec, synth_generate
 from newsmkl.kernels import KERNEL_KINDS, KernelError
 from newsmkl.text import Dictionary, default_dictionary, fit_tfidf, transform_tfidf_many
@@ -685,7 +685,7 @@ class TestPerFeatureBuild:
         train, test = KERNEL_DATA
         plan = bt.named_plan("mkl13")
         built = bt.build_kernels(plan, train, test)
-        test_text = self._tfidf_rows(built.tfidf, test)
+        test_text = self._tfidf_rows(fit_tfidf(bt._text_counts(train)[0]), test)
         for k, (pk, spec, g) in enumerate(zip(plan, built.specs, built.grams)):
             block = built.block(k)
             assert block.shape == (len(test), len(train))
@@ -698,6 +698,65 @@ class TestPerFeatureBuild:
                 for j in range(len(train)):
                     assert block[i, j] == pytest.approx(eval_kernel(spec, X[j], T[i]) * g.scale,
                                                         rel=1e-10, abs=1e-15), (pk.name, i, j)
+
+
+class TestMixedPrediction:
+    """`predict_records` sums each kernel's product with y * alpha instead of
+    building the mixed block sum_k d_k B_k, and scores the test events as
+    the dense mixture does: to 1e-12 on mixed weights, bit for bit on one
+    kernel. No benchmark workload reaches mixed weights."""
+
+    @pytest.fixture(scope="class")
+    def window(self):
+        docs, prices, _ = synth_fixture(seed=21, n_events=600, n_months=13)
+        cfg = bt.BacktestConfig(plan=bt.named_plan("mkl13"), horizons=(30,))
+        labeling = cfg.labeling(30)
+        records, _ = bt.prepare_feature_records(docs, prices, default_dictionary(), labeling)
+        months = sorted({bt.month_of(r.timestamp) for r in records})
+        [window] = bt.build_windows(months[0], months[-1])
+        train, test = bt.window_records(cfg, window, records)
+        y = market.label_records(train, labeling, market.label_threshold(train, labeling))
+        return bt.build_kernels(cfg.plan, train, test), y.astype(np.float64)
+
+    @staticmethod
+    def _predict(kernels, d, y, monkeypatch):
+        """`predict_records`' labels and decision values, and the dense
+        mixture's, for an SVM solved on the mixed Gram of weights `d`."""
+        problem = mkl.MklProblem(kernels=kernels.grams, labels=y, C=10.0)
+        model = svm.solve_dual(mkl.mix_kernels(problem, d), y, 10.0)
+        solution = mkl.MklSolution(d=d, model=model, objective=0.0, gap=0.0, iterations=0,
+                                   svm_solves=1, smo_iterations=0, smo_not_converged=0,
+                                   status="converged")
+        seen = []
+
+        def recording(*args):
+            seen.append(svm.predict_many(*args))
+            return seen[-1]
+        monkeypatch.setattr(bt, "predict_many", recording)
+        labels = bt.predict_records(kernels, solution, y)
+        dense = sum(w * kernels.block(k) for k, w in enumerate(d) if w != 0.0)
+        values = dense @ (y * model.alpha) + model.bias
+        return labels, seen[0][1], np.where(values >= 0.0, 1, -1), values
+
+    def test_mixed_weights_score_as_the_dense_mixture(self, window, monkeypatch):
+        kernels, y = window
+        rng = np.random.default_rng(0)
+        n = len(kernels.plan)
+        for _ in range(8):
+            d = rng.dirichlet(np.ones(n))
+            d[rng.permutation(n)[:n // 2]] = 0.0
+            d /= d.sum()
+            labels, values, dense_labels, dense_values = self._predict(kernels, d, y, monkeypatch)
+            np.testing.assert_array_equal(labels, dense_labels)
+            np.testing.assert_allclose(values, dense_values, rtol=0.0, atol=1e-12)
+
+    def test_one_kernel_scores_as_its_block_bit_for_bit(self, window, monkeypatch):
+        kernels, y = window
+        for k in (0, 3, len(kernels.plan) - 1):
+            d = np.eye(len(kernels.plan))[k]
+            labels, values, dense_labels, dense_values = self._predict(kernels, d, y, monkeypatch)
+            np.testing.assert_array_equal(labels, dense_labels)
+            np.testing.assert_array_equal(values, dense_values)
 
 
 class TestKernelReuse:

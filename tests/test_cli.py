@@ -1,4 +1,5 @@
 import argparse
+import csv
 import dataclasses
 import json
 import subprocess
@@ -153,6 +154,42 @@ class TestLabel:
         labels = {ln.split(",")[-1] for ln in lines[1:]}
         assert labels <= {"1", "-1"}
         assert len(lines) > 300
+
+
+class TestIdsInCsv:
+    """An id holding a comma, a quote, LF or CR is quoted in features.csv
+    and events.csv, so `csv.reader` reads every row as wide as the header,
+    with the id as written."""
+
+    ODD = ("a,b", 'c"d', "e\nf", "g\rh")
+
+    @pytest.fixture(scope="class")
+    def odd_docs(self, synth_dir, tmp_path_factory):
+        lines = (synth_dir / "docs.jsonl").read_text().splitlines()
+        ids, out = [], []
+        for i, line in enumerate(lines):
+            rec = json.loads(line)
+            rec["id"] = f"{self.ODD[i % len(self.ODD)]}{i}"
+            ids.append(rec["id"])
+            out.append(json.dumps(rec))
+        path = tmp_path_factory.mktemp("odd") / "docs.jsonl"
+        path.write_text("\n".join(out) + "\n")
+        return path, ids
+
+    @pytest.mark.parametrize("command", ["featurize", "label"])
+    def test_rows_read_back_with_their_ids(self, synth_dir, odd_docs, tmp_path, command):
+        docs, ids = odd_docs
+        extra = ["--prices", str(synth_dir / "prices.csv"), "--horizon", "10"] if command == "label" else []
+        out_csv = tmp_path / "out.csv"
+        run_cli(command, "--docs", str(docs), *extra, "--out", str(out_csv))
+        with open(out_csv, newline="", encoding="utf-8") as fh:
+            header, *rows = list(csv.reader(fh))
+        assert len(rows) > 300
+        assert all(len(row) == len(header) for row in rows)
+        read = [row[0] for row in rows]
+        assert set(read) <= set(ids)
+        assert read == [i for i in ids if i in set(read)]  # input order
+        assert {i[:3] for i in read} == set(self.ODD)
 
 
 class TestTrain:
@@ -431,6 +468,8 @@ class TestErrors:
         (b"\xef\xbb\xbfacqui\nmerg\n",
          "1: bad dictionary line: invalid stem '\\ufeffacqui': a stem is made of a-z and 0-9"),
         (b"acqui\n# comment\nm&a\n", "3: bad dictionary line: invalid stem 'm&a': a stem is made of a-z and 0-9"),
+        (b"", " dictionary is empty"),
+        (b"# only comments\n\n# and blank lines\n", " dictionary is empty"),
     ])
     def test_bad_dictionary_line_single_line_json_error(self, tmp_path, content, message):
         docs, stems = tmp_path / "docs.jsonl", tmp_path / "stems.txt"

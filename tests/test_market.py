@@ -480,6 +480,7 @@ class TestMonths:
         month = market.month_of(t)
         assert market._month_key(month) == 12 * t.year + t.month - 1
         assert market._key_month(market._month_key(month)) == month
+        assert market._datetime_month_key(t) == market._month_key(month)
 
     @pytest.mark.parametrize("month", ["2004-13", "2004-00", "2004-1", "04-01", "2004/01",
                                        "2004-01-05", " 2004-01", "2004-01\n", "\uff12004-01", ""])

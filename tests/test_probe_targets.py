@@ -100,5 +100,5 @@ def test_backtest_spans_stay_live():
     recorded = {name for name, *_ in probe.spans}
     for span in ("backtest.run_window", "backtest.chrono_cv", "backtest.fit_plan",
                  "backtest.predict_records", "kernels.gram_matrix", "kernels.cross_gram",
-                 "smo.solve"):
+                 "smo.solve", "svm.predict_many", "text.tfidf"):
         assert span in recorded, span

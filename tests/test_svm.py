@@ -84,8 +84,8 @@ class TestSolveDual:
         m_perm = solve_tight(ts_perm, C)
         # the same test point: its kernel row permutes along with training order
         row = ts.gram.values[3:4]
-        _, d1 = predict_many(m, ts.labels, row)
-        _, d2 = predict_many(m_perm, ts_perm.labels, row[:, perm])
+        _, d1 = predict_many(m, row @ (ts.labels * m.alpha))
+        _, d2 = predict_many(m_perm, row[:, perm] @ (ts_perm.labels * m_perm.alpha))
         assert d2[0] == pytest.approx(d1[0], rel=1e-8, abs=1e-10)
 
     def test_objective_dominates_any_feasible_point(self):
@@ -190,36 +190,29 @@ class TestPredict:
     def test_decision_value_and_label(self):
         ts, C = two_point_problem()
         m = solve_dual(ts.gram, ts.labels, C, tol=1e-10)
-        labels, values = predict_many(m, ts.labels, [[-2.0, 2.0]])
+        labels, values = predict_many(m, np.array([[-2.0, 2.0]]) @ (ts.labels * m.alpha))
         assert (labels[0], values[0]) == (1, pytest.approx(2.0))
 
     def test_zero_decision_maps_to_plus_one(self):
         ts, C = two_point_problem()
         m = solve_dual(ts.gram, ts.labels, C, tol=1e-10)
-        labels, values = predict_many(m, ts.labels, [[0.0, 0.0]])
+        labels, values = predict_many(m, np.array([[0.0, 0.0]]) @ (ts.labels * m.alpha))
         assert values[0] == 0.0 and labels[0] == 1
 
     def test_training_points_classified_correctly_when_separable(self):
         ts, C = two_point_problem()
         m = solve_dual(ts.gram, ts.labels, C, tol=1e-10)
-        labels, _ = predict_many(m, ts.labels, ts.gram.values)
+        labels, _ = predict_many(m, ts.gram.values @ (ts.labels * m.alpha))
         np.testing.assert_array_equal(labels, ts.labels)
-
-    def test_row_length_mismatch(self):
-        ts, C = two_point_problem()
-        m = solve_dual(ts.gram, ts.labels, C)
-        with pytest.raises(SvmError):
-            predict_many(m, ts.labels, [[1.0, 2.0, 3.0]])
-        with pytest.raises(SvmError):
-            predict_many(m, ts.labels, [1.0, 2.0])  # a bare row, not a (1, l) matrix
 
     def test_predict_many_rows_match_one_row_calls(self):
         ts, C = make_svm_problem(2)
         m = solve_tight(ts, C)
         rows = ts.gram.values[:, :4].T
-        labels, values = predict_many(m, ts.labels, rows)
+        v = ts.labels * m.alpha
+        labels, values = predict_many(m, rows @ v)
         for i in range(4):
-            l1, v1 = predict_many(m, ts.labels, rows[i:i + 1])
+            l1, v1 = predict_many(m, rows[i:i + 1] @ v)
             assert (labels[i], values[i]) == (l1[0], pytest.approx(v1[0]))
             assert v1[0] == pytest.approx(float(rows[i] @ (ts.labels * m.alpha)) + m.bias)
 

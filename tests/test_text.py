@@ -7,7 +7,7 @@ import pytest
 
 from oracles import naive_tfidf
 
-from newsmkl.text import (Dictionary, Document, TextError, TfidfModel,
+from newsmkl.text import (Dictionary, Document, TextError,
                           bag_of_words, default_dictionary, fit_tfidf,
                           parse_dictionary, read_documents, tokenize, transform_tfidf_many,
                           write_documents)
@@ -99,44 +99,45 @@ class TestBagOfWords:
 
 class TestTfidf:
     def test_df_of_ubiquitous_term_gives_zero_idf(self):
-        model = fit_tfidf(np.array([[1], [2], [5]]))
-        assert model.doc_frequency[0] == 3
-        assert model.idf[0] == 0.0
+        idf = fit_tfidf(np.array([[1], [2], [5]]))
+        assert idf.shape == (1,)
+        assert idf[0] == 0.0
 
     def test_absent_stem_idf_zero_by_convention(self):
-        model = fit_tfidf(np.array([[0], [0], [0]]))
-        assert model.doc_frequency[0] == 0
-        assert model.idf[0] == 0.0
+        idf = fit_tfidf(np.array([[0], [0], [0]]))
+        assert idf.shape == (1,)
+        assert idf[0] == 0.0
 
     def test_idf_log_formula(self):
-        model = fit_tfidf(np.array([[1], [0], [0], [0]]))
-        assert model.idf[0] == pytest.approx(np.log(4.0), rel=1e-15)
+        idf = fit_tfidf(np.array([[1], [0], [0], [0]]))
+        assert idf[0] == pytest.approx(np.log(4.0), rel=1e-15)
 
     def test_transform_formula(self):
-        model = TfidfModel(doc_frequency=np.array([1]), n_docs=4, n_stems=1)
-        v = transform_tfidf_many(model, [[2]], [72])
+        idf = fit_tfidf(np.array([[1], [0], [0], [0]]))  # DF 1 of N 4
+        v = transform_tfidf_many(idf, [[2]], [72])
         assert v.shape == (1, 1)
         assert v[0, 0] == pytest.approx((2 / 72) * np.log(4.0), rel=1e-15)
 
     def test_zero_idf_kills_component(self):
-        model = TfidfModel(doc_frequency=np.array([5]), n_docs=5, n_stems=1)
-        assert transform_tfidf_many(model, [[17]], [10])[0, 0] == 0.0
+        idf = fit_tfidf(np.ones((5, 1)))  # DF 5 of N 5
+        assert transform_tfidf_many(idf, [[17]], [10])[0, 0] == 0.0
 
     def test_zero_length_with_counts_rejected(self):
-        model = TfidfModel(doc_frequency=np.array([1]), n_docs=2, n_stems=1)
+        idf = fit_tfidf(np.array([[1], [0]]))  # DF 1 of N 2
         with pytest.raises(TextError):
-            transform_tfidf_many(model, [[3]], [0])
+            transform_tfidf_many(idf, [[3]], [0])
         # a zero-length document without counts is a zero row
-        np.testing.assert_array_equal(transform_tfidf_many(model, [[0]], [0]), [[0.0]])
+        np.testing.assert_array_equal(transform_tfidf_many(idf, [[0]], [0]), [[0.0]])
 
     def test_count_matrix_shape_checked(self):
-        model = TfidfModel(doc_frequency=np.array([1, 2, 0]), n_docs=4, n_stems=3)
+        # DF (1, 2, 0) of N 4
+        idf = fit_tfidf(np.array([[1, 1, 0], [0, 1, 0], [0, 0, 0], [0, 0, 0]]))
         with pytest.raises(TextError):
-            transform_tfidf_many(model, np.ones((2, 1)), [5, 5])  # would broadcast against idf
+            transform_tfidf_many(idf, np.ones((2, 1)), [5, 5])  # would broadcast against idf
         with pytest.raises(TextError):
-            transform_tfidf_many(model, [1, 0, 2], [5])  # one row, not a (1, n_stems) matrix
+            transform_tfidf_many(idf, [1, 0, 2], [5])  # one row, not a (1, n_stems) matrix
         with pytest.raises(TextError):
-            transform_tfidf_many(model, np.ones((2, 3)), [5])
+            transform_tfidf_many(idf, np.ones((2, 3)), [5])
 
     def test_matches_naive_recompute_to_1e12(self):
         rng = np.random.default_rng(0)
@@ -157,10 +158,13 @@ class TestTfidf:
 
     def test_transform_never_mutates_model(self):
         train = np.array([[1, 0], [0, 2], [1, 1]])
-        model = fit_tfidf(train)
-        df_before = model.doc_frequency.copy()
-        transform_tfidf_many(model, [[5, 5]], [9])
-        np.testing.assert_array_equal(model.doc_frequency, df_before)
+        idf = fit_tfidf(train)
+        idf_before = idf.copy()
+        transform_tfidf_many(idf, [[5, 5]], [9])
+        np.testing.assert_array_equal(idf, idf_before)
+        assert not idf.flags.writeable
+        with pytest.raises(ValueError):
+            idf[0] = 1.0
 
     def test_duplicating_text_leaves_tf_unchanged(self):
         d = Dictionary(stems=("acqui", "lead"))
