@@ -27,7 +27,7 @@ from .market import (FeatureRecord, LabelingConfig, PriceSeries, _datetime_month
                      label_records, label_threshold, month_of, prepare_records_by_horizon)
 # not called here; the acceptance tests and the benchmark probe read it through this module
 from .market import prepare_feature_records  # noqa: F401
-from .mkl import (DEFAULT_GAP_TOL, DEFAULT_SOLVER, SOLVERS, MklProblem, MklSolution,
+from .mkl import (DEFAULT_GAP_TOL, DEFAULT_SOLVER, OUTCOME, SOLVERS, MklProblem, MklSolution,
                   check_c_and_gap_tol, get_solver)
 from .svm import predict_many
 from .text import Dictionary, Document, fit_tfidf, transform_tfidf_many
@@ -133,8 +133,8 @@ def classification_metrics(predictions, labels) -> tuple[Confusion, float | None
     return c, accuracy, recall
 
 
-def strategy_returns(predictions, labels, dates) -> tuple[list, np.ndarray]:
-    """Daily returns of the $1-per-prediction bet: (wins - losses) / bets."""
+def strategy_returns(predictions, labels, dates) -> np.ndarray:
+    """Daily returns of the $1-per-prediction bet, (wins - losses) / bets, in date order."""
     p = np.asarray(predictions, dtype=np.int64).ravel()
     y = np.asarray(labels, dtype=np.int64).ravel()
     if not (p.shape == y.shape and len(dates) == p.size):
@@ -143,9 +143,7 @@ def strategy_returns(predictions, labels, dates) -> tuple[list, np.ndarray]:
     for pi, yi, d in zip(p, y, dates):
         w, n = by_day.get(d, (0, 0))
         by_day[d] = (w + (1 if pi == yi else -1), n + 1)
-    days = sorted(by_day)
-    rets = np.array([by_day[d][0] / by_day[d][1] for d in days], dtype=np.float64)
-    return days, rets
+    return np.array([by_day[d][0] / by_day[d][1] for d in sorted(by_day)], dtype=np.float64)
 
 
 def sharpe(daily_returns) -> float | None:
@@ -214,14 +212,13 @@ class PlanKernel:
                 raise BacktestError(f"kernel {self.name!r}: {key} must be finite, got {value}")
 
     def spec(self, median: float | None) -> KernelSpec:
-        """The trace-normalized kernel spec; `median` is the training
-        features' median squared distance (read only by gaussian kernels
-        scaled by `sigma_scale`)."""
+        """The kernel spec; `median` is the training features' median squared
+        distance (read only by gaussian kernels scaled by `sigma_scale`)."""
         sigma = self.sigma
         if self.kind == "gaussian" and sigma is None and self.sigma_scale is not None:
             sigma = self.sigma_scale * median
         degree = DEFAULT_DEGREE if self.degree is None else self.degree
-        return KernelSpec(kind=self.kind, sigma=sigma, degree=degree, trace_normalize=True)
+        return KernelSpec(kind=self.kind, sigma=sigma, degree=degree)
 
 
 DEFAULT_GAUSSIAN_SCALES = (0.25, 1.0, 4.0, 16.0)
@@ -464,7 +461,7 @@ def chrono_cv(train_records: list[FeatureRecord], y_train: np.ndarray,
         if single_class:
             scores.append(classification_metrics(preds, y_fold)[1])
         else:
-            scores.append(_cv_sharpe(strategy_returns(preds, y_fold, dates)[1]))
+            scores.append(_cv_sharpe(strategy_returns(preds, y_fold, dates)))
     return c_grid[int(np.argmax(scores))]
 
 
@@ -543,13 +540,10 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int, records: list[
 
     _, acc, rec = classification_metrics(preds, y_test)
     dates = [r.timestamp.date() for r in test_records]
-    _, rets = strategy_returns(preds, y_test, dates)
     row = {"window_id": window_id(window), "horizon": horizon, "n_train": len(train_records),
-           "n_test": len(test_records), "accuracy": acc, "recall": rec, "sharpe": sharpe(rets),
-           "threshold": threshold, "chosen_C": chosen_C, "svm_solves": sol.svm_solves,
-           "mkl_status": sol.status, "gap": sol.gap, "mkl_iterations": sol.iterations,
-           "smo_iterations": sol.smo_iterations, "smo_not_converged": sol.smo_not_converged,
-           "n_kernels_active": int(np.sum(sol.d > 0)),
+           "n_test": len(test_records), "accuracy": acc, "recall": rec,
+           "sharpe": sharpe(strategy_returns(preds, y_test, dates)), "threshold": threshold,
+           "chosen_C": chosen_C, **sol.outcome(), "n_kernels_active": int(np.sum(sol.d > 0)),
            "kernel_weights": {pk.name: float(w) for pk, w in zip(cfg.plan, sol.d)}}
     return WindowResult(row=row, predictions=preds, labels=y_test, dates=dates)
 
@@ -628,8 +622,7 @@ def _report(outcomes: list, dropped: dict[str, int]) -> MetricsReport:
     labels = np.concatenate([r.labels for r in results])
     dates = [d for r in results for d in r.dates]
     conf, acc, rec = classification_metrics(preds, labels)
-    _, rets = strategy_returns(preds, labels, dates)
-    sr = sharpe(rets)
+    sr = sharpe(strategy_returns(preds, labels, dates))
 
     rows = [r.row for r in results]
     mean = np.mean([list(row["kernel_weights"].values()) for row in rows], axis=0)
@@ -637,7 +630,7 @@ def _report(outcomes: list, dropped: dict[str, int]) -> MetricsReport:
                          n_days=len(set(dates)), confusion=conf,
                          mean_kernel_weights=dict(zip(rows[0]["kernel_weights"], mean.tolist())),
                          n_dropped=dropped,
-                         windows_by_status=dict(sorted(Counter(row["mkl_status"] for row in rows).items())),
+                         windows_by_status=dict(sorted(Counter(row["status"] for row in rows).items())),
                          n_skipped_windows=len(skipped), skipped_windows=skipped, windows=rows)
 
 
@@ -666,21 +659,19 @@ def _fmt(v) -> str:
     return str(v)
 
 
-# windows.csv: these row fields, then one weight per plan kernel, then the solver's
+# windows.csv: these row fields, then one weight per plan kernel, then the MKL outcome
 WINDOW_COLUMNS = ("window_id", "horizon", "n_train", "n_test", "accuracy", "recall", "sharpe",
                   "n_kernels_active")
-SOLVER_COLUMNS = ("svm_solves", "mkl_status", "gap", "mkl_iterations", "smo_iterations",
-                  "smo_not_converged")
 
 
 def write_window_csv(path, cfg: BacktestConfig, reports: dict[int, MetricsReport]) -> None:
     names = [pk.name for pk in cfg.plan]
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join([*WINDOW_COLUMNS, *names, *SOLVER_COLUMNS]) + "\n")
+        fh.write(",".join([*WINDOW_COLUMNS, *names, *OUTCOME]) + "\n")
         for horizon in sorted(reports):
             for row in reports[horizon].windows:
                 cells = ([row[c] for c in WINDOW_COLUMNS] + [row["kernel_weights"][n] for n in names]
-                         + [row[c] for c in SOLVER_COLUMNS])
+                         + [row[c] for c in OUTCOME])
                 fh.write(",".join(map(_fmt, cells)) + "\n")
 
 

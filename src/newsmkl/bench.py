@@ -13,13 +13,14 @@ import time as _time
 import numpy as np
 
 from .kernels import KernelSpec, gram_matrix, median_sqdist, sqdist
-from .mkl import SOLVERS, MklError, MklProblem, MklSolution, get_solver
+from .mkl import OUTCOME, SOLVERS, MklError, MklProblem, MklSolution, get_solver
 
-# bench.csv's columns, the keys of a run_bench row (`wall_time` stays column 5); a cell
-# is str() of its value unless _BENCH_FORMATS formats it
-BENCH_COLUMNS = ("method", "n_kernels", "kernel_dim", "iterations", "svm_solves", "wall_time",
-                 "final_gap", "final_J", "status", "smo_not_converged", "smo_iterations")
-_BENCH_FORMATS = {"wall_time": "{:.6f}", "final_gap": "{!r}", "final_J": "{!r}"}
+# bench.csv's columns, the keys of a run_bench row: the instance, then the MKL outcome
+# (`mkl.OUTCOME`) with `wall_time` kept at column 5, then the objective; a cell is
+# str() of its value unless _BENCH_FORMATS formats it
+BENCH_COLUMNS = ("method", "n_kernels", "kernel_dim", *OUTCOME[:2], "wall_time", *OUTCOME[2:],
+                 "objective")
+_BENCH_FORMATS = {"wall_time": "{:.6f}", "gap": "{!r}", "objective": "{!r}"}
 
 BLOCK = 4  # features in each of the linear and quadratic signal blocks
 N_NOISE = 4  # shared noise features padding both blocks
@@ -59,19 +60,17 @@ def make_bench_problem(seed: int, n_kernels: int, dim: int, C: float = 1000.0,
     X_nl = np.hstack([Q, N])
     D = sqdist(X_nl)  # the median's and every gaussian Gram's distances
     med = median_sqdist(D)
-    kernels = [gram_matrix(KernelSpec(kind="linear", trace_normalize=True), X_lin)]
+    kernels = [gram_matrix(KernelSpec(kind="linear"), X_lin)]
     sigma_scales = (1.0, 0.25, 4.0, 16.0, 64.0)
     degrees = (2, 3, 4)
     gi = pi = 0
     while len(kernels) < n_kernels:
         if len(kernels) % 2 == 1:
-            spec = KernelSpec(kind="gaussian", sigma=sigma_scales[gi % len(sigma_scales)] * med,
-                              trace_normalize=True)
+            spec = KernelSpec(kind="gaussian", sigma=sigma_scales[gi % len(sigma_scales)] * med)
             gi += 1
             kernels.append(gram_matrix(spec, X_nl, D))
         else:
-            spec = KernelSpec(kind="polynomial", degree=degrees[pi % len(degrees)],
-                              trace_normalize=True)
+            spec = KernelSpec(kind="polynomial", degree=degrees[pi % len(degrees)])
             pi += 1
             kernels.append(gram_matrix(spec, X_nl))
     return MklProblem(kernels=kernels, labels=y, C=C, gap_tol=gap_tol)
@@ -79,10 +78,10 @@ def make_bench_problem(seed: int, n_kernels: int, dim: int, C: float = 1000.0,
 
 def run_bench(methods: list[str], n_kernels: int, dim: int, runs: int, seed: int,
               C: float = 1000.0, gap_tol: float = 0.01) -> list[dict]:
-    """One row per (method, run), keyed by BENCH_COLUMNS: counts, wall
-    time, final gap / objective and how the solve ended. `methods` are
-    names in `mkl.SOLVERS`; an empty list or `runs` < 1 raises MklError,
-    as there would be nothing to solve."""
+    """One row per (method, run), keyed by BENCH_COLUMNS: the instance, the
+    wall time, how the solve ended (`MklSolution.outcome`) and the final
+    objective. `methods` are names in `mkl.SOLVERS`; an empty list or
+    `runs` < 1 raises MklError, as there would be nothing to solve."""
     if not methods:
         raise MklError(f"no solver named; choose from {', '.join(SOLVERS)}")
     if runs < 1:
@@ -95,9 +94,8 @@ def run_bench(methods: list[str], n_kernels: int, dim: int, runs: int, seed: int
             t0 = _time.perf_counter()
             sol: MklSolution = solver(problem)
             wall = _time.perf_counter() - t0
-            rows.append(dict(zip(BENCH_COLUMNS, (
-                method, n_kernels, dim, sol.iterations, sol.svm_solves, wall, sol.gap, sol.objective,
-                sol.status, sol.smo_not_converged, sol.smo_iterations))))
+            rows.append({"method": method, "n_kernels": n_kernels, "kernel_dim": dim, "wall_time": wall,
+                         **sol.outcome(), "objective": sol.objective})
     return rows
 
 

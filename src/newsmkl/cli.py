@@ -136,9 +136,7 @@ def _train_common(args, plan, solver: str, gap_tol: float) -> int:
     sol = bt.fit_plan(kernels, y, args.C, solver, gap_tol)
     out = _out_dir(args)
     save_model(out / "model.json", sol.model, kernels=kernels.descriptions(), mkl_weights=sol.d,
-               mkl={"status": sol.status, "gap": float(sol.gap), "iterations": sol.iterations,
-                    "svm_solves": sol.svm_solves, "smo_iterations": sol.smo_iterations,
-                    "smo_not_converged": sol.smo_not_converged})
+               mkl=sol.outcome())
     with open(out / "weights.json", "w", encoding="utf-8") as fh:
         json.dump([float(w) for w in sol.d], fh)
         fh.write("\n")

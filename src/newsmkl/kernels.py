@@ -44,7 +44,6 @@ class KernelSpec:
     kind: str
     sigma: float | None = None
     degree: int | None = None
-    trace_normalize: bool = False
 
     def __post_init__(self):
         if self.kind not in KERNEL_KINDS:
@@ -58,7 +57,7 @@ class KernelSpec:
                 raise KernelError("polynomial kernel requires degree >= 1")
 
     def describe(self) -> dict:
-        out: dict = {"kind": self.kind, "trace_normalize": self.trace_normalize}
+        out: dict = {"kind": self.kind}
         if self.kind == "gaussian":
             out["sigma"] = float(self.sigma)
         if self.kind == "polynomial":
@@ -71,8 +70,8 @@ class GramMatrix:
     """Dense symmetric PSD matrix of pairwise kernel values.
 
     `scale` records the constant the raw kernel values were multiplied by
-    (1/trace for trace-normalized matrices) so prediction-time kernel rows
-    can be scaled consistently.
+    (1/trace for a `gram_matrix`) so prediction-time kernel rows can be
+    scaled consistently.
     """
 
     values: np.ndarray
@@ -148,9 +147,9 @@ def gram_matrix(spec: KernelSpec, samples, distances: np.ndarray | None = None) 
     fills one triangle and mirrors it, and every kind maps that product
     (or the distances) elementwise and symmetrically. A gaussian Gram is
     mapped from `distances` when given, which must be `sqdist(samples)`.
-    Applies trace normalization (divide by the trace so trace = 1) when
-    spec.trace_normalize is set. KernelError for a kernel whose values
-    overflow (a high polynomial degree): its trace is not finite.
+    The matrix is trace-normalized (divided by its trace, so trace = 1),
+    and `scale` is 1/trace. KernelError when the trace is not finite
+    (values that overflow, as at a high polynomial degree) or not positive.
     """
     X = _as_matrix(samples)
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the trace
@@ -158,16 +157,14 @@ def gram_matrix(spec: KernelSpec, samples, distances: np.ndarray | None = None) 
     tr = float(np.trace(G))
     if not tr < np.inf:  # also true for nan
         raise KernelError(f"kernel values overflow: the trace is {tr}")
-    scale = 1.0
-    if spec.trace_normalize:
-        if tr <= 0.0:
-            raise KernelError("cannot trace-normalize a matrix with nonpositive trace")
-        scale = 1.0 / tr
-        G *= scale
+    if tr <= 0.0:
+        raise KernelError("cannot trace-normalize a matrix with nonpositive trace")
+    scale = 1.0 / tr
+    G *= scale
     return GramMatrix(values=G, scale=scale)
 
 
-def cross_gram(spec: KernelSpec, train_samples, test_samples, scale: float = 1.0) -> np.ndarray:
+def cross_gram(spec: KernelSpec, train_samples, test_samples, scale: float) -> np.ndarray:
     """(n_test, n_train) matrix of k(x_i, x) rows for a batch of test points.
 
     `scale` should be the GramMatrix.scale of the matching training Gram

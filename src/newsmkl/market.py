@@ -483,7 +483,7 @@ def write_events_csv(path, records: list[FeatureRecord], labels, horizon_minutes
             rets = ",".join(repr(float(v)) for v in r.return_features)
             tod = ",".join(str(int(v)) for v in r.time_of_day)
             dow = ",".join(str(int(v)) for v in r.day_of_week)
-            fh.write(f"{_csv_cell(r.doc_id)},{r.ticker},{_format_timestamp(r.timestamp)},"
+            fh.write(f"{_csv_cell(r.doc_id)},{_csv_cell(r.ticker)},{_format_timestamp(r.timestamp)},"
                      f"{horizon_minutes},{rets},{tod},{dow},{repr(r.abs_return)},{int(label)}\n")
 
 

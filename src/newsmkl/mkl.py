@@ -158,6 +158,11 @@ class SolvePoint:
     eps: float = 0.0
 
 
+# how an MKL solve ended: the MklSolution attributes every result file writes,
+# under these names and in this order
+OUTCOME = ("svm_solves", "status", "gap", "iterations", "smo_iterations", "smo_not_converged")
+
+
 @dataclass
 class MklSolution:
     d: np.ndarray
@@ -170,6 +175,10 @@ class MklSolution:
     smo_not_converged: int  # SVM solves that stopped at SMO's max_iter
     status: str  # converged | flat_gradient | stalled | max_iters | degenerate_localization
     gap_history: list[float] = field(default_factory=list)
+
+    def outcome(self) -> dict:
+        """The OUTCOME attributes, by name and in order."""
+        return {name: getattr(self, name) for name in OUTCOME}
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from newsmkl.kernels import GramMatrix, KernelError, KernelSpec, gram_matrix
+from newsmkl.kernels import GramMatrix, KernelError, KernelSpec, _kernel_block
 from newsmkl.market import DROP_REASONS, calendar_features
 from newsmkl.mkl import (BACKTRACK_ALPHA, BACKTRACK_BETA, NEWTON_TOL, LocalizationSet, MklProblem,
                          MklState, barrier_value, mkl_objective)
@@ -300,7 +300,15 @@ def make_svm_problem(seed: int, l: int = 20, C: float | None = None,
                       degree=2 if kind == "polynomial" else None)
     if C is None:
         C = 1.0 if seed % 2 == 0 else 1000.0
-    return SvmProblem(labels=y, gram=gram_matrix(spec, X)), C
+    return SvmProblem(labels=y, gram=raw_gram(spec, X)), C
+
+
+def raw_gram(spec: KernelSpec, X) -> GramMatrix:
+    """The kernel's values on the rows of X as they are, without
+    `gram_matrix`'s trace normalization, for problems whose scale a test
+    fixes (an analytic solution, a loose SMO tolerance)."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    return GramMatrix(values=_kernel_block(spec, X, X))
 
 
 def solve_tight(ts: SvmProblem, C: float):

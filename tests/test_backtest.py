@@ -88,18 +88,17 @@ class TestMetrics:
 
 class TestStrategyReturns:
     def test_all_correct_one_day(self):
-        days, rets = bt.strategy_returns([1, 1, -1], [1, 1, -1], [date(2004, 1, 5)] * 3)
+        rets = bt.strategy_returns([1, 1, -1], [1, 1, -1], [date(2004, 1, 5)] * 3)
         assert rets.tolist() == [1.0]
 
     def test_two_right_two_wrong(self):
-        days, rets = bt.strategy_returns([1, 1, -1, -1], [1, 1, 1, 1], [date(2004, 1, 5)] * 4)
+        rets = bt.strategy_returns([1, 1, -1, -1], [1, 1, 1, 1], [date(2004, 1, 5)] * 4)
         assert rets.tolist() == [0.0]
 
     def test_days_without_bets_omitted(self):
-        days, rets = bt.strategy_returns([1, -1], [1, -1],
-                                         [date(2004, 1, 5), date(2004, 1, 7)])
-        assert days == [date(2004, 1, 5), date(2004, 1, 7)]
-        assert rets.tolist() == [1.0, 1.0]
+        # one return per day with bets (not for Jan 6), in date order
+        rets = bt.strategy_returns([1, -1], [1, 1], [date(2004, 1, 7), date(2004, 1, 5)])
+        assert rets.tolist() == [-1.0, 1.0]
 
     def test_random_predictions_mean_near_zero(self):
         rng = np.random.default_rng(1)
@@ -107,7 +106,7 @@ class TestStrategyReturns:
         preds = rng.choice([-1, 1], size=n)
         labels = rng.choice([-1, 1], size=n)
         dates = [date(2004, 1 + (i % 12), 1 + (i % 28)) for i in range(n)]
-        _, rets = bt.strategy_returns(preds, labels, dates)
+        rets = bt.strategy_returns(preds, labels, dates)
         sigma = float(np.std(rets, ddof=1)) / np.sqrt(len(rets))
         assert abs(float(np.mean(rets))) <= 3 * sigma
 
@@ -169,8 +168,8 @@ class TestChronoCv:
         ratio is undefined; CV ranks it above every finite Sharpe ratio."""
         y_fold = self.Y[30:]
         preds = {1.0: y_fold, 2.0: np.where(np.arange(10) < 2, -y_fold, y_fold)}
-        assert bt.sharpe(bt.strategy_returns(preds[1.0], y_fold, range(10))[1]) is None
-        assert bt.sharpe(bt.strategy_returns(preds[2.0], y_fold, range(10))[1]) > 0
+        assert bt.sharpe(bt.strategy_returns(preds[1.0], y_fold, range(10))) is None
+        assert bt.sharpe(bt.strategy_returns(preds[2.0], y_fold, range(10))) > 0
         assert bt.chrono_cv(self._records(), self.Y, (1.0, 2.0),
                             lambda early, y_early, fold, C: preds[C]) == 1.0
 
@@ -184,8 +183,8 @@ class TestChronoCv:
         # (daily returns -1 and 1, Sharpe 0, accuracy 0.9)
         preds = {1.0: np.array([1] * 6 + [-1] * 4), 2.0: np.array([-1] + [1] * 9)}
         dates = [r.timestamp.date() for r in recs[30:]]
-        assert bt.sharpe(bt.strategy_returns(preds[1.0], y[30:], dates)[1]) > 0
-        assert bt.sharpe(bt.strategy_returns(preds[2.0], y[30:], dates)[1]) == 0.0
+        assert bt.sharpe(bt.strategy_returns(preds[1.0], y[30:], dates)) > 0
+        assert bt.sharpe(bt.strategy_returns(preds[2.0], y[30:], dates)) == 0.0
         assert bt.chrono_cv(recs, y, (1.0, 2.0), lambda early, y_early, fold, C: preds[C]) == 2.0
 
 
@@ -529,7 +528,7 @@ class TestArtifacts:
         bt.write_report_json(json_path, reports)
         header = csv_path.read_text().splitlines()[0]
         assert header == ("window_id,horizon,n_train,n_test,accuracy,recall,sharpe,"
-                          "n_kernels_active,lin_text,svm_solves,mkl_status,gap,mkl_iterations,"
+                          "n_kernels_active,lin_text,svm_solves,status,gap,iterations,"
                           "smo_iterations,smo_not_converged")
         payload = json.loads(json_path.read_text())
         assert "10" in payload["horizons"]
@@ -546,12 +545,10 @@ class TestArtifacts:
         assert windows
         assert payload["horizons"]["10"]["windows_by_status"] == {"converged": len(windows)}
         for w in windows:  # a single-kernel plan: one SVM solve at d = [1]
-            assert w["svm_solves"] == 1 and w["mkl_status"] == "converged" and w["gap"] == 0.0
-            assert w["mkl_iterations"] == 1 and w["smo_not_converged"] == 0
+            assert w["svm_solves"] == 1 and w["status"] == "converged" and w["gap"] == 0.0
+            assert w["iterations"] == 1 and w["smo_not_converged"] == 0
             assert w["smo_iterations"] > 0
-            assert list(w)[list(w).index("svm_solves"):list(w).index("n_kernels_active")] == [
-                "svm_solves", "mkl_status", "gap", "mkl_iterations", "smo_iterations",
-                "smo_not_converged"]
+            assert list(w)[list(w).index("svm_solves"):list(w).index("n_kernels_active")] == list(mkl.OUTCOME)
 
     def test_window_that_stops_at_max_iters_says_so(self, monkeypatch, tmp_path):
         real = mkl.solve_accpm  # fit_plan looks the solver up in mkl when it runs
@@ -565,14 +562,14 @@ class TestArtifacts:
         report = bt.run_backtest(cfg, docs, prices, default_dictionary())[10]
         assert report.windows
         for w in report.windows:
-            assert w["mkl_status"] == "max_iters" and w["mkl_iterations"] == 2
+            assert w["status"] == "max_iters" and w["iterations"] == 2
             assert w["gap"] > cfg.gap_tol and w["svm_solves"] >= 2
         assert report.windows_by_status == {"max_iters": len(report.windows)}
         bt.write_window_csv(tmp_path / "windows.csv", cfg, {10: report})
         with open(tmp_path / "windows.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
-        assert [row["mkl_status"] for row in rows] == ["max_iters"] * len(report.windows)
-        assert [row["mkl_iterations"] for row in rows] == ["2"] * len(report.windows)
+        assert [row["status"] for row in rows] == ["max_iters"] * len(report.windows)
+        assert [row["iterations"] for row in rows] == ["2"] * len(report.windows)
 
     def test_every_window_csv_cell_is_its_report_json_value(self, tmp_path):
         # two horizons over the zero-trace repro below, whose first window is skipped
@@ -592,7 +589,7 @@ class TestArtifacts:
         with open(tmp_path / "windows.csv", encoding="utf-8", newline="") as fh:
             rows = list(csv.DictReader(fh))
         assert len(rows) == len(windows) == 2
-        assert list(rows[0]) == [*bt.WINDOW_COLUMNS, "lin_absret", "lin_text", *bt.SOLVER_COLUMNS]
+        assert list(rows[0]) == [*bt.WINDOW_COLUMNS, "lin_absret", "lin_text", *mkl.OUTCOME]
         for row, w in zip(rows, windows):
             for column, cell in row.items():
                 value = w["kernel_weights"][column] if column in w["kernel_weights"] else w[column]

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from newsmkl import backtest, cli, market, mkl
+from newsmkl import backtest, bench, cli, market, mkl
 from newsmkl.config import parse_overrides
 
 RUN = [sys.executable, "-m", "newsmkl.cli"]
@@ -192,6 +192,20 @@ class TestIdsInCsv:
         assert {i[:3] for i in read} == set(self.ODD)
 
 
+def test_label_quotes_a_ticker_holding_a_quote(tmp_path):
+    """A ticker that starts with `"` passes both readers; events.csv writes
+    it as one quoted cell, so `csv.reader` reads every row back whole."""
+    run_cli("synth", "--seed", "1", "--set", "n_events=60", "--set", "n_months=2",
+            "--set", 'tickers="Q', "--out", str(tmp_path))
+    run_cli("label", "--docs", str(tmp_path / "docs.jsonl"), "--prices", str(tmp_path / "prices.csv"),
+            "--out", str(tmp_path / "events.csv"))
+    with open(tmp_path / "events.csv", newline="", encoding="utf-8") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert len(rows) > 1
+    assert all(len(row) == len(header) for row in rows)
+    assert {row[1] for row in rows} == {'"Q'}
+
+
 class TestTrain:
     def test_train_mkl_single_kernel_weight_file(self, synth_dir, tmp_path):
         out = tmp_path / "model"
@@ -206,16 +220,21 @@ class TestTrain:
         assert model["kernels"][0]["kind"] == "linear"
 
     def test_model_records_how_the_mkl_solve_ended(self, synth_dir, tmp_path):
-        out = tmp_path / "mkl"
-        run_cli("train-mkl", "--docs", str(synth_dir / "docs.jsonl"),
-                "--prices", str(synth_dir / "prices.csv"), "--plan", "linear4", "--out", str(out))
-        mkl = json.loads((out / "model.json").read_text())["mkl"]
-        assert list(mkl) == ["status", "gap", "iterations", "svm_solves", "smo_iterations",
-                             "smo_not_converged"]
-        assert mkl["status"] in ("converged", "flat_gradient", "stalled", "max_iters",
-                                 "degenerate_localization")
-        assert mkl["gap"] >= 0 and mkl["svm_solves"] >= mkl["iterations"] >= 1
-        assert mkl["smo_iterations"] >= 1 and 0 <= mkl["smo_not_converged"] <= mkl["svm_solves"]
+        argv = ["train-mkl", "--docs", str(synth_dir / "docs.jsonl"),
+                "--prices", str(synth_dir / "prices.csv"), "--plan", "linear4", "--out", str(tmp_path)]
+        run_cli(*argv)
+        outcome = json.loads((tmp_path / "model.json").read_text())["mkl"]
+        # model.json's "mkl" is the outcome of the same fit made in process
+        args = cli.build_parser().parse_args(argv)
+        records, y, _, _ = cli._label_all(args)
+        kernels = backtest.build_kernels(backtest.named_plan(args.plan), records)
+        assert outcome == backtest.fit_plan(kernels, y, args.C, args.solver, args.gap_tol).outcome()
+        assert list(outcome) == list(mkl.OUTCOME)
+        assert outcome["status"] in ("converged", "flat_gradient", "stalled", "max_iters",
+                                     "degenerate_localization")
+        assert outcome["gap"] >= 0 and outcome["svm_solves"] >= outcome["iterations"] >= 1
+        assert outcome["smo_iterations"] >= 1
+        assert 0 <= outcome["smo_not_converged"] <= outcome["svm_solves"]
 
     def test_train_svm_writes_model(self, synth_dir, tmp_path):
         out = tmp_path / "svm"
@@ -241,7 +260,7 @@ class TestBacktestCommand:
         assert report["horizons"]["10"]["accuracy"] > 0.8
         windows = (out1 / "windows.csv").read_text().splitlines()
         assert windows[0] == ("window_id,horizon,n_train,n_test,accuracy,recall,sharpe,"
-                              "n_kernels_active,lin_text,svm_solves,mkl_status,gap,mkl_iterations,"
+                              "n_kernels_active,lin_text,svm_solves,status,gap,iterations,"
                               "smo_iterations,smo_not_converged")
         assert len(windows) == 1 + len(report["horizons"]["10"]["windows"])
 
@@ -278,18 +297,20 @@ class TestBenchCommand:
                 "--seed", "1", "--C", "10", "--methods", "accpm,redgrad",
                 "--out", str(out_csv))
         lines = out_csv.read_text().splitlines()
-        assert lines[0] == ("method,n_kernels,kernel_dim,iterations,svm_solves,wall_time,final_gap,final_J,"
-                            "status,smo_not_converged,smo_iterations")
-        assert len(lines) == 1 + 4  # 2 runs x 2 methods
-        rows = [ln.split(",") for ln in lines[1:]]
-        methods = [r[0] for r in rows]
+        assert lines[0] == ("method,n_kernels,kernel_dim,svm_solves,status,wall_time,gap,iterations,"
+                            "smo_iterations,smo_not_converged,objective")
+        with open(out_csv, encoding="utf-8", newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        assert len(rows) == 4  # 2 runs x 2 methods
+        methods = [r["method"] for r in rows]
         assert methods.count("accpm") == 2 and methods.count("redgrad") == 2
         for r in rows:
-            assert r[8] in ("converged", "flat_gradient", "stalled", "max_iters", "degenerate_localization")
-            if r[8] == "converged":  # met the CLI's default gap target
-                assert float(r[6]) <= 0.01
-            assert 0 <= int(r[9]) <= int(r[4])
-            assert int(r[10]) > 0  # smo_iterations, over every SVM solve of the run
+            assert r["status"] in ("converged", "flat_gradient", "stalled", "max_iters",
+                                   "degenerate_localization")
+            if r["status"] == "converged":  # met the CLI's default gap target
+                assert float(r["gap"]) <= 0.01
+            assert 0 <= int(r["smo_not_converged"]) <= int(r["svm_solves"])
+            assert int(r["smo_iterations"]) > 0  # over every SVM solve of the run
 
     def test_bench_deterministic_except_wall_time(self, tmp_path):
         def strip_time(path):
@@ -305,6 +326,53 @@ class TestBenchCommand:
             run_cli("bench-mkl", "--kernels", "2", "--dim", "30", "--runs", "2",
                     "--seed", "3", "--C", "10", "--out", str(p))
         assert strip_time(a) == strip_time(b)
+
+
+def in_outcome_order(names) -> bool:
+    """Whether `names` hold every `mkl.OUTCOME` name, in OUTCOME order."""
+    return [n for n in names if n in mkl.OUTCOME] == list(mkl.OUTCOME)
+
+
+class TestOutcome:
+    """Every result file writes how an MKL solve ended under the
+    `MklSolution` attribute names, in `mkl.OUTCOME` order (model.json's
+    `mkl` is checked in `TestTrain`)."""
+
+    def test_outcome_names_the_solution_attributes(self):
+        assert mkl.OUTCOME == ("svm_solves", "status", "gap", "iterations", "smo_iterations",
+                               "smo_not_converged")
+        assert set(mkl.OUTCOME) <= {f.name for f in dataclasses.fields(mkl.MklSolution)}
+
+    def test_windows_csv_report_json_and_bench_csv_write_the_outcome(self, synth_dir, tmp_path):
+        run_cli("backtest", "--docs", str(synth_dir / "docs.jsonl"),
+                "--prices", str(synth_dir / "prices.csv"), "--plan", "linear4",
+                "--horizons", "10", "--out", str(tmp_path))
+        with open(tmp_path / "windows.csv", encoding="utf-8", newline="") as fh:
+            assert in_outcome_order(next(csv.reader(fh)))
+        windows = json.loads((tmp_path / "report.json").read_text())["horizons"]["10"]["windows"]
+        assert windows and all(in_outcome_order(w) for w in windows)
+        run_cli("bench-mkl", "--kernels", "2", "--dim", "30", "--runs", "1", "--C", "10",
+                "--out", str(tmp_path / "bench.csv"))
+        with open(tmp_path / "bench.csv", encoding="utf-8", newline="") as fh:
+            assert in_outcome_order(next(csv.reader(fh)))
+
+
+class TestReadme:
+    """The README quotes each CSV header the code writes, as one code span."""
+
+    TEXT = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def test_windows_csv_header(self, tmp_path):
+        plan = backtest.named_plan("linear4")
+        backtest.write_window_csv(tmp_path / "windows.csv", backtest.BacktestConfig(plan=plan), {})
+        header = (tmp_path / "windows.csv").read_text().rstrip("\n")
+        weights = ",".join(pk.name for pk in plan)
+        assert weights in header
+        assert f"`{header.replace(weights, '<kernel weights>')}`" in self.TEXT
+
+    def test_bench_csv_header(self, tmp_path):
+        bench.write_bench_csv(tmp_path / "bench.csv", [])
+        assert f"`{(tmp_path / 'bench.csv').read_text().rstrip()}`" in self.TEXT
 
 
 def _subparser(command: str) -> argparse.ArgumentParser:

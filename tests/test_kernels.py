@@ -11,10 +11,9 @@ from newsmkl.kernels import KernelError, KernelSpec, cross_gram, gram_matrix, me
 ALL_VECTOR_KINDS = ("linear", "gaussian", "polynomial")
 
 
-def spec_for(kind: str, trace_normalize: bool = False) -> KernelSpec:
+def spec_for(kind: str) -> KernelSpec:
     return KernelSpec(kind=kind, sigma=2.0 if kind == "gaussian" else None,
-                      degree=3 if kind == "polynomial" else None,
-                      trace_normalize=trace_normalize)
+                      degree=3 if kind == "polynomial" else None)
 
 
 class TestEvalKernel:
@@ -57,23 +56,23 @@ class TestEvalKernel:
 class TestGramMatrix:
     def test_orthonormal_linear(self):
         g = gram_matrix(KernelSpec(kind="linear"), [[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_allclose(g.values, np.eye(2))
+        np.testing.assert_array_equal(g.values, np.eye(2) / 2.0)
+        assert g.scale == 0.5
 
     def test_identity_kind_trace_normalized(self):
-        g = gram_matrix(KernelSpec(kind="identity", trace_normalize=True),
-                        [[1.0], [2.0], [3.0]])
+        g = gram_matrix(KernelSpec(kind="identity"), [[1.0], [2.0], [3.0]])
         np.testing.assert_allclose(g.values, np.eye(3) / 3.0)
         assert g.scale == pytest.approx(1.0 / 3.0)
 
     def test_gaussian_two_points(self):
         g = gram_matrix(KernelSpec(kind="gaussian", sigma=1.0), [[0.0], [1.0]])
-        np.testing.assert_allclose(g.values, [[1.0, np.exp(-1)], [np.exp(-1), 1.0]], rtol=1e-15)
+        np.testing.assert_allclose(g.values, [[0.5, np.exp(-1) / 2], [np.exp(-1) / 2, 0.5]], rtol=1e-15)
 
     def test_trace_normalization_trace_is_one(self):
         rng = np.random.default_rng(0)
         X = rng.standard_normal((7, 3))
         for kind in ALL_VECTOR_KINDS:
-            g = gram_matrix(spec_for(kind, trace_normalize=True), np.abs(X) + 0.1)
+            g = gram_matrix(spec_for(kind), np.abs(X) + 0.1)
             assert abs(np.trace(g.values) - 1.0) <= 1e-10
 
     def test_every_kind_is_exactly_symmetric(self):
@@ -84,13 +83,11 @@ class TestGramMatrix:
                   "row-strided": base[::2, :30], "fortran": np.asfortranarray(base[:, :30])}
         for name, X in inputs.items():
             for kind in (*ALL_VECTOR_KINDS, "identity"):
-                for trace_normalize in (False, True):
-                    G = gram_matrix(spec_for(kind, trace_normalize), X).values
-                    assert np.array_equal(G, G.T), (name, kind, trace_normalize)
+                G = gram_matrix(spec_for(kind), X).values
+                assert np.array_equal(G, G.T), (name, kind)
 
-    @pytest.mark.parametrize("trace_normalize", [False, True])
-    def test_overflowing_kernel_raises_without_a_warning(self, trace_normalize):
-        spec = KernelSpec(kind="polynomial", degree=2000, trace_normalize=trace_normalize)
+    def test_overflowing_kernel_raises_without_a_warning(self):
+        spec = KernelSpec(kind="polynomial", degree=2000)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(KernelError, match="overflow: the trace is inf"):
@@ -141,23 +138,24 @@ class TestKernelProperties:
         rng = np.random.default_rng(7)
         X = rng.standard_normal((10, 3))
         for kind in ("linear", "gaussian", "polynomial"):
-            raw = gram_matrix(spec_for(kind), X)
-            normed = gram_matrix(spec_for(kind, trace_normalize=True), X)
+            raw = kernels._kernel_block(spec_for(kind), X, X)
+            normed = gram_matrix(spec_for(kind), X)
             assert validate_psd(normed).passed
-            np.testing.assert_allclose(normed.values, raw.values / np.trace(raw.values), rtol=1e-12)
+            assert normed.scale == 1.0 / np.trace(raw)
+            np.testing.assert_array_equal(normed.values, raw * normed.scale)
 
     def test_cross_gram_row_matches_gram_column(self):
         rng = np.random.default_rng(11)
         X = np.abs(rng.standard_normal((8, 3))) + 0.1
         for kind in ALL_VECTOR_KINDS:
-            spec = spec_for(kind, trace_normalize=True)
+            spec = spec_for(kind)
             g = gram_matrix(spec, X)
             row = cross_gram(spec, X, X[2:3], scale=g.scale)
             assert row.shape == (1, 8)
             np.testing.assert_allclose(row[0], g.values[:, 2], rtol=1e-12, atol=1e-15)
 
     def test_cross_gram_identity_is_zero(self):
-        R = cross_gram(KernelSpec(kind="identity"), np.ones((4, 2)), np.ones((3, 2)))
+        R = cross_gram(KernelSpec(kind="identity"), np.ones((4, 2)), np.ones((3, 2)), scale=1.0)
         np.testing.assert_array_equal(R, np.zeros((3, 4)))
 
     def test_cross_gram_matches_eval(self):
@@ -166,14 +164,14 @@ class TestKernelProperties:
         T = rng.standard_normal((2, 3))
         for kind in ALL_VECTOR_KINDS:
             spec = spec_for(kind)
-            R = cross_gram(spec, X, T)
+            R = cross_gram(spec, X, T, scale=1.0)
             for i in range(2):
                 for j in range(6):
                     assert R[i, j] == pytest.approx(eval_kernel(spec, X[j], T[i]), rel=1e-12)
 
     def test_cross_gram_dimension_mismatch(self):
         with pytest.raises(KernelError):
-            cross_gram(KernelSpec(kind="linear"), np.ones((4, 2)), np.ones((3, 3)))
+            cross_gram(KernelSpec(kind="linear"), np.ones((4, 2)), np.ones((3, 3)), scale=1.0)
 
 
 class TestSharedDistances:
@@ -199,13 +197,11 @@ class TestSharedDistances:
         for X in self._inputs():
             D = sqdist(X)
             for sigma in (0.3, 1.0, 7.5):
-                for trace_normalize in (False, True):
-                    spec = KernelSpec(kind="gaussian", sigma=sigma, trace_normalize=trace_normalize)
-                    shared = gram_matrix(spec, X, D)
-                    block = kernels._kernel_block(spec, X, X)
-                    scale = 1.0 / np.trace(block) if trace_normalize else 1.0
-                    np.testing.assert_array_equal(shared.values, block * scale)
-                    assert shared.scale == scale
+                spec = KernelSpec(kind="gaussian", sigma=sigma)
+                shared = gram_matrix(spec, X, D)
+                block = kernels._kernel_block(spec, X, X)
+                assert shared.scale == 1.0 / np.trace(block)
+                np.testing.assert_array_equal(shared.values, block * shared.scale)
             np.testing.assert_array_equal(D, sqdist(X))  # the shared matrix is not overwritten
 
     def test_distance_matrix_of_wrong_shape_rejected(self):

@@ -706,8 +706,8 @@ class TestSolvers:
         X = rng.standard_normal((40, 4))
         w = rng.standard_normal(4)
         y = np.where(X @ w >= 0, 1.0, -1.0)
-        informative = gram_matrix(KernelSpec(kind="linear", trace_normalize=True), X)
-        noise = gram_matrix(KernelSpec(kind="identity", trace_normalize=True), X)
+        informative = gram_matrix(KernelSpec(kind="linear"), X)
+        noise = gram_matrix(KernelSpec(kind="identity"), X)
         p = MklProblem(kernels=[informative, noise], labels=y, C=10.0, gap_tol=0.01)
         sol = solve_accpm(p)
         assert sol.d[0] >= 0.9
@@ -722,8 +722,8 @@ class TestSolvers:
         rng = np.random.default_rng(0)
         X = rng.standard_normal((40, 4))
         y = np.where(X @ rng.standard_normal(4) >= 0, 1.0, -1.0)
-        informative = gram_matrix(KernelSpec(kind="linear", trace_normalize=True), X)
-        noise = gram_matrix(KernelSpec(kind="identity", trace_normalize=True), X)
+        informative = gram_matrix(KernelSpec(kind="linear"), X)
+        noise = gram_matrix(KernelSpec(kind="identity"), X)
         sol = solve_accpm(MklProblem(kernels=[informative, noise], labels=y, C=10.0,
                                      gap_tol=gap_tol))
         assert sol.status == "converged"

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SvmProblem, make_svm_problem, qp_projected_gradient, solve_tight
+from oracles import SvmProblem, make_svm_problem, qp_projected_gradient, raw_gram, solve_tight
 
 from newsmkl import _smo
 from newsmkl.kernels import GramMatrix, KernelSpec, gram_matrix
@@ -14,7 +14,7 @@ from newsmkl.svm import (SvmError, dual_objective, model_to_dict,
 
 def two_point_problem(shift: float = 0.0, C: float = 10.0):
     pts = [[-1.0 + shift], [1.0 + shift]]
-    ts = SvmProblem(labels=np.array([-1.0, 1.0]), gram=gram_matrix(KernelSpec(kind="linear"), pts))
+    ts = SvmProblem(labels=np.array([-1.0, 1.0]), gram=raw_gram(KernelSpec(kind="linear"), pts))
     return ts, C
 
 
