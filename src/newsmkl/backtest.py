@@ -293,6 +293,8 @@ class BacktestConfig:
     def __post_init__(self):
         if not self.plan:
             raise BacktestError("the plan has no kernels")
+        if not self.horizons:
+            raise BacktestError("no horizons configured")
         if self.solver not in SOLVERS:
             raise BacktestError(f"unknown solver {self.solver!r}; choose from {', '.join(SOLVERS)}")
         if self.jobs < 1:
@@ -567,17 +569,6 @@ def _run_window_job(args) -> list:
     return outcomes
 
 
-def extract_horizons(cfg: BacktestConfig, docs: list[Document], prices: dict[str, PriceSeries],
-                     dictionary: Dictionary) -> dict[int, tuple[list[FeatureRecord], dict[str, int]]]:
-    """Every configured horizon's (feature records, drop tally), from one
-    pass over the documents."""
-    if not cfg.horizons:
-        raise BacktestError("no horizons configured")
-    extracted = prepare_records_by_horizon(docs, prices, dictionary,
-                                           [cfg.labeling(h) for h in cfg.horizons])
-    return dict(zip(cfg.horizons, extracted))
-
-
 def run_sweep(cfg: BacktestConfig, extracted: dict[int, tuple[list[FeatureRecord], dict[str, int]]]
               ) -> dict[int, MetricsReport]:
     """Window-major sweep over already-extracted records: each window runs
@@ -643,7 +634,7 @@ def run_horizon_on_records(cfg: BacktestConfig, horizon: int, records: list[Feat
 def run_backtest(cfg: BacktestConfig, docs: list[Document], prices: dict[str, PriceSeries],
                  dictionary: Dictionary) -> dict[int, MetricsReport]:
     """Run every configured horizon; horizon -> aggregated MetricsReport."""
-    return run_sweep(cfg, extract_horizons(cfg, docs, prices, dictionary))
+    return run_sweep(cfg, prepare_records_by_horizon(docs, prices, dictionary, cfg.horizons, cfg.label_kind))
 
 
 # ---------------------------------------------------------------------------

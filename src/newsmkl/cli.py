@@ -172,7 +172,7 @@ def cmd_backtest(args) -> int:
         jobs=args.jobs,
     )
     docs, prices, dictionary = _load_inputs(args)
-    extracted = bt.extract_horizons(cfg, docs, prices, dictionary)
+    extracted = market.prepare_records_by_horizon(docs, prices, dictionary, cfg.horizons, cfg.label_kind)
     # the sweep reads only the records: free the documents and prices before any Gram is built
     del docs, prices
     reports = bt.run_sweep(cfg, extracted)

@@ -225,12 +225,13 @@ def prepare_records_by_horizon(
     docs: list[Document],
     prices: dict[str, PriceSeries],
     dictionary: Dictionary,
-    configs: list[LabelingConfig],
-) -> list[tuple[list[FeatureRecord], dict[str, int]]]:
-    """Extract features and horizon returns for every usable document, once
-    per configuration (the configurations must share their label kind).
+    horizons: tuple[int, ...],
+    label_kind: str,
+) -> dict[int, tuple[list[FeatureRecord], dict[str, int]]]:
+    """Extract features and returns for every usable document at each
+    horizon (in minutes), with the return features of `label_kind`.
 
-    Returns, per configuration, the kept records plus a tally of dropped
+    Returns, per horizon, the kept records plus a tally of dropped
     documents by reason; kept + dropped always sums to the input count.
     At each horizon the checks run in the order ticker, weekend, trading
     day, minimum event time (10:10), horizon overflow, price history, and the
@@ -240,9 +241,6 @@ def prepare_records_by_horizon(
     array, return and calendar features are shared by its records at every
     horizon. Prices are looked up per ticker, for all of its events at once.
     """
-    if len({c.label_kind for c in configs}) != 1:
-        raise MarketError("extraction needs configurations of one label kind")
-    horizons = [c.horizon_minutes for c in configs]
     # per document: the reason it drops at every horizon, and which horizons end by the close
     checks = []
     by_ticker: dict[str, list[int]] = {}  # positions of the documents that need prices
@@ -261,16 +259,16 @@ def prepare_records_by_horizon(
         et = np.array([int(docs[p].timestamp.timestamp()) for p in positions], dtype=np.int64)
         ok = _has_history(series, et)
         et = et[ok]
-        rets = return_features(series, et, absolute=configs[0].label_kind == "abnormal")
+        rets = return_features(series, et, absolute=label_kind == "abnormal")
         future = future_return(series, et, horizons)
         kept = [p for p, has in zip(positions, ok.tolist()) if has]
         returns.update(zip(kept, zip(rets, future.tolist())))
 
-    out = [([], dict.fromkeys(DROP_REASONS, 0)) for _ in configs]
+    out = {h: ([], dict.fromkeys(DROP_REASONS, 0)) for h in horizons}
     for position, (doc, (reason, fits)) in enumerate(zip(docs, checks)):
         rets, future = returns.get(position, (None, None))
         kept = []
-        for j, (fit, (records, dropped)) in enumerate(zip(fits, out)):
+        for j, (fit, (records, dropped)) in enumerate(zip(fits, out.values())):
             if fit and rets is not None:
                 kept.append((records, future[j]))
             else:
@@ -295,7 +293,8 @@ def prepare_feature_records(
     config: LabelingConfig,
 ) -> tuple[list[FeatureRecord], dict[str, int]]:
     """`prepare_records_by_horizon` for one configuration."""
-    return prepare_records_by_horizon(docs, prices, dictionary, [config])[0]
+    h = config.horizon_minutes
+    return prepare_records_by_horizon(docs, prices, dictionary, (h,), config.label_kind)[h]
 
 
 def label_threshold(train_records: list[FeatureRecord], config: LabelingConfig) -> float:
@@ -330,7 +329,15 @@ _MAX_FIELD_BYTES = 32  # a longer ticker or price goes to the row parser
 _STAMP_LO = np.frombuffer(b"0000-00-00T00:00:00", np.uint8)
 _STAMP_SPAN = np.frombuffer(b"9999-99-99T99:99:99", np.uint8) - _STAMP_LO
 _YEAR_ONE = int(np.datetime64("0001-01-01T00:00:00", "s").astype(np.int64))  # datetime's minimum
-_WORD_MASKS = np.array([(1 << 8 * k) - 1 for k in range(9)], dtype=np.uint64)  # first k bytes of a word
+
+
+def _fixed_width(padded: np.ndarray, at: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """Each row's field of `lengths` bytes at offset `at` of `padded`, as one
+    `S{width}` array NUL-padded to the longest."""
+    width = int(lengths.max())
+    fields = np.lib.stride_tricks.sliding_window_view(padded, width)[at]
+    fields[np.arange(width) >= lengths[:, None]] = 0
+    return fields.view(f"S{width}").ravel()
 
 
 def _parse_price_block(buf: bytes, chunks: dict[bytes, tuple[list, list]]) -> None:
@@ -338,7 +345,7 @@ def _parse_price_block(buf: bytes, chunks: dict[bytes, tuple[list, list]]) -> No
     times and prices, keyed by the ticker's bytes.
 
     ValueError unless every row is three fields `ticker,YYYY-MM-DDTHH:MM:SSZ,price`
-    with a positive finite price, ticker and price of at most
+    with a positive finite price, a nonempty ticker, ticker and price of at most
     `_MAX_FIELD_BYTES` bytes, no NUL or carriage return, and a printable,
     non-space ASCII first and last byte (so stripping a row cannot change
     it and no row is blank).
@@ -355,8 +362,8 @@ def _parse_price_block(buf: bytes, chunks: dict[bytes, tuple[list, list]]) -> No
     if commas.size != 2 * ends.size:
         raise ValueError("a row is not three fields")
     c1, c2 = commas[0::2], commas[1::2]
-    if not (np.all(c1 >= starts) and np.all(c2 < ends) and np.all(c2 - c1 == 21)):
-        raise ValueError("a row is not three fields with a 20-byte timestamp")
+    if not (np.all(c1 > starts) and np.all(c2 < ends) and np.all(c2 - c1 == 21)):
+        raise ValueError("a row is not three fields with a nonempty ticker and a 20-byte timestamp")
     lengths, widths = c1 - starts, ends - c2 - 1  # of the ticker and the price
     if max(lengths.max(), widths.max()) > _MAX_FIELD_BYTES:
         raise ValueError("a ticker or price is too long for the block parser")
@@ -369,23 +376,15 @@ def _parse_price_block(buf: bytes, chunks: dict[bytes, tuple[list, list]]) -> No
         raise ValueError("a timestamp is before year 1")
 
     padded = np.concatenate((b, np.zeros(_MAX_FIELD_BYTES, np.uint8)))
-    width = int(widths.max())
-    fields = np.lib.stride_tricks.sliding_window_view(padded, width)[c2 + 1]
-    fields[np.arange(width) >= widths[:, None]] = 0
-    prices = fields.view(f"S{width}").ravel().astype(np.float64)
+    prices = _fixed_width(padded, c2 + 1, widths).astype(np.float64)
     if not np.all((prices > 0.0) & (prices < math.inf)):
         raise ValueError("a price is not a positive finite number")
 
-    # a row starts a new run of its ticker unless its ticker equals the
-    # previous row's: same length and the same bytes, 8 at a time
-    new_run = np.concatenate(([True], lengths[1:] != lengths[:-1]))
-    words = np.lib.stride_tricks.sliding_window_view(padded, 8)
-    for k in range(0, int(lengths.max()), 8):
-        w = words[starts + k].view("<u8").ravel() & _WORD_MASKS[np.clip(lengths - k, 0, 8)]
-        new_run[1:] |= w[1:] != w[:-1]
-    heads = np.flatnonzero(new_run)
+    # a row starts a new run of its ticker unless its ticker equals the previous row's
+    tickers = _fixed_width(padded, starts, lengths)
+    heads = np.flatnonzero(np.concatenate(([True], tickers[1:] != tickers[:-1])))
     keys: dict[bytes, int] = {}
-    run_code = [keys.setdefault(buf[starts[h]:c1[h]], len(keys)) for h in heads.tolist()]
+    run_code = [keys.setdefault(ticker, len(keys)) for ticker in tickers[heads].tolist()]
     code = np.repeat(run_code, np.diff(np.append(heads, ends.size)))
     for key, j in keys.items():
         rows = code == j if len(keys) > 1 else slice(None)
@@ -427,6 +426,8 @@ def _price_rows(path) -> tuple[list[str], np.ndarray, np.ndarray]:
                 continue
             try:
                 ticker, ts, price = _utf8_line(line).split(",")
+                if not ticker:
+                    raise ValueError("empty ticker")
                 et = int(_parse_timestamp(ts).timestamp())
                 p = float(price)
                 if not 0.0 < p < math.inf:  # also false for nan

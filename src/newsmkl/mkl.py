@@ -13,7 +13,7 @@ point a solver proposes, keeps the best point and ends at gap_tol
     d = (z_1, ..., z_{n-1}, 1 - sum z), so the localization polyhedron
     {z : A z <= b} lives in n-1 dimensions. Each iteration computes the
     analytic center (damped Newton on the log barrier), evaluates J and
-    its gradient there (one SVM), prunes to at most 3n constraints by a
+    its gradient there (one SVM), prunes to at most 3n - 1 constraints by a
     barrier-Hessian relevance score and adds the halfspace that keeps
     every point at least as good as the center; a zero reduced gradient
     ends it ("flat_gradient"), and so does an empty interior
@@ -60,6 +60,8 @@ LOOSE_TOL = 1e-2
 # ACCPM: a center with at least this weight on the kernel of largest quad form
 # is followed by one solve at that kernel's vertex (see `_accpm_points`)
 VERTEX_SHARE = 0.9
+# ACCPM: the longest step off a new cut toward the next center's start (see `_push_inside`)
+PUSH_STEP = 0.1
 
 
 class MklError(ValueError):
@@ -122,8 +124,9 @@ class MklState:
     y * (d' U) - 1 and its quad forms cost O(|S| n) per kernel. A cold
     solve, or one where |S| exceeds DELTA_MAX_FRACTION of the entries,
     takes a full pass instead. Delta updates round differently from a
-    full pass, so a gap that could end a solve (`_checked`) and the
-    returned gap and bias (`_finish`) come from full passes.
+    full pass, so a gap that could end a solve (`_solve`) and the returned
+    gap and bias (`_finish`) come from full passes: one per finished solve,
+    which `_finish` reuses unless it re-solves.
 
     `tol` is the SMO tolerance the next solve starts at, never below
     `inner_tol`: 0.0 solves at `inner_tol` (the exact oracle), and ACCPM
@@ -148,6 +151,11 @@ class SolvePoint:
     A point SMO left above `inner_tol` has J = D(alpha) <= J(d) and
     `eps`, the SVM's duality gap, with J(d) <= J + eps: its cut is
     shallow by eps. A point solved at `inner_tol` has eps = 0.
+
+    q is taken from the products as `_evaluate` left them, which delta
+    updates may have reached. `_solve`'s stop check replaces it with a
+    full pass's and keeps that pass's products in `U`, None until a full
+    pass sets it.
     """
 
     d: np.ndarray
@@ -156,6 +164,7 @@ class SolvePoint:
     smo: tuple[int, float, bool]
     q: np.ndarray
     eps: float = 0.0
+    U: np.ndarray | None = None
 
 
 # how an MKL solve ended: the MklSolution attributes every result file writes,
@@ -251,7 +260,9 @@ def _evaluate(problem: MklProblem, d, state: MklState) -> SolvePoint:
     SVM duality gap eps exceeds a tenth of its MKL gap, (b) its MKL gap is
     at most gap_tol (only a point at `inner_tol` certifies convergence) or
     (c) J >= best_J - eps (it does not beat the best point by more than its
-    own error). The tolerance reached is the next solve's start.
+    own error). These rules read the gap of the delta-updated q; only
+    `_solve` takes a full pass to decide a stop. The tolerance reached is
+    the next solve's start.
     """
     d = _check_simplex(d, problem.n_kernels)
     y, C, inner = problem.labels, problem.C, problem.inner_tol
@@ -295,7 +306,7 @@ def _evaluate(problem: MklProblem, d, state: MklState) -> SolvePoint:
         point.eps = primal_dual_gap(alpha, y, grad, C)
         if not converged:  # SMO's iteration budget is spent
             break
-        gap = _checked(problem, point)
+        gap = _gap_from_quads(d, point.q)
         if not (point.eps > 0.1 * gap or gap <= problem.gap_tol
                 or point.J >= state.best_J - point.eps):
             break
@@ -306,18 +317,6 @@ def _evaluate(problem: MklProblem, d, state: MklState) -> SolvePoint:
     state.alpha, state.products = alpha, U
     state.tol, state.best_J = tol, min(state.best_J, point.J)
     return point
-
-
-def _checked(problem: MklProblem, point: SolvePoint) -> float:
-    """The duality gap at a solve point. A gap that would end the solve is
-    recomputed, with the point's q, from a full product pass: the same
-    numbers `duality_gap` gives."""
-    gap = _gap_from_quads(point.d, point.q)
-    if gap <= problem.gap_tol:
-        v = problem.labels * point.alpha
-        point.q = _quad_forms(_kernel_products(problem, v), v)
-        gap = _gap_from_quads(point.d, point.q)
-    return gap
 
 
 def mkl_objective(problem: MklProblem, d, state: MklState | None = None) -> tuple[float, np.ndarray]:
@@ -420,15 +419,13 @@ def barrier_hessian(loc: LocalizationSet, z: np.ndarray) -> np.ndarray:
     return W.T @ W
 
 
-def analytic_center(loc: LocalizationSet, z0: np.ndarray | None = None) -> np.ndarray:
+def analytic_center(loc: LocalizationSet, z0: np.ndarray) -> np.ndarray:
     """Minimize -sum log(b_i - a_i'z) by damped Newton with backtracking.
 
-    Needs a strictly interior starting point; defaults to the uniform
-    mixture, which is interior to the initial simplex faces. Raises
-    MklError when the interior is (numerically) empty at the start.
+    Needs a strictly interior starting point z0 (the uniform mixture is
+    interior to the initial simplex faces). Raises MklError when the
+    interior is (numerically) empty at the start.
     """
-    if z0 is None:
-        z0 = uniform_reduced(loc.dim + 1)
     z = np.asarray(z0, dtype=np.float64).copy()
     if not loc.is_interior(z):
         raise MklError("analytic centering needs a strictly interior start (empty interior?)")
@@ -516,8 +513,9 @@ def cut_relevance(loc: LocalizationSet, center_z: np.ndarray, hessian: np.ndarra
 
 
 def prune_cuts(loc: LocalizationSet, center_z: np.ndarray, hessian: np.ndarray,
-               budget: int | None = None) -> LocalizationSet:
-    """Keep at most 3n constraints, ranked by relevance at the center.
+               budget: int) -> LocalizationSet:
+    """Keep at most `budget` constraints, ranked by relevance at the center
+    (ACCPM keeps 3n - 1, so that its new cut makes 3n).
 
     Simplex faces are never pruned (dropping them can unbound the
     barrier); the budget is filled with the most relevant objective cuts,
@@ -526,8 +524,6 @@ def prune_cuts(loc: LocalizationSet, center_z: np.ndarray, hessian: np.ndarray,
     infinite relevance and survives automatically.
     """
     n = loc.dim + 1  # the faces are rows 0..n-1
-    if budget is None:
-        budget = 3 * n
     n_keep_cuts = max(budget - n, 0)
     if loc.n_rows - n <= n_keep_cuts:
         return loc
@@ -537,13 +533,13 @@ def prune_cuts(loc: LocalizationSet, center_z: np.ndarray, hessian: np.ndarray,
     return LocalizationSet(A=loc.A[keep], b=loc.b[keep])
 
 
-def _push_inside(loc: LocalizationSet, z: np.ndarray, new_row: int, cap: float = 0.1) -> np.ndarray:
-    """Step off the zero-slack newest cut into the interior."""
+def _push_inside(loc: LocalizationSet, z: np.ndarray, new_row: int) -> np.ndarray:
+    """Step off the zero-slack newest cut into the interior, by at most PUSH_STEP."""
     a = loc.A[new_row]
     s = loc.slacks(z)
     proj = loc.A @ a  # slack change rate along -a is +proj
     shrink = proj < 0.0
-    t_max = cap
+    t_max = PUSH_STEP
     if np.any(shrink):
         t_max = min(t_max, 0.5 * float(np.min(s[shrink] / -proj[shrink])))
     return z - max(t_max, 0.0) * a
@@ -558,8 +554,9 @@ def _finish(problem: MklProblem, state: MklState, point: SolvePoint, iterations:
             status: str, gap_history: list[float]) -> MklSolution:
     """The solution at a solve point. Weights below WEIGHT_THRESHOLD are
     zeroed and the rest renormalized, with a re-solve at `inner_tol` if
-    that moved d or SMO left the point above `inner_tol`; one full product
-    pass then gives the returned gap and the model's bias."""
+    that moved d or SMO left the point above `inner_tol`. The full product
+    pass of the returned alpha gives the returned gap and the model's bias:
+    the point's own `U` when it was not re-solved, else one pass here."""
     kept = np.where(point.d < WEIGHT_THRESHOLD, 0.0, point.d)
     thresholded = not np.array_equal(kept, point.d)
     if thresholded or point.smo[1] > problem.inner_tol:
@@ -568,7 +565,7 @@ def _finish(problem: MklProblem, state: MklState, point: SolvePoint, iterations:
     d = point.d / point.d.sum()
     y, C = problem.labels, problem.C
     v = y * point.alpha
-    U = _kernel_products(problem, v)
+    U = _kernel_products(problem, v) if point.U is None else point.U
     q = _quad_forms(U, v)
     model = build_model(point.alpha, point.J, recover_bias(point.alpha, y, d @ U, C), C, point.smo)
     return MklSolution(d=d, model=model, objective=point.J, gap=_gap_from_quads(d, q),
@@ -586,7 +583,9 @@ def _solve(problem: MklProblem, points) -> MklSolution:
     """
     state = MklState()
     if problem.n_kernels == 1:
-        return _finish(problem, state, _evaluate(problem, [1.0], state), 1, "converged", [0.0])
+        point = _evaluate(problem, [1.0], state)
+        point.U = state.products  # a cold solve's one full pass
+        return _finish(problem, state, point, 1, "converged", [0.0])
     steps = points(problem, state)
     gap_history: list[float] = []
     best: SolvePoint | None = None
@@ -599,7 +598,12 @@ def _solve(problem: MklProblem, points) -> MklSolution:
             if status == "flat_gradient":
                 best = point
             break
-        gap = _checked(problem, point)
+        gap = _gap_from_quads(point.d, point.q)
+        if gap <= problem.gap_tol:  # a gap that ends the solve is a full pass's
+            v = problem.labels * point.alpha
+            point.U = _kernel_products(problem, v)
+            point.q = _quad_forms(point.U, v)
+            gap = _gap_from_quads(point.d, point.q)
         gap_history.append(gap)
         if gap <= problem.gap_tol:
             best, status = point, "converged"

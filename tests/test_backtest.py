@@ -447,6 +447,7 @@ class TestRunBacktest:
     @pytest.mark.parametrize("changes, message", [
         ({"plan": []}, "the plan has no kernels"),
         ({"solver": "bogus"}, "unknown solver 'bogus'; choose from accpm, redgrad"),
+        ({"horizons": ()}, "no horizons configured"),
         # one name for two kernels would key both weights, and both windows.csv columns, alike
         ({"plan": [bt.PlanKernel(name="k", feature="text", kind="linear"),
                    bt.PlanKernel(name="k", feature="absret", kind="linear")]}, "plan repeats a value: k, k"),
@@ -697,6 +698,34 @@ class TestPerFeatureBuild:
                                                         rel=1e-10, abs=1e-15), (pk.name, i, j)
 
 
+class TestFullProductPasses:
+    def test_mkl13_fit_ending_at_a_vertex_takes_two_full_passes(self, monkeypatch):
+        docs, prices, _ = synth_fixture(seed=4, n_events=260, n_months=14)
+        cfg = bt.BacktestConfig(plan=bt.named_plan("mkl13"), gap_tol=1e-3)
+        labeling = cfg.labeling(10)
+        records, _ = bt.prepare_feature_records(docs, prices, default_dictionary(), labeling)
+        y = market.label_records(records, labeling, market.label_threshold(records, labeling))
+        built = bt.build_kernels(cfg.plan, records)
+        passes, at_last_evaluate = [], [0]
+        real_products, real_evaluate = mkl._kernel_products, mkl._evaluate
+
+        def products(problem, v):
+            passes.append(v)
+            return real_products(problem, v)
+
+        def evaluate(*args):
+            point = real_evaluate(*args)
+            at_last_evaluate[0] = len(passes)
+            return point
+
+        monkeypatch.setattr(mkl, "_kernel_products", products)
+        monkeypatch.setattr(mkl, "_evaluate", evaluate)
+        sol = bt.fit_plan(built, y, 10.0, cfg.solver, cfg.gap_tol)
+        assert sol.status == "converged" and sol.d.max() == 1.0
+        # the cold first solve's, then the stop check's, which `_finish` reuses
+        assert len(passes) == 2 and at_last_evaluate[0] == 1
+
+
 class TestMixedPrediction:
     """`predict_records` sums each kernel's product with y * alpha instead of
     building the mixed block sum_k d_k B_k, and scores the test events as
@@ -873,7 +902,7 @@ class TestWindowMajorSweep:
         docs, prices, _ = synth_fixture(seed=3, n_events=300)
         dic = default_dictionary()
         cfg = bt.BacktestConfig(plan=LIN_TEXT, horizons=(10, 20, 250), c_grid=(10.0, 1000.0))
-        extracted = bt.extract_horizons(cfg, docs, prices, dic)
+        extracted = market.prepare_records_by_horizon(docs, prices, dic, cfg.horizons, cfg.label_kind)
         assert extracted[250][1]["horizon_overflow"] > 0
         alone = {h: bt.run_horizon_on_records(cfg, h, *extracted[h]) for h in cfg.horizons}
         builds = _counting_builds(monkeypatch)

@@ -318,9 +318,10 @@ HORIZONS = (10, 30, 60, 250)
            st.sampled_from(["hello", "hello hello world", "world"])), max_size=25),
        label_kind=st.sampled_from(["abnormal", "direction"]))
 def test_horizons_extracted_together_match_each_alone(docs, label_kind):
-    configs = [LabelingConfig(horizon_minutes=h, label_kind=label_kind) for h in HORIZONS]
-    together = prepare_records_by_horizon(docs, TWO_TICKERS, DICTIONARY, configs)
-    for config, (records, dropped) in zip(configs, together):
+    together = prepare_records_by_horizon(docs, TWO_TICKERS, DICTIONARY, HORIZONS, label_kind)
+    assert list(together) == list(HORIZONS)
+    for h, (records, dropped) in together.items():
+        config = LabelingConfig(horizon_minutes=h, label_kind=label_kind)
         kept, naive_dropped = naive_feature_records(docs, TWO_TICKERS, DICTIONARY, config)
         assert dropped == naive_dropped
         assert [{"doc_id": r.doc_id, "ticker": r.ticker, "timestamp": r.timestamp, "position": r.position,
@@ -334,9 +335,8 @@ class TestExtractionOrder:
     def test_overflow_wins_over_missing_history_at_the_horizon_that_overflows(self):
         # 15:40 on ticker L: no prices back to 15:05, and 30 minutes run past the close
         doc = Document(id="x", ticker="L", text="hello", timestamp=WEEK_START + timedelta(hours=15, minutes=40))
-        configs = [LabelingConfig(horizon_minutes=h) for h in (10, 30)]
-        (kept10, dropped10), (kept30, dropped30) = prepare_records_by_horizon(
-            [doc], TWO_TICKERS, DICTIONARY, configs)
+        together = prepare_records_by_horizon([doc], TWO_TICKERS, DICTIONARY, (10, 30), "abnormal")
+        (kept10, dropped10), (kept30, dropped30) = together[10], together[30]
         assert not kept10 and not kept30
         assert {k: v for k, v in dropped10.items() if v} == {"insufficient_history": 1}
         assert {k: v for k, v in dropped30.items() if v} == {"horizon_overflow": 1}
@@ -353,21 +353,14 @@ class TestExtractionOrder:
         monkeypatch.setattr(market, "return_features", recorded)
         docs = [Document(id=f"d{i}", ticker="T", text="hello", timestamp=dt(11 + i, 0, day=6))
                 for i in range(3)]
-        together = prepare_records_by_horizon(docs, WEEK_PRICES, DICTIONARY,
-                                              [LabelingConfig(horizon_minutes=h) for h in (10, 20, 30)])
-        assert [len(records) for records, _ in together] == [3, 3, 3]
+        together = prepare_records_by_horizon(docs, WEEK_PRICES, DICTIONARY, (10, 20, 30), "abnormal")
+        assert [len(records) for records, _ in together.values()] == [3, 3, 3]
         # one batched lookup for the ticker, holding each document's event once
         assert looked_up == [("T", [int(d.timestamp.timestamp()) for d in docs])]
         # one document's records at every horizon share its feature arrays
-        firsts = [records[0] for records, _ in together]
+        firsts = [records[0] for records, _ in together.values()]
         assert all(r.return_features is firsts[0].return_features for r in firsts)
         assert all(r.text_counts is firsts[0].text_counts for r in firsts)
-
-    def test_configurations_must_differ_only_in_horizon(self):
-        with pytest.raises(MarketError):
-            prepare_records_by_horizon([], WEEK_PRICES, DICTIONARY,
-                                       [LabelingConfig(horizon_minutes=10),
-                                        LabelingConfig(horizon_minutes=20, label_kind="direction")])
 
 
 def _edge_prices():
@@ -392,9 +385,9 @@ def test_extraction_edges_match_the_per_event_oracle():
           ("B", timedelta(hours=12, minutes=41, seconds=1))]  # the ticker's only event
     docs = [Document(id=f"e{i}", ticker=tk, text="hello world", timestamp=WEEK_START + offset)
             for i, (tk, offset) in enumerate(at)]
-    configs = [LabelingConfig(horizon_minutes=h) for h in (10, 30, 60)]
-    together = prepare_records_by_horizon(docs, prices, DICTIONARY, configs)
-    for config, (records, dropped) in zip(configs, together):
+    together = prepare_records_by_horizon(docs, prices, DICTIONARY, (10, 30, 60), "abnormal")
+    for h, (records, dropped) in together.items():
+        config = LabelingConfig(horizon_minutes=h)
         kept, naive_dropped = naive_feature_records(docs, prices, DICTIONARY, config)
         assert dropped == naive_dropped
         assert [{"doc_id": r.doc_id, "ticker": r.ticker, "timestamp": r.timestamp, "position": r.position,
@@ -402,10 +395,10 @@ def test_extraction_edges_match_the_per_event_oracle():
                  "return_features": r.return_features.tolist(), "time_of_day": r.time_of_day.tolist(),
                  "day_of_week": r.day_of_week.tolist(), "signed_return": r.signed_return}
                 for r in records] == kept
-    ids = [[r.doc_id for r in records] for records, _ in together]
+    ids = [[r.doc_id for r in records] for records, _ in together.values()]
     assert ids == [["e0", "e2", "e3", "e4", "e5", "e6"], ["e0", "e2", "e3", "e4", "e5", "e6"],
                    ["e0", "e2", "e3", "e5", "e6"]]
-    assert [{k: v for k, v in dropped.items() if v} for _, dropped in together] == \
+    assert [{k: v for k, v in dropped.items() if v} for _, dropped in together.values()] == \
         [{"insufficient_history": 1}, {"insufficient_history": 1},
          {"insufficient_history": 1, "horizon_overflow": 1}]
 
@@ -549,6 +542,16 @@ class TestReadPrices:
         path.write_text(f"ticker,timestamp,price\nAAA,2004-01-05T09:30:00Z,1.0\n\n{row}\n"
                         "AAA,2004-01-05T09:32:00Z,1.0\n")
         with pytest.raises(MarketError, match="^" + re.escape(f"{path}:4: bad price row")):
+            read_prices(path)
+
+    def test_an_empty_ticker_names_its_line(self, tmp_path):
+        # the file is otherwise in `write_prices` form: the block parser refuses it as well
+        path = tmp_path / "prices.csv"
+        path.write_text("ticker,timestamp,price\nAAA,2004-01-05T10:00:00Z,100.0\n"
+                        ",2004-01-05T10:01:00Z,100.0\n")
+        with pytest.raises(ValueError):
+            market._price_blocks(path)
+        with pytest.raises(MarketError, match="^" + re.escape(f"{path}:3: bad price row: empty ticker")):
             read_prices(path)
 
 

@@ -202,6 +202,70 @@ class TestMixtureFree:
             assert not np.array_equal(point.alpha, before)  # SMO moved alpha
             assert len(calls) == passes
 
+    def _count_passes_by_phase(self, monkeypatch):
+        """Full passes in all, inside `_evaluate`, inside `_sync_products`,
+        and at the end of the last `_evaluate`."""
+        calls = self._count_full_passes(monkeypatch)
+        counts = {"evaluate": 0, "sync": 0, "at_last_evaluate": 0}
+        real_sync, real_evaluate = mkl._sync_products, mkl._evaluate
+
+        def sync(*args):
+            before = len(calls)
+            out = real_sync(*args)
+            counts["sync"] += len(calls) - before
+            return out
+
+        def evaluate(*args):
+            before = len(calls)
+            point = real_evaluate(*args)
+            counts["evaluate"] += len(calls) - before
+            counts["at_last_evaluate"] = len(calls)
+            return point
+
+        monkeypatch.setattr(mkl, "_sync_products", sync)
+        monkeypatch.setattr(mkl, "_evaluate", evaluate)
+        return calls, counts
+
+    def test_single_kernel_fit_takes_one_full_pass(self, monkeypatch):
+        calls = self._count_full_passes(monkeypatch)
+        p = small_problem(seed=2, n_kernels=1, l=40, C=10.0)
+        sol = solve_accpm(p)
+        assert sol.svm_solves == 1 and len(calls) == 1
+        monkeypatch.undo()
+        U = mkl._kernel_products(p, p.labels * sol.model.alpha)
+        assert sol.model.bias == recover_bias(sol.model.alpha, p.labels, sol.d @ U, p.C)
+        assert sol.gap == duality_gap(p, sol.d, sol.model.alpha)
+
+    def test_converged_solve_reuses_its_checking_pass(self, monkeypatch):
+        # ends at a vertex, solved at inner_tol: `_finish` does not re-solve
+        calls, counts = self._count_passes_by_phase(monkeypatch)
+        p = small_problem(seed=0, n_kernels=3, l=30, C=10.0)
+        sol = solve_accpm(p)
+        assert sol.status == "converged"
+        np.testing.assert_array_equal(sol.d, [1.0, 0.0, 0.0])
+        assert len(calls) - counts["at_last_evaluate"] == 1  # `_solve`'s stop check, reused by `_finish`
+        monkeypatch.undo()
+        assert sol.gap == duality_gap(p, sol.d, sol.model.alpha)
+        U = mkl._kernel_products(p, p.labels * sol.model.alpha)
+        assert sol.model.bias == recover_bias(sol.model.alpha, p.labels, sol.d @ U, p.C)
+
+    def test_evaluate_takes_full_passes_only_to_sync_products(self, monkeypatch):
+        _, counts = self._count_passes_by_phase(monkeypatch)
+        smo_runs, svm_solves = [], 0
+        real_smo = _smo.solve
+
+        def smo(*args):
+            smo_runs.append(1)
+            return real_smo(*args)
+
+        monkeypatch.setattr(_smo, "solve", smo)
+        for seed in range(3):
+            sol = solve_accpm(small_problem(seed=seed, n_kernels=3, l=30, C=10.0))
+            assert sol.status == "converged"
+            svm_solves += sol.svm_solves
+        assert len(smo_runs) > svm_solves  # some solves tightened in `_evaluate`'s loop
+        assert counts["evaluate"] == counts["sync"] > 0
+
     def test_converged_gap_and_bias_come_from_a_full_pass(self):
         for solver in (solve_accpm, solve_reduced_gradient):
             p = small_problem(seed=3, n_kernels=3, l=40, C=10.0)
@@ -516,11 +580,11 @@ class TestDualityGap:
 
 class TestAnalyticCenter:
     def test_reduced_simplex_n2_center(self):
-        z = analytic_center(LocalizationSet.initial_simplex(2))
+        z = analytic_center(LocalizationSet.initial_simplex(2), z0=uniform_reduced(2))
         assert z[0] == pytest.approx(0.5, abs=1e-9)
 
     def test_reduced_simplex_n3_center(self):
-        z = analytic_center(LocalizationSet.initial_simplex(3))
+        z = analytic_center(LocalizationSet.initial_simplex(3), z0=uniform_reduced(3))
         np.testing.assert_allclose(z, [1 / 3, 1 / 3], atol=1e-9)
 
     def test_matches_grid_minimizer_with_extra_cut(self):
@@ -590,7 +654,7 @@ class TestCuts:
         # J(d) = (d1 - 0.3)^2 in reduced coordinate; gradient in full coords
         z_star = 0.3
         loc = LocalizationSet.initial_simplex(2)
-        z = analytic_center(loc)
+        z = analytic_center(loc, z0=uniform_reduced(2))
         for _ in range(12):
             grad_reduced = 2.0 * (z[0] - z_star)
             full_grad = np.array([grad_reduced, 0.0])  # reduce() recovers grad_reduced
@@ -620,13 +684,13 @@ class TestPrune:
     def test_within_budget_is_identity(self):
         loc = self._loc_with_cuts(4)  # 3 faces + 4 cuts = 7 <= 3n = 9
         H = barrier_hessian(loc, self.CENTER3)
-        assert prune_cuts(loc, self.CENTER3, H) is loc
+        assert prune_cuts(loc, self.CENTER3, H, budget=9) is loc
 
     def test_retains_top_relevance_cuts(self):
         loc = self._loc_with_cuts(10)
         assert loc.n_rows == 13
         H = barrier_hessian(loc, self.CENTER3)
-        pruned = prune_cuts(loc, self.CENTER3, H)  # budget 3n = 9: 3 faces + 6 cuts
+        pruned = prune_cuts(loc, self.CENTER3, H, budget=9)  # 3 faces + 6 cuts
         assert pruned.n_rows == 9
         # the 3 faces are the first rows, kept
         np.testing.assert_array_equal(pruned.A[:3], loc.A[:3])
@@ -849,18 +913,25 @@ class TestIterationLoop:
         p = make_bench_problem(1, 3, 30, C=10.0, gap_tol=1e-12)
         p.max_iters = 2
         solves, solves_at_check = [0], []
-        real_evaluate, real_checked = mkl._evaluate, mkl._checked
+        real_evaluate, real_points = mkl._evaluate, mkl._reduced_gradient_points
 
         def evaluate(*args):
             solves[0] += 1
             return real_evaluate(*args)
 
-        def check(problem, point):
-            solves_at_check.append(solves[0])
-            return real_checked(problem, point)
+        def points(problem, state):
+            # `_solve` checks every point the rule yields
+            steps = real_points(problem, state)
+            while True:
+                try:
+                    point = next(steps)
+                except StopIteration as stop:
+                    return stop.value
+                solves_at_check.append(solves[0])
+                yield point
 
         monkeypatch.setattr(mkl, "_evaluate", evaluate)
-        monkeypatch.setattr(mkl, "_checked", check)
+        monkeypatch.setattr(mkl, "_reduced_gradient_points", points)
         sol = solve_reduced_gradient(p)
         assert sol.status == "max_iters" and len(solves_at_check) == 2
         assert sol.svm_solves == solves[0]
