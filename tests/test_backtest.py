@@ -447,10 +447,10 @@ class TestRunBacktest:
     @pytest.mark.parametrize("changes, message", [
         ({"plan": []}, "the plan has no kernels"),
         ({"solver": "bogus"}, "unknown solver 'bogus'; choose from accpm, redgrad"),
-        ({"horizons": ()}, "no horizons configured"),
         # one name for two kernels would key both weights, and both windows.csv columns, alike
         ({"plan": [bt.PlanKernel(name="k", feature="text", kind="linear"),
                    bt.PlanKernel(name="k", feature="absret", kind="linear")]}, "plan repeats a value: k, k"),
+        ({"horizons": ()}, "no horizons configured"),
     ])
     def test_unusable_config_rejected_when_made(self, changes, message):
         with pytest.raises(bt.BacktestError, match=message):
