@@ -573,13 +573,15 @@ def run_sweep(cfg: BacktestConfig, extracted: dict[int, tuple[list[FeatureRecord
               ) -> dict[int, MetricsReport]:
     """Window-major sweep over already-extracted records: each window runs
     every horizon whose span contains it, then releases its kernels.
-    horizon -> aggregated MetricsReport."""
+    horizon -> aggregated MetricsReport. A horizon with no events, or none
+    of whose windows could be evaluated, gets a report with no predictions;
+    the sweep fails only when no horizon evaluated a window."""
+    if not any(records for records, _ in extracted.values()):
+        raise BacktestError("no usable events after feature extraction")
     windows: dict[int, set[Window]] = {}
     for horizon, (records, _) in extracted.items():
-        if not records:
-            raise BacktestError("no usable events after feature extraction")
         months = sorted({month_of(r.timestamp) for r in records})
-        windows[horizon] = set(build_windows(months[0], months[-1]))
+        windows[horizon] = set(build_windows(months[0], months[-1])) if months else set()
     order = sorted(set().union(*windows.values()), key=lambda w: _month_key(w.train_start))
     jobs = [(cfg, w, [(h, extracted[h][0]) for h in extracted if w in windows[h]]) for w in order]
     if cfg.jobs > 1:
@@ -592,12 +594,16 @@ def run_sweep(cfg: BacktestConfig, extracted: dict[int, tuple[list[FeatureRecord
     for (_, w, horizon_records), outs in zip(jobs, outcomes):
         for (h, _), out in zip(horizon_records, outs):
             by_horizon[h].append((w, out))
-    return {h: _report(by_horizon[h], extracted[h][1]) for h in extracted}
+    reports = {h: _report(by_horizon[h], extracted[h][1]) for h in extracted}
+    if not any(r.windows for r in reports.values()):
+        raise BacktestError("every window was skipped; nothing to evaluate")
+    return reports
 
 
 def _report(outcomes: list, dropped: dict[str, int]) -> MetricsReport:
     """One horizon's MetricsReport from its (window, WindowResult or WindowSkipped) list;
-    its windows are the results' rows as they are."""
+    its windows are the results' rows as they are. With no result, it has no
+    predictions: null measures and zero counts."""
     results: list[WindowResult] = []
     skipped = []
     for w, out in outcomes:
@@ -607,7 +613,10 @@ def _report(outcomes: list, dropped: dict[str, int]) -> MetricsReport:
         else:
             results.append(out)
     if not results:
-        raise BacktestError("every window was skipped; nothing to evaluate")
+        return MetricsReport(accuracy=None, recall=None, sharpe=None, n_predictions=0, n_days=0,
+                             confusion=Confusion(), mean_kernel_weights={}, n_dropped=dropped,
+                             windows_by_status={}, n_skipped_windows=len(skipped),
+                             skipped_windows=skipped, windows=[])
 
     preds = np.concatenate([r.predictions for r in results])
     labels = np.concatenate([r.labels for r in results])

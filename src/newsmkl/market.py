@@ -416,6 +416,7 @@ def _price_rows(path) -> tuple[list[str], np.ndarray, np.ndarray]:
     """Parse row by row (any ISO timestamp); a bad header raises MarketError,
     and so does a bad row, naming `path:line`."""
     tickers, times, prices = [], [], []
+    last: dict[str, int] = {}  # each ticker's latest time so far
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header != PRICE_HEADER:
@@ -429,12 +430,15 @@ def _price_rows(path) -> tuple[list[str], np.ndarray, np.ndarray]:
                 if not ticker:
                     raise ValueError("empty ticker")
                 et = int(_parse_timestamp(ts).timestamp())
+                if ticker in last and et <= last[ticker]:
+                    raise ValueError(f"{ticker}'s time {ts!r} is not after its previous row's")
                 p = float(price)
                 if not 0.0 < p < math.inf:  # also false for nan
                     raise ValueError(f"price {price!r} is not a positive finite number")
             except ValueError as exc:
                 raise MarketError(f"{path}:{ln}: bad price row: {exc}") from exc
             tickers.append(ticker)
+            last[ticker] = et
             times.append(et)
             prices.append(p)
     return tickers, np.array(times, dtype=np.int64), np.array(prices, dtype=np.float64)
@@ -446,18 +450,20 @@ def read_prices(path) -> dict[str, PriceSeries]:
 
     A file in `write_prices`'s form is parsed as arrays, a block of about
     1 MiB at a time; any other file (other timestamp forms, CRLF endings,
-    blank lines, padded rows, a bad row) falls back to the row-by-row
-    parser, which names the first bad row.
+    blank lines, padded rows, a bad row, a ticker whose times do not
+    increase) falls back to the row-by-row parser, which names the first
+    bad row.
     """
-    try:
+    try:  # PriceSeries raises MarketError, a ValueError, for times that do not increase
         chunks = {key.decode("utf-8"): parts for key, parts in _price_blocks(path).items()}
+        return {tk: PriceSeries(ticker=tk, times=np.concatenate(t_parts), prices=np.concatenate(p_parts))
+                for tk, (t_parts, p_parts) in chunks.items()}
     except ValueError:
         tickers, times, prices = _price_rows(path)
-        code = {tk: j for j, tk in enumerate(dict.fromkeys(tickers))}
-        row_code = np.array([code[tk] for tk in tickers], dtype=np.int64)
-        chunks = {tk: ([times[row_code == j]], [prices[row_code == j]]) for tk, j in code.items()}
-    return {tk: PriceSeries(ticker=tk, times=np.concatenate(t_parts), prices=np.concatenate(p_parts))
-            for tk, (t_parts, p_parts) in chunks.items()}
+    code = {tk: j for j, tk in enumerate(dict.fromkeys(tickers))}
+    row_code = np.array([code[tk] for tk in tickers], dtype=np.int64)
+    return {tk: PriceSeries(ticker=tk, times=times[row_code == j], prices=prices[row_code == j])
+            for tk, j in code.items()}
 
 
 def write_prices(path, series: dict[str, PriceSeries]) -> None:
@@ -534,6 +540,8 @@ class SynthSpec:
     def __post_init__(self):
         if self.n_events < 1 or not self.tickers or self.n_months < 1:
             raise MarketError("synthetic spec needs events, tickers, and months")
+        if len(set(self.tickers)) != len(self.tickers):
+            raise MarketError(f"tickers repeats a value: {', '.join(self.tickers)}")
         if not 0.0 <= self.signal_strength <= 1.0:
             raise MarketError("signal_strength must lie in [0, 1]")
         if not 0.0 <= self.keyword_fraction <= 1.0:

@@ -39,7 +39,7 @@ import numpy as np
 from . import _smo
 from .kernels import GramMatrix
 from .svm import (DEFAULT_MAX_ITER, SvmModel, as_labels, build_model, check_dual, check_positive_finite,
-                  dual_objective, primal_dual_gap, project_feasible, recover_bias)
+                  dual_objective, primal_dual_gap, project_feasible, recover_bias, solve_dual)
 
 NEWTON_TOL = 1e-8
 MAX_NEWTON = 200
@@ -271,19 +271,15 @@ def _evaluate(problem: MklProblem, d, state: MklState) -> SolvePoint:
     used = np.flatnonzero(d)
     w = d[used]
     grams = [problem.kernels[k].values for k in used]
-    if len(grams) == 1 and w[0] == 1.0:
-        # a lone kernel at full weight is the mixture: SMO reads views of its rows
-        row, diag = grams[0].__getitem__, np.diagonal(grams[0])
-    else:
-        rows: dict[int, np.ndarray] = {}
+    rows: dict[int, np.ndarray] = {}
 
-        def row(i: int) -> np.ndarray:
-            r = rows.get(i)
-            if r is None:
-                r = rows[i] = w @ np.array([K[i] for K in grams])
-            return r
+    def row(i: int) -> np.ndarray:
+        r = rows.get(i)
+        if r is None:
+            r = rows[i] = w @ np.array([K[i] for K in grams])
+        return r
 
-        diag = w @ np.array([np.diagonal(K) for K in grams])
+    diag = w @ np.array([np.diagonal(K) for K in grams])
     if state.alpha is not None:
         start = project_feasible(state.alpha, y, C)
         U = _sync_products(problem, state.products, state.alpha, start)
@@ -550,8 +546,8 @@ def _push_inside(loc: LocalizationSet, z: np.ndarray, new_row: int) -> np.ndarra
 # ---------------------------------------------------------------------------
 
 
-def _finish(problem: MklProblem, state: MklState, point: SolvePoint, iterations: int,
-            status: str, gap_history: list[float]) -> MklSolution:
+def _finish(problem: MklProblem, state: MklState, point: SolvePoint, status: str,
+            gap_history: list[float]) -> MklSolution:
     """The solution at a solve point. Weights below WEIGHT_THRESHOLD are
     zeroed and the rest renormalized, with a re-solve at `inner_tol` if
     that moved d or SMO left the point above `inner_tol`. The full product
@@ -569,7 +565,7 @@ def _finish(problem: MklProblem, state: MklState, point: SolvePoint, iterations:
     q = _quad_forms(U, v)
     model = build_model(point.alpha, point.J, recover_bias(point.alpha, y, d @ U, C), C, point.smo)
     return MklSolution(d=d, model=model, objective=point.J, gap=_gap_from_quads(d, q),
-                       iterations=iterations, svm_solves=state.svm_solves,
+                       iterations=len(gap_history), svm_solves=state.svm_solves,
                        smo_iterations=state.smo_iterations,
                        smo_not_converged=state.smo_not_converged, status=status,
                        gap_history=gap_history)
@@ -580,12 +576,15 @@ def _solve(problem: MklProblem, points) -> MklSolution:
     rule: a generator that yields one solve point per iteration and returns
     the status that ends the solve early. The best point is the lowest J,
     or the point that meets gap_tol, or the point whose gradient was flat.
+    A one-kernel problem is the plain SVM, solved by `solve_dual`.
     """
+    if problem.n_kernels == 1:  # the MKL dual is the SVM dual
+        model = solve_dual(problem.kernels[0], problem.labels, problem.C, tol=problem.inner_tol)
+        return MklSolution(d=np.ones(1), model=model, objective=model.objective, gap=0.0,
+                           iterations=1, svm_solves=1, smo_iterations=model.n_iter,
+                           smo_not_converged=0 if model.converged else 1, status="converged",
+                           gap_history=[0.0])
     state = MklState()
-    if problem.n_kernels == 1:
-        point = _evaluate(problem, [1.0], state)
-        point.U = state.products  # a cold solve's one full pass
-        return _finish(problem, state, point, 1, "converged", [0.0])
     steps = points(problem, state)
     gap_history: list[float] = []
     best: SolvePoint | None = None
@@ -612,7 +611,7 @@ def _solve(problem: MklProblem, points) -> MklSolution:
             best = point
     if best is None:
         raise MklError("MKL solve made no iterations; increase max_iters")
-    return _finish(problem, state, best, len(gap_history), status, gap_history)
+    return _finish(problem, state, best, status, gap_history)
 
 
 def _accpm_points(problem: MklProblem, state: MklState):

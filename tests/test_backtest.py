@@ -4,7 +4,7 @@ import dataclasses
 import gc
 import json
 import weakref
-from datetime import date, datetime, timezone
+from datetime import date, datetime, time, timezone
 
 import numpy as np
 import pytest
@@ -913,6 +913,30 @@ class TestWindowMajorSweep:
             assert json.dumps(dataclasses.asdict(swept[h])) == json.dumps(dataclasses.asdict(alone[h]))
         n_windows = len(swept[10].windows)
         assert len(builds) == len(set(builds)) == 2 * 2 * n_windows  # h=10/20 shared, h=250 own
+
+    @pytest.mark.parametrize("spec,skipped", [
+        # h=250 keeps 15 of 40 events, too few to train its one window
+        (SynthSpec(n_events=40, n_months=13, tickers=("AAA",)),
+         [{"window_id": "2004-01..2004-12->2005-01", "reason": "only 12 training events"}]),
+        # every event is after 11:50, so h=250 runs past the close for all of them
+        (SynthSpec(n_events=300, n_months=13, tickers=("AAA",), event_start=time(12, 0)), []),
+    ], ids=["too_few_events", "no_events"])
+    def test_a_horizon_with_nothing_to_evaluate_reports_no_predictions(self, tmp_path, spec, skipped):
+        docs, prices, _ = synth_generate(3, spec)
+        cfg = bt.BacktestConfig(plan=LIN_TEXT, horizons=(10, 250), c_grid=(1000.0,))
+        extracted = market.prepare_records_by_horizon(docs, prices, default_dictionary(),
+                                                       cfg.horizons, cfg.label_kind)
+        reports = bt.run_sweep(cfg, extracted)
+        alone = bt.run_horizon_on_records(cfg, 10, *extracted[10])
+        assert json.dumps(dataclasses.asdict(reports[10])) == json.dumps(dataclasses.asdict(alone))
+        assert dataclasses.asdict(reports[250]) == {
+            "accuracy": None, "recall": None, "sharpe": None, "n_predictions": 0, "n_days": 0,
+            "confusion": {"tp": 0, "tn": 0, "fp": 0, "fn": 0}, "mean_kernel_weights": {},
+            "n_dropped": extracted[250][1], "windows_by_status": {}, "n_skipped_windows": len(skipped),
+            "skipped_windows": skipped, "windows": []}
+        bt.write_window_csv(tmp_path / "windows.csv", cfg, reports)
+        with open(tmp_path / "windows.csv", encoding="utf-8") as fh:
+            assert [row["horizon"] for row in csv.DictReader(fh)] == ["10"] * len(alone.windows)
 
     def test_identical_events_build_each_window_once(self, monkeypatch):
         docs, prices, _ = synth_fixture(seed=5, n_events=250)

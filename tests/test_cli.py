@@ -93,6 +93,8 @@ class TestSynth:
          "a jump must move the price by less than 100%: |jump_size| * (1 + |jump_jitter|) must be below 1"),
         (("surprise_rate=1.5",), "surprise_rate must lie in [0, 1]"),
         (("jump_delay_minutes=-1",), "jump_delay_minutes must be >= 0, got -1"),
+        # AAA would be drawn for two of every three attempts, and its capacity counted twice
+        (("n_events=600", "n_months=2", "tickers=AAA,AAA,BBB"), "tickers repeats a value: AAA, AAA, BBB"),
     ])
     def test_spec_that_cannot_be_met_single_line_json_error(self, tmp_path, sets, message):
         out = run_cli("synth", "--seed", "1", "--out", str(tmp_path / "x"),

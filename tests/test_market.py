@@ -554,6 +554,19 @@ class TestReadPrices:
         with pytest.raises(MarketError, match="^" + re.escape(f"{path}:3: bad price row: empty ticker")):
             read_prices(path)
 
+    @pytest.mark.parametrize("newline", ["\n", "\r\n"], ids=["lf", "crlf"])
+    @pytest.mark.parametrize("stamp", ["10:01", "10:00"], ids=["repeated", "backwards"])
+    def test_a_ticker_going_back_in_time_names_its_line(self, tmp_path, newline, stamp):
+        # another ticker's earlier time between them is no fault
+        rows = ["ticker,timestamp,price", "AAA,2004-01-05T10:00:00Z,100.000000",
+                "AAA,2004-01-05T10:01:00Z,100.000000", "BBB,2004-01-05T10:00:00Z,100.000000",
+                f"AAA,2004-01-05T{stamp}:00Z,100.000000"]
+        path = tmp_path / "prices.csv"
+        path.write_bytes((newline.join(rows) + newline).encode())
+        message = f"{path}:5: bad price row: AAA's time '2004-01-05T{stamp}:00Z' is not after"
+        with pytest.raises(MarketError, match="^" + re.escape(message)):
+            read_prices(path)
+
 
 def _by_rows(path) -> dict[str, PriceSeries]:
     """The row parser's rows, grouped into series in order of first appearance."""

@@ -226,11 +226,18 @@ class TestMixtureFree:
         monkeypatch.setattr(mkl, "_evaluate", evaluate)
         return calls, counts
 
-    def test_single_kernel_fit_takes_one_full_pass(self, monkeypatch):
+    @pytest.mark.parametrize("solver", [solve_accpm, solve_reduced_gradient])
+    def test_single_kernel_fit_is_one_solve_dual(self, monkeypatch, solver):
+        # the one-kernel MKL dual is the SVM dual: no mixture, no product passes
         calls = self._count_full_passes(monkeypatch)
+        duals, evaluations = [], []
+        real_dual, real_evaluate = mkl.solve_dual, mkl._evaluate
+        monkeypatch.setattr(mkl, "solve_dual", lambda *a, **kw: duals.append(1) or real_dual(*a, **kw))
+        monkeypatch.setattr(mkl, "_evaluate", lambda *a: evaluations.append(1) or real_evaluate(*a))
         p = small_problem(seed=2, n_kernels=1, l=40, C=10.0)
-        sol = solve_accpm(p)
-        assert sol.svm_solves == 1 and len(calls) == 1
+        sol = solver(p)
+        assert (len(duals), len(evaluations), len(calls)) == (1, 0, 0)
+        assert sol.svm_solves == 1
         monkeypatch.undo()
         U = mkl._kernel_products(p, p.labels * sol.model.alpha)
         assert sol.model.bias == recover_bias(sol.model.alpha, p.labels, sol.d @ U, p.C)

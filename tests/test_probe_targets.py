@@ -78,17 +78,20 @@ def test_probe_records_every_bench_solve():
     assert [s["status"] for s in probe.solves] == [r["status"] for r in rows]
 
 
-def test_backtest_spans_stay_live():
+@pytest.mark.parametrize("features,solver_span", [(("text", "absret"), "mkl.solve_accpm"),
+                                                   (("text",), "svm.solve_dual")],
+                         ids=["two_kernels", "one_kernel"])
+def test_backtest_spans_stay_live(features, solver_span):
     """A traced backtest records a span for every backtest and kernel layer
-    the benchmark reports. A refactor that calls a wrapped function by
-    another name would read 0 in its per-layer metric, not fail."""
+    the benchmark reports, and for the solver its plan fits with: ACCPM for
+    two kernels, the plain SVM for one. A refactor that calls a wrapped
+    function by another name would read 0 in its per-layer metric, not fail."""
     from newsmkl import backtest as bt
     from newsmkl.market import SynthSpec, synth_generate
     from newsmkl.text import default_dictionary
 
     docs, prices, _ = synth_generate(5, SynthSpec(n_events=200, n_months=13, tickers=("AAA",)))
-    plan = [bt.PlanKernel(name="lin_text", feature="text", kind="linear"),
-            bt.PlanKernel(name="lin_absret", feature="absret", kind="linear")]
+    plan = [bt.PlanKernel(name=f"lin_{f}", feature=f, kind="linear") for f in features]
     cfg = bt.BacktestConfig(plan=plan, horizons=(10,), c_grid=(10.0, 100.0))
     probe = _probe_module().Probe(timing=True)
     probe.install()
@@ -100,5 +103,5 @@ def test_backtest_spans_stay_live():
     recorded = {name for name, *_ in probe.spans}
     for span in ("backtest.run_window", "backtest.chrono_cv", "backtest.fit_plan",
                  "backtest.predict_records", "kernels.gram_matrix", "kernels.cross_gram",
-                 "smo.solve", "svm.predict_many", "text.tfidf"):
+                 "smo.solve", "svm.predict_many", "text.tfidf", solver_span):
         assert span in recorded, span
