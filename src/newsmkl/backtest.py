@@ -573,15 +573,24 @@ def run_sweep(cfg: BacktestConfig, extracted: dict[int, tuple[list[FeatureRecord
               ) -> dict[int, MetricsReport]:
     """Window-major sweep over already-extracted records: each window runs
     every horizon whose span contains it, then releases its kernels.
-    horizon -> aggregated MetricsReport. A horizon with no events, or none
-    of whose windows could be evaluated, gets a report with no predictions;
-    the sweep fails only when no horizon evaluated a window."""
+    horizon -> aggregated MetricsReport. A horizon with no events, whose
+    events span too few months for a window, or none of whose windows could
+    be evaluated, gets a report with no predictions; the sweep fails only
+    when no horizon evaluated a window."""
     if not any(records for records, _ in extracted.values()):
         raise BacktestError("no usable events after feature extraction")
     windows: dict[int, set[Window]] = {}
+    too_short = []
     for horizon, (records, _) in extracted.items():
         months = sorted({month_of(r.timestamp) for r in records})
-        windows[horizon] = set(build_windows(months[0], months[-1])) if months else set()
+        try:
+            windows[horizon] = set(build_windows(months[0], months[-1])) if months else set()
+        except BacktestError as exc:
+            log.info("horizon %s has no window: %s", horizon, exc)
+            windows[horizon] = set()
+            too_short.append(exc)
+    if not any(windows.values()):
+        raise too_short[0]  # some horizon has events, so its span was too short
     order = sorted(set().union(*windows.values()), key=lambda w: _month_key(w.train_start))
     jobs = [(cfg, w, [(h, extracted[h][0]) for h in extracted if w in windows[h]]) for w in order]
     if cfg.jobs > 1:

@@ -451,11 +451,9 @@ def analytic_center(loc: LocalizationSet, z0: np.ndarray) -> np.ndarray:
             t *= BACKTRACK_BETA
         else:
             return z  # no further progress possible at float precision
-        z_next = z + t * p
-        if np.array_equal(z_next, z):
+        if np.array_equal(cand, z):
             return z  # float fixed point: every later iteration would repeat this step
-        z = z_next
-        fz = barrier_value(loc, z)
+        z, fz = cand, fc
     return z
 
 

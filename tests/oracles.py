@@ -81,6 +81,89 @@ def qp_projected_gradient(K: np.ndarray, y: np.ndarray, C: float,
     return a, float(a.sum()) - 0.5 * float(a @ (Q @ a))
 
 
+def smo_reference(row, diag, y, alpha, grad, C, tol, max_iter):
+    """First-order SMO as `_smo.solve` computes it, step by step: the
+    scores u = -y * grad and their masked copies are rebuilt from grad on
+    every iteration, grad takes its own update, and the scalar work is
+    done on numpy scalars. Same arguments, in-place contract and return."""
+    pos = y > 0
+    neg_y = -y
+    # index sets of the pair selection; an iteration changes only entries i, j
+    up = np.where(pos, alpha < C, alpha > 0)
+    low = np.where(pos, alpha > 0, alpha < C)
+    violation = np.inf
+    for it in range(max_iter):
+        u = neg_y * grad
+        ui = np.where(up, u, -np.inf)
+        uj = np.where(low, u, np.inf)
+        i = int(np.argmax(ui))
+        j = int(np.argmin(uj))
+        m = ui[i]
+        M = uj[j]
+        violation = m - M
+        if violation <= tol:
+            return it, violation, True
+
+        Ki, Kj = row(i), row(j)
+        yi, yj = y[i], y[j]
+        Qij = yi * yj * Ki[j]
+        ai, aj = alpha[i], alpha[j]
+        if yi != yj:
+            quad = diag[i] + diag[j] + 2.0 * Qij
+            if quad <= 0.0:
+                quad = 1e-12
+            delta = (-grad[i] - grad[j]) / quad
+            diff = ai - aj
+            ai += delta
+            aj += delta
+            if diff > 0.0:
+                if aj < 0.0:
+                    aj = 0.0
+                    ai = diff
+                if ai > C:
+                    ai = C
+                    aj = C - diff
+            else:
+                if ai < 0.0:
+                    ai = 0.0
+                    aj = -diff
+                if aj > C:
+                    aj = C
+                    ai = C + diff
+        else:
+            quad = diag[i] + diag[j] - 2.0 * Qij
+            if quad <= 0.0:
+                quad = 1e-12
+            delta = (grad[i] - grad[j]) / quad
+            s = ai + aj
+            ai -= delta
+            aj += delta
+            if s > C:
+                if ai > C:
+                    ai = C
+                    aj = s - C
+                if aj > C:
+                    aj = C
+                    ai = s - C
+            else:
+                if aj < 0.0:
+                    aj = 0.0
+                    ai = s
+                if ai < 0.0:
+                    ai = 0.0
+                    aj = s
+
+        di = ai - alpha[i]
+        dj = aj - alpha[j]
+        alpha[i] = ai
+        alpha[j] = aj
+        up[i], low[i] = (ai < C, ai > 0) if pos[i] else (ai > 0, ai < C)
+        up[j], low[j] = (aj < C, aj > 0) if pos[j] else (aj > 0, aj < C)
+        # Q[:, i] = y * y_i * K[i] since K is symmetric
+        grad += y * (Ki * (yi * di) + Kj * (yj * dj))
+    return max_iter, violation, False
+
+
 # ---------------------------------------------------------------------------
 # MKL: exhaustive simplex grid
 # ---------------------------------------------------------------------------

@@ -914,18 +914,29 @@ class TestWindowMajorSweep:
         n_windows = len(swept[10].windows)
         assert len(builds) == len(set(builds)) == 2 * 2 * n_windows  # h=10/20 shared, h=250 own
 
-    @pytest.mark.parametrize("spec,skipped", [
+    @pytest.mark.parametrize("spec,keep,skipped,alone_error", [
         # h=250 keeps 15 of 40 events, too few to train its one window
-        (SynthSpec(n_events=40, n_months=13, tickers=("AAA",)),
-         [{"window_id": "2004-01..2004-12->2005-01", "reason": "only 12 training events"}]),
+        (SynthSpec(n_events=40, n_months=13, tickers=("AAA",)), None,
+         [{"window_id": "2004-01..2004-12->2005-01", "reason": "only 12 training events"}],
+         "every window was skipped"),
         # every event is after 11:50, so h=250 runs past the close for all of them
-        (SynthSpec(n_events=300, n_months=13, tickers=("AAA",), event_start=time(12, 0)), []),
-    ], ids=["too_few_events", "no_events"])
-    def test_a_horizon_with_nothing_to_evaluate_reports_no_predictions(self, tmp_path, spec, skipped):
+        (SynthSpec(n_events=300, n_months=13, tickers=("AAA",), event_start=time(12, 0)), None, [],
+         "no usable events"),
+        # from 2004-06 on only documents after 12:00 remain, and h=250 drops those,
+        # so h=250 keeps the events of 5 months while h=10 keeps all 13
+        (SynthSpec(n_events=300, n_months=13, tickers=("AAA",)),
+         lambda d: bt.month_of(d.timestamp) < "2004-06" or d.timestamp.time() >= time(12, 0), [],
+         "span of 5 months is too short"),
+    ], ids=["too_few_events", "no_events", "too_short_span"])
+    def test_a_horizon_with_nothing_to_evaluate_reports_no_predictions(self, tmp_path, spec, keep,
+                                                                        skipped, alone_error):
         docs, prices, _ = synth_generate(3, spec)
+        docs = [d for d in docs if keep is None or keep(d)]
         cfg = bt.BacktestConfig(plan=LIN_TEXT, horizons=(10, 250), c_grid=(1000.0,))
         extracted = market.prepare_records_by_horizon(docs, prices, default_dictionary(),
                                                        cfg.horizons, cfg.label_kind)
+        with pytest.raises(bt.BacktestError, match=alone_error):  # alone, h=250 fails the run
+            bt.run_horizon_on_records(cfg, 250, *extracted[250])
         reports = bt.run_sweep(cfg, extracted)
         alone = bt.run_horizon_on_records(cfg, 10, *extracted[10])
         assert json.dumps(dataclasses.asdict(reports[10])) == json.dumps(dataclasses.asdict(alone))

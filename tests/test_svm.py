@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import SvmProblem, make_svm_problem, qp_projected_gradient, raw_gram, solve_tight
+from oracles import (SvmProblem, make_svm_problem, qp_projected_gradient, raw_gram, smo_reference,
+                     solve_tight)
 
 from newsmkl import _smo
 from newsmkl.kernels import GramMatrix, KernelSpec, gram_matrix
@@ -99,18 +100,26 @@ class TestSolveDual:
             assert m.objective >= feas_obj - 1e-6 * max(1.0, abs(feas_obj))
 
 
+def random_psd_problem(rng, n, rank, ridge, repeated_rows=False):
+    """A PSD, exactly symmetric K (singular when ridge = 0 and rank < n; equal
+    rows make quad = 0 for some pairs) and labels y with both classes."""
+    X = rng.standard_normal((n, rank))
+    if repeated_rows:
+        X = X[rng.integers(0, max(1, n // 3), n)]
+    K = X @ X.T + ridge * np.eye(n)
+    K = 0.5 * (K + K.T)
+    y = rng.choice([-1.0, 1.0], n)
+    y[:2] = (1.0, -1.0)
+    return K, y
+
+
 class TestSmoKkt:
     @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), rank=st.integers(1, 8),
            ridge=st.sampled_from([0.0, 1e-3, 1.0]), C=st.floats(0.05, 20.0),
            tol=st.sampled_from([1e-3, 1e-6, 1e-9]))
     @settings(max_examples=80, deadline=None)
     def test_kkt_on_random_psd_problems(self, seed, n, rank, ridge, C, tol):
-        rng = np.random.default_rng(seed)
-        X = rng.standard_normal((n, rank))
-        K = X @ X.T + ridge * np.eye(n)
-        K = 0.5 * (K + K.T)  # PSD, exactly symmetric, singular when ridge = 0 and rank < n
-        y = rng.choice([-1.0, 1.0], n)
-        y[:2] = (1.0, -1.0)
+        K, y = random_psd_problem(np.random.default_rng(seed), n, rank, ridge)
         alpha, grad = np.zeros(n), -np.ones(n)
         n_iter, violation, converged = _smo.solve(K.__getitem__, np.diagonal(K), y, alpha, grad,
                                                   C, tol, 1_000_000)
@@ -119,6 +128,30 @@ class TestSmoKkt:
         assert abs(float(y @ alpha)) <= 1e-9
         Q = (y[:, None] * y[None, :]) * K
         np.testing.assert_allclose(grad, Q @ alpha - 1.0, rtol=0.0, atol=1e-8)
+
+    @given(seed=st.integers(0, 2**32 - 1), n=st.integers(2, 30), rank=st.integers(1, 8),
+           ridge=st.sampled_from([0.0, 1e-3, 1.0]), repeated_rows=st.booleans(),
+           C=st.floats(0.05, 20.0), tol=st.sampled_from([1e-2, 1e-4, 1e-7]),
+           warm=st.booleans(), max_iter=st.sampled_from([0, 1, 5, 50, 1_000_000]))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_the_reference_loop_bit_for_bit(self, seed, n, rank, ridge, repeated_rows, C,
+                                                   tol, warm, max_iter):
+        rng = np.random.default_rng(seed)
+        K, y = random_psd_problem(rng, n, rank, ridge, repeated_rows)
+        if warm:  # a feasible start with entries at 0, at C and in between
+            alpha = project_feasible(rng.uniform(-0.5 * C, 1.5 * C, n), y, C)
+            grad = y * (K @ (y * alpha)) - 1.0
+        else:
+            alpha, grad = np.zeros(n), -np.ones(n)
+        ref_alpha, ref_grad = alpha.copy(), grad.copy()
+        # a second call continues the same alpha and grad at a tenth of the tol, as MKL does
+        for call_tol in (tol, 0.1 * tol):
+            out = _smo.solve(K.__getitem__, np.diagonal(K), y, alpha, grad, C, call_tol, max_iter)
+            ref = smo_reference(K.__getitem__, np.diagonal(K), y, ref_alpha, ref_grad, C, call_tol,
+                                max_iter)
+            assert out == ref  # n_iter, violation and converged
+            assert alpha.tobytes() == ref_alpha.tobytes()
+            assert np.array_equal(grad, ref_grad)
 
 
 class TestBias:
