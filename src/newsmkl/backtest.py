@@ -18,11 +18,12 @@ from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass, field
 from datetime import time
+from time import perf_counter
 
 import numpy as np
 
-from .kernels import (GramMatrix, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist,
-                      release_freed_memory, sqdist)
+from .kernels import (Kernel, KernelError, KernelSpec, _gaussian_gram_in_place, median_sqdist,
+                      release_freed_memory, sqdist, structured_gram)
 from .market import (FeatureRecord, LabelingConfig, PriceSeries, _datetime_month_key, _key_month, _month_key,
                      label_records, label_threshold, month_of, prepare_records_by_horizon)
 # not called here; the acceptance tests and the benchmark probe read it through this module
@@ -325,7 +326,7 @@ class PlanKernels:
 
     plan: list[PlanKernel]
     specs: list[KernelSpec]
-    grams: list[GramMatrix]
+    grams: list[Kernel]
     features: dict[str, np.ndarray]
     test_features: dict[str, np.ndarray]
     _blocks: dict[int, np.ndarray] = field(default_factory=dict, init=False, repr=False)
@@ -334,8 +335,8 @@ class PlanKernels:
         """Kernel k's (n_test, n_train) cross-Gram block."""
         if k not in self._blocks:
             feature = self.plan[k].feature
-            self._blocks[k] = cross_gram(self.specs[k], self.features[feature],
-                                         self.test_features[feature], scale=self.grams[k].scale)
+            self._blocks[k] = self.grams[k].cross(self.specs[k], self.features[feature],
+                                                  self.test_features[feature])
         return self._blocks[k]
 
     def descriptions(self) -> list[dict]:
@@ -358,17 +359,21 @@ def _text_counts(records: list[FeatureRecord]) -> tuple[np.ndarray, np.ndarray]:
 def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord],
                   test_records: list[FeatureRecord] = ()) -> PlanKernels:
     """tf-idf fit on the training corpus only, then one trace-normalized
-    Gram per plan kernel, built feature by feature in order of first use.
-    The gaussian kernels on a feature share one squared-distance matrix,
-    which also gives their bandwidth median, and it is freed before the
-    next feature. A kernel that cannot be built (a zero-trace kernel)
-    raises KernelError naming the plan kernel, the first in that order.
+    Gram per plan kernel, built feature by feature in order of first use,
+    each stored by its structure (`kernels.structured_gram`). The gaussian
+    kernels on a feature share one squared-distance matrix, which also
+    gives their bandwidth median; the last of them is mapped inside its
+    buffer, so no distance matrix outlives its feature, and the freed
+    heap is given back to the OS before returning. A kernel that
+    cannot be built (a zero-trace kernel) raises KernelError naming the
+    plan kernel, the first in that order.
     `test_records` are the events the kernels will score (none for a model
     trained on every event); their feature matrices are built beside the
     Grams, by the training corpus's idf."""
     counts, lengths = _text_counts(train_records)
     idf = fit_tfidf(counts)
     text = transform_tfidf_many(idf, counts, lengths)
+    del counts, lengths
     on_feature: dict[str, list[int]] = {}
     for k, pk in enumerate(plan):
         on_feature.setdefault(pk.feature, []).append(k)
@@ -377,20 +382,26 @@ def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord],
     grams: list = [None] * len(plan)
     for feature, ks in on_feature.items():
         X = features[feature] = FEATURES[feature](train_records, text)
-        gaussian = [plan[k] for k in ks if plan[k].kind == "gaussian"]
+        gaussian = [k for k in ks if plan[k].kind == "gaussian"]
         D = sqdist(X) if gaussian else None
-        median = median_sqdist(D) if any(pk.sigma is None for pk in gaussian) else None
+        median = median_sqdist(D) if any(plan[k].sigma is None for k in gaussian) else None
         for k in ks:
             try:
                 specs[k] = plan[k].spec(median)
-                grams[k] = gram_matrix(specs[k], X, D)
+                if gaussian and k == gaussian[-1]:  # the distances' last reader
+                    grams[k], D = _gaussian_gram_in_place(specs[k], D), None
+                else:
+                    grams[k] = structured_gram(specs[k], X, D)
             except KernelError as exc:
                 raise KernelError(f"kernel {plan[k].name!r}: {exc}") from exc
-        del D  # before the next feature's distances are computed
     test_features = {}
     if test_records:
         test_text = transform_tfidf_many(idf, *_text_counts(test_records))
         test_features = {f: FEATURES[f](test_records, test_text) for f in features}
+    # the build's freed temporaries stay resident as heap holes, which the
+    # n x n matrix of a one-hot kernel's product need not fit (see
+    # kernels.IndicatorKernel): give them back before the fit
+    release_freed_memory()
     return PlanKernels(plan=plan, specs=specs, grams=grams, features=features,
                        test_features=test_features)
 
@@ -501,7 +512,9 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int, records: list[
     do not depend on labels, so the horizons of one window pass the same
     dict and build each training set's kernels once; a horizon whose
     events differ misses and builds its own. Without `shared` the early
-    fold's Grams are freed before the full-window fit.
+    fold's Grams are freed before the full-window fit. An evaluated window
+    logs (at INFO) the seconds it spent building kernels, fitting and
+    predicting, and the SMO iterations of its fits.
     """
     own = shared is None
     shared = {} if own else shared
@@ -518,27 +531,43 @@ def run_window(cfg: BacktestConfig, window: Window, horizon: int, records: list[
     if np.all(y_train == y_train[0]):
         raise WindowSkipped("single-class training labels")
 
+    seconds = dict.fromkeys(("build", "fit", "predict"), 0.0)
+    smo_iterations = 0
+
     def kernels_on(train: list[FeatureRecord], test: list[FeatureRecord]) -> PlanKernels:
         key = (tuple(r.position for r in train), tuple(r.position for r in test))
         if key not in shared:
+            t0 = perf_counter()
             try:
                 shared[key] = build_kernels(cfg.plan, train, test)
             except KernelError as exc:  # e.g. no training document hits a dictionary stem
                 raise WindowSkipped(str(exc)) from exc
+            finally:
+                seconds["build"] += perf_counter() - t0
         return shared[key]
 
+    def fit_and_predict(kernels: PlanKernels, y: np.ndarray, C: float) -> tuple[MklSolution, np.ndarray]:
+        nonlocal smo_iterations
+        t0 = perf_counter()
+        sol = fit_plan(kernels, y, C, cfg.solver, cfg.gap_tol)
+        t1 = perf_counter()
+        preds = predict_records(kernels, sol, y)
+        seconds["fit"] += t1 - t0
+        seconds["predict"] += perf_counter() - t1
+        smo_iterations += sol.smo_iterations
+        return sol, preds
+
     def evaluate(early, y_early, fold, C):
-        kernels = kernels_on(early, fold)  # built once for every C
-        return predict_records(kernels, fit_plan(kernels, y_early, C, cfg.solver, cfg.gap_tol),
-                               y_early)
+        return fit_and_predict(kernels_on(early, fold), y_early, C)[1]  # one build for every C
 
     chosen_C = chrono_cv(train_records, y_train, cfg.c_grid, evaluate)
     if own:
         shared.clear()
 
-    kernels = kernels_on(train_records, test_records)
-    sol = fit_plan(kernels, y_train, chosen_C, cfg.solver, cfg.gap_tol)
-    preds = predict_records(kernels, sol, y_train)
+    sol, preds = fit_and_predict(kernels_on(train_records, test_records), y_train, chosen_C)
+    log.info("window %s h%d: build %.3f s, fit %.3f s, predict %.3f s, %d SMO iterations",
+             window_id(window), horizon, seconds["build"], seconds["fit"], seconds["predict"],
+             smo_iterations)
 
     _, acc, rec = classification_metrics(preds, y_test)
     dates = [r.timestamp.date() for r in test_records]

@@ -47,6 +47,18 @@ def _parse_clock(raw: str) -> time:
         raise ConfigError(f"expected HH:MM, got {raw!r}") from None
 
 
+def _parse_list(flag: str, raw: str, kind: type, noun: str) -> tuple:
+    """The comma-separated items of `flag`, each read by `kind`; ConfigError
+    naming the flag and the first item that does not read as `noun`."""
+    items = []
+    for item in raw.split(","):
+        try:
+            items.append(kind(item))
+        except ValueError:
+            raise ConfigError(f"{flag}: item {item!r} of {raw!r} is not {noun}") from None
+    return tuple(items)
+
+
 def _synth_spec_from_config(cfg: dict) -> market.SynthSpec:
     kwargs = {}
     fields = {f.name: type(f.default) for f in dataclasses.fields(market.SynthSpec)}
@@ -158,13 +170,12 @@ def cmd_train_mkl(args) -> int:
 
 
 def cmd_backtest(args) -> int:
-    horizons = tuple(int(h) for h in args.horizons.split(","))
     cfg = bt.BacktestConfig(
         plan=bt.named_plan(args.plan),
-        horizons=horizons,
+        horizons=_parse_list("--horizons", args.horizons, int, "an integer"),
         percentile=args.percentile,
         label_kind=args.kind,
-        c_grid=tuple(float(c) for c in args.c_grid.split(",")),
+        c_grid=_parse_list("--c-grid", args.c_grid, float, "a number"),
         solver=args.solver,
         gap_tol=args.gap_tol,
         train_min_event_time=(_parse_clock(args.train_min_event_time)

@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _smo
-from .kernels import GramMatrix
+from .kernels import GramMatrix, Kernel
 from .svm import (DEFAULT_MAX_ITER, SvmModel, as_labels, build_model, check_dual, check_positive_finite,
                   dual_objective, primal_dual_gap, project_feasible, recover_bias, solve_dual)
 
@@ -78,7 +78,7 @@ def check_c_and_gap_tol(C: float, gap_tol: float) -> None:
 class MklProblem:
     """A fixed set of kernels, labels, and solver tolerances."""
 
-    kernels: list[GramMatrix]
+    kernels: list[Kernel]
     labels: np.ndarray
     C: float = DEFAULT_C
     gap_tol: float = DEFAULT_GAP_TOL
@@ -198,10 +198,11 @@ class MklSolution:
 def mix_kernels(problem: MklProblem, d) -> GramMatrix:
     """Convex combination sum_i d_i K_i as a GramMatrix."""
     d = np.asarray(d, dtype=np.float64)
-    G = np.zeros_like(problem.kernels[0].values)
+    n = problem.kernels[0].size
+    G = np.zeros((n, n))
     for w, k in zip(d, problem.kernels):
         if w != 0.0:
-            G = G + w * k.values
+            G = G + w * k.rows(slice(None))
     return GramMatrix(values=G)
 
 
@@ -216,7 +217,7 @@ def _check_simplex(d, n: int) -> np.ndarray:
 
 def _kernel_products(problem: MklProblem, v: np.ndarray) -> np.ndarray:
     """U = [K_k v] for every kernel: one matvec pass over the kernels."""
-    return np.array([k.values @ v for k in problem.kernels])
+    return np.array([k.dot(v) for k in problem.kernels])
 
 
 def _sync_products(problem: MklProblem, U: np.ndarray | None, alpha_from: np.ndarray,
@@ -235,7 +236,7 @@ def _sync_products(problem: MklProblem, U: np.ndarray | None, alpha_from: np.nda
             if S.size:
                 dv = y[S] * (alpha_to[S] - alpha_from[S])
                 for u, k in zip(U, problem.kernels):
-                    u += dv @ k.values[S]
+                    u += dv @ k.rows(S)
             return U
     return _kernel_products(problem, y * alpha_to)
 
@@ -270,16 +271,17 @@ def _evaluate(problem: MklProblem, d, state: MklState) -> SolvePoint:
     n = y.shape[0]
     used = np.flatnonzero(d)
     w = d[used]
-    grams = [problem.kernels[k].values for k in used]
+    kernels = [problem.kernels[k] for k in used]
+    row_of = [K.row for K in kernels]
     rows: dict[int, np.ndarray] = {}
 
     def row(i: int) -> np.ndarray:
         r = rows.get(i)
         if r is None:
-            r = rows[i] = w @ np.array([K[i] for K in grams])
+            r = rows[i] = w @ np.array([f(i) for f in row_of])
         return r
 
-    diag = w @ np.array([np.diagonal(K) for K in grams])
+    diag = w @ np.array([K.diagonal() for K in kernels])
     if state.alpha is not None:
         start = project_feasible(state.alpha, y, C)
         U = _sync_products(problem, state.products, state.alpha, start)

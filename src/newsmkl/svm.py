@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import _smo
-from .kernels import GramMatrix
+from .kernels import Kernel
 
 DEFAULT_TOL = 1e-3
 DEFAULT_MAX_ITER = 10_000_000
@@ -94,7 +94,7 @@ def check_dual(y: np.ndarray, C: float, tol: float) -> None:
 
 
 def solve_dual(
-    gram: GramMatrix,
+    gram: Kernel,
     labels,
     C: float,
     tol: float = DEFAULT_TOL,
@@ -108,17 +108,16 @@ def solve_dual(
     """
     y = as_labels(labels, gram.size)
     check_dual(y, C, tol)
-    K = gram.values
 
     if warm_start is not None:
         alpha = project_feasible(warm_start, y, C)
-        grad = y * (K @ (y * alpha)) - 1.0
+        grad = y * gram.dot(y * alpha) - 1.0
     else:
         alpha = np.zeros(y.shape[0])
         grad = -np.ones(y.shape[0])
 
-    result = _smo.solve(K.__getitem__, np.diagonal(K), y, alpha, grad, C, tol, max_iter)
-    bias = recover_bias(alpha, y, K @ (y * alpha), C)
+    result = _smo.solve(gram.row, gram.diagonal(), y, alpha, grad, C, tol, max_iter)
+    bias = recover_bias(alpha, y, gram.dot(y * alpha), C)
     return build_model(alpha, dual_objective(alpha, grad), bias, C, result)
 
 

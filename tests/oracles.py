@@ -12,13 +12,13 @@ from __future__ import annotations
 import bisect
 import calendar
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from datetime import time, timedelta
 from typing import NamedTuple
 
 import numpy as np
 
-from newsmkl.kernels import GramMatrix, KernelError, KernelSpec, _kernel_block
+from newsmkl.kernels import GramMatrix, Kernel, KernelError, KernelSpec, _kernel_block
 from newsmkl.market import DROP_REASONS, calendar_features
 from newsmkl.mkl import (BACKTRACK_ALPHA, BACKTRACK_BETA, NEWTON_TOL, LocalizationSet, MklProblem,
                          MklState, barrier_value, mkl_objective)
@@ -392,6 +392,21 @@ def raw_gram(spec: KernelSpec, X) -> GramMatrix:
     fixes (an analytic solution, a loose SMO tolerance)."""
     X = np.ascontiguousarray(X, dtype=np.float64)
     return GramMatrix(values=_kernel_block(spec, X, X))
+
+
+def as_bytes(a) -> bytes:
+    """The float64 bytes of an array, a list of floats or a float, for byte-for-byte comparisons."""
+    return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def densify(kernel: Kernel) -> GramMatrix:
+    """The same Gram stored dense: every row of `kernel`, generated in full."""
+    return GramMatrix(values=kernel.rows(np.arange(kernel.size)), scale=kernel.scale)
+
+
+def densify_plan(kernels):
+    """A `backtest.PlanKernels` with every Gram densified (and no cross block built yet)."""
+    return replace(kernels, grams=[densify(g) for g in kernels.grams])
 
 
 def solve_tight(ts: SvmProblem, C: float):

@@ -3,6 +3,7 @@ import csv
 import dataclasses
 import gc
 import json
+import tracemalloc
 import weakref
 from datetime import date, datetime, time, timezone
 
@@ -11,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import eval_kernel, naive_accuracy_recall, naive_sharpe, triu_median_sqdist
+from oracles import (as_bytes, densify, densify_plan, eval_kernel, naive_accuracy_recall, naive_sharpe,
+                     triu_median_sqdist)
 
 from newsmkl import backtest as bt
 from newsmkl import kernels, market, mkl, svm
@@ -677,7 +679,7 @@ class TestPerFeatureBuild:
             alone = kernels.gram_matrix(pk.spec(median), X)
             assert spec == pk.spec(median)
             assert g.scale == alone.scale
-            np.testing.assert_array_equal(g.values, alone.values)
+            np.testing.assert_array_equal(densify(g).values, alone.values)
 
     def test_cross_blocks_match_the_single_pair_oracle(self):
         train, test = KERNEL_DATA
@@ -696,6 +698,77 @@ class TestPerFeatureBuild:
                 for j in range(len(train)):
                     assert block[i, j] == pytest.approx(eval_kernel(spec, X[j], T[i]) * g.scale,
                                                         rel=1e-10, abs=1e-15), (pk.name, i, j)
+
+
+class TestStructuredKernels:
+    """mkl13's identity and calendar kernels are stored as codes
+    (`kernels.IndicatorKernel`), and its fits and predictions are those of
+    the same kernels stored dense, bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def window(self):
+        docs, prices, _ = synth_fixture(seed=21, n_events=600, n_months=13)
+        cfg = bt.BacktestConfig(plan=bt.named_plan("mkl13"), horizons=(30,))
+        labeling = cfg.labeling(30)
+        records, _ = bt.prepare_feature_records(docs, prices, default_dictionary(), labeling)
+        months = sorted({bt.month_of(r.timestamp) for r in records})
+        [window] = bt.build_windows(months[0], months[-1])
+        train, test = bt.window_records(cfg, window, records)
+        y = market.label_records(train, labeling, market.label_threshold(train, labeling))
+        return cfg.plan, train, test, y
+
+    @pytest.mark.parametrize("solver", list(mkl.SOLVERS))
+    def test_mkl13_fit_and_predictions_equal_the_densified_kernels(self, window, solver):
+        plan, train, test, y = window
+        built = bt.build_kernels(plan, train, test)
+        structured = [pk.name for pk, g in zip(plan, built.grams) if isinstance(g, kernels.IndicatorKernel)]
+        assert structured == ["lin_timeofday", "lin_dayofweek", "identity"]
+        results = []
+        for plan_kernels in (built, densify_plan(built)):
+            sol = bt.fit_plan(plan_kernels, y, 10.0, solver, 1e-3)
+            results.append((sol, bt.predict_records(plan_kernels, sol, y)))
+        (sol, preds), (dense_sol, dense_preds) = results
+        for got, want in ((sol.d, dense_sol.d), (sol.model.alpha, dense_sol.model.alpha),
+                          (sol.model.bias, dense_sol.model.bias), (sol.gap, dense_sol.gap),
+                          (sol.objective, dense_sol.objective)):
+            assert as_bytes(got) == as_bytes(want)
+        assert sol.outcome() == dense_sol.outcome()
+        np.testing.assert_array_equal(preds, dense_preds)
+
+    @pytest.mark.parametrize("feature", ["timeofday", "dayofweek"])
+    def test_one_kernel_fit_equals_the_dense_fit(self, window, feature):
+        _, train, _, y = window
+        built = bt.build_kernels([bt.PlanKernel(name=f"lin_{feature}", feature=feature, kind="linear")],
+                                 train)
+        [kernel] = built.grams
+        assert isinstance(kernel, kernels.IndicatorKernel)
+        fits = [bt.fit_plan(k, y, 1000.0, mkl.DEFAULT_SOLVER, mkl.DEFAULT_GAP_TOL)
+                for k in (built, densify_plan(built))]
+        (sol, dense) = fits
+        assert as_bytes(sol.model.alpha) == as_bytes(dense.model.alpha)
+        assert as_bytes([sol.model.bias, sol.model.objective, sol.model.kkt_violation]) == \
+            as_bytes([dense.model.bias, dense.model.objective, dense.model.kkt_violation])
+        assert sol.model.n_iter == dense.model.n_iter and sol.outcome() == dense.outcome()
+
+
+class TestBuildMemory:
+    def test_mkl13_build_holds_ten_dense_grams(self):
+        # 13 kernels, of which 3 are codes; the last gaussian on each feature
+        # takes over its distance matrix, so the peak is 10 n x n arrays (plus
+        # the median's half of one), not 13
+        n = 600
+        records = _kernel_records(n, 2)
+        plan = bt.named_plan("mkl13")
+        bt.build_kernels(plan, records[:40])  # one-time set-up (lazy imports, caches) outside the trace
+        tracemalloc.start()
+        try:
+            built = bt.build_kernels(plan, records)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert sum(isinstance(g, kernels.GramMatrix) for g in built.grams) == 10
+        features = 8 * n * 64  # a few dozen float columns per record
+        assert peak <= 10.5 * 8 * n * n + features, peak / (8 * n * n)
 
 
 class TestFullProductPasses:
@@ -805,7 +878,7 @@ class TestKernelReuse:
         for h in cfg.horizons:
             records, _ = bt.prepare_feature_records(docs, prices, dic, cfg.labeling(h))
             kept |= {r.doc_id for r in records}
-        calls = {"gram_matrix": 0, "median_sqdist": 0, "bag_of_words": 0}
+        calls = {"structured_gram": 0, "_gaussian_gram_in_place": 0, "median_sqdist": 0, "bag_of_words": 0}
         cv_runs = []
         mp = pytest.MonkeyPatch()
 
@@ -817,7 +890,8 @@ class TestKernelReuse:
                 return real(*args, **kwargs)
             mp.setattr(module, name, wrapper)
 
-        counted(bt, "gram_matrix")
+        counted(bt, "structured_gram")
+        counted(bt, "_gaussian_gram_in_place")
         counted(bt, "median_sqdist")
         counted(market, "bag_of_words")
         real_cv = bt.chrono_cv
@@ -850,9 +924,11 @@ class TestKernelReuse:
         train_sets = {tuple(r.position for r in run[0]) for run in cv_runs}
         assert len(train_sets) == windows // 2
         # two training sets per window (early fold, full window); per set one
-        # Gram per plan kernel and one bandwidth per gaussian feature (text, absret)
-        assert calls["gram_matrix"] == len(train_sets) * 2 * len(self.PLAN)
-        assert calls["median_sqdist"] == len(train_sets) * 2 * 2
+        # Gram per plan kernel and one bandwidth per gaussian feature (text, absret),
+        # whose last gaussian Gram is mapped in its distance matrix
+        grams = calls["structured_gram"] + calls["_gaussian_gram_in_place"]
+        assert grams == len(train_sets) * 2 * len(self.PLAN)
+        assert calls["median_sqdist"] == calls["_gaussian_gram_in_place"] == len(train_sets) * 2 * 2
 
     def test_documents_tokenized_once_per_run(self, traced):
         _, _, calls, _, n_kept = traced
@@ -1007,11 +1083,13 @@ class TestWindowMajorSweep:
         # shared dict, as run_window's own frame does when it raises WindowSkipped
         docs, prices, _ = synth_fixture(seed=5, n_events=250)
         cfg = bt.BacktestConfig(plan=LIN_TEXT, horizons=(10, 20), c_grid=(10.0,))
-        built, alive_at_release = [], []
+        built, alive_at_release, building = [], [], []
         real_build, real_run = bt.build_kernels, bt.run_window
 
         def build(plan, train_records, test_records=()):
+            building.append("building")
             kernels = real_build(plan, train_records, test_records)
+            assert building.pop() == "released"
             built.append(weakref.ref(kernels))
             return kernels
 
@@ -1021,7 +1099,10 @@ class TestWindowMajorSweep:
             return real_run(cfg, window, horizon, records, shared)
 
         def release():
-            alive_at_release.append(sum(ref() is not None for ref in built))
+            if building:  # the build's own release, before its fit
+                building[-1] = "released"
+            else:
+                alive_at_release.append(sum(ref() is not None for ref in built))
         monkeypatch.setattr(bt, "build_kernels", build)
         monkeypatch.setattr(bt, "run_window", run)
         monkeypatch.setattr(bt, "release_freed_memory", release)

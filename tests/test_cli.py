@@ -2,6 +2,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import re
 import subprocess
 import sys
 from datetime import time
@@ -282,6 +283,24 @@ class TestBacktestCommand:
             assert (outs["1"] / name).read_bytes() == (outs["2"] / name).read_bytes(), name
 
 
+    def test_verbose_logs_each_windows_stage_seconds_and_writes_the_same_bytes(self, synth_dir, tmp_path):
+        args = ("backtest", "--docs", str(synth_dir / "docs.jsonl"), "--prices", str(synth_dir / "prices.csv"),
+                "--plan", "linear4", "--horizons", "10,30", "--c-grid", "10,100", "--out")
+        quiet = run_cli(*args, str(tmp_path / "quiet"))
+        loud = run_cli("-v", *args, str(tmp_path / "loud"))
+        assert tree_bytes(tmp_path / "quiet") == tree_bytes(tmp_path / "loud")
+        assert "SMO iterations" not in quiet.stderr
+        report = json.loads((tmp_path / "loud" / "report.json").read_text())["horizons"]
+        timing = re.compile(r"INFO newsmkl\.backtest: window (\S+) h(\d+): build (\S+) s, fit (\S+) s, "
+                            r"predict (\S+) s, (\d+) SMO iterations")
+        lines = [m for m in map(timing.fullmatch, loud.stderr.splitlines()) if m]
+        rows = {(w["window_id"], h): w for h, rep in report.items() for w in rep["windows"]}
+        assert sorted((m[1], m[2]) for m in lines) == sorted(rows)
+        for m in lines:
+            assert all(float(s) >= 0.0 for s in m.group(3, 4, 5))
+            # the cross-validation fits' iterations and the window fit's
+            assert int(m[6]) > rows[m[1], m[2]]["smo_iterations"]
+
     def test_horizon_flag_is_read_as_horizons(self, synth_dir, tmp_path):
         assert "horizon" not in _dests("backtest")
         out = tmp_path / "bt"
@@ -482,6 +501,10 @@ class TestErrors:
          "sigma_scale must be finite, got inf"),
         ("backtest", ("--horizons", "10,10"), "horizons repeats a value: 10, 10"),
         ("backtest", ("--c-grid", "10,100,10"), "c_grid repeats a value: 10.0, 100.0, 10.0"),
+        ("backtest", ("--horizons", "10,"), "--horizons: item '' of '10,' is not an integer"),
+        ("backtest", ("--horizons", "10,3x"), "--horizons: item '3x' of '10,3x' is not an integer"),
+        ("backtest", ("--c-grid", ""), "--c-grid: item '' of '' is not a number"),
+        ("backtest", ("--c-grid", "10,,100"), "--c-grid: item '' of '10,,100' is not a number"),
     ])
     def test_bad_setting_rejected_before_inputs_are_read(self, tmp_path, command, flag, message):
         # the inputs do not exist: the check must come before any of them is read

@@ -2,11 +2,14 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import eval_kernel, triu_median_sqdist, validate_psd
+from oracles import as_bytes, eval_kernel, triu_median_sqdist, validate_psd
 
 from newsmkl import kernels
-from newsmkl.kernels import KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist, sqdist
+from newsmkl.kernels import (IndicatorKernel, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist,
+                             sqdist, structured_gram)
 
 ALL_VECTOR_KINDS = ("linear", "gaussian", "polynomial")
 
@@ -208,3 +211,55 @@ class TestSharedDistances:
         X = np.ones((4, 2))
         with pytest.raises(KernelError):
             gram_matrix(KernelSpec(kind="gaussian", sigma=1.0), X, sqdist(np.ones((3, 2))))
+
+
+class TestIndicatorKernel:
+    """The identity and a linear kernel on one-hot features, stored as
+    codes, give the dense `gram_matrix`/`cross_gram`'s bytes in every read
+    SMO, the product passes and prediction make. Sizes cover SIMD tails
+    (2-70) and backtest windows (939-971); v holds the +/-0.0 entries of
+    y * alpha at alpha = 0."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(n=st.one_of(st.integers(2, 70), st.integers(939, 971)), bins=st.sampled_from([0, 1, 3, 5]),
+           seed=st.integers(0, 2**32 - 1))
+    def test_every_read_is_the_dense_grams_bytes(self, n, bins, seed):
+        rng = np.random.default_rng(seed)
+        n_test = int(rng.integers(1, 9))
+        if bins == 0:  # the identity, on its placeholder feature
+            spec, X, T = KernelSpec(kind="identity"), np.zeros((n, 1)), np.zeros((n_test, 1))
+        else:
+            spec = KernelSpec(kind="linear")
+            X, T = np.eye(bins)[rng.integers(0, bins, n)], np.eye(bins)[rng.integers(0, bins, n_test)]
+        kernel, dense = structured_gram(spec, X), gram_matrix(spec, X)
+        assert isinstance(kernel, IndicatorKernel) and kernel.size == n
+        assert kernel.scale == dense.scale
+
+        C = 10.0
+        alpha = np.where(rng.random(n) < 0.4, 0.0, np.where(rng.random(n) < 0.5, C, rng.uniform(0, C, n)))
+        v = np.where(rng.random(n) < 0.5, 1.0, -1.0) * alpha  # -0.0 where y = -1 and alpha = 0
+        S = np.flatnonzero(rng.random(n) < rng.uniform(0.0, 0.25))
+        dv = np.where(rng.random(S.size) < 0.3, -0.0, rng.standard_normal(S.size))
+
+        assert as_bytes(kernel.diagonal()) == as_bytes(dense.diagonal())
+        assert as_bytes([kernel.row(i) for i in range(n)]) == as_bytes(dense.values)
+        assert as_bytes(kernel.rows(S)) == as_bytes(dense.rows(S))
+        assert as_bytes(kernel.dot(v)) == as_bytes(dense.dot(v))
+        assert as_bytes(dv @ kernel.rows(S)) == as_bytes(dv @ dense.rows(S))
+        assert as_bytes(float(v @ kernel.dot(v))) == as_bytes(float(v @ dense.dot(v)))
+        assert as_bytes(kernel.cross(spec, X, T)) == as_bytes(cross_gram(spec, X, T, dense.scale))
+
+    @pytest.mark.parametrize("X", [
+        [[1.0, 0.0], [0.0, 0.5]],  # a hot value other than 1
+        [[1.0, 0.0], [1.0, 1.0]],  # two hot columns
+        [[1.0, 0.0], [0.0, 0.0]],  # none
+        [[1.0, -0.0], [0.0, 1.0]],  # a -0.0 among the zeros, which X @ X.T can carry
+    ])
+    def test_a_matrix_that_is_not_one_hot_stays_dense(self, X):
+        assert isinstance(structured_gram(KernelSpec(kind="linear"), X), kernels.GramMatrix)
+
+    def test_other_kinds_on_one_hot_features_stay_dense(self):
+        X = np.eye(3)[[0, 1, 2, 1]]
+        for kind in ALL_VECTOR_KINDS:
+            built = structured_gram(spec_for(kind), X)
+            assert isinstance(built, kernels.GramMatrix) == (kind != "linear"), kind
