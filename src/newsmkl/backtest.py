@@ -22,8 +22,8 @@ from time import perf_counter
 
 import numpy as np
 
-from .kernels import (Kernel, KernelError, KernelSpec, _gaussian_gram_in_place, median_sqdist,
-                      release_freed_memory, sqdist, structured_gram)
+from .kernels import (Kernel, KernelError, KernelSpec, _gaussian_gram_in_place, cross_gram, gram_matrix,
+                      median_sqdist, release_freed_memory, sqdist)
 from .market import (FeatureRecord, LabelingConfig, PriceSeries, _datetime_month_key, _key_month, _month_key,
                      label_records, label_threshold, month_of, prepare_records_by_horizon)
 # not called here; the acceptance tests and the benchmark probe read it through this module
@@ -296,6 +296,8 @@ class BacktestConfig:
             raise BacktestError("the plan has no kernels")
         if not self.horizons:
             raise BacktestError("no horizons configured")
+        if not self.c_grid:
+            raise BacktestError("no C values configured")
         if self.solver not in SOLVERS:
             raise BacktestError(f"unknown solver {self.solver!r}; choose from {', '.join(SOLVERS)}")
         if self.jobs < 1:
@@ -335,8 +337,8 @@ class PlanKernels:
         """Kernel k's (n_test, n_train) cross-Gram block."""
         if k not in self._blocks:
             feature = self.plan[k].feature
-            self._blocks[k] = self.grams[k].cross(self.specs[k], self.features[feature],
-                                                  self.test_features[feature])
+            self._blocks[k] = cross_gram(self.specs[k], self.features[feature],
+                                         self.test_features[feature], self.grams[k].scale)
         return self._blocks[k]
 
     def descriptions(self) -> list[dict]:
@@ -359,8 +361,8 @@ def _text_counts(records: list[FeatureRecord]) -> tuple[np.ndarray, np.ndarray]:
 def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord],
                   test_records: list[FeatureRecord] = ()) -> PlanKernels:
     """tf-idf fit on the training corpus only, then one trace-normalized
-    Gram per plan kernel, built feature by feature in order of first use,
-    each stored by its structure (`kernels.structured_gram`). The gaussian
+    Gram per plan kernel, built feature by feature in order of first use
+    by `kernels.gram_matrix`, which picks its stored form. The gaussian
     kernels on a feature share one squared-distance matrix, which also
     gives their bandwidth median; the last of them is mapped inside its
     buffer, so no distance matrix outlives its feature, and the freed
@@ -391,7 +393,7 @@ def build_kernels(plan: list[PlanKernel], train_records: list[FeatureRecord],
                 if gaussian and k == gaussian[-1]:  # the distances' last reader
                     grams[k], D = _gaussian_gram_in_place(specs[k], D), None
                 else:
-                    grams[k] = structured_gram(specs[k], X, D)
+                    grams[k] = gram_matrix(specs[k], X, D)
             except KernelError as exc:
                 raise KernelError(f"kernel {plan[k].name!r}: {exc}") from exc
     test_features = {}
@@ -622,8 +624,10 @@ def run_sweep(cfg: BacktestConfig, extracted: dict[int, tuple[list[FeatureRecord
         raise too_short[0]  # some horizon has events, so its span was too short
     order = sorted(set().union(*windows.values()), key=lambda w: _month_key(w.train_start))
     jobs = [(cfg, w, [(h, extracted[h][0]) for h in extracted if w in windows[h]]) for w in order]
-    if cfg.jobs > 1:
-        with ProcessPoolExecutor(max_workers=cfg.jobs) as pool:
+    # a forked pool starts all its workers at the first submit: no more than there are windows
+    workers = min(cfg.jobs, len(jobs))
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_window_job, jobs))
     else:
         outcomes = [_run_window_job(j) for j in jobs]

@@ -19,15 +19,15 @@ share one squared distance matrix: `sqdist` computes it once,
 block evaluator maps it to each gaussian Gram.
 
 Every consumer of a training Gram (SMO's row function, the solvers'
-kernel products, prediction's cross blocks) reads it through `Kernel`,
-which has two forms. `GramMatrix` stores the dense n x n values.
+kernel products) reads it through `Kernel`, which has two forms, and
+`gram_matrix` picks the form. `GramMatrix` stores the dense n x n values.
 `IndicatorKernel` stores K = scale * [c_i = c_j] as n integer codes: the
 identity (codes 0..n-1) and a linear kernel on one-hot features (each
-sample's code is the column of its 1.0), which `structured_gram` picks
-for such kernels. Each entry of those Grams is exactly 0.0 or the scale,
-so the rows, diagonal and row blocks it generates are the dense Gram's
-bits, and its products run the dense Gram's own operations (see
-`IndicatorKernel`): results are byte-identical to dense storage.
+sample's code is the column of its 1.0). Each entry of those Grams is
+exactly 0.0 or the scale, so the rows, diagonal and row blocks it
+generates are the dense Gram's bits, and its products run the dense
+Gram's own operations (see `IndicatorKernel`): results are
+byte-identical to dense storage.
 """
 
 from __future__ import annotations
@@ -84,9 +84,8 @@ class Kernel(ABC):
     multiplied by (1/trace for a `gram_matrix`), so that prediction-time
     kernel rows can be scaled consistently. `row` is SMO's row function,
     row(i) -> K[i]; `diagonal()` is K's diagonal, `rows(S)` the
-    (len(S), n) block K[S] and `dot(v)` the product K v. `cross` gives
-    the (n_test, n) block of test points against the training samples.
-    None of them may be written to.
+    (len(S), n) block K[S] and `dot(v)` the product K v. None of them may
+    be written to.
     """
 
     size: int
@@ -107,11 +106,6 @@ class Kernel(ABC):
     @abstractmethod
     def dot(self, v: np.ndarray) -> np.ndarray:
         """K v."""
-
-    def cross(self, spec: KernelSpec, train_samples, test_samples) -> np.ndarray:
-        """`cross_gram` of the test samples against `train_samples`, the
-        samples this Gram was built on by `spec`, at this Gram's scale."""
-        return cross_gram(spec, train_samples, test_samples, self.scale)
 
 
 @dataclass(frozen=True)
@@ -149,7 +143,9 @@ class GramMatrix(Kernel):
 
 @dataclass(frozen=True)
 class IndicatorKernel(Kernel):
-    """K = scale * [c_i = c_j], stored as n integer codes and the scale.
+    """K = scale * [c_i = c_j], stored as n integer codes and the scale:
+    the form `gram_matrix` gives the identity and a linear kernel on
+    one-hot samples, whose trace is n and whose scale is 1/n.
 
     With `width` > 0 the codes are columns of one-hot features and a
     (width, n) table of K's distinct rows serves `row` and `rows`; width 0
@@ -257,20 +253,31 @@ def sqdist(samples) -> np.ndarray:
     return _pairwise_sqdist(X, X)
 
 
-def gram_matrix(spec: KernelSpec, samples, distances: np.ndarray | None = None) -> GramMatrix:
-    """Assemble the dense symmetric matrix of pairwise kernel values.
+def gram_matrix(spec: KernelSpec, samples, distances: np.ndarray | None = None) -> Kernel:
+    """The trace-normalized training Gram of `spec` on the samples, in the
+    form its structure allows: an IndicatorKernel for the identity kind
+    and for a linear kernel on one-hot samples (read off the samples: each
+    row one 1.0 among +0.0s), else the dense GramMatrix.
 
-    The matrix is exactly symmetric with no symmetrization pass: syrk
-    fills one triangle and mirrors it, and every kind maps that product
-    (or the distances) elementwise and symmetrically. A gaussian Gram is
-    mapped from `distances` when given, which must be `sqdist(samples)`.
-    The matrix is trace-normalized (divided by its trace, so trace = 1),
+    The dense matrix is exactly symmetric with no symmetrization pass:
+    syrk fills one triangle and mirrors it, and every kind maps that
+    product (or the distances) elementwise and symmetrically. A gaussian
+    Gram is mapped from `distances` when given, which must be
+    `sqdist(samples)`. The matrix is divided by its trace (so trace = 1),
     and `scale` is 1/trace. KernelError when the trace is not finite
     (values that overflow, as at a high polynomial degree) or not positive.
     """
     X = _as_matrix(samples)
+    n = X.shape[0]
+    if spec.kind == "identity":
+        return IndicatorKernel(codes=np.arange(n), scale=1.0 / n)
+    if spec.kind == "linear" and np.count_nonzero(X) == n:  # the cheap test first
+        codes = X.argmax(axis=1)
+        # compared as bits, so that a -0.0 is not taken for a zero
+        if np.array_equal(np.eye(X.shape[1])[codes].view(np.int64), X.view(np.int64)):
+            return IndicatorKernel(codes=codes, scale=1.0 / n, width=X.shape[1])
     with np.errstate(over="ignore", invalid="ignore"):  # an overflow shows in the trace
-        G = np.eye(X.shape[0]) if spec.kind == "identity" else _kernel_block(spec, X, X, distances)
+        G = _kernel_block(spec, X, X, distances)
     return _trace_normalized(G)
 
 
@@ -291,24 +298,6 @@ def _gaussian_gram_in_place(spec: KernelSpec, distances: np.ndarray) -> GramMatr
     the distance matrix's own buffer, which the Gram takes over: for the
     last gaussian kernel on a feature, after which its distances are dead."""
     return _trace_normalized(_gaussian_map(distances, spec.sigma, out=distances))
-
-
-def structured_gram(spec: KernelSpec, samples, distances: np.ndarray | None = None) -> Kernel:
-    """`gram_matrix(spec, samples, distances)`, stored by its structure: an
-    IndicatorKernel for the identity kind, and for a linear kernel on
-    one-hot samples (read off the samples: each row one 1.0 among +0.0s),
-    else the dense Gram. An indicator Gram's trace is n, so its scale is
-    1/n, as the dense Gram's."""
-    X = _as_matrix(samples)
-    n = X.shape[0]
-    if spec.kind == "identity":
-        return IndicatorKernel(codes=np.arange(n), scale=1.0 / n)
-    if spec.kind == "linear" and np.count_nonzero(X) == n:  # the cheap test first
-        codes = X.argmax(axis=1)
-        # compared as bits, so that a -0.0 is not taken for a zero
-        if np.array_equal(np.eye(X.shape[1])[codes].view(np.int64), X.view(np.int64)):
-            return IndicatorKernel(codes=codes, scale=1.0 / n, width=X.shape[1])
-    return gram_matrix(spec, X, distances)
 
 
 def cross_gram(spec: KernelSpec, train_samples, test_samples, scale: float) -> np.ndarray:

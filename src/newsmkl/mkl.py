@@ -246,6 +246,13 @@ def _quad_forms(U: np.ndarray, v: np.ndarray) -> np.ndarray:
     return np.array([float(v @ u) for u in U])
 
 
+def _full_pass(problem: MklProblem, alpha: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """U = [K_k (y * alpha)] by one full product pass, and the quad forms q."""
+    v = problem.labels * alpha
+    U = _kernel_products(problem, v)
+    return U, _quad_forms(U, v)
+
+
 def _evaluate(problem: MklProblem, d, state: MklState) -> SolvePoint:
     """J(d), its alpha and the kernel quad forms q from one SVM solve.
 
@@ -325,10 +332,10 @@ def mkl_objective(problem: MklProblem, d, state: MklState | None = None) -> tupl
 
 def kernel_quad_forms(problem: MklProblem, alpha_star) -> np.ndarray:
     """q_i = a' diag(y) K_i diag(y) a for each kernel."""
-    v = problem.labels * np.asarray(alpha_star, dtype=np.float64).ravel()
-    if v.shape[0] != problem.kernels[0].size:
+    alpha = np.asarray(alpha_star, dtype=np.float64).ravel()
+    if alpha.shape[0] != problem.kernels[0].size:
         raise MklError("alpha length does not match kernel size")
-    return _quad_forms(_kernel_products(problem, v), v)
+    return _full_pass(problem, alpha)[1]
 
 
 def mkl_gradient(alpha_star, problem: MklProblem) -> np.ndarray:
@@ -552,7 +559,8 @@ def _finish(problem: MklProblem, state: MklState, point: SolvePoint, status: str
     zeroed and the rest renormalized, with a re-solve at `inner_tol` if
     that moved d or SMO left the point above `inner_tol`. The full product
     pass of the returned alpha gives the returned gap and the model's bias:
-    the point's own `U` when it was not re-solved, else one pass here."""
+    the point's own `U` and `q` when it was not re-solved, else one pass
+    here."""
     kept = np.where(point.d < WEIGHT_THRESHOLD, 0.0, point.d)
     thresholded = not np.array_equal(kept, point.d)
     if thresholded or point.smo[1] > problem.inner_tol:
@@ -560,9 +568,7 @@ def _finish(problem: MklProblem, state: MklState, point: SolvePoint, status: str
         point = _evaluate(problem, kept / kept.sum() if thresholded else point.d, state)
     d = point.d / point.d.sum()
     y, C = problem.labels, problem.C
-    v = y * point.alpha
-    U = _kernel_products(problem, v) if point.U is None else point.U
-    q = _quad_forms(U, v)
+    U, q = _full_pass(problem, point.alpha) if point.U is None else (point.U, point.q)
     model = build_model(point.alpha, point.J, recover_bias(point.alpha, y, d @ U, C), C, point.smo)
     return MklSolution(d=d, model=model, objective=point.J, gap=_gap_from_quads(d, q),
                        iterations=len(gap_history), svm_solves=state.svm_solves,
@@ -599,9 +605,7 @@ def _solve(problem: MklProblem, points) -> MklSolution:
             break
         gap = _gap_from_quads(point.d, point.q)
         if gap <= problem.gap_tol:  # a gap that ends the solve is a full pass's
-            v = problem.labels * point.alpha
-            point.U = _kernel_products(problem, v)
-            point.q = _quad_forms(point.U, v)
+            point.U, point.q = _full_pass(problem, point.alpha)
             gap = _gap_from_quads(point.d, point.q)
         gap_history.append(gap)
         if gap <= problem.gap_tol:
@@ -647,9 +651,8 @@ def _accpm_points(problem: MklProblem, state: MklState):
         loc, added = add_cut(pruned, z_c, -0.5 * point.q, point.eps)
         if not added:
             return "flat_gradient"
+        # a start off the interior makes the next analytic_center raise
         z_start = _push_inside(loc, z_c, new_row=loc.n_rows - 1)
-        if not loc.is_interior(z_start):
-            return "degenerate_localization"
 
 
 def solve_accpm(problem: MklProblem) -> MklSolution:

@@ -18,7 +18,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from newsmkl.kernels import GramMatrix, Kernel, KernelError, KernelSpec, _kernel_block
+from newsmkl.kernels import GramMatrix, Kernel, KernelError, KernelSpec, _kernel_block, _trace_normalized
 from newsmkl.market import DROP_REASONS, calendar_features
 from newsmkl.mkl import (BACKTRACK_ALPHA, BACKTRACK_BETA, NEWTON_TOL, LocalizationSet, MklProblem,
                          MklState, barrier_value, mkl_objective)
@@ -397,6 +397,14 @@ def raw_gram(spec: KernelSpec, X) -> GramMatrix:
 def as_bytes(a) -> bytes:
     """The float64 bytes of an array, a list of floats or a float, for byte-for-byte comparisons."""
     return np.asarray(a, dtype=np.float64).tobytes()
+
+
+def dense_gram(spec: KernelSpec, X: np.ndarray) -> GramMatrix:
+    """`gram_matrix`'s kernel on the rows of X stored dense, whatever its
+    structure: the trace-normalized `_kernel_block`, or np.eye(n) for the
+    identity kind."""
+    X = np.ascontiguousarray(X, dtype=np.float64)
+    return _trace_normalized(np.eye(X.shape[0]) if spec.kind == "identity" else _kernel_block(spec, X, X))
 
 
 def densify(kernel: Kernel) -> GramMatrix:

@@ -453,6 +453,8 @@ class TestRunBacktest:
         ({"plan": [bt.PlanKernel(name="k", feature="text", kind="linear"),
                    bt.PlanKernel(name="k", feature="absret", kind="linear")]}, "plan repeats a value: k, k"),
         ({"horizons": ()}, "no horizons configured"),
+        # with no C to loop over, a NaN gap_tol would go unchecked too
+        ({"c_grid": (), "gap_tol": float("nan")}, "no C values configured"),
     ])
     def test_unusable_config_rejected_when_made(self, changes, message):
         with pytest.raises(bt.BacktestError, match=message):
@@ -679,7 +681,7 @@ class TestPerFeatureBuild:
             alone = kernels.gram_matrix(pk.spec(median), X)
             assert spec == pk.spec(median)
             assert g.scale == alone.scale
-            np.testing.assert_array_equal(densify(g).values, alone.values)
+            np.testing.assert_array_equal(densify(g).values, densify(alone).values)
 
     def test_cross_blocks_match_the_single_pair_oracle(self):
         train, test = KERNEL_DATA
@@ -878,7 +880,7 @@ class TestKernelReuse:
         for h in cfg.horizons:
             records, _ = bt.prepare_feature_records(docs, prices, dic, cfg.labeling(h))
             kept |= {r.doc_id for r in records}
-        calls = {"structured_gram": 0, "_gaussian_gram_in_place": 0, "median_sqdist": 0, "bag_of_words": 0}
+        calls = {"gram_matrix": 0, "_gaussian_gram_in_place": 0, "median_sqdist": 0, "bag_of_words": 0}
         cv_runs = []
         mp = pytest.MonkeyPatch()
 
@@ -890,7 +892,7 @@ class TestKernelReuse:
                 return real(*args, **kwargs)
             mp.setattr(module, name, wrapper)
 
-        counted(bt, "structured_gram")
+        counted(bt, "gram_matrix")
         counted(bt, "_gaussian_gram_in_place")
         counted(bt, "median_sqdist")
         counted(market, "bag_of_words")
@@ -926,7 +928,7 @@ class TestKernelReuse:
         # two training sets per window (early fold, full window); per set one
         # Gram per plan kernel and one bandwidth per gaussian feature (text, absret),
         # whose last gaussian Gram is mapped in its distance matrix
-        grams = calls["structured_gram"] + calls["_gaussian_gram_in_place"]
+        grams = calls["gram_matrix"] + calls["_gaussian_gram_in_place"]
         assert grams == len(train_sets) * 2 * len(self.PLAN)
         assert calls["median_sqdist"] == calls["_gaussian_gram_in_place"] == len(train_sets) * 2 * 2
 
@@ -989,6 +991,34 @@ class TestWindowMajorSweep:
             assert json.dumps(dataclasses.asdict(swept[h])) == json.dumps(dataclasses.asdict(alone[h]))
         n_windows = len(swept[10].windows)
         assert len(builds) == len(set(builds)) == 2 * 2 * n_windows  # h=10/20 shared, h=250 own
+
+    @pytest.mark.parametrize("n_months,jobs,pools", [(14, 64, [2]), (13, 4, [])],
+                             ids=["two_windows", "one_window"])
+    def test_no_more_workers_than_windows(self, monkeypatch, n_months, jobs, pools):
+        # a forked ProcessPoolExecutor starts max_workers processes at its
+        # first submit, so the pool is sized by the windows; a stand-in
+        # records the size and maps in this process
+        made = []
+
+        class InlinePool:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, *iterables):
+                return map(fn, *iterables)
+
+        monkeypatch.setattr(bt, "ProcessPoolExecutor", InlinePool)
+        docs, prices, _ = synth_fixture(seed=3, n_events=200, n_months=n_months)
+        cfg = bt.BacktestConfig(plan=LIN_TEXT, horizons=(10,), c_grid=(10.0,), jobs=jobs)
+        report = bt.run_backtest(cfg, docs, prices, default_dictionary())[10]
+        assert made == pools
+        assert len(report.windows) == n_months - bt.TRAIN_MONTHS
 
     @pytest.mark.parametrize("spec,keep,skipped,alone_error", [
         # h=250 keeps 15 of 40 events, too few to train its one window

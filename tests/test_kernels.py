@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import as_bytes, eval_kernel, triu_median_sqdist, validate_psd
+from oracles import as_bytes, dense_gram, densify, eval_kernel, triu_median_sqdist, validate_psd
 
 from newsmkl import kernels
-from newsmkl.kernels import (IndicatorKernel, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist,
-                             sqdist, structured_gram)
+from newsmkl.kernels import IndicatorKernel, KernelError, KernelSpec, cross_gram, gram_matrix, median_sqdist, sqdist
 
 ALL_VECTOR_KINDS = ("linear", "gaussian", "polynomial")
 
@@ -59,12 +58,12 @@ class TestEvalKernel:
 class TestGramMatrix:
     def test_orthonormal_linear(self):
         g = gram_matrix(KernelSpec(kind="linear"), [[1.0, 0.0], [0.0, 1.0]])
-        np.testing.assert_array_equal(g.values, np.eye(2) / 2.0)
+        np.testing.assert_array_equal(densify(g).values, np.eye(2) / 2.0)
         assert g.scale == 0.5
 
     def test_identity_kind_trace_normalized(self):
         g = gram_matrix(KernelSpec(kind="identity"), [[1.0], [2.0], [3.0]])
-        np.testing.assert_allclose(g.values, np.eye(3) / 3.0)
+        np.testing.assert_allclose(densify(g).values, np.eye(3) / 3.0)
         assert g.scale == pytest.approx(1.0 / 3.0)
 
     def test_gaussian_two_points(self):
@@ -86,7 +85,7 @@ class TestGramMatrix:
                   "row-strided": base[::2, :30], "fortran": np.asfortranarray(base[:, :30])}
         for name, X in inputs.items():
             for kind in (*ALL_VECTOR_KINDS, "identity"):
-                G = gram_matrix(spec_for(kind), X).values
+                G = densify(gram_matrix(spec_for(kind), X)).values
                 assert np.array_equal(G, G.T), (name, kind)
 
     def test_overflowing_kernel_raises_without_a_warning(self):
@@ -214,24 +213,22 @@ class TestSharedDistances:
 
 
 class TestIndicatorKernel:
-    """The identity and a linear kernel on one-hot features, stored as
-    codes, give the dense `gram_matrix`/`cross_gram`'s bytes in every read
-    SMO, the product passes and prediction make. Sizes cover SIMD tails
-    (2-70) and backtest windows (939-971); v holds the +/-0.0 entries of
-    y * alpha at alpha = 0."""
+    """The identity and a linear kernel on one-hot features, which
+    `gram_matrix` stores as codes, give the dense Gram's bytes
+    (`oracles.dense_gram`) in every read SMO and the product passes make.
+    Sizes cover SIMD tails (2-70) and backtest windows (939-971); v holds
+    the +/-0.0 entries of y * alpha at alpha = 0."""
 
     @settings(max_examples=60, deadline=None)
     @given(n=st.one_of(st.integers(2, 70), st.integers(939, 971)), bins=st.sampled_from([0, 1, 3, 5]),
            seed=st.integers(0, 2**32 - 1))
     def test_every_read_is_the_dense_grams_bytes(self, n, bins, seed):
         rng = np.random.default_rng(seed)
-        n_test = int(rng.integers(1, 9))
         if bins == 0:  # the identity, on its placeholder feature
-            spec, X, T = KernelSpec(kind="identity"), np.zeros((n, 1)), np.zeros((n_test, 1))
+            spec, X = KernelSpec(kind="identity"), np.zeros((n, 1))
         else:
-            spec = KernelSpec(kind="linear")
-            X, T = np.eye(bins)[rng.integers(0, bins, n)], np.eye(bins)[rng.integers(0, bins, n_test)]
-        kernel, dense = structured_gram(spec, X), gram_matrix(spec, X)
+            spec, X = KernelSpec(kind="linear"), np.eye(bins)[rng.integers(0, bins, n)]
+        kernel, dense = gram_matrix(spec, X), dense_gram(spec, X)
         assert isinstance(kernel, IndicatorKernel) and kernel.size == n
         assert kernel.scale == dense.scale
 
@@ -247,7 +244,6 @@ class TestIndicatorKernel:
         assert as_bytes(kernel.dot(v)) == as_bytes(dense.dot(v))
         assert as_bytes(dv @ kernel.rows(S)) == as_bytes(dv @ dense.rows(S))
         assert as_bytes(float(v @ kernel.dot(v))) == as_bytes(float(v @ dense.dot(v)))
-        assert as_bytes(kernel.cross(spec, X, T)) == as_bytes(cross_gram(spec, X, T, dense.scale))
 
     @pytest.mark.parametrize("X", [
         [[1.0, 0.0], [0.0, 0.5]],  # a hot value other than 1
@@ -256,10 +252,10 @@ class TestIndicatorKernel:
         [[1.0, -0.0], [0.0, 1.0]],  # a -0.0 among the zeros, which X @ X.T can carry
     ])
     def test_a_matrix_that_is_not_one_hot_stays_dense(self, X):
-        assert isinstance(structured_gram(KernelSpec(kind="linear"), X), kernels.GramMatrix)
+        assert isinstance(gram_matrix(KernelSpec(kind="linear"), X), kernels.GramMatrix)
 
     def test_other_kinds_on_one_hot_features_stay_dense(self):
         X = np.eye(3)[[0, 1, 2, 1]]
         for kind in ALL_VECTOR_KINDS:
-            built = structured_gram(spec_for(kind), X)
+            built = gram_matrix(spec_for(kind), X)
             assert isinstance(built, kernels.GramMatrix) == (kind != "linear"), kind

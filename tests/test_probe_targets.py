@@ -105,3 +105,25 @@ def test_backtest_spans_stay_live(features, solver_span):
                  "backtest.predict_records", "kernels.gram_matrix", "kernels.cross_gram",
                  "smo.solve", "svm.predict_many", "text.tfidf", solver_span):
         assert span in recorded, span
+
+
+def test_gram_matrix_builds_every_mkl13_kernel_but_the_in_place_gaussians():
+    """`kernels.gram_matrix` is the one builder of a training kernel, dense
+    or stored as codes: a traced mkl13 build records its span for 11 of the
+    13 kernels. The other two are the last gaussian on each of the two
+    gaussian features, which `build_kernels` maps inside its distances."""
+    from newsmkl import backtest as bt
+    from newsmkl.market import SynthSpec, synth_generate
+    from newsmkl.text import default_dictionary
+
+    docs, prices, _ = synth_generate(5, SynthSpec(n_events=200, n_months=13, tickers=("AAA",)))
+    cfg = bt.BacktestConfig(plan=bt.named_plan("mkl13"), horizons=(10,))
+    records, _ = bt.prepare_feature_records(docs, prices, default_dictionary(), cfg.labeling(10))
+    probe = _probe_module().Probe(timing=True)
+    probe.install()
+    try:
+        built = bt.build_kernels(cfg.plan, records)
+    finally:
+        probe.uninstall()
+    assert len(built.grams) == 13
+    assert sum(1 for name, *_ in probe.spans if name == "kernels.gram_matrix") == 11
