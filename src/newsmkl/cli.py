@@ -59,18 +59,25 @@ def _parse_list(flag: str, raw: str, kind: type, noun: str) -> tuple:
     return tuple(items)
 
 
+_SYNTH_NOUNS = {int: "an integer", float: "a number", time: "an HH:MM time"}
+
+
 def _synth_spec_from_config(cfg: dict) -> market.SynthSpec:
+    """The SynthSpec of `--set` overrides; ConfigError for an unknown key or
+    for a value that does not read as its key's type, naming `--set KEY`."""
     kwargs = {}
     fields = {f.name: type(f.default) for f in dataclasses.fields(market.SynthSpec)}
     for key, value in cfg.items():
-        if key == "tickers":
-            kwargs["tickers"] = tuple(t.strip() for t in value.split(",") if t.strip())
-        elif key in ("event_start", "event_end"):
-            kwargs[key] = _parse_clock(value)
-        elif key in fields:
-            kwargs[key] = fields[key](value)
-        else:
+        kind = fields.get(key)
+        if kind is None:
             raise ConfigError(f"unknown synth config key {key!r}")
+        if kind is tuple:
+            kwargs[key] = tuple(t.strip() for t in value.split(",") if t.strip())
+        else:
+            try:
+                kwargs[key] = _parse_clock(value) if kind is time else kind(value)
+            except ValueError:  # _parse_clock's ConfigError too
+                raise ConfigError(f"--set {key}: {value!r} is not {_SYNTH_NOUNS[kind]}") from None
     return market.SynthSpec(**kwargs)
 
 
@@ -111,7 +118,7 @@ def cmd_synth(args) -> int:
 
 def cmd_featurize(args) -> int:
     docs, _, dictionary = _load_inputs(args, need_prices=False)
-    counts = np.vstack([text.bag_of_words(d, dictionary) for d in docs]) if docs else \
+    counts = np.vstack([text.bag_of_words(d.text, dictionary) for d in docs]) if docs else \
         np.zeros((0, dictionary.size), dtype=np.int64)
     text.write_features_csv(args.out, [d.id for d in docs], counts, dictionary)
     log.info("featurize: %d documents x %d stems -> %s", len(docs), dictionary.size, args.out)

@@ -20,7 +20,9 @@ block evaluator maps it to each gaussian Gram.
 
 Every consumer of a training Gram (SMO's row function, the solvers'
 kernel products) reads it through `Kernel`, which has two forms, and
-`gram_matrix` picks the form. `GramMatrix` stores the dense n x n values.
+`gram_matrix` picks the form. Each form has one row accessor, `rows`,
+indexed as numpy indexes: rows(i) is the row K[i], rows(S) the block K[S].
+`GramMatrix` stores the dense n x n values.
 `IndicatorKernel` stores K = scale * [c_i = c_j] as n integer codes: the
 identity (codes 0..n-1) and a linear kernel on one-hot features (each
 sample's code is the column of its 1.0). Each entry of those Grams is
@@ -82,18 +84,14 @@ class Kernel(ABC):
 
     `size` is n, and `scale` the constant the raw kernel values were
     multiplied by (1/trace for a `gram_matrix`), so that prediction-time
-    kernel rows can be scaled consistently. `row` is SMO's row function,
-    row(i) -> K[i]; `diagonal()` is K's diagonal, `rows(S)` the
-    (len(S), n) block K[S] and `dot(v)` the product K v. None of them may
-    be written to.
+    kernel rows can be scaled consistently. `diagonal()` is K's diagonal,
+    `rows` indexes K's rows as numpy does (rows(i) is the row K[i], SMO's
+    row function; rows(S) for an index array or a slice is the block K[S])
+    and `dot(v)` is the product K v. None of them may be written to.
     """
 
     size: int
     scale: float
-
-    @abstractmethod
-    def row(self, i: int) -> np.ndarray:
-        """K[i]."""
 
     @abstractmethod
     def diagonal(self) -> np.ndarray:
@@ -101,7 +99,7 @@ class Kernel(ABC):
 
     @abstractmethod
     def rows(self, S) -> np.ndarray:
-        """K[S], the rows at the indices S."""
+        """K[S]: the row K[i] for an integer, the block for an index array or slice."""
 
     @abstractmethod
     def dot(self, v: np.ndarray) -> np.ndarray:
@@ -110,9 +108,8 @@ class Kernel(ABC):
 
 @dataclass(frozen=True)
 class GramMatrix(Kernel):
-    """Dense symmetric PSD matrix of pairwise kernel values. Its row
-    function and products are numpy's own: values.__getitem__ and
-    values @ v."""
+    """Dense symmetric PSD matrix of pairwise kernel values. Its rows and
+    products are numpy's own: values.__getitem__ and values @ v."""
 
     values: np.ndarray
     size: int = field(init=False)
@@ -128,14 +125,11 @@ class GramMatrix(Kernel):
         object.__setattr__(self, "size", v.shape[0])
 
     @property
-    def row(self):
+    def rows(self):
         return self.values.__getitem__
 
     def diagonal(self) -> np.ndarray:
         return np.diagonal(self.values)
-
-    def rows(self, S) -> np.ndarray:
-        return self.values[S]
 
     def dot(self, v: np.ndarray) -> np.ndarray:
         return self.values @ v
@@ -148,8 +142,8 @@ class IndicatorKernel(Kernel):
     one-hot samples, whose trace is n and whose scale is 1/n.
 
     With `width` > 0 the codes are columns of one-hot features and a
-    (width, n) table of K's distinct rows serves `row` and `rows`; width 0
-    is the identity, codes 0..n-1, whose rows are generated on demand.
+    (width, n) table of K's distinct rows serves `rows`; width 0 is the
+    identity, codes 0..n-1, whose rows are generated on demand.
     Every entry of the dense Gram is exactly 0.0 or the scale, so generated
     values are its bits. Products keep them too: the identity's K v is
     scale * v + 0.0 (the dense sum adds exact zeros, which turn a -0.0
@@ -175,14 +169,9 @@ class IndicatorKernel(Kernel):
             table.flags.writeable = False
         object.__setattr__(self, "_table", table)
 
-    def _block(self, codes: np.ndarray) -> np.ndarray:
-        """The rows of K for samples with these codes."""
-        return np.where(codes[:, None] == self.codes, self.scale, 0.0)
-
-    def row(self, i: int) -> np.ndarray:
-        if self._table is None:
-            return self._block(self.codes[i:i + 1])[0]
-        return self._table[self.codes[i]]
+    def _block(self, codes) -> np.ndarray:
+        """The rows of K for samples with these codes: one row for a scalar code."""
+        return np.where(np.expand_dims(codes, -1) == self.codes, self.scale, 0.0)
 
     def diagonal(self) -> np.ndarray:
         return np.full(self.size, self.scale)
@@ -310,9 +299,7 @@ def cross_gram(spec: KernelSpec, train_samples, test_samples, scale: float) -> n
     """
     X = _as_matrix(train_samples)
     if spec.kind == "identity":
-        T = np.asarray(test_samples)
-        n_test = T.shape[0] if T.ndim >= 1 else 0
-        return np.zeros((n_test, X.shape[0]))
+        return np.zeros((len(test_samples), X.shape[0]))
     K = _kernel_block(spec, _as_matrix(test_samples), X)
     K *= scale
     return K

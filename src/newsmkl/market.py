@@ -412,11 +412,11 @@ def _price_blocks(path) -> dict[bytes, tuple[list, list]]:
     return chunks
 
 
-def _price_rows(path) -> tuple[list[str], np.ndarray, np.ndarray]:
-    """Parse row by row (any ISO timestamp); a bad header raises MarketError,
+def _price_rows(path) -> dict[str, tuple[list[int], list[float]]]:
+    """Parse row by row (any ISO timestamp) into per-ticker times and prices,
+    keyed by ticker in order of first row; a bad header raises MarketError,
     and so does a bad row, naming `path:line`."""
-    tickers, times, prices = [], [], []
-    last: dict[str, int] = {}  # each ticker's latest time so far
+    series: dict[str, tuple[list[int], list[float]]] = {}
     with open(path, encoding="utf-8", errors="surrogateescape") as fh:
         header = fh.readline().strip()
         if header != PRICE_HEADER:
@@ -429,19 +429,18 @@ def _price_rows(path) -> tuple[list[str], np.ndarray, np.ndarray]:
                 ticker, ts, price = _utf8_line(line).split(",")
                 if not ticker:
                     raise ValueError("empty ticker")
+                times, prices = series.setdefault(ticker, ([], []))
                 et = int(_parse_timestamp(ts).timestamp())
-                if ticker in last and et <= last[ticker]:
+                if times and et <= times[-1]:
                     raise ValueError(f"{ticker}'s time {ts!r} is not after its previous row's")
                 p = float(price)
                 if not 0.0 < p < math.inf:  # also false for nan
                     raise ValueError(f"price {price!r} is not a positive finite number")
             except ValueError as exc:
                 raise MarketError(f"{path}:{ln}: bad price row: {exc}") from exc
-            tickers.append(ticker)
-            last[ticker] = et
             times.append(et)
             prices.append(p)
-    return tickers, np.array(times, dtype=np.int64), np.array(prices, dtype=np.float64)
+    return series
 
 
 def read_prices(path) -> dict[str, PriceSeries]:
@@ -459,11 +458,8 @@ def read_prices(path) -> dict[str, PriceSeries]:
         return {tk: PriceSeries(ticker=tk, times=np.concatenate(t_parts), prices=np.concatenate(p_parts))
                 for tk, (t_parts, p_parts) in chunks.items()}
     except ValueError:
-        tickers, times, prices = _price_rows(path)
-    code = {tk: j for j, tk in enumerate(dict.fromkeys(tickers))}
-    row_code = np.array([code[tk] for tk in tickers], dtype=np.int64)
-    return {tk: PriceSeries(ticker=tk, times=times[row_code == j], prices=prices[row_code == j])
-            for tk, j in code.items()}
+        return {tk: PriceSeries(ticker=tk, times=times, prices=prices)
+                for tk, (times, prices) in _price_rows(path).items()}
 
 
 def write_prices(path, series: dict[str, PriceSeries]) -> None:
@@ -674,6 +670,9 @@ def synth_generate(seed: int, spec: SynthSpec) -> tuple[list[Document], dict[str
             price = float(day_prices[-1])
         series[ticker] = PriceSeries(ticker=ticker, times=np.concatenate(all_times),
                                      prices=np.concatenate(all_prices))
+        low = series[ticker].prices.min()
+        if f"{low:.6f}" == "0.000000":  # write_prices's form, which read_prices rejects
+            raise MarketError(f"{ticker}'s price falls to {low:.3g}, which six decimals write as 0.000000")
     return docs, series, truths
 
 

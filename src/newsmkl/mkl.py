@@ -279,7 +279,7 @@ def _evaluate(problem: MklProblem, d, state: MklState) -> SolvePoint:
     used = np.flatnonzero(d)
     w = d[used]
     kernels = [problem.kernels[k] for k in used]
-    row_of = [K.row for K in kernels]
+    row_of = [K.rows for K in kernels]
     rows: dict[int, np.ndarray] = {}
 
     def row(i: int) -> np.ndarray:

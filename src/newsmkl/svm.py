@@ -116,7 +116,7 @@ def solve_dual(
         alpha = np.zeros(y.shape[0])
         grad = -np.ones(y.shape[0])
 
-    result = _smo.solve(gram.row, gram.diagonal(), y, alpha, grad, C, tol, max_iter)
+    result = _smo.solve(gram.rows, gram.diagonal(), y, alpha, grad, C, tol, max_iter)
     bias = recover_bias(alpha, y, gram.dot(y * alpha), C)
     return build_model(alpha, dual_objective(alpha, grad), bias, C, result)
 

@@ -103,13 +103,10 @@ def tokenize(text: str) -> list[str]:
     return out
 
 
-def bag_of_words(doc: Document | str | list[str], dictionary: Dictionary) -> np.ndarray:
-    """Count tokens whose cleaned form starts with each stem; `doc` may also
-    be a list of tokens that `tokenize` already produced."""
-    if isinstance(doc, list):
-        tokens = doc
-    else:
-        tokens = tokenize(doc.text if isinstance(doc, Document) else doc)
+def bag_of_words(text: str | list[str], dictionary: Dictionary) -> np.ndarray:
+    """Count tokens of `text` whose cleaned form starts with each stem; `text`
+    may also be a list of tokens that `tokenize` already produced."""
+    tokens = text if isinstance(text, list) else tokenize(text)
     hits = [idx for tok in tokens for idx in dictionary._stems_hit(tok)]
     return np.bincount(np.array(hits, dtype=np.int64), minlength=dictionary.size)
 

@@ -65,7 +65,17 @@ class TestSynth:
         out = run_cli("synth", "--seed", "1", "--out", str(tmp_path / "x"),
                       "--set", f"{key}=10", check=False)
         parsed = _json_error(out)
-        assert parsed == {"error": "ConfigError", "message": "expected HH:MM, got '10'"}
+        assert parsed == {"error": "ConfigError", "message": f"--set {key}: '10' is not an HH:MM time"}
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("key_value, message", [
+        ("n_events=1e3", "--set n_events: '1e3' is not an integer"),
+        ("event_start=9", "--set event_start: '9' is not an HH:MM time"),
+        ("base_price=cheap", "--set base_price: 'cheap' is not a number"),
+    ])
+    def test_value_that_does_not_parse_names_its_key(self, tmp_path, key_value, message):
+        out = run_cli("synth", "--seed", "1", "--out", str(tmp_path / "x"), "--set", key_value, check=False)
+        assert _json_error(out) == {"error": "ConfigError", "message": message}
         assert not (tmp_path / "x").exists()
 
     @pytest.mark.parametrize("month", ["2004-13", "2004-00", "2004-1", "2004/01"])
@@ -96,6 +106,9 @@ class TestSynth:
         (("jump_delay_minutes=-1",), "jump_delay_minutes must be >= 0, got -1"),
         # AAA would be drawn for two of every three attempts, and its capacity counted twice
         (("n_events=600", "n_months=2", "tickers=AAA,AAA,BBB"), "tickers repeats a value: AAA, AAA, BBB"),
+        # prices.csv would write every price as 0.000000, which read_prices rejects
+        (("n_events=20", "n_months=1", "tickers=AAA", "base_price=0.0000001"),
+         "AAA's price falls to 7.91e-08, which six decimals write as 0.000000"),
     ])
     def test_spec_that_cannot_be_met_single_line_json_error(self, tmp_path, sets, message):
         out = run_cli("synth", "--seed", "1", "--out", str(tmp_path / "x"),

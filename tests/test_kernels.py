@@ -66,6 +66,12 @@ class TestGramMatrix:
         np.testing.assert_allclose(densify(g).values, np.eye(3) / 3.0)
         assert g.scale == pytest.approx(1.0 / 3.0)
 
+    def test_rows_is_numpys_own_row_read(self):
+        # SMO calls rows once per working-pair row: no Python frame between it and numpy
+        g = kernels.GramMatrix(values=np.eye(3))
+        assert g.rows.__self__ is g.values
+        assert g.rows(1).tobytes() == g.values[1].tobytes()
+
     def test_gaussian_two_points(self):
         g = gram_matrix(KernelSpec(kind="gaussian", sigma=1.0), [[0.0], [1.0]])
         np.testing.assert_allclose(g.values, [[0.5, np.exp(-1) / 2], [np.exp(-1) / 2, 0.5]], rtol=1e-15)
@@ -239,7 +245,8 @@ class TestIndicatorKernel:
         dv = np.where(rng.random(S.size) < 0.3, -0.0, rng.standard_normal(S.size))
 
         assert as_bytes(kernel.diagonal()) == as_bytes(dense.diagonal())
-        assert as_bytes([kernel.row(i) for i in range(n)]) == as_bytes(dense.values)
+        assert as_bytes([kernel.rows(i) for i in range(n)]) == as_bytes(dense.values)
+        assert all(as_bytes(kernel.rows(i)) == as_bytes(kernel.rows([i])[0]) for i in range(n))
         assert as_bytes(kernel.rows(S)) == as_bytes(dense.rows(S))
         assert as_bytes(kernel.dot(v)) == as_bytes(dense.dot(v))
         assert as_bytes(dv @ kernel.rows(S)) == as_bytes(dv @ dense.rows(S))

@@ -569,11 +569,9 @@ class TestReadPrices:
 
 
 def _by_rows(path) -> dict[str, PriceSeries]:
-    """The row parser's rows, grouped into series in order of first appearance."""
-    tickers, times, prices = _price_rows(path)
-    return {tk: PriceSeries(ticker=tk, times=times[[t == tk for t in tickers]],
-                            prices=prices[[t == tk for t in tickers]])
-            for tk in dict.fromkeys(tickers)}
+    """The row parser's per-ticker rows as series, in order of first appearance."""
+    return {tk: PriceSeries(ticker=tk, times=times, prices=prices)
+            for tk, (times, prices) in _price_rows(path).items()}
 
 
 # tickers the block parser takes, and ones whose edges send the file to the row parser

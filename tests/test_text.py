@@ -88,12 +88,12 @@ class TestBagOfWords:
         counts = bag_of_words("upgrade", Dictionary(stems=("up", "upgrad")))
         np.testing.assert_array_equal(counts, [1, 1])
 
-    def test_document_object_accepted(self):
+    def test_document_text_counts(self):
         from datetime import datetime, timezone
 
         doc = Document(id="d1", timestamp=datetime(2007, 12, 12, tzinfo=timezone.utc),
                        ticker="MSFT", text=EXAMPLE_TEXT)
-        counts = bag_of_words(doc, Dictionary(stems=EXAMPLE_STEMS))
+        counts = bag_of_words(doc.text, Dictionary(stems=EXAMPLE_STEMS))
         assert tuple(counts.tolist()) == EXAMPLE_COUNTS
 
 
